@@ -15,5 +15,5 @@ from .metrics import (MetricsRecord, boundary_grid, clean_accuracy,
                       prev_task_rate, robustness)
 from .nets import MLPModel, SGDConfig, forward, init_model, sgd_step
 from .replay import BufferEntry, ReplayBuffer
-from .strategies import (EvalSpec, RunLog, StrategyKind, TrainConfig,
-                         eat_generate, eat_train_task, train_stream)
+from .strategies import (STRATEGIES, EvalSpec, RunLog, TrainConfig, eat_generate,
+                         train_stream)

@@ -238,15 +238,21 @@ def _backprop(model: MLPModel, acts: list[np.ndarray], dlogits: np.ndarray,
     return GradBundle(weight_grads, bias_grads, delta) if params else delta
 
 
-def ce_loss_and_grads(model: MLPModel, x, y) -> tuple[float, GradBundle]:
-    """Mean cross-entropy and all its gradients from one forward pass.
+def loss_and_grads(model: MLPModel, x, loss) -> tuple[float, GradBundle]:
+    """A loss of the logits and all its gradients from one forward pass.
 
-    Bit-identical to forward + softmax_ce + backward, which recomputes the
-    forward activations.
+    loss(logits) returns (value, d value / d logits). Bit-identical to
+    forward, then loss, then backward, which recomputes the forward
+    activations.
     """
     acts = _activations(model, check_input(model, x))
-    loss, dlogits = softmax_ce(acts[-1], y)
-    return loss, _backprop(model, acts, dlogits, params=True)
+    value, dlogits = loss(acts[-1])
+    return value, _backprop(model, acts, dlogits, params=True)
+
+
+def ce_loss_and_grads(model: MLPModel, x, y) -> tuple[float, GradBundle]:
+    """Mean cross-entropy and all its gradients from one forward pass."""
+    return loss_and_grads(model, x, lambda logits: softmax_ce(logits, y))
 
 
 def ce_input_grad(model: MLPModel, x: np.ndarray, targets: np.ndarray) -> np.ndarray:

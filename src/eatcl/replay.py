@@ -86,47 +86,3 @@ class ReplayBuffer:
             return x, y, np.stack([e.logits for e in batch])
         return x, y, None
 
-
-def save_buffer_csv(buf: ReplayBuffer, path) -> None:
-    """Dump for checkpointing: metadata comment line, then feature/label/logit rows."""
-    with open(path, "w") as fh:
-        fh.write(f"# capacity={buf.capacity} seen={buf.seen_count}\n")
-        dim = buf.entries[0].x.size if buf.entries else 0
-        n_logits = 0
-        if buf.entries and buf.entries[0].logits is not None:
-            n_logits = buf.entries[0].logits.size
-        cols = [f"f{i}" for i in range(dim)] + ["label"] + [f"l{i}" for i in range(n_logits)]
-        fh.write(",".join(cols) + "\n")
-        for e in buf.entries:
-            parts = [format(v, ".17g") for v in e.x] + [str(int(e.y))]
-            if n_logits:
-                parts += [format(v, ".17g") for v in e.logits]
-            fh.write(",".join(parts) + "\n")
-
-
-def load_buffer_csv(path) -> ReplayBuffer:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError(f"{path}: missing buffer metadata line")
-    meta = dict(kv.split("=") for kv in lines[0].lstrip("# ").split())
-    buf = ReplayBuffer(int(meta["capacity"]))
-    buf.seen_count = int(meta["seen"])
-    if len(lines) < 2:
-        raise ValueError(f"{path}: missing header line")
-    header = lines[1].split(",")
-    dim = sum(1 for h in header if h.startswith("f"))
-    n_logits = sum(1 for h in header if h.startswith("l") and h != "label")
-    for line in lines[2:]:
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        x = np.asarray([float(v) for v in fields[:dim]])
-        y = int(fields[dim])
-        logits = None
-        if n_logits:
-            logits = np.asarray([float(v) for v in fields[dim + 1:]])
-        buf.entries.append(BufferEntry(x, y, logits))
-    if len(buf.entries) > buf.capacity:
-        raise ValueError(f"{path}: more entries than capacity")
-    return buf

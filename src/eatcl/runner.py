@@ -25,8 +25,7 @@ from .datasets import (Dataset, TaskStream, gen_blob_stream, gen_crescent,
                        imbalance_subsample, single_task_stream)
 from .metrics import boundary_grid
 from .nets import MLPModel, SGDConfig
-from .replay import save_buffer_csv
-from .strategies import EvalSpec, RunLog, StrategyKind, TrainConfig, train_stream
+from .strategies import STRATEGIES, EvalSpec, RunLog, TrainConfig, train_stream
 
 
 class ConfigError(ValueError):
@@ -137,7 +136,6 @@ _SCHEMA: dict[str, tuple] = {
     "eval.seed": (int, 0),
     "save.models": (_parse_bool, True),
     "save.grids": (_parse_bool, True),
-    "save.buffers": (_parse_bool, False),
     "grid.resolution": (int, 120),
 }
 
@@ -185,10 +183,9 @@ def emit_config(cfg: dict) -> str:
 def _validate(cfg: dict) -> None:
     if cfg["dataset"] not in ("crescents", "blobs"):
         raise ConfigError(f"dataset must be 'crescents' or 'blobs', got {cfg['dataset']!r}")
-    valid = {k.value for k in StrategyKind}
     for s in cfg["strategies"]:
-        if s not in valid:
-            raise ConfigError(f"unknown strategy {s!r}; pick from {sorted(valid)}")
+        if s not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {s!r}; pick from {sorted(STRATEGIES)}")
     if len(set(cfg["seeds"])) != len(cfg["seeds"]):
         raise ConfigError("seeds must be distinct")
     if cfg["attack.kind"] not in ("fgsm", "pgd"):
@@ -320,7 +317,7 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False,
     """Execute the full strategy x seed grid and write all artifacts."""
     seeds = list(cfg["seeds"] if seeds is None else seeds)
     os.makedirs(out_dir, exist_ok=True)
-    for sub in ("models", "grids", "buffers"):
+    for sub in ("models", "grids"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
     with open(os.path.join(out_dir, "config.resolved.conf"), "w") as fh:
         fh.write(emit_config(cfg))

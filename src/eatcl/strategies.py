@@ -1,9 +1,16 @@
 """Training strategies over a task stream.
 
-Covers joint training, experience replay (ER), dark-replay variants
-(DER/DER++), and their adversarial flavours:
+A strategy is one replay scheme combined with one robustness scheme, named
+``<replay>`` or ``<replay>_<robust>``; ``STRATEGIES`` lists the accepted
+names. The replay schemes are joint training (``joint``: all tasks merged
+into one, no buffer), experience replay (``er``: a batch drawn from a
+reservoir buffer is appended to every current batch), and dark experience
+replay (``der``, Buzzega et al., 2020: a distillation term on the logits
+stored with a buffer batch; ``derpp`` also adds a beta-weighted
+cross-entropy term on a second buffer batch). The robustness schemes are
+clean training and:
 
-* +AT  — on-the-fly adversarial training against the target model; attacks
+* +AT — on-the-fly adversarial training against the target model; attacks
   every label-supervised batch (current task and replayed samples).
 * +CAT — like +AT but attacks are generated from current-task samples only;
   replayed samples train clean.
@@ -14,7 +21,9 @@ Covers joint training, experience replay (ER), dark-replay variants
 
 Batch composition follows the pure-AT convention for +AT/+CAT (adversarial
 examples replace their clean sources; `at_mix="union"` trains both), while
-+EAT always unions the generated set with the clean task data.
++EAT always unions the generated set with the clean task data. DER's
+distillation batch always stays clean, since stored logits pair with clean
+inputs, and only clean current-task rows ever enter the buffer.
 
 One run is strictly sequential. All randomness flows through per-purpose
 numpy Generators derived from the run seed, so runs are bit-reproducible;
@@ -23,62 +32,28 @@ evaluation draws from a separate seed and never disturbs training.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .attacks import AttackConfig, attack
 from .datasets import Dataset, Task, TaskStream
 from .metrics import MetricsRecord, clean_accuracy, prev_task_rate, robustness
-from .nets import (MLPModel, SGDConfig, add_grads, backward, ce_loss_and_grads,
-                   forward, init_model, sgd_step, softmax_ce)
+from .nets import (MLPModel, SGDConfig, add_grads, ce_loss_and_grads, forward,
+                   init_model, loss_and_grads, sgd_step, softmax_ce)
 from .replay import ReplayBuffer
 
+STRATEGIES = ("joint", "joint_at", "er", "er_at", "er_cat", "er_eat",
+              "der", "der_at", "der_eat", "derpp", "derpp_at", "derpp_eat")
 
-class StrategyKind(str, Enum):
-    JOINT = "joint"
-    JOINT_AT = "joint_at"
-    ER = "er"
-    ER_AT = "er_at"
-    ER_CAT = "er_cat"
-    ER_EAT = "er_eat"
-    DER = "der"
-    DER_AT = "der_at"
-    DER_EAT = "der_eat"
-    DERPP = "derpp"
-    DERPP_AT = "derpp_at"
-    DERPP_EAT = "derpp_eat"
 
-    @property
-    def is_joint(self) -> bool:
-        return self in (StrategyKind.JOINT, StrategyKind.JOINT_AT)
-
-    @property
-    def uses_at(self) -> bool:
-        return self in (StrategyKind.JOINT_AT, StrategyKind.ER_AT,
-                        StrategyKind.DER_AT, StrategyKind.DERPP_AT)
-
-    @property
-    def uses_cat(self) -> bool:
-        return self is StrategyKind.ER_CAT
-
-    @property
-    def uses_eat(self) -> bool:
-        return self in (StrategyKind.ER_EAT, StrategyKind.DER_EAT,
-                        StrategyKind.DERPP_EAT)
-
-    @property
-    def der_family(self) -> bool:
-        return self in (StrategyKind.DER, StrategyKind.DER_AT, StrategyKind.DER_EAT,
-                        StrategyKind.DERPP, StrategyKind.DERPP_AT,
-                        StrategyKind.DERPP_EAT)
-
-    @property
-    def derpp_family(self) -> bool:
-        return self in (StrategyKind.DERPP, StrategyKind.DERPP_AT,
-                        StrategyKind.DERPP_EAT)
+def parse_strategy(name: str) -> tuple[str, str]:
+    """Split an accepted strategy name into (replay, robust):
+    "derpp_at" -> ("derpp", "at"), "er" -> ("er", "clean")."""
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}; pick from {sorted(STRATEGIES)}")
+    replay, _, robust = name.partition("_")
+    return replay, robust or "clean"
 
 
 @dataclass
@@ -134,7 +109,6 @@ class RunLog:
     data_access: dict[int, set[int]] = field(default_factory=dict)
     attack_counts: dict[str, int] = field(
         default_factory=lambda: {"current": 0, "memory": 0, "external": 0})
-    train_seconds: float = 0.0
 
 
 class AttackAudit:
@@ -180,74 +154,72 @@ class _Rngs:
                      np.random.default_rng(_sub(seed, 3)))
 
 
-def _concat(x_a, y_a, x_b, y_b):
-    if x_b is None or len(x_b) == 0:
-        return x_a, np.asarray(y_a)
-    return np.vstack([x_a, x_b]), np.concatenate([y_a, y_b])
-
-
-def at_minibatch_step(model, x_cur, y_cur, x_mem, y_mem, atk: AttackConfig,
-                      sgd: SGDConfig, rng, mix: str = "replace",
-                      audit: AttackAudit | None = None) -> MLPModel:
-    """One AT update: attack the whole (current + memory) batch, then step.
-
-    With mix="replace" the adversarial rows are trained in place of their
-    clean sources; with "union" both are trained.
-    """
-    x_all, y_all = _concat(x_cur, y_cur, x_mem, y_mem)
-    adv = attack(model, x_all, y_all, atk, rng)
-    n_cur = len(x_cur)
-    if audit is not None:
-        audit.record("current", n_cur)
-        audit.record("memory", len(x_all) - n_cur)
-        audit.collect_current(adv[:n_cur], y_all[:n_cur])
-    if mix == "replace":
-        tx, ty = adv, y_all
-    else:
-        tx, ty = np.vstack([x_all, adv]), np.concatenate([y_all, y_all])
-    _, grads = ce_loss_and_grads(model, tx, ty)
-    return sgd_step(model, grads, sgd)
-
-
-def cat_minibatch_step(model, x_cur, y_cur, x_mem, y_mem, atk: AttackConfig,
-                       sgd: SGDConfig, rng, mix: str = "replace",
-                       audit: AttackAudit | None = None) -> MLPModel:
-    """Like at_minibatch_step, but only current-task rows are attacked."""
-    adv = attack(model, x_cur, y_cur, atk, rng)
-    if audit is not None:
-        audit.record("current", len(x_cur))
-        audit.collect_current(adv, np.asarray(y_cur))
-    if mix == "replace":
-        tx, ty = _concat(adv, y_cur, x_mem, y_mem)
-    else:
-        both = np.vstack([x_cur, adv])
-        tx, ty = _concat(both, np.concatenate([y_cur, y_cur]), x_mem, y_mem)
-    _, grads = ce_loss_and_grads(model, tx, ty)
-    return sgd_step(model, grads, sgd)
-
-
 def der_terms(model, buf_x, stored_logits, alpha: float):
     """Distillation term: alpha * MSE(model logits on buffer x, stored logits)."""
     if stored_logits is None:
         raise ValueError("DER replay needs buffer entries with stored logits")
-    logits = forward(model, buf_x)
-    if logits.shape != stored_logits.shape:
-        raise ValueError(
-            f"stored logits shape {stored_logits.shape} != model head {logits.shape}")
-    diff = logits - stored_logits
-    loss = alpha * float(np.mean(diff * diff))
-    dlogits = (2.0 * alpha / diff.size) * diff
-    return loss, backward(model, buf_x, dlogits)
+
+    def mse(logits):
+        if logits.shape != stored_logits.shape:
+            raise ValueError(
+                f"stored logits shape {stored_logits.shape} != model head {logits.shape}")
+        diff = logits - stored_logits
+        return alpha * float(np.mean(diff * diff)), (2.0 * alpha / diff.size) * diff
+
+    return loss_and_grads(model, buf_x, mse)
 
 
-def derpp_terms(model, buf_x, stored_logits, buf_x2, buf_y2,
-                alpha: float, beta: float):
-    """DER distillation plus beta-weighted label cross-entropy on a second batch."""
-    loss, grads = der_terms(model, buf_x, stored_logits, alpha)
-    logits2 = forward(model, buf_x2)
-    ce, dlogits2 = softmax_ce(logits2, buf_y2)
-    grads = add_grads(grads, backward(model, buf_x2, beta * dlogits2))
-    return loss + beta * ce, grads
+def derpp_label_terms(model, buf_x, buf_y, beta: float):
+    """DER++ label term: beta * cross-entropy on a second buffer batch."""
+    def weighted_ce(logits):
+        ce, dlogits = softmax_ce(logits, buf_y)
+        return beta * ce, beta * dlogits
+
+    return loss_and_grads(model, buf_x, weighted_ce)
+
+
+def batch_step(model, xb, yb, replay: str, robust: str, buffer: ReplayBuffer,
+               replaying: bool, cfg: TrainConfig, rngs: _Rngs,
+               audit: AttackAudit) -> MLPModel:
+    """One SGD update on the current batch (xb, yb).
+
+    With replaying, ER appends a memory batch, DER adds its distillation
+    term on a clean buffer batch, and DER++ also its label term on a second
+    buffer batch, which +AT attacks in place. +AT attacks every row of the
+    cross-entropy batch, +CAT only the current rows, which lead it; the
+    adversarial rows replace them or, with at_mix "union", follow them.
+    """
+    replay_bs = cfg.replay_batch_size or cfg.batch_size
+    x, y = xb, yb
+    if replaying and replay == "er":
+        mx, my, _ = buffer.sample_arrays(replay_bs, rngs.buffer)
+        x, y = np.vstack([xb, mx]), np.concatenate([yb, my])
+    n_atk = {"at": len(x), "cat": len(xb)}.get(robust, 0)
+    if n_atk:
+        adv = attack(model, x[:n_atk], y[:n_atk], cfg.attack, rngs.attack)
+        audit.record("current", len(xb))
+        audit.record("memory", n_atk - len(xb))
+        audit.collect_current(adv[:len(xb)], y[:len(xb)])
+        if cfg.at_mix == "union":  # the attacked rows, then their AEs
+            x = np.vstack([x[:n_atk], adv, x[n_atk:]])
+            y = np.concatenate([y[:n_atk], y[:n_atk], y[n_atk:]])
+        elif n_atk == len(x):  # every row attacked: no copy
+            x = adv
+        else:
+            x = np.vstack([adv, x[n_atk:]])
+    _, grads = ce_loss_and_grads(model, x, y)
+    if replaying and replay in ("der", "derpp"):
+        bx, _, blogits = buffer.sample_arrays(replay_bs, rngs.buffer)
+        _, der_grads = der_terms(model, bx, blogits, cfg.der_alpha)
+        grads = add_grads(grads, der_grads)
+        if replay == "derpp":
+            bx2, by2, _ = buffer.sample_arrays(replay_bs, rngs.buffer)
+            if robust == "at":
+                bx2 = attack(model, bx2, by2, cfg.attack, rngs.attack)
+                audit.record("memory", len(bx2))
+            _, label_grads = derpp_label_terms(model, bx2, by2, cfg.derpp_beta)
+            grads = add_grads(grads, label_grads)
+    return sgd_step(model, grads, cfg.sgd)
 
 
 def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seed,
@@ -281,52 +253,14 @@ def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seed,
     return Dataset(ae_x, y.copy(), task.data.classes)
 
 
-def _der_step(model, kind, xb, yb, buffer, replay_bs, cfg, rngs, audit,
-              replay: bool):
-    """One DER-family update: CE on the current batch (attacked for +AT) plus
-    replay terms. The distillation batch stays clean — stored logits pair
-    with clean inputs — while DER++'s label batch is attacked under +AT."""
-    if kind.uses_at:
-        adv = attack(model, xb, yb, cfg.attack, rngs.attack)
-        audit.record("current", len(xb))
-        audit.collect_current(adv, yb)
-        if cfg.at_mix == "replace":
-            tx, ty = adv, yb
-        else:
-            tx, ty = np.vstack([xb, adv]), np.concatenate([yb, yb])
-    else:
-        tx, ty = xb, yb
-    _, grads = ce_loss_and_grads(model, tx, ty)
-    if replay and len(buffer) > 0:
-        bx, _, blogits = buffer.sample_arrays(replay_bs, rngs.buffer)
-        _, dg = der_terms(model, bx, blogits, cfg.der_alpha)
-        grads = add_grads(grads, dg)
-        if kind.derpp_family:
-            bx2, by2, _ = buffer.sample_arrays(replay_bs, rngs.buffer)
-            if kind.uses_at:
-                bx2 = attack(model, bx2, by2, cfg.attack, rngs.attack)
-                audit.record("memory", len(bx2))
-            logits2 = forward(model, bx2)
-            _, dlogits2 = softmax_ce(logits2, by2)
-            grads = add_grads(grads, backward(model, bx2, cfg.derpp_beta * dlogits2))
-    return sgd_step(model, grads, cfg.sgd)
-
-
-def _touch(log: RunLog | None, step: int, task_index: int) -> None:
-    if log is not None:
-        log.data_access.setdefault(step, set()).add(task_index)
-
-
-def _run_task(model, task: Task, kind: StrategyKind, cfg: TrainConfig,
-              buffer: ReplayBuffer, rngs: _Rngs, log: RunLog | None,
-              ae: Dataset | None, class_sets, seed) -> MLPModel:
-    """Train one task for epochs_per_task epochs, replaying when possible."""
-    _touch(log, task.index, task.index)
-    audit = AttackAudit(log.attack_counts if log is not None else
-                        {"current": 0, "memory": 0, "external": 0})
-    replay_bs = cfg.replay_batch_size or cfg.batch_size
-    store_logits = kind.der_family
-    attacking = kind.uses_at or kind.uses_cat
+def _run_task(model, task: Task, replay: str, robust: str, cfg: TrainConfig,
+              buffer: ReplayBuffer, rngs: _Rngs, log: RunLog,
+              ae: Dataset | None, class_sets) -> MLPModel:
+    """Train one task for epochs_per_task epochs, replaying when possible.
+    Attack-rate logging needs class_sets (the per-task class sets of the
+    stream, in stream order)."""
+    audit = AttackAudit(log.attack_counts)
+    store_logits = replay in ("der", "derpp")
 
     def task_arrays(ae_now):
         if ae_now is None:
@@ -337,63 +271,33 @@ def _run_task(model, task: Task, kind: StrategyKind, cfg: TrainConfig,
                                 np.zeros(len(ae_now), dtype=bool)])
         return xs, ys, clean
 
-    # Replay engages from the second task on; the buffer still fills during
-    # the first so later tasks can draw on it.
-    replay_ok = task.index > 0
     xs, ys, clean = task_arrays(ae)
     for epoch in range(cfg.epochs_per_task):
-        if kind.uses_eat and cfg.eat_refresh and epoch > 0:
+        if robust == "eat" and cfg.eat_refresh and epoch > 0:
             ae = eat_generate(task, model.layer_sizes, cfg,
-                              _sub(seed, 4, task.index, epoch), audit)
+                              _sub(cfg.seed, 4, task.index, epoch), audit)
             xs, ys, clean = task_arrays(ae)
-        audit.reset_epoch()
+        audit.reset_epoch()  # keep only this epoch's AEs for its attack rate
         perm = rngs.batch.permutation(len(xs))
         for s in range(0, len(xs), cfg.batch_size):
             idx = perm[s:s + cfg.batch_size]
             xb, yb, cb = xs[idx], ys[idx], clean[idx]
-            if replay_ok and not kind.der_family and len(buffer) > 0:
-                mx, my, _ = buffer.sample_arrays(replay_bs, rngs.buffer)
-            else:
-                mx, my = None, None
             pre_step = model
-            if kind.der_family:
-                model = _der_step(model, kind, xb, yb, buffer, replay_bs,
-                                  cfg, rngs, audit, replay_ok)
-            elif kind.uses_at:
-                model = at_minibatch_step(model, xb, yb, mx, my, cfg.attack,
-                                          cfg.sgd, rngs.attack, cfg.at_mix, audit)
-            elif kind.uses_cat:
-                model = cat_minibatch_step(model, xb, yb, mx, my, cfg.attack,
-                                           cfg.sgd, rngs.attack, cfg.at_mix, audit)
-            else:
-                tx, ty = _concat(xb, yb, mx, my)
-                _, grads = ce_loss_and_grads(model, tx, ty)
-                model = sgd_step(model, grads, cfg.sgd)
-            if cfg.buffer_capacity > 0 and cb.any():
+            # Replay engages from the second task on; the buffer still fills
+            # during the first so later tasks can draw on it.
+            model = batch_step(model, xb, yb, replay, robust, buffer,
+                               task.index > 0 and len(buffer) > 0, cfg, rngs, audit)
+            if buffer.capacity > 0 and cb.any():
                 cx, cy = xb[cb], yb[cb]
                 ins_logits = forward(pre_step, cx) if store_logits else None
                 buffer.reservoir_insert_arrays(cx, cy, ins_logits, rngs.buffer)
-        if log is not None and task.index > 0 and class_sets is not None:
-            ae_now = ae if kind.uses_eat else (
-                audit.epoch_dataset(task.class_set) if attacking else None)
+        if task.index > 0:
+            ae_now = ae if robust == "eat" else audit.epoch_dataset(task.class_set)
             if ae_now is not None and len(ae_now):
                 log.attack_rates.append(AttackRatePoint(
                     task.index, epoch,
                     prev_task_rate(model, task, ae_now, class_sets)))
     return model
-
-
-def eat_train_task(model, task: Task, ae: Dataset, buffer: ReplayBuffer,
-                   cfg: TrainConfig, log: RunLog | None = None,
-                   rngs: _Rngs | None = None, class_sets=None,
-                   kind: StrategyKind = StrategyKind.ER_EAT) -> MLPModel:
-    """Train the target model on task-union-adversarial data with replay,
-    never attacking anything itself. Attack-rate logging needs class_sets
-    (the per-task class sets seen so far, in stream order)."""
-    if rngs is None:
-        rngs = _Rngs.for_seed(cfg.seed)
-    return _run_task(model, task, kind, cfg, buffer, rngs, log, ae,
-                     class_sets, cfg.seed)
 
 
 def _snapshot(model, step: int, train_stream: TaskStream,
@@ -414,29 +318,7 @@ def _snapshot(model, step: int, train_stream: TaskStream,
                          float(np.mean(robs)), rate)
 
 
-def _run_joint(model, kind, stream: TaskStream, cfg: TrainConfig,
-               rngs: _Rngs, log: RunLog) -> MLPModel:
-    data = stream.merged()
-    for t in stream.tasks:
-        _touch(log, len(stream.tasks) - 1, t.index)
-    audit = AttackAudit(log.attack_counts)
-    n = len(data)
-    for _ in range(cfg.epochs_per_task):
-        audit.reset_epoch()  # joint runs log no attack rate; keep no old epochs
-        perm = rngs.batch.permutation(n)
-        for s in range(0, n, cfg.batch_size):
-            idx = perm[s:s + cfg.batch_size]
-            xb, yb = data.x[idx], data.y[idx]
-            if kind.uses_at:
-                model = at_minibatch_step(model, xb, yb, None, None, cfg.attack,
-                                          cfg.sgd, rngs.attack, cfg.at_mix, audit)
-            else:
-                _, grads = ce_loss_and_grads(model, xb, yb)
-                model = sgd_step(model, grads, cfg.sgd)
-    return model
-
-
-def train_stream(stream: TaskStream, kind, cfg: TrainConfig,
+def train_stream(stream: TaskStream, strategy: str, cfg: TrainConfig,
                  eval_spec: EvalSpec | None = None) -> tuple[MLPModel, RunLog]:
     """Run one strategy over the stream; returns the trained target model and
     a log of per-step metrics, per-epoch attack rates, and audit trails.
@@ -444,9 +326,10 @@ def train_stream(stream: TaskStream, kind, cfg: TrainConfig,
     The classifier head spans every class in the stream (single-head,
     no task ids). Metrics snapshots are taken after each task over all
     tasks seen so far, on eval_spec's held-out stream when given, else on
-    the training data.
+    the training data. Joint training is one merged task with an empty
+    buffer, trained and snapshotted at the last step.
     """
-    kind = StrategyKind(kind)
+    replay, robust = parse_strategy(strategy)
     if eval_spec is not None and len(eval_spec.stream.tasks) != len(stream.tasks):
         raise ValueError("eval stream must have the same task structure")
     n_out = max(stream.all_classes) + 1
@@ -454,22 +337,21 @@ def train_stream(stream: TaskStream, kind, cfg: TrainConfig,
     model = init_model(layer_sizes, _sub(cfg.seed, 0))
     rngs = _Rngs.for_seed(cfg.seed)
     log = RunLog()
-    started = time.perf_counter()
-    if kind.is_joint:
-        model = _run_joint(model, kind, stream, cfg, rngs, log)
-        log.records.append(_snapshot(model, len(stream.tasks) - 1, stream,
-                                     eval_spec, cfg, log))
+    if replay == "joint":
+        # (step, task trained, indices of the tasks whose data it reads)
+        plan = [(len(stream.tasks) - 1, Task(0, stream.merged(), stream.all_classes),
+                 [t.index for t in stream.tasks])]
+        buffer = ReplayBuffer(0)
     else:
+        plan = [(i, task, [i]) for i, task in enumerate(stream.tasks)]
         buffer = ReplayBuffer(cfg.buffer_capacity)
-        audit = AttackAudit(log.attack_counts)
-        for i, task in enumerate(stream.tasks):
-            ae = None
-            if kind.uses_eat:
-                _touch(log, i, i)
-                ae = eat_generate(task, layer_sizes, cfg,
-                                  _sub(cfg.seed, 4, i), audit)
-            model = _run_task(model, task, kind, cfg, buffer, rngs, log, ae,
-                              stream.class_sets, cfg.seed)
-            log.records.append(_snapshot(model, i, stream, eval_spec, cfg, log))
-    log.train_seconds = time.perf_counter() - started
+    audit = AttackAudit(log.attack_counts)
+    for step, task, reads in plan:
+        log.data_access[step] = set(reads)
+        ae = None
+        if robust == "eat":
+            ae = eat_generate(task, layer_sizes, cfg, _sub(cfg.seed, 4, step), audit)
+        model = _run_task(model, task, replay, robust, cfg, buffer, rngs, log, ae,
+                          stream.class_sets)
+        log.records.append(_snapshot(model, step, stream, eval_spec, cfg, log))
     return model, log

@@ -1,13 +1,11 @@
-"""Reservoir buffer tests: fill phase, retention statistics, sampling,
-CSV round trip."""
+"""Reservoir buffer tests: fill phase, retention statistics, sampling."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eatcl.replay import (BufferEntry, ReplayBuffer, load_buffer_csv,
-                          save_buffer_csv)
+from eatcl.replay import BufferEntry, ReplayBuffer
 
 
 def _entry(i, dim=3, with_logits=False):
@@ -144,34 +142,6 @@ def test_invariants_hold_for_any_stream(n, capacity, seed):
         buf.reservoir_insert(_entry(i), rng)
     assert len(buf) == min(n, capacity)
     assert buf.seen_count == n
-
-
-def test_buffer_csv_round_trip(tmp_path):
-    buf = ReplayBuffer(6)
-    rng = np.random.default_rng(12)
-    for i in range(20):
-        buf.reservoir_insert(_entry(i, with_logits=True), rng)
-    path = tmp_path / "buf.csv"
-    save_buffer_csv(buf, str(path))
-    back = load_buffer_csv(str(path))
-    assert back.capacity == buf.capacity
-    assert back.seen_count == buf.seen_count
-    assert len(back) == len(buf)
-    for a, b in zip(buf.entries, back.entries):
-        np.testing.assert_array_equal(a.x, b.x)
-        assert a.y == b.y
-        np.testing.assert_array_equal(a.logits, b.logits)
-
-
-def test_buffer_csv_round_trip_without_logits(tmp_path):
-    buf = ReplayBuffer(3)
-    rng = np.random.default_rng(13)
-    for i in range(5):
-        buf.reservoir_insert(_entry(i), rng)
-    path = tmp_path / "buf.csv"
-    save_buffer_csv(buf, str(path))
-    back = load_buffer_csv(str(path))
-    assert all(e.logits is None for e in back.entries)
 
 
 def test_negative_capacity_rejected():

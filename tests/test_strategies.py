@@ -4,12 +4,14 @@ hygiene, loss-term gradients against finite differences."""
 import numpy as np
 import pytest
 
+import eatcl.strategies
 from eatcl.attacks import AttackConfig
 from eatcl.datasets import Dataset, gen_blob_stream, gen_crescent, single_task_stream
-from eatcl.nets import MLPModel, forward, init_model, softmax_ce
+from eatcl.nets import MLPModel, backward, forward, init_model, softmax_ce
 from eatcl.replay import BufferEntry, ReplayBuffer
-from eatcl.strategies import (EvalSpec, StrategyKind, TrainConfig, der_terms,
-                              derpp_terms, eat_generate, eat_train_task,
+from eatcl.runner import ConfigError, parse_config
+from eatcl.strategies import (STRATEGIES, EvalSpec, TrainConfig, der_terms,
+                              derpp_label_terms, eat_generate, parse_strategy,
                               train_stream)
 
 
@@ -53,10 +55,11 @@ def test_cat_equals_at_without_memory():
     # with no buffer there is nothing replayed, so attacking "only the
     # current batch" and "everything" coincide
     stream = _small_stream(2)
-    cfg = _cfg(buffer_capacity=0)
-    m_at, _ = train_stream(stream, "er_at", cfg)
-    m_cat, _ = train_stream(stream, "er_cat", cfg)
-    assert _models_equal(m_at, m_cat)
+    for at_mix in ("replace", "union"):
+        cfg = _cfg(buffer_capacity=0, at_mix=at_mix)
+        m_at, _ = train_stream(stream, "er_at", cfg)
+        m_cat, _ = train_stream(stream, "er_cat", cfg)
+        assert _models_equal(m_at, m_cat), at_mix
 
 
 def test_repeat_runs_bitwise_identical():
@@ -107,6 +110,24 @@ def test_der_terms_gradient_matches_finite_differences():
                                                             abs=1e-7)
 
 
+def test_der_terms_single_pass_equals_forward_mse_backward_bitwise():
+    # the DER term runs one forward pass; it must give the exact bits of
+    # forward, then the MSE gradient, then backward
+    rng = np.random.default_rng(4)
+    for sizes in [(2, 3, 2), (16, 32, 10), (5, 4, 6, 3)]:
+        model = init_model(sizes, seed=int(rng.integers(100)))
+        x = rng.normal(size=(9, sizes[0]))
+        stored = rng.normal(size=(9, sizes[-1]))
+        alpha = 0.3
+        diff = forward(model, x) - stored
+        ref = backward(model, x, (2.0 * alpha / diff.size) * diff)
+        loss, got = der_terms(model, x, stored, alpha)
+        assert loss == alpha * float(np.mean(diff * diff))
+        for a, b in zip(got.weight_grads + got.bias_grads + [got.input_grads],
+                        ref.weight_grads + ref.bias_grads + [ref.input_grads]):
+            assert np.array_equal(a, b)
+
+
 def test_der_terms_requires_logits():
     model = init_model((3, 5, 4), seed=1)
     with pytest.raises(ValueError):
@@ -114,22 +135,24 @@ def test_der_terms_requires_logits():
 
 
 def test_derpp_terms_adds_weighted_ce():
+    # the DER++ label term is beta times the cross-entropy, with beta
+    # applied to the logit gradient before the backward pass
     rng = np.random.default_rng(2)
     model = init_model((3, 4, 3), seed=3)
-    x1 = rng.normal(size=(4, 3))
-    stored = rng.normal(size=(4, 3))
     x2 = rng.normal(size=(5, 3))
     y2 = rng.integers(0, 3, size=5)
-    alpha, beta = 0.4, 0.9
-    loss, grads = derpp_terms(model, x1, stored, x2, y2, alpha, beta)
-    l1, g1 = der_terms(model, x1, stored, alpha)
-    ce, _ = softmax_ce(forward(model, x2), y2)
-    assert loss == pytest.approx(l1 + beta * ce, rel=1e-12)
-    # beta 0 reduces to the pure distillation term
-    loss0, grads0 = derpp_terms(model, x1, stored, x2, y2, alpha, 0.0)
-    assert loss0 == pytest.approx(l1, rel=1e-12)
-    for a, b in zip(grads0.weight_grads, g1.weight_grads):
-        np.testing.assert_allclose(a, b, atol=1e-15)
+    beta = 0.9
+    loss, grads = derpp_label_terms(model, x2, y2, beta)
+    ce, dlogits = softmax_ce(forward(model, x2), y2)
+    assert loss == beta * ce
+    ref = backward(model, x2, beta * dlogits)
+    for a, b in zip(grads.weight_grads + grads.bias_grads,
+                    ref.weight_grads + ref.bias_grads):
+        assert np.array_equal(a, b)
+    # beta 0 removes the term
+    loss0, grads0 = derpp_label_terms(model, x2, y2, 0.0)
+    assert loss0 == 0.0
+    assert not any(g.any() for g in grads0.weight_grads + grads0.bias_grads)
 
 
 def test_eat_generate_ball_and_labels():
@@ -177,31 +200,35 @@ def test_audit_counts_eat_only_external():
 def test_audit_counts_at_formula():
     stream = _small_stream(9)
     cfg = _cfg()
-    _, log = train_stream(stream, "er_at", cfg)
-    # every current row is attacked once per epoch
     n_rows = sum(len(t.data) for t in stream.tasks)
-    assert log.attack_counts["current"] == cfg.epochs_per_task * n_rows
-    # replay rows are attacked from the second task on
     batches_per_epoch = int(np.ceil(60 / cfg.batch_size))
-    expected_mem = (len(stream.tasks) - 1) * cfg.epochs_per_task * \
+    attacked_mem = (len(stream.tasks) - 1) * cfg.epochs_per_task * \
         batches_per_epoch * cfg.batch_size
-    assert log.attack_counts["memory"] == expected_mem
-    assert log.attack_counts["external"] == 0
+    # ER's memory batch and DER++'s label batch are attacked from the second
+    # task on (384 rows); DER's distillation batch stays clean
+    for kind, memory in (("er_at", attacked_mem), ("der_at", 0),
+                         ("derpp_at", attacked_mem)):
+        _, log = train_stream(stream, kind, cfg)
+        # every current row is attacked once per epoch: 540 rows
+        assert log.attack_counts == {"current": cfg.epochs_per_task * n_rows,
+                                     "memory": memory, "external": 0}, kind
 
 
-def test_buffer_holds_only_clean_current_rows():
+def test_buffer_holds_only_clean_current_rows(monkeypatch):
     # under EAT the buffer must never contain generated examples
     stream = _small_stream(10, tasks=2)
     cfg = _cfg(buffer_capacity=25)
     clean_rows = {tuple(row) for t in stream.tasks for row in t.data.x}
-    buf = ReplayBuffer(cfg.buffer_capacity)
-    model = init_model((8, 6, 4), seed=[cfg.seed, 0])
-    from eatcl.strategies import _Rngs  # shared rng plumbing
-    rngs = _Rngs.for_seed(cfg.seed)
-    for task in stream.tasks:
-        ae = eat_generate(task, (8, 6, 4), cfg, [cfg.seed, 4, task.index])
-        model = eat_train_task(model, task, ae, buf, cfg, rngs=rngs,
-                               class_sets=stream.class_sets)
+    made = []
+
+    class RecordedBuffer(ReplayBuffer):
+        def __init__(self, capacity):
+            super().__init__(capacity)
+            made.append(self)
+
+    monkeypatch.setattr(eatcl.strategies, "ReplayBuffer", RecordedBuffer)
+    train_stream(stream, "er_eat", cfg)
+    (buf,) = made
     assert len(buf) == cfg.buffer_capacity
     for e in buf.entries:
         assert tuple(e.x) in clean_rows
@@ -295,11 +322,16 @@ def test_invalid_strategy_and_mismatched_eval():
                               attack=AttackConfig(eps=0.1, alpha=0.05)))
 
 
-def test_strategy_kind_predicates():
-    assert StrategyKind.ER_EAT.uses_eat
-    assert not StrategyKind.ER_EAT.uses_at
-    assert StrategyKind.DERPP_AT.der_family
-    assert StrategyKind.DERPP_AT.derpp_family
-    assert not StrategyKind.DER.derpp_family
-    assert StrategyKind.JOINT.is_joint
-    assert not StrategyKind.ER.is_joint
+def test_strategy_names_split_into_two_axes():
+    assert len(STRATEGIES) == 12
+    assert {parse_strategy(name) for name in STRATEGIES} == {
+        ("joint", "clean"), ("joint", "at"),
+        ("er", "clean"), ("er", "at"), ("er", "cat"), ("er", "eat"),
+        ("der", "clean"), ("der", "at"), ("der", "eat"),
+        ("derpp", "clean"), ("derpp", "at"), ("derpp", "eat")}
+    stream = _small_stream(19)
+    for bad in ("der_cat", "derpp_cat", "joint_cat", "joint_eat", "er_", "magic"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            train_stream(stream, bad, _cfg())
+        with pytest.raises(ConfigError, match="unknown strategy"):
+            parse_config(f"strategies = er {bad}\n")

@@ -7,6 +7,11 @@ uniform random point inside the ball. Range clipping (e.g. to [0, 1] for
 image-like data) is optional and applied after the ball projection.
 
 Attacks never relabel: outputs pair with the original labels.
+
+A stacked model of E members (see nets) attacks a batch of E*B rows, block
+e against member e; PGD then takes a sequence of E generators, and member e
+draws its random start from the e-th. The output is bit-identical to E
+single-model attacks.
 """
 
 from __future__ import annotations
@@ -47,8 +52,9 @@ class AttackConfig:
 
 def input_grad(model: MLPModel, x, y) -> np.ndarray:
     """Gradient of the mean cross-entropy loss w.r.t. the input batch."""
-    x = check_input(model, x)
-    return ce_input_grad(model, x, ce_targets(y, len(x), model.num_classes))
+    xs = check_input(model, x)
+    grad = ce_input_grad(model, xs, ce_targets(y, xs.shape[:-1], model.num_classes))
+    return grad.reshape(-1, xs.shape[-1])
 
 
 def project_linf(x_adv, x, eps: float) -> np.ndarray:
@@ -75,15 +81,22 @@ def fgsm(model: MLPModel, x, y, cfg: AttackConfig) -> np.ndarray:
 def pgd(model: MLPModel, x, y, cfg: AttackConfig, rng) -> np.ndarray:
     """K projected signed-gradient steps inside the closed eps-ball around x.
 
-    The batch and labels are checked once, before the first step; every
-    step is one forward and one input-only backward pass.
+    The batch, the generators and the labels are checked once, before the
+    first step; every step is one forward and one input-only backward pass.
     """
     if cfg.kind != "pgd":
         raise ValueError(f"pgd called with kind={cfg.kind!r}")
     x = check_input(model, x)
-    targets = ce_targets(y, len(x), model.num_classes)
+    stacked = x.ndim == 3
+    if stacked and (isinstance(rng, np.random.Generator) or len(rng) != model.members):
+        raise ValueError(f"{model.members} stacked models need a sequence of as many rngs")
+    targets = ce_targets(y, x.shape[:-1], model.num_classes)
     if cfg.random_start:
-        adv = x + rng.uniform(-cfg.eps, cfg.eps, size=x.shape)
+        if stacked:
+            start = np.stack([r.uniform(-cfg.eps, cfg.eps, size=x.shape[1:]) for r in rng])
+        else:
+            start = rng.uniform(-cfg.eps, cfg.eps, size=x.shape)
+        adv = x + start
         if cfg.clip is not None:
             adv = np.clip(adv, cfg.clip[0], cfg.clip[1])
     else:
@@ -93,11 +106,12 @@ def pgd(model: MLPModel, x, y, cfg: AttackConfig, rng) -> np.ndarray:
         adv = project_linf(adv, x, cfg.eps)
         if cfg.clip is not None:
             adv = np.clip(adv, cfg.clip[0], cfg.clip[1])
-    return adv
+    return adv.reshape(-1, x.shape[-1]) if stacked else adv
 
 
 def attack(model: MLPModel, x, y, cfg: AttackConfig, rng=None) -> np.ndarray:
-    """Dispatch on cfg.kind. PGD needs an rng for its random start."""
+    """Dispatch on cfg.kind. PGD needs an rng for its random start, or one
+    per member for a stacked model."""
     if cfg.kind == "fgsm":
         return fgsm(model, x, y, cfg)
     if rng is None:

@@ -2,8 +2,8 @@
 
 Two generators cover the synthetic experiments: a two-band 2-D figure with
 sectioned channel geometry (the toy problem) and Gaussian blob streams (a
-desk-scale stand-in for the split image benchmarks). CSV load/save is the
-escape hatch for real data. All generators are seed-deterministic.
+desk-scale stand-in for the split image benchmarks). All generators are
+seed-deterministic.
 """
 
 from __future__ import annotations
@@ -232,50 +232,3 @@ def _place_centers(rng, n: int, dim: int, separation: float, tries: int = 500):
     raise ValueError(
         f"could not place {n} centers with separation {separation} in dim {dim}"
     )
-
-
-def save_csv(d: Dataset, path) -> None:
-    """Write `f0,...,fk,label` rows with a header, 17 significant digits."""
-    with open(path, "w") as fh:
-        cols = [f"f{i}" for i in range(d.x.shape[1])] + ["label"]
-        fh.write(",".join(cols) + "\n")
-        for row, label in zip(d.x, d.y):
-            fh.write(",".join(format(v, ".17g") for v in row))
-            fh.write(f",{int(label)}\n")
-
-
-def load_csv(path) -> Dataset:
-    """Read `f1,...,fd,label` rows; a non-numeric first row is treated as a header."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    first_fields = rows[0][1].split(",")
-    start = 0
-    try:
-        [float(f) for f in first_fields]
-    except ValueError:
-        start = 1
-        if len(rows) == 1:
-            raise ValueError(f"{path}: header but no data rows") from None
-    width = len(rows[start][1].split(","))
-    if width < 2:
-        raise ValueError(f"{path}: line {rows[start][0]}: need features and a label")
-    xs, ys = [], []
-    for lineno, line in rows[start:]:
-        fields = line.split(",")
-        if len(fields) != width:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
-            )
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: non-numeric field ({exc})") from None
-        label = values[-1]
-        if label != int(label):
-            raise ValueError(f"{path}: line {lineno}: non-integer label {fields[-1]}")
-        xs.append(values[:-1])
-        ys.append(int(label))
-    return Dataset(np.asarray(xs), np.asarray(ys))

@@ -435,19 +435,3 @@ def format_summary_table(summary: dict) -> str:
 def load_summary(out_dir: str) -> dict:
     with open(os.path.join(out_dir, "summary.json")) as fh:
         return json.load(fh)
-
-
-def read_metrics_csv(path: str) -> list[dict]:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            row = dict(zip(header, parts))
-            rows.append({"run_id": row["run_id"], "step": int(row["step"]),
-                         "task": int(row["task"]),
-                         "accuracy": float(row["accuracy"]),
-                         "robustness": float(row["robustness"])})
-    return rows

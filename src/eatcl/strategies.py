@@ -14,10 +14,14 @@ clean training and:
   every label-supervised batch (current task and replayed samples).
 * +CAT — like +AT but attacks are generated from current-task samples only;
   replayed samples train clean.
-* +EAT — a fresh external model (same architecture) is adversarially
-  trained from scratch on the current task alone, used once to generate an
-  adversarial copy of the task, then discarded. The target model trains on
-  task-plus-adversarial data with no on-the-fly attack.
+* +EAT — one fresh external model (same architecture) per generation of
+  the task's adversarial copy: once per task, or once per epoch with
+  ``eat_refresh``. Each is adversarially trained from scratch on the
+  current task alone, used once to generate its copy, then discarded. A
+  task's external models never see the target, so they train together in
+  lockstep, stacked on a leading model axis of the one gradient kernel. The
+  target model trains on task-plus-adversarial data with no on-the-fly
+  attack.
 
 Batch composition follows the pure-AT convention for +AT/+CAT (adversarial
 examples replace their clean sources; `at_mix="union"` trains both), while
@@ -40,7 +44,8 @@ from .attacks import AttackConfig, attack
 from .datasets import Dataset, Task, TaskStream
 from .metrics import MetricsRecord, clean_accuracy, prev_task_rate, robustness
 from .nets import (MLPModel, SGDConfig, add_grads, ce_loss_and_grads, forward,
-                   init_model, loss_and_grads, sgd_step, softmax_ce)
+                   init_model, loss_and_grads, sgd_step, softmax_ce, stack_models,
+                   unstack_models)
 from .replay import ReplayBuffer
 
 STRATEGIES = ("joint", "joint_at", "er", "er_at", "er_cat", "er_eat",
@@ -222,45 +227,69 @@ def batch_step(model, xb, yb, replay: str, robust: str, buffer: ReplayBuffer,
     return sgd_step(model, grads, cfg.sgd)
 
 
-def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seed,
-                 audit: AttackAudit | None = None) -> Dataset:
-    """Adversarial copy of a task via a throwaway external model.
+def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds,
+                 audit: AttackAudit | None = None
+                 ) -> list[tuple[MLPModel, np.random.Generator]]:
+    """Throwaway external models for a task, one per seed, trained in lockstep.
 
-    A fresh model of the given architecture is adversarially trained from
-    scratch on the task alone, every task example is attacked against it,
-    and the model is dropped — nothing external persists beyond the
-    returned examples, which keep their source labels.
+    Each is a fresh model of the given architecture, adversarially trained
+    from scratch on the task alone with its own batch order and attack rng.
+    The members are stacked on one model axis, so each attack and SGD step
+    serves all of them; member e gets the exact bits it would get alone.
+    Returns (model, attack rng) per seed: attacking every task example
+    against the model with that rng, as _eat_copy does, gives the seed's
+    adversarial copy of the task.
     """
     if len(task.data) == 0:
         raise ValueError("cannot generate adversarial examples for an empty task")
-    ext = init_model(layer_sizes, _sub(seed, 0))
-    batch_rng = np.random.default_rng(_sub(seed, 1))
-    atk_rng = np.random.default_rng(_sub(seed, 2))
+    ext = stack_models([init_model(layer_sizes, _sub(s, 0)) for s in seeds])
+    batch_rngs = [np.random.default_rng(_sub(s, 1)) for s in seeds]
+    atk_rngs = [np.random.default_rng(_sub(s, 2)) for s in seeds]
     x, y = task.data.x, task.data.y
     n = len(x)
     for _ in range(cfg.eat_external_epochs):
-        perm = batch_rng.permutation(n)
+        perms = np.stack([r.permutation(n) for r in batch_rngs])
         for s in range(0, n, cfg.batch_size):
-            idx = perm[s:s + cfg.batch_size]
-            adv = attack(ext, x[idx], y[idx], cfg.attack, atk_rng)
+            idx = perms[:, s:s + cfg.batch_size].ravel()  # member-major blocks
+            xb, yb = x[idx], y[idx]
+            adv = attack(ext, xb, yb, cfg.attack, atk_rngs)
             if audit is not None:
                 audit.record("external", len(idx))
-            _, grads = ce_loss_and_grads(ext, adv, y[idx])
+            _, grads = ce_loss_and_grads(ext, adv, yb)
             ext = sgd_step(ext, grads, cfg.sgd)
-    ae_x = attack(ext, x, y, cfg.attack, atk_rng)
-    if audit is not None:
-        audit.record("external", n)
-    return Dataset(ae_x, y.copy(), task.data.classes)
+    return list(zip(unstack_models(ext), atk_rngs))
+
+
+def _eat_copy(task: Task, external, cfg: TrainConfig, audit: AttackAudit) -> Dataset:
+    """The adversarial copy of a task from one eat_generate member: every
+    task example attacked against it, with its source label."""
+    ext, rng = external
+    ae_x = attack(ext, task.data.x, task.data.y, cfg.attack, rng)
+    audit.record("external", len(ae_x))
+    return Dataset(ae_x, task.data.y.copy(), task.data.classes)
 
 
 def _run_task(model, task: Task, replay: str, robust: str, cfg: TrainConfig,
               buffer: ReplayBuffer, rngs: _Rngs, log: RunLog,
-              ae: Dataset | None, class_sets) -> MLPModel:
+              class_sets) -> MLPModel:
     """Train one task for epochs_per_task epochs, replaying when possible.
     Attack-rate logging needs class_sets (the per-task class sets of the
-    stream, in stream order)."""
+    stream, in stream order).
+
+    +EAT trains the task's external models first, all in lockstep: one for
+    the whole task, or one per epoch with eat_refresh. Each epoch's
+    adversarial copy is made when the epoch starts, so one is live at a time.
+    """
     audit = AttackAudit(log.attack_counts)
     store_logits = replay in ("der", "derpp")
+    ae, externals = None, []
+    if robust == "eat":
+        # EAT never trains joint, so task.index is the stream step
+        seeds = [_sub(cfg.seed, 4, task.index)]
+        if cfg.eat_refresh:
+            seeds += [_sub(cfg.seed, 4, task.index, e)
+                      for e in range(1, cfg.epochs_per_task)]
+        externals = eat_generate(task, model.layer_sizes, cfg, seeds, audit)
 
     def task_arrays(ae_now):
         if ae_now is None:
@@ -271,11 +300,10 @@ def _run_task(model, task: Task, replay: str, robust: str, cfg: TrainConfig,
                                 np.zeros(len(ae_now), dtype=bool)])
         return xs, ys, clean
 
-    xs, ys, clean = task_arrays(ae)
+    xs, ys, clean = task_arrays(None)
     for epoch in range(cfg.epochs_per_task):
-        if robust == "eat" and cfg.eat_refresh and epoch > 0:
-            ae = eat_generate(task, model.layer_sizes, cfg,
-                              _sub(cfg.seed, 4, task.index, epoch), audit)
+        if epoch < len(externals):
+            ae = _eat_copy(task, externals[epoch], cfg, audit)
             xs, ys, clean = task_arrays(ae)
         audit.reset_epoch()  # keep only this epoch's AEs for its attack rate
         perm = rngs.batch.permutation(len(xs))
@@ -345,13 +373,9 @@ def train_stream(stream: TaskStream, strategy: str, cfg: TrainConfig,
     else:
         plan = [(i, task, [i]) for i, task in enumerate(stream.tasks)]
         buffer = ReplayBuffer(cfg.buffer_capacity)
-    audit = AttackAudit(log.attack_counts)
     for step, task, reads in plan:
         log.data_access[step] = set(reads)
-        ae = None
-        if robust == "eat":
-            ae = eat_generate(task, layer_sizes, cfg, _sub(cfg.seed, 4, step), audit)
-        model = _run_task(model, task, replay, robust, cfg, buffer, rngs, log, ae,
+        model = _run_task(model, task, replay, robust, cfg, buffer, rngs, log,
                           stream.class_sets)
         log.records.append(_snapshot(model, step, stream, eval_spec, cfg, log))
     return model, log

@@ -1,5 +1,6 @@
 """Attack tests: closed-form FGSM oracle on a linear softmax model,
-projection oracle, ball/clip invariants, FGSM/PGD agreement."""
+projection oracle, ball/clip invariants, FGSM/PGD agreement, stacked
+models against their members attacked alone."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from eatcl.attacks import (AttackConfig, attack, fgsm, input_grad, pgd,
                            project_linf)
-from eatcl.nets import MLPModel, forward, init_model, softmax
+from eatcl.nets import MLPModel, forward, init_model, softmax, stack_models
 
 
 def _linear_model(w):
@@ -164,3 +165,63 @@ def test_attacks_reject_bad_labels_and_nonfinite_logits():
             with pytest.raises(FloatingPointError):
                 attack(huge, np.full((2, 2), 10.0), np.array([0, 1]), cfg,
                        np.random.default_rng(0))
+
+
+def test_stacked_attack_equals_members_alone_bitwise():
+    # a stacked attack on E blocks of B rows must give block e the exact bits
+    # of attacking it against member e alone, with member e's rng
+    cfgs = [AttackConfig(kind="fgsm", eps=0.2),
+            AttackConfig(kind="pgd", eps=0.1, alpha=0.03, iters=5, random_start=True),
+            AttackConfig(kind="pgd", eps=0.1, alpha=0.03, iters=5, random_start=False),
+            AttackConfig(kind="pgd", eps=0.3, alpha=0.1, iters=4, random_start=True,
+                         clip=(-0.5, 0.5))]
+    rng = np.random.default_rng(20)
+    for sizes in [(2, 3, 2), (16, 32, 10), (5, 4, 6, 3)]:
+        for e in (1, 3):
+            members = [init_model(sizes, seed=int(rng.integers(1000))) for _ in range(e)]
+            b = int(rng.integers(1, 20))
+            x = rng.uniform(-1, 1, size=(e * b, sizes[0]))
+            y = rng.integers(0, sizes[-1], size=e * b)
+            for cfg in cfgs:
+                seeds = [int(s) for s in rng.integers(1000, size=e)]
+                got = attack(stack_models(members), x, y, cfg,
+                             [np.random.default_rng(s) for s in seeds])
+                assert got.shape == x.shape
+                for i, (m, s) in enumerate(zip(members, seeds)):
+                    rows = slice(i * b, (i + 1) * b)
+                    ref = attack(m, x[rows], y[rows], cfg, np.random.default_rng(s))
+                    assert np.array_equal(got[rows], ref), (sizes, e, cfg)
+
+
+def test_stacked_attack_checks_before_any_step():
+    stacked = stack_models([init_model((2, 3, 2), seed=s) for s in range(3)])
+    x = np.zeros((6, 2))
+    y = np.array([0, 1, 0, 1, 0, 1])
+    cfg = AttackConfig(kind="pgd", eps=0.1, alpha=0.05, iters=3)
+    fgsm_cfg = AttackConfig(kind="fgsm", eps=0.1)
+
+    def rngs(n):
+        return [np.random.default_rng(i) for i in range(n)]
+
+    untouched = np.random.default_rng(0).uniform(size=3)
+    for bad_rngs in (rngs(2), rngs(4), np.random.default_rng(0)):
+        with pytest.raises(ValueError, match="rngs"):
+            attack(stacked, x, y, cfg, bad_rngs)
+    for c in (cfg, fgsm_cfg):
+        with pytest.raises(ValueError, match="do not split"):
+            attack(stacked, np.zeros((5, 2)), y[:5], c, rngs(3))
+        for bad in (np.array([0, 1, 0, 1, 0, 2]), y[:3]):
+            gens = rngs(3)
+            with pytest.raises(ValueError):
+                attack(stacked, x, bad, c, gens)
+            # no random start was drawn before the labels were rejected
+            assert np.array_equal(gens[0].uniform(size=3), untouched)
+    # one diverged member is enough
+    weights = [w.copy() for w in stacked.weights]
+    weights[0][2] = 1.0
+    weights[-1][2] = 1e308
+    huge = MLPModel(stacked.layer_sizes, weights, stacked.biases)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in (cfg, fgsm_cfg):
+            with pytest.raises(FloatingPointError):
+                attack(huge, np.full((6, 2), 10.0), y, c, rngs(3))

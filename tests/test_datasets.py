@@ -1,14 +1,12 @@
-"""Dataset generation, splitting, imbalance, CSV round trips."""
+"""Dataset generation, splitting, imbalance."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import eatcl.datasets as D
 from eatcl.datasets import (Dataset, Task, TaskStream, gen_blob_stream,
-                            gen_crescent, imbalance_subsample, load_csv,
-                            save_csv, single_task_stream, split_by_classes)
+                            gen_crescent, imbalance_subsample,
+                            single_task_stream, split_by_classes)
 
 
 def test_crescent_noise_zero_lies_on_section_lines():
@@ -137,35 +135,6 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int))
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.array([0, 5]), classes=(0, 1))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(-1e6, 1e6, allow_nan=False, width=64),
-                min_size=4, max_size=12).filter(lambda v: len(v) % 2 == 0))
-def test_csv_round_trip_exact(tmp_path_factory, values):
-    x = np.array(values, dtype=np.float64).reshape(-1, 2)
-    y = np.arange(len(x)) % 2
-    d = Dataset(x, y)
-    path = tmp_path_factory.mktemp("csv") / "d.csv"
-    save_csv(d, str(path))
-    back = load_csv(str(path))
-    np.testing.assert_array_equal(back.x, d.x)
-    np.testing.assert_array_equal(back.y, d.y)
-
-
-def test_load_csv_error_reports_line(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("f0,f1,label\n1.0,2.0,0\n1.0,oops,1\n")
-    with pytest.raises(ValueError, match="line 3"):
-        load_csv(str(p))
-    p2 = tmp_path / "ragged.csv"
-    p2.write_text("f0,f1,label\n1.0,2.0,0\n1.0,1\n")
-    with pytest.raises(ValueError, match="line 3"):
-        load_csv(str(p2))
-    p3 = tmp_path / "empty.csv"
-    p3.write_text("")
-    with pytest.raises(ValueError):
-        load_csv(str(p3))
 
 
 def test_single_task_stream_wraps_dataset():

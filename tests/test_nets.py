@@ -1,5 +1,6 @@
 """Net kernel tests: forward against hand computation, backward against
-central finite differences, SGD mechanics."""
+central finite differences, SGD mechanics, stacked models against their
+members run alone."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eatcl.nets import (GradBundle, MLPModel, SGDConfig, add_grads, backward,
-                        ce_input_grad, ce_loss_and_grads, ce_targets, forward,
-                        init_model, sgd_step, softmax, softmax_ce)
+                        ce_input_grad, ce_loss_and_grads, ce_targets, check_input,
+                        forward, init_model, sgd_step, softmax, softmax_ce,
+                        stack_models, unstack_models)
 
 
 def _rand_model(rng, sizes):
@@ -144,7 +146,7 @@ def test_single_pass_equals_forward_softmax_ce_backward_bitwise():
                         ref.weight_grads + ref.bias_grads):
             assert np.array_equal(a, b)
         assert np.array_equal(got.input_grads, ref.input_grads)
-        only_x = ce_input_grad(model, x, ce_targets(y, n, sizes[-1]))
+        only_x = ce_input_grad(model, x, ce_targets(y, (n,), sizes[-1]))
         assert np.array_equal(only_x, ref.input_grads)
 
 
@@ -155,8 +157,8 @@ def test_single_pass_rejects_bad_labels_and_nonfinite_logits():
         with pytest.raises(ValueError):
             ce_loss_and_grads(model, x, bad)
         with pytest.raises(ValueError):
-            ce_targets(bad, 2, 2)
-    targets = ce_targets(np.array([1, 0]), 2, 2)
+            ce_targets(bad, (2,), 2)
+    targets = ce_targets(np.array([1, 0]), (2,), 2)
     np.testing.assert_array_equal(targets, [[0.0, 1.0], [1.0, 0.0]])
     nan_x = np.array([[np.nan, 0.0], [0.0, 0.0]])
     with pytest.raises(FloatingPointError):
@@ -236,3 +238,72 @@ def test_forward_rows_are_independent(seed, batch, dim):
     for i in range(batch):
         row = forward(model, x[i:i + 1])[0]
         np.testing.assert_allclose(full[i], row, atol=1e-12)
+
+
+def test_stack_and_unstack_round_trip():
+    rng = np.random.default_rng(30)
+    members = [_rand_model(rng, (4, 5, 3)) for _ in range(3)]
+    stacked = stack_models(members)
+    assert stacked.members == 3 and members[0].members is None
+    assert stacked.weights[0].shape == (3, 4, 5)
+    assert stacked.biases[1].shape == (3, 1, 3)
+    for got, ref in zip(unstack_models(stacked), members):
+        for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
+            assert a.shape == b.shape and np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        stack_models([members[0], init_model((4, 6, 3), seed=0)])
+    with pytest.raises(ValueError):
+        stack_models([stacked])
+
+
+def test_stacked_loss_and_sgd_step_equal_members_alone_bitwise():
+    # E models in lockstep must give every member the exact bits it gets
+    # alone: the loss, every gradient, and the stepped parameters
+    rng = np.random.default_rng(31)
+    cfg = SGDConfig(learning_rate=0.07)
+    for sizes in [(2, 3, 2), (16, 32, 10), (5, 4, 6, 3), (3, 1)]:
+        for e in (1, 3):
+            members = [_rand_model(rng, sizes) for _ in range(e)]
+            b = int(rng.integers(1, 40))
+            xs = [rng.normal(size=(b, sizes[0])) for _ in range(e)]
+            ys = [rng.integers(0, sizes[-1], size=b) for _ in range(e)]
+            stacked = stack_models(members)
+            x, y = np.vstack(xs), np.concatenate(ys)
+            loss, grads = ce_loss_and_grads(stacked, x, y)
+            stepped = unstack_models(sgd_step(stacked, grads, cfg))
+            x3 = check_input(stacked, x)
+            only_x = ce_input_grad(stacked, x3, ce_targets(y, x3.shape[:-1], sizes[-1]))
+            assert loss.shape == (e,)
+            assert grads.input_grads.shape == (e * b, sizes[0])
+            for i, (m, x, y) in enumerate(zip(members, xs, ys)):
+                ref_loss, ref = ce_loss_and_grads(m, x, y)
+                assert loss[i] == ref_loss
+                for got, want in zip(grads.weight_grads, ref.weight_grads):
+                    assert np.array_equal(got[i], want)
+                for got, want in zip(grads.bias_grads, ref.bias_grads):
+                    assert np.array_equal(got[i, 0], want)
+                assert np.array_equal(grads.input_grads[i * b:(i + 1) * b],
+                                      ref.input_grads)
+                assert np.array_equal(only_x[i], ref.input_grads)
+                alone = sgd_step(m, ref, cfg)
+                for got, want in zip(stepped[i].weights + stepped[i].biases,
+                                     alone.weights + alone.biases):
+                    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_stacked_pass_rejects_bad_rows_labels_and_nonfinite_logits():
+    members = [init_model((2, 3, 2), seed=s) for s in range(3)]
+    stacked = stack_models(members)
+    with pytest.raises(ValueError, match="do not split"):
+        ce_loss_and_grads(stacked, np.zeros((4, 2)), np.zeros(4, dtype=int))
+    for bad in (np.array([0, 1, 2, 0, 1, 0]), np.zeros(3, dtype=int)):
+        with pytest.raises(ValueError):
+            ce_loss_and_grads(stacked, np.zeros((6, 2)), bad)
+    # one diverged member is enough
+    weights = [w.copy() for w in stacked.weights]
+    weights[0][1] = 1.0
+    weights[-1][1] = 1e308
+    huge = MLPModel(stacked.layer_sizes, weights, stacked.biases)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError):
+            ce_loss_and_grads(huge, np.full((6, 2), 10.0), np.zeros(6, dtype=int))

@@ -1,6 +1,7 @@
 """Runner tests: config parsing and round trips, stream assembly,
 artifact determinism, summary math."""
 
+import csv
 import json
 import os
 
@@ -10,7 +11,7 @@ import pytest
 from eatcl.runner import (ConfigError, build_eval_attack, build_streams,
                           build_train_config, default_config, emit_config,
                           format_summary_table, load_model_json, parse_config,
-                          read_metrics_csv, run_experiment, summarize_results)
+                          run_experiment, summarize_results)
 
 TINY = """
 experiment = unit
@@ -144,11 +145,16 @@ def test_run_experiment_artifacts_and_determinism(tmp_path):
         assert (out1 / name).exists()
     for name in ("metrics.csv", "rates.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    rows = read_metrics_csv(str(out1 / "metrics.csv"))
+    with open(out1 / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["run_id", "step", "task", "accuracy", "robustness"]
     assert rows[0]["run_id"] == "er_s0"
-    assert {r["step"] for r in rows} == {1, 2}
-    last = [r for r in rows if r["step"] == 2]
-    assert {r["task"] for r in last} == {1, 2}
+    assert {int(r["step"]) for r in rows} == {1, 2}
+    last = [r for r in rows if r["step"] == "2"]
+    assert {int(r["task"]) for r in last} == {1, 2}
+    for r in rows:
+        assert 0.0 <= float(r["accuracy"]) <= 100.0
+        assert 0.0 <= float(r["robustness"]) <= 100.0
 
 
 def test_run_experiment_seed_override(tmp_path):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import eatcl.strategies
-from eatcl.attacks import AttackConfig
+from eatcl.attacks import AttackConfig, attack
 from eatcl.datasets import Dataset, gen_blob_stream, gen_crescent, single_task_stream
-from eatcl.nets import MLPModel, backward, forward, init_model, softmax_ce
+from eatcl.nets import (MLPModel, backward, ce_loss_and_grads, forward, init_model,
+                        sgd_step, softmax_ce)
 from eatcl.replay import BufferEntry, ReplayBuffer
 from eatcl.runner import ConfigError, parse_config
 from eatcl.strategies import (STRATEGIES, EvalSpec, TrainConfig, der_terms,
@@ -155,27 +156,89 @@ def test_derpp_terms_adds_weighted_ce():
     assert not any(g.any() for g in grads0.weight_grads + grads0.bias_grads)
 
 
+def _eat_copy(task, external, cfg):
+    ext, rng = external
+    return attack(ext, task.data.x, task.data.y, cfg.attack, rng)
+
+
 def test_eat_generate_ball_and_labels():
     stream = _small_stream(5, tasks=1)
     task = stream.tasks[0]
     cfg = _cfg(eat_external_epochs=2,
                attack=AttackConfig(eps=0.07, alpha=0.03, iters=3))
-    ae = eat_generate(task, (8, 6, 2), cfg, seed=[5, 4, 0])
+    externals = eat_generate(task, (8, 6, 2), cfg, [[5, 4, 0], [5, 4, 0, 1]])
+    assert len(externals) == 2
+    ae = Dataset(_eat_copy(task, externals[0], cfg), task.data.y.copy())
     assert len(ae) == len(task.data)
     np.testing.assert_array_equal(ae.y, task.data.y)
     assert np.max(np.abs(ae.x - task.data.x)) <= 0.07 + 1e-12
+    # separate seeds train separate models
+    assert not _models_equal(externals[0][0], externals[1][0])
 
 
 def test_eat_generate_independent_of_target_model():
-    # the external model is fresh each call: generating before or after
+    # the external models are fresh each call: generating before or after
     # target training must give identical examples
     stream = _small_stream(6, tasks=1)
     task = stream.tasks[0]
     cfg = _cfg()
-    a = eat_generate(task, (8, 6, 2), cfg, seed=[1, 4, 0])
+    a = eat_generate(task, (8, 6, 2), cfg, [[1, 4, 0]])
     train_stream(stream, "er", cfg)  # unrelated training in between
-    b = eat_generate(task, (8, 6, 2), cfg, seed=[1, 4, 0])
-    np.testing.assert_array_equal(a.x, b.x)
+    b = eat_generate(task, (8, 6, 2), cfg, [[1, 4, 0]])
+    np.testing.assert_array_equal(_eat_copy(task, a[0], cfg), _eat_copy(task, b[0], cfg))
+
+
+def _external_alone(task, layer_sizes, cfg, seed):
+    """Reference: one external model trained by itself, a plain 2-D model
+    stepped one batch at a time, and its adversarial copy of the task."""
+    ext = init_model(layer_sizes, [*seed, 0])
+    batch_rng = np.random.default_rng([*seed, 1])
+    atk_rng = np.random.default_rng([*seed, 2])
+    x, y = task.data.x, task.data.y
+    for _ in range(cfg.eat_external_epochs):
+        perm = batch_rng.permutation(len(x))
+        for s in range(0, len(x), cfg.batch_size):
+            idx = perm[s:s + cfg.batch_size]
+            adv = attack(ext, x[idx], y[idx], cfg.attack, atk_rng)
+            ext = sgd_step(ext, ce_loss_and_grads(ext, adv, y[idx])[1], cfg.sgd)
+    return ext, attack(ext, x, y, cfg.attack, atk_rng)
+
+
+def test_eat_lockstep_members_equal_members_trained_alone():
+    # training a task's external models together must not change a bit of
+    # any member or of its adversarial copy
+    task = _small_stream(20, tasks=1).tasks[0]
+    seeds = [[3, 4, 0], [3, 4, 0, 1], [3, 4, 0, 2]]
+    for atk in (AttackConfig(eps=0.05, alpha=0.02, iters=3, random_start=True),
+                AttackConfig(kind="fgsm", eps=0.05),
+                AttackConfig(eps=0.2, alpha=0.1, iters=2, random_start=False,
+                             clip=(-1.0, 1.0))):
+        cfg = _cfg(eat_external_epochs=2, batch_size=13, attack=atk)
+        lockstep = eat_generate(task, (8, 5, 4, 2), cfg, seeds)
+        for seed, member in zip(seeds, lockstep):
+            ref_model, ref_copy = _external_alone(task, (8, 5, 4, 2), cfg, seed)
+            assert _models_equal(member[0], ref_model)
+            assert _eat_copy(task, member, cfg).tobytes() == ref_copy.tobytes()
+
+
+def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
+    # one external model per generation: the task's seed for the first
+    # epoch, then one seed per later epoch with eat_refresh
+    stream = _small_stream(21)
+    calls = []
+
+    def recording(task, layer_sizes, cfg, seeds, audit=None):
+        calls.append((task.index, seeds))
+        return eat_generate(task, layer_sizes, cfg, seeds, audit)
+
+    monkeypatch.setattr(eatcl.strategies, "eat_generate", recording)
+    for refresh in (False, True):
+        calls.clear()
+        cfg = _cfg(eat_refresh=refresh)
+        train_stream(stream, "derpp_eat", cfg)
+        epochs = range(1, cfg.epochs_per_task) if refresh else []
+        assert calls == [(t, [[cfg.seed, 4, t]] + [[cfg.seed, 4, t, e] for e in epochs])
+                         for t in range(len(stream.tasks))], refresh
 
 
 def test_audit_counts_er_never_attacks():
@@ -188,13 +251,16 @@ def test_audit_counts_er_never_attacks():
 
 def test_audit_counts_eat_only_external():
     stream = _small_stream(8)
-    cfg = _cfg(eat_external_epochs=2)
-    _, log = train_stream(stream, "er_eat", cfg)
-    assert log.attack_counts["current"] == 0
-    assert log.attack_counts["memory"] == 0
-    # per task: 2 external epochs over 60 rows plus one final generation pass
-    per_task = 2 * 60 + 60
-    assert log.attack_counts["external"] == per_task * len(stream.tasks)
+    # per generation: 2 external epochs over 60 rows plus one final pass; one
+    # generation per task, or one per epoch with eat_refresh
+    for refresh in (False, True):
+        cfg = _cfg(eat_external_epochs=2, eat_refresh=refresh)
+        generations = cfg.epochs_per_task if refresh else 1
+        _, log = train_stream(stream, "er_eat", cfg)
+        assert log.attack_counts["current"] == 0
+        assert log.attack_counts["memory"] == 0
+        assert log.attack_counts["external"] == \
+            len(stream.tasks) * generations * (2 + 1) * 60, refresh
 
 
 def test_audit_counts_at_formula():

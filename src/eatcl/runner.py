@@ -5,8 +5,11 @@ comment and blank lines are ignored. Dotted keys group related settings
 (``train.*``, ``attack.*``, ``eval.*``). Unknown keys are rejected with
 the offending line number so typos fail before any training starts.
 
-An experiment is a grid of strategies x seeds over one dataset family.
-Every artifact except manifest.json is byte-deterministic for a given
+An experiment is a grid of strategies x seeds over one dataset family. The
+seeds of one strategy train in lockstep, as the members of one stacked
+model, so a grid runs one training loop per strategy; every cell still gets
+exactly the bits it would get alone and keeps its own artifacts. Every
+artifact except manifest.json is byte-deterministic for a given
 config: rerunning into a fresh directory reproduces metrics.csv and
 rates.csv exactly. Wall-clock timings live only in the manifest.
 """
@@ -25,7 +28,7 @@ from .datasets import (Dataset, TaskStream, gen_blob_stream, gen_crescent,
                        imbalance_subsample, single_task_stream)
 from .metrics import boundary_grid
 from .nets import MLPModel, SGDConfig
-from .strategies import STRATEGIES, EvalSpec, RunLog, TrainConfig, train_stream
+from .strategies import STRATEGIES, EvalSpec, RunLog, TrainConfig, train_streams
 
 
 class ConfigError(ValueError):
@@ -314,7 +317,13 @@ class RunResult:
 
 def run_experiment(cfg: dict, out_dir: str, quiet: bool = False,
                    seeds=None, progress=print) -> list[RunResult]:
-    """Execute the full strategy x seed grid and write all artifacts."""
+    """Execute the full strategy x seed grid and write all artifacts.
+
+    Each strategy's seeds train together as one lockstep group
+    (strategies.train_streams); results, CSV rows and the manifest's run
+    list keep the seed-major order (for each seed, each strategy), and a
+    run's train_seconds is its group's time divided by the group's size.
+    """
     seeds = list(cfg["seeds"] if seeds is None else seeds)
     os.makedirs(out_dir, exist_ok=True)
     for sub in ("models", "grids"):
@@ -323,26 +332,30 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False,
         fh.write(emit_config(cfg))
 
     eval_attack = build_eval_attack(cfg)
-    results: list[RunResult] = []
     artifacts = ["config.resolved.conf", "metrics.csv", "rates.csv",
                  "summary.json"]
     seconds: dict[str, float] = {}
-    for seed in seeds:
-        train_s, test_s = build_streams(cfg, seed)
-        for strat in cfg["strategies"]:
+    streams = [build_streams(cfg, seed) for seed in seeds]
+    specs = [EvalSpec(stream=test_s, attack=eval_attack, seed=cfg["eval.seed"])
+             for _, test_s in streams]
+    # cells[j][i]: strategy j, seed i; each strategy's seeds train as one
+    # lockstep group
+    cells: list[list[RunResult]] = []
+    for strat in cfg["strategies"]:
+        tcfgs = [build_train_config(cfg, seed) for seed in seeds]
+        started = time.perf_counter()
+        trained = train_streams([train_s for train_s, _ in streams], strat, tcfgs, specs)
+        per_run = (time.perf_counter() - started) / len(seeds)
+        cells.append([])
+        for seed, (train_s, _), (model, log) in zip(seeds, streams, trained):
             run_id = f"{strat}_s{seed}"
-            tcfg = build_train_config(cfg, seed)
-            spec = EvalSpec(stream=test_s, attack=eval_attack,
-                            seed=cfg["eval.seed"])
-            started = time.perf_counter()
-            model, log = train_stream(train_s, strat, tcfg, spec)
-            seconds[run_id] = time.perf_counter() - started
-            results.append(RunResult(run_id, strat, seed, model, log))
+            seconds[run_id] = per_run
+            cells[-1].append(RunResult(run_id, strat, seed, model, log))
             if not quiet:
                 final = log.records[-1]
                 progress(f"{run_id}: acc {final.mean_accuracy:.2f} "
                          f"rob {final.mean_robustness:.2f} "
-                         f"({seconds[run_id]:.1f}s)")
+                         f"({per_run:.1f}s)")
             if cfg["save.models"]:
                 bounds = _data_bounds(train_s) if train_s.input_dim == 2 else None
                 path = os.path.join(out_dir, "models", f"{run_id}.json")
@@ -352,6 +365,7 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False,
                     gpath = os.path.join(out_dir, "grids", f"{run_id}.csv")
                     write_grid_csv(model, bounds, cfg["grid.resolution"], gpath)
                     artifacts.append(f"grids/{run_id}.csv")
+    results = [row[i] for i in range(len(seeds)) for row in cells]  # seed-major
 
     _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), results)
     _write_rates_csv(os.path.join(out_dir, "rates.csv"), results)

@@ -17,9 +17,7 @@ clean training and:
 * +EAT — one fresh external model (same architecture) per generation of
   the task's adversarial copy: once per task, or once per epoch with
   ``eat_refresh``. Each is adversarially trained from scratch on the
-  current task alone, used once to generate its copy, then discarded. A
-  task's external models never see the target, so they train together in
-  lockstep, stacked on a leading model axis of the one gradient kernel. The
+  current task alone, used once to generate its copy, then discarded. The
   target model trains on task-plus-adversarial data with no on-the-fly
   attack.
 
@@ -29,14 +27,24 @@ examples replace their clean sources; `at_mix="union"` trains both), while
 distillation batch always stays clean, since stored logits pair with clean
 inputs, and only clean current-task rows ever enter the buffer.
 
-One run is strictly sequential. All randomness flows through per-purpose
-numpy Generators derived from the run seed, so runs are bit-reproducible;
-evaluation draws from a separate seed and never disturbs training.
+Runs of one strategy that differ only in their seed share every shape, so
+``train_streams`` trains them together, in lockstep: their target models
+are the members of one model stacked on the leading model axis of the one
+gradient kernel, and every step gathers all members' batches with one
+index and runs one attack, one gradient pass and one SGD step for all of
+them. +EAT's external models never see the target, so each member's
+externals for a task, one per generation, train in lockstep too. Each
+member keeps its own stream, random generators, replay buffer, attack audit
+and log, and gets exactly the bits it would get trained alone;
+``train_stream`` is the same loop with one member and a plain model. All
+randomness flows through per-purpose numpy Generators derived from the run
+seed, so runs are bit-reproducible; evaluation draws from a separate seed
+and never disturbs training.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -159,17 +167,75 @@ class _Rngs:
                      np.random.default_rng(_sub(seed, 3)))
 
 
+
+
+@dataclass
+class _Member:
+    """One run of a lockstep group: everything but the stacked target model
+    is its own."""
+    stream: TaskStream
+    cfg: TrainConfig
+    eval_spec: EvalSpec | None
+    rngs: _Rngs
+    buffer: ReplayBuffer
+    log: RunLog = field(default_factory=RunLog)
+    audit: AttackAudit | None = None  # the current task's
+
+
+def _lockstep(models) -> MLPModel:
+    """The model that trains models in lockstep: the model itself when there
+    is one, else all of them stacked on the model axis."""
+    return models[0] if len(models) == 1 else stack_models(models)
+
+
+def _split(model: MLPModel) -> list[MLPModel]:
+    """The members of a _lockstep model, as single models."""
+    return [model] if model.members is None else unstack_models(model)
+
+
+def _rng_arg(rngs):
+    """What attack takes as rng for the _lockstep model of len(rngs) members."""
+    return rngs[0] if len(rngs) == 1 else rngs
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """A member-major (E, rows, ...) array as the (E * rows, ...) batch that
+    nets and attacks take, block e for member e."""
+    return a.reshape(-1, *a.shape[2:])
+
+
+def _sample(members, n: int):
+    """n rows from every member's buffer with its own rng, member-major:
+    x (E, n, d), y (E, n), and stored logits (E, n, classes), or None when
+    some sampled entry has none."""
+    draws = [m.buffer.sample_arrays(n, m.rngs.buffer) for m in members]
+    xs, ys, logits = zip(*draws)
+    # np.array copies a short list of equal-shape arrays like np.stack, at
+    # a fraction of its per-call cost
+    return (np.array(xs), np.array(ys),
+            None if any(lg is None for lg in logits) else np.array(logits))
+
+
 def der_terms(model, buf_x, stored_logits, alpha: float):
-    """Distillation term: alpha * MSE(model logits on buffer x, stored logits)."""
+    """Distillation term: alpha * MSE(model logits on buffer x, stored logits).
+
+    stored_logits holds one row per row of buf_x, in order: (rows, classes),
+    or member-major (E, rows / E, classes) for a stacked model, whose mean,
+    and so whose gradient's 2 * alpha / size, is taken over each member's
+    own logits.
+    """
     if stored_logits is None:
         raise ValueError("DER replay needs buffer entries with stored logits")
 
     def mse(logits):
-        if logits.shape != stored_logits.shape:
+        if (stored_logits.size != logits.size
+                or stored_logits.shape[-1] != logits.shape[-1]):
             raise ValueError(
                 f"stored logits shape {stored_logits.shape} != model head {logits.shape}")
-        diff = logits - stored_logits
-        return alpha * float(np.mean(diff * diff)), (2.0 * alpha / diff.size) * diff
+        diff = logits - stored_logits.reshape(logits.shape)
+        size = diff.shape[-2] * diff.shape[-1]  # one member's
+        squares = (diff * diff).reshape(*diff.shape[:-2], size)
+        return alpha * np.mean(squares, axis=-1), (2.0 * alpha / size) * diff
 
     return loss_and_grads(model, buf_x, mse)
 
@@ -183,48 +249,81 @@ def derpp_label_terms(model, buf_x, buf_y, beta: float):
     return loss_and_grads(model, buf_x, weighted_ce)
 
 
-def batch_step(model, xb, yb, replay: str, robust: str, buffer: ReplayBuffer,
-               replaying: bool, cfg: TrainConfig, rngs: _Rngs,
-               audit: AttackAudit) -> MLPModel:
-    """One SGD update on the current batch (xb, yb).
+def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
+               replaying: bool, cfg: TrainConfig) -> MLPModel:
+    """One SGD update of every member on its current batch, after which the
+    batch's clean rows enter each member's buffer.
 
-    With replaying, ER appends a memory batch, DER adds its distillation
-    term on a clean buffer batch, and DER++ also its label term on a second
-    buffer batch, which +AT attacks in place. +AT attacks every row of the
-    cross-entropy batch, +CAT only the current rows, which lead it; the
-    adversarial rows replace them or, with at_mix "union", follow them.
+    xb (E, rows, d) and yb (E, rows) hold member e's batch in block e, cb
+    marks its clean task rows (None: all are), and model is the _lockstep
+    model of the E members. With replaying, ER appends a memory batch, DER
+    adds its distillation term on a clean buffer batch, and DER++ also its
+    label term on a second buffer batch, which +AT attacks in place. +AT
+    attacks every row of the cross-entropy batch, +CAT only the current
+    rows, which lead it; the adversarial rows replace them or, with at_mix
+    "union", follow them. Each member draws from its own buffer and
+    generators.
     """
     replay_bs = cfg.replay_batch_size or cfg.batch_size
+    atk_rng = _rng_arg([m.rngs.attack for m in members])
+    b = xb.shape[1]
     x, y = xb, yb
     if replaying and replay == "er":
-        mx, my, _ = buffer.sample_arrays(replay_bs, rngs.buffer)
-        x, y = np.vstack([xb, mx]), np.concatenate([yb, my])
-    n_atk = {"at": len(x), "cat": len(xb)}.get(robust, 0)
+        mx, my, _ = _sample(members, replay_bs)
+        x, y = np.concatenate([xb, mx], axis=1), np.concatenate([yb, my], axis=1)
+    n_atk = {"at": x.shape[1], "cat": b}.get(robust, 0)
     if n_atk:
-        adv = attack(model, x[:n_atk], y[:n_atk], cfg.attack, rngs.attack)
-        audit.record("current", len(xb))
-        audit.record("memory", n_atk - len(xb))
-        audit.collect_current(adv[:len(xb)], y[:len(xb)])
+        src, ys = x[:, :n_atk], y[:, :n_atk]
+        adv = attack(model, _flat(src), _flat(ys), cfg.attack, atk_rng).reshape(src.shape)
+        for m, a, ya in zip(members, adv, ys):
+            m.audit.record("current", b)
+            m.audit.record("memory", n_atk - b)
+            m.audit.collect_current(a[:b], ya[:b])
         if cfg.at_mix == "union":  # the attacked rows, then their AEs
-            x = np.vstack([x[:n_atk], adv, x[n_atk:]])
-            y = np.concatenate([y[:n_atk], y[:n_atk], y[n_atk:]])
-        elif n_atk == len(x):  # every row attacked: no copy
+            x = np.concatenate([src, adv, x[:, n_atk:]], axis=1)
+            y = np.concatenate([ys, ys, y[:, n_atk:]], axis=1)
+        elif n_atk == x.shape[1]:  # every row attacked: no copy
             x = adv
         else:
-            x = np.vstack([adv, x[n_atk:]])
-    _, grads = ce_loss_and_grads(model, x, y)
+            x = np.concatenate([adv, x[:, n_atk:]], axis=1)
+    ce_logits = []  # kept for the buffer inserts below
+
+    def ce(logits):
+        ce_logits.append(logits)
+        return softmax_ce(logits, _flat(y))
+
+    _, grads = loss_and_grads(model, _flat(x), ce)
     if replaying and replay in ("der", "derpp"):
-        bx, _, blogits = buffer.sample_arrays(replay_bs, rngs.buffer)
-        _, der_grads = der_terms(model, bx, blogits, cfg.der_alpha)
+        bx, _, blogits = _sample(members, replay_bs)
+        _, der_grads = der_terms(model, _flat(bx), blogits, cfg.der_alpha)
         grads = add_grads(grads, der_grads)
         if replay == "derpp":
-            bx2, by2, _ = buffer.sample_arrays(replay_bs, rngs.buffer)
+            bx2, by2, _ = _sample(members, replay_bs)
+            bx2, by2 = _flat(bx2), _flat(by2)
             if robust == "at":
-                bx2 = attack(model, bx2, by2, cfg.attack, rngs.attack)
-                audit.record("memory", len(bx2))
+                bx2 = attack(model, bx2, by2, cfg.attack, atk_rng)
+                for m in members:
+                    m.audit.record("memory", replay_bs)
             _, label_grads = derpp_label_terms(model, bx2, by2, cfg.derpp_beta)
             grads = add_grads(grads, label_grads)
-    return sgd_step(model, grads, cfg.sgd)
+    stepped = sgd_step(model, grads, cfg.sgd)
+    # DER stores the pre-step model's logits of the rows it inserts. Clean,
+    # the cross-entropy batch is exactly xb, so they are that pass's logits;
+    # otherwise a forward pass over the clean rows gives them.
+    singles = None
+    for e, m in enumerate(members):
+        if m.buffer.capacity == 0:
+            continue
+        cx, cy = (xb[e], yb[e]) if cb is None else (xb[e][cb[e]], yb[e][cb[e]])
+        ins_logits = None
+        if replay in ("der", "derpp"):
+            if robust == "clean":
+                ins_logits = ce_logits[0].reshape(*xb.shape[:2], -1)[e]
+            else:
+                singles = singles or _split(model)
+                ins_logits = forward(singles[e], cx)
+        m.buffer.reservoir_insert_arrays(cx, cy, ins_logits, m.rngs.buffer)
+    return stepped
 
 
 def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds,
@@ -234,15 +333,15 @@ def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds,
 
     Each is a fresh model of the given architecture, adversarially trained
     from scratch on the task alone with its own batch order and attack rng.
-    The members are stacked on one model axis, so each attack and SGD step
-    serves all of them; member e gets the exact bits it would get alone.
-    Returns (model, attack rng) per seed: attacking every task example
-    against the model with that rng, as _eat_copy does, gives the seed's
+    The members are stacked on one model axis (a plain model for one seed),
+    so each attack and SGD step serves all of them; member e gets the exact
+    bits it would get alone. Returns (model, attack rng) per seed: attacking
+    every task example against the model with that rng gives the seed's
     adversarial copy of the task.
     """
     if len(task.data) == 0:
         raise ValueError("cannot generate adversarial examples for an empty task")
-    ext = stack_models([init_model(layer_sizes, _sub(s, 0)) for s in seeds])
+    ext = _lockstep([init_model(layer_sizes, _sub(s, 0)) for s in seeds])
     batch_rngs = [np.random.default_rng(_sub(s, 1)) for s in seeds]
     atk_rngs = [np.random.default_rng(_sub(s, 2)) for s in seeds]
     x, y = task.data.x, task.data.y
@@ -252,79 +351,78 @@ def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds,
         for s in range(0, n, cfg.batch_size):
             idx = perms[:, s:s + cfg.batch_size].ravel()  # member-major blocks
             xb, yb = x[idx], y[idx]
-            adv = attack(ext, xb, yb, cfg.attack, atk_rngs)
+            adv = attack(ext, xb, yb, cfg.attack, _rng_arg(atk_rngs))
             if audit is not None:
                 audit.record("external", len(idx))
             _, grads = ce_loss_and_grads(ext, adv, yb)
             ext = sgd_step(ext, grads, cfg.sgd)
-    return list(zip(unstack_models(ext), atk_rngs))
+    return list(zip(_split(ext), atk_rngs))
 
 
-def _eat_copy(task: Task, external, cfg: TrainConfig, audit: AttackAudit) -> Dataset:
-    """The adversarial copy of a task from one eat_generate member: every
-    task example attacked against it, with its source label."""
-    ext, rng = external
-    ae_x = attack(ext, task.data.x, task.data.y, cfg.attack, rng)
-    audit.record("external", len(ae_x))
-    return Dataset(ae_x, task.data.y.copy(), task.data.classes)
+def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
+              members) -> MLPModel:
+    """Train one task of every member for epochs_per_task epochs, replaying
+    when possible; tasks[e] is member e's, all with one index and size.
 
-
-def _run_task(model, task: Task, replay: str, robust: str, cfg: TrainConfig,
-              buffer: ReplayBuffer, rngs: _Rngs, log: RunLog,
-              class_sets) -> MLPModel:
-    """Train one task for epochs_per_task epochs, replaying when possible.
-    Attack-rate logging needs class_sets (the per-task class sets of the
-    stream, in stream order).
-
-    +EAT trains the task's external models first, all in lockstep: one for
+    +EAT first trains each member's external models, in lockstep: one for
     the whole task, or one per epoch with eat_refresh. Each epoch's
-    adversarial copy is made when the epoch starts, so one is live at a time.
+    adversarial copies are made when the epoch starts and written over the
+    last ones, so one copy per member is live at a time. Externals train,
+    and copies are made, member by member: at G * batch_size rows per step
+    (640 on the shipped stream) and at full-task batches the calls are no
+    longer dispatch-bound, so stacking the members would only add memory.
     """
-    audit = AttackAudit(log.attack_counts)
-    store_logits = replay in ("der", "derpp")
-    ae, externals = None, []
+    index = tasks[0].index
+    for m in members:
+        m.audit = AttackAudit(m.log.attack_counts)
+    externals = []
     if robust == "eat":
-        # EAT never trains joint, so task.index is the stream step
-        seeds = [_sub(cfg.seed, 4, task.index)]
-        if cfg.eat_refresh:
-            seeds += [_sub(cfg.seed, 4, task.index, e)
-                      for e in range(1, cfg.epochs_per_task)]
-        externals = eat_generate(task, model.layer_sizes, cfg, seeds, audit)
-
-    def task_arrays(ae_now):
-        if ae_now is None:
-            return task.data.x, task.data.y, np.ones(len(task.data), dtype=bool)
-        xs = np.vstack([task.data.x, ae_now.x])
-        ys = np.concatenate([task.data.y, ae_now.y])
-        clean = np.concatenate([np.ones(len(task.data), dtype=bool),
-                                np.zeros(len(ae_now), dtype=bool)])
-        return xs, ys, clean
-
-    xs, ys, clean = task_arrays(None)
+        # EAT never trains joint, so the task index is the stream step
+        later = range(1, cfg.epochs_per_task) if cfg.eat_refresh else ()
+        seeds = [[_sub(m.cfg.seed, 4, index)]
+                 + [_sub(m.cfg.seed, 4, index, e) for e in later] for m in members]
+        externals = [eat_generate(t, model.layer_sizes, cfg, member_seeds, m.audit)
+                     for t, member_seeds, m in zip(tasks, seeds, members)]
+    n = len(tasks[0].data)
+    xs = np.stack([t.data.x for t in tasks])
+    ys = np.stack([t.data.y for t in tasks])
+    clean, aes = None, None  # every row is clean, unless +EAT adds its copy
+    if externals:
+        # the clean rows, then room for the epoch's adversarial copy
+        xs = np.concatenate([xs, np.empty_like(xs)], axis=1)
+        ys = np.concatenate([ys, ys], axis=1)
+        clean = np.zeros(ys.shape, dtype=bool)
+        clean[:, :n] = True
     for epoch in range(cfg.epochs_per_task):
-        if epoch < len(externals):
-            ae = _eat_copy(task, externals[epoch], cfg, audit)
-            xs, ys, clean = task_arrays(ae)
-        audit.reset_epoch()  # keep only this epoch's AEs for its attack rate
-        perm = rngs.batch.permutation(len(xs))
-        for s in range(0, len(xs), cfg.batch_size):
-            idx = perm[s:s + cfg.batch_size]
-            xb, yb, cb = xs[idx], ys[idx], clean[idx]
-            pre_step = model
-            # Replay engages from the second task on; the buffer still fills
-            # during the first so later tasks can draw on it.
-            model = batch_step(model, xb, yb, replay, robust, buffer,
-                               task.index > 0 and len(buffer) > 0, cfg, rngs, audit)
-            if buffer.capacity > 0 and cb.any():
-                cx, cy = xb[cb], yb[cb]
-                ins_logits = forward(pre_step, cx) if store_logits else None
-                buffer.reservoir_insert_arrays(cx, cy, ins_logits, rngs.buffer)
-        if task.index > 0:
-            ae_now = ae if robust == "eat" else audit.epoch_dataset(task.class_set)
-            if ae_now is not None and len(ae_now):
-                log.attack_rates.append(AttackRatePoint(
-                    task.index, epoch,
-                    prev_task_rate(model, task, ae_now, class_sets)))
+        if externals and epoch < len(externals[0]):
+            aes = []
+            for m, t, ext, copy in zip(members, tasks, externals, xs[:, n:]):
+                model_e, rng = ext[epoch]
+                copy[...] = attack(model_e, t.data.x, t.data.y, cfg.attack, rng)
+                m.audit.record("external", n)
+                aes.append(Dataset(copy, t.data.y.copy(), t.data.classes))
+        for m in members:
+            m.audit.reset_epoch()  # keep only this epoch's AEs for its attack rate
+        rows = xs.shape[1]
+        perms = np.stack([m.rngs.batch.permutation(rows) for m in members])
+        perms += np.arange(len(members))[:, None] * rows  # rows of the flat arrays
+        fx, fy = _flat(xs), _flat(ys)
+        fc = None if clean is None else _flat(clean)
+        for s in range(0, rows, cfg.batch_size):
+            idx = perms[:, s:s + cfg.batch_size]
+            # Replay engages from the second task on; the buffers still fill
+            # during the first so later tasks can draw on them.
+            replaying = index > 0 and any(len(m.buffer) for m in members)
+            model = batch_step(model, fx[idx], fy[idx], None if fc is None else fc[idx],
+                               replay, robust, members, replaying, cfg)
+        if index > 0:
+            for e, (m, single) in enumerate(zip(members, _split(model))):
+                ae = (aes[e] if robust == "eat"
+                      else m.audit.epoch_dataset(tasks[e].class_set))
+                if ae is not None and len(ae):
+                    m.log.attack_rates.append(AttackRatePoint(
+                        index, epoch,
+                        prev_task_rate(single, tasks[e], ae, m.stream.class_sets)))
     return model
 
 
@@ -346,6 +444,53 @@ def _snapshot(model, step: int, train_stream: TaskStream,
                          float(np.mean(robs)), rate)
 
 
+def train_streams(streams, strategy: str, cfgs, eval_specs=None
+                  ) -> list[tuple[MLPModel, RunLog]]:
+    """train_stream for several runs at once, trained in lockstep: run e is
+    (streams[e], cfgs[e], eval_specs[e]), and it returns run e's
+    (model, log) in position e, bit for bit what train_stream gives it.
+
+    The configs may differ only in their seed, and the streams must give
+    one model shape and one size per task; otherwise ValueError, before any
+    training. One diverging run raises for all of them.
+    """
+    replay, robust = parse_strategy(strategy)
+    eval_specs = [None] * len(streams) if eval_specs is None else list(eval_specs)
+    if not streams or not len(streams) == len(cfgs) == len(eval_specs):
+        raise ValueError("need one config and one eval spec (or None) per stream")
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ValueError("runs trained in lockstep may differ only in their seed")
+    for stream, spec in zip(streams, eval_specs):
+        if spec is not None and len(spec.stream.tasks) != len(stream.tasks):
+            raise ValueError("eval stream must have the same task structure")
+    shapes = {((s.input_dim, *cfg.hidden_sizes, max(s.all_classes) + 1),
+               tuple(len(t.data) for t in s.tasks)) for s in streams}
+    if len(shapes) != 1:
+        raise ValueError(f"runs trained in lockstep need one model shape and one "
+                         f"size per task, got (layer sizes, task sizes) {sorted(shapes)}")
+    ((layer_sizes, _),) = shapes
+    model = _lockstep([init_model(layer_sizes, _sub(c.seed, 0)) for c in cfgs])
+    capacity = 0 if replay == "joint" else cfg.buffer_capacity
+    members = [_Member(s, c, spec, _Rngs.for_seed(c.seed), ReplayBuffer(capacity))
+               for s, c, spec in zip(streams, cfgs, eval_specs)]
+    last = len(streams[0].tasks) - 1
+    if replay == "joint":
+        # (step, each member's task, indices of the tasks whose data it reads)
+        plan = [(last, [Task(0, s.merged(), s.all_classes) for s in streams],
+                 [t.index for t in streams[0].tasks])]
+    else:
+        plan = [(i, [s.tasks[i] for s in streams], [i]) for i in range(last + 1)]
+    for step, tasks, reads in plan:
+        for m in members:
+            m.log.data_access[step] = set(reads)
+        model = _run_task(model, tasks, replay, robust, cfg, members)
+        for m, single in zip(members, _split(model)):
+            m.log.records.append(_snapshot(single, step, m.stream, m.eval_spec,
+                                           m.cfg, m.log))
+    return [(single, m.log) for single, m in zip(_split(model), members)]
+
+
 def train_stream(stream: TaskStream, strategy: str, cfg: TrainConfig,
                  eval_spec: EvalSpec | None = None) -> tuple[MLPModel, RunLog]:
     """Run one strategy over the stream; returns the trained target model and
@@ -357,25 +502,4 @@ def train_stream(stream: TaskStream, strategy: str, cfg: TrainConfig,
     the training data. Joint training is one merged task with an empty
     buffer, trained and snapshotted at the last step.
     """
-    replay, robust = parse_strategy(strategy)
-    if eval_spec is not None and len(eval_spec.stream.tasks) != len(stream.tasks):
-        raise ValueError("eval stream must have the same task structure")
-    n_out = max(stream.all_classes) + 1
-    layer_sizes = (stream.input_dim, *cfg.hidden_sizes, n_out)
-    model = init_model(layer_sizes, _sub(cfg.seed, 0))
-    rngs = _Rngs.for_seed(cfg.seed)
-    log = RunLog()
-    if replay == "joint":
-        # (step, task trained, indices of the tasks whose data it reads)
-        plan = [(len(stream.tasks) - 1, Task(0, stream.merged(), stream.all_classes),
-                 [t.index for t in stream.tasks])]
-        buffer = ReplayBuffer(0)
-    else:
-        plan = [(i, task, [i]) for i, task in enumerate(stream.tasks)]
-        buffer = ReplayBuffer(cfg.buffer_capacity)
-    for step, task, reads in plan:
-        log.data_access[step] = set(reads)
-        model = _run_task(model, task, replay, robust, cfg, buffer, rngs, log,
-                          stream.class_sets)
-        log.records.append(_snapshot(model, step, stream, eval_spec, cfg, log))
-    return model, log
+    return train_streams([stream], strategy, [cfg], [eval_spec])[0]

@@ -2,7 +2,10 @@
 
 The end-to-end checks in test_acceptance.py share these runs (and their
 wall-clock numbers) instead of re-running configs per test; everything
-else in the suite is self-contained and ignores this module.
+else in the suite is self-contained and ignores this module. When the
+fixture ran, the terminal summary lists each config's wall-clock seconds
+next to its budget, since pytest's durations table charges all of them
+to the first test that uses the fixture.
 """
 
 import json
@@ -16,6 +19,7 @@ from eatcl.runner import parse_config, run_experiment
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = ("toy_balanced", "toy_imbalanced", "stream_pgd", "stream_fgsm",
            "smoke")
+RUNS = pytest.StashKey[dict]()
 
 
 class ConfigRun:
@@ -47,6 +51,28 @@ def run_config(name: str, out_dir: Path) -> ConfigRun:
 
 
 @pytest.fixture(scope="session")
-def shipped_runs(tmp_path_factory) -> dict[str, ConfigRun]:
+def shipped_runs(tmp_path_factory, pytestconfig) -> dict[str, ConfigRun]:
     root = tmp_path_factory.mktemp("shipped")
-    return {name: run_config(name, root / name) for name in SHIPPED}
+    runs = pytestconfig.stash[RUNS] = {}
+    for name in SHIPPED:
+        runs[name] = run_config(name, root / name)
+    return runs
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """Each shipped config's wall-clock seconds, with the budget that
+    test_acceptance.py holds it to: the toy pair 120 s together, each
+    stream config 300 s."""
+    runs = config.stash.get(RUNS, {})
+    if not runs:
+        return
+    seconds = {}
+    for name, run in runs.items():
+        seconds[name] = run.seconds
+        if name == "toy_imbalanced" and "toy_balanced" in runs:
+            seconds["toy pair"] = runs["toy_balanced"].seconds + run.seconds
+    budgets = {"toy pair": 120.0, "stream_pgd": 300.0, "stream_fgsm": 300.0}
+    terminalreporter.section("shipped configs: wall-clock seconds")
+    for name, s in seconds.items():
+        budget = f" (budget {budgets[name]:.0f} s)" if name in budgets else ""
+        terminalreporter.write_line(f"{name:<16} {s:7.1f} s{budget}")

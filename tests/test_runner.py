@@ -8,10 +8,12 @@ import os
 import numpy as np
 import pytest
 
-from eatcl.runner import (ConfigError, build_eval_attack, build_streams,
+from eatcl.runner import (ConfigError, RunResult, _write_metrics_csv,
+                          _write_rates_csv, build_eval_attack, build_streams,
                           build_train_config, default_config, emit_config,
                           format_summary_table, load_model_json, parse_config,
                           run_experiment, summarize_results)
+from eatcl.strategies import EvalSpec, train_stream
 
 TINY = """
 experiment = unit
@@ -155,6 +157,35 @@ def test_run_experiment_artifacts_and_determinism(tmp_path):
     for r in rows:
         assert 0.0 <= float(r["accuracy"]) <= 100.0
         assert 0.0 <= float(r["robustness"]) <= 100.0
+
+
+def test_lockstep_grid_writes_the_csvs_of_cells_run_alone(tmp_path):
+    # each strategy's seeds train as one lockstep group; the artifacts must
+    # not show it: the CSVs are those of cells trained one by one, in
+    # seed-major order, and every run keeps its manifest entries
+    cfg = parse_config(TINY.replace("strategies = er", "strategies = derpp er_at")
+                       .replace("seeds = 0", "seeds = 0 1 2"))
+    out = tmp_path / "grid"
+    results = run_experiment(cfg, str(out), quiet=True)
+    alone = []
+    for seed in cfg["seeds"]:
+        train_s, test_s = build_streams(cfg, seed)
+        spec = EvalSpec(test_s, build_eval_attack(cfg), cfg["eval.seed"])
+        for strat in cfg["strategies"]:
+            model, log = train_stream(train_s, strat, build_train_config(cfg, seed), spec)
+            alone.append(RunResult(f"{strat}_s{seed}", strat, seed, model, log))
+    _write_metrics_csv(str(tmp_path / "metrics.csv"), alone)
+    _write_rates_csv(str(tmp_path / "rates.csv"), alone)
+    for name in ("metrics.csv", "rates.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert len((out / "rates.csv").read_text().splitlines()) > 1
+    run_ids = [r.run_id for r in alone]
+    assert [r.run_id for r in results] == run_ids
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["runs"] == run_ids
+    assert sorted(manifest["train_seconds"]) == sorted(run_ids)
+    one = run_experiment(cfg, str(tmp_path / "one"), quiet=True, seeds=[1])
+    assert [r.run_id for r in one] == ["derpp_s1", "er_at_s1"]
 
 
 def test_run_experiment_seed_override(tmp_path):

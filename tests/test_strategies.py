@@ -1,5 +1,8 @@
 """Strategy engine tests: determinism equivalences, audit trails, buffer
-hygiene, loss-term gradients against finite differences."""
+hygiene, loss-term gradients against finite differences, and lockstep
+training equal to training alone."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -8,12 +11,12 @@ import eatcl.strategies
 from eatcl.attacks import AttackConfig, attack
 from eatcl.datasets import Dataset, gen_blob_stream, gen_crescent, single_task_stream
 from eatcl.nets import (MLPModel, backward, ce_loss_and_grads, forward, init_model,
-                        sgd_step, softmax_ce)
+                        sgd_step, softmax_ce, unstack_models)
 from eatcl.replay import BufferEntry, ReplayBuffer
 from eatcl.runner import ConfigError, parse_config
 from eatcl.strategies import (STRATEGIES, EvalSpec, TrainConfig, der_terms,
                               derpp_label_terms, eat_generate, parse_strategy,
-                              train_stream)
+                              train_stream, train_streams)
 
 
 def _models_equal(a, b):
@@ -401,3 +404,84 @@ def test_strategy_names_split_into_two_axes():
             train_stream(stream, bad, _cfg())
         with pytest.raises(ConfigError, match="unknown strategy"):
             parse_config(f"strategies = er {bad}\n")
+
+
+def _run_bits(model, log):
+    return ([a.tobytes() for a in model.weights + model.biases], log.records,
+            log.attack_rates, log.data_access, log.attack_counts)
+
+
+def test_lockstep_runs_equal_runs_alone():
+    # a strategy's seeds trained together, as the members of one stacked
+    # model, must each get exactly the bits they get through train_stream
+    seeds = (5, 6, 7)
+    streams = [_small_stream(30 + s) for s in seeds]
+    atk = AttackConfig(eps=0.05, alpha=0.02, iters=2)
+    specs = [EvalSpec(stream=_small_stream(40 + s), attack=atk, seed=1) for s in seeds]
+    for strategy, at_mix, refresh in itertools.product(
+            STRATEGIES, ("replace", "union"), (False, True)):
+        cfgs = [_cfg(seed=s, epochs_per_task=2, batch_size=13, replay_batch_size=7,
+                     eat_external_epochs=1, at_mix=at_mix, eat_refresh=refresh)
+                for s in seeds]
+        lockstep = train_streams(streams, strategy, cfgs, specs)
+        assert len(lockstep) == len(seeds)
+        for run, stream, cfg, spec in zip(lockstep, streams, cfgs, specs):
+            alone = train_stream(stream, strategy, cfg, spec)
+            assert _run_bits(*run) == _run_bits(*alone), (strategy, at_mix, refresh)
+
+
+def test_lockstep_rejects_mismatched_runs_before_any_step(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(eatcl.strategies, "batch_step", no_step)
+    monkeypatch.setattr(eatcl.strategies, "eat_generate", no_step)
+    base, cfgs = _small_stream(1), [_cfg(seed=1), _cfg(seed=2)]
+    cases = [
+        # task sizes, input dim, task count
+        ([base, gen_blob_stream(3, 2, 8, 31, 1.5, 0.3, seed=2)], cfgs),
+        ([base, gen_blob_stream(3, 2, 9, 30, 1.5, 0.3, seed=2)], cfgs),
+        ([base, gen_blob_stream(2, 2, 8, 30, 1.5, 0.3, seed=2)], cfgs),
+        # configs that differ beyond the seed, or do not pair with the streams
+        ([base, _small_stream(2)], [_cfg(seed=1), _cfg(seed=2, batch_size=8)]),
+        ([base, _small_stream(2)], [_cfg(seed=1)]),
+        ([], []),
+    ]
+    for (streams, run_cfgs), strategy in itertools.product(
+            cases, ("er", "joint_at", "der_eat")):
+        with pytest.raises(ValueError):
+            train_streams(streams, strategy, run_cfgs)
+
+
+def test_stored_der_logits_equal_pre_step_forward_pass(monkeypatch):
+    # clean DER and DER++ store the cross-entropy pass's logits of the rows
+    # they insert; like the forward pass the other robustness schemes run,
+    # they must equal the pre-step model's logits of those rows, bit for bit
+    stepped, made, inserts = [], [], []
+    real_sgd_step = eatcl.strategies.sgd_step
+
+    def recording_sgd_step(model, grads, cfg):
+        stepped.append(model)
+        return real_sgd_step(model, grads, cfg)
+
+    class RecordedBuffer(ReplayBuffer):
+        def __init__(self, capacity):
+            super().__init__(capacity)
+            made.append(self)
+
+        def reservoir_insert_arrays(self, x, y, logits, rng):
+            inserts.append((made.index(self), stepped[-1], x.copy(), logits.copy()))
+            super().reservoir_insert_arrays(x, y, logits, rng)
+
+    monkeypatch.setattr(eatcl.strategies, "sgd_step", recording_sgd_step)
+    monkeypatch.setattr(eatcl.strategies, "ReplayBuffer", RecordedBuffer)
+    for strategy, seeds in itertools.product(("der", "derpp", "der_at", "derpp_eat"),
+                                             ([5], [5, 6])):
+        stepped.clear(), made.clear(), inserts.clear()
+        train_streams([_small_stream(s) for s in seeds], strategy,
+                      [_cfg(seed=s) for s in seeds])
+        assert len(inserts) > len(seeds)
+        for member, pre_step, x, logits in inserts:
+            model = (pre_step if pre_step.members is None
+                     else unstack_models(pre_step)[member])
+            assert forward(model, x).tobytes() == logits.tobytes(), strategy

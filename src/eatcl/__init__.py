@@ -14,6 +14,6 @@ from .datasets import (Dataset, Task, TaskStream, gen_blob_stream, gen_crescent,
 from .metrics import (MetricsRecord, boundary_grid, clean_accuracy,
                       prev_task_rate, robustness)
 from .nets import MLPModel, SGDConfig, forward, init_model, sgd_step
-from .replay import BufferEntry, ReplayBuffer
+from .replay import ReplayBuffer
 from .strategies import (STRATEGIES, EvalSpec, RunLog, TrainConfig, eat_generate,
                          train_stream)

@@ -33,9 +33,10 @@ are the members of one model stacked on the leading model axis of the one
 gradient kernel, and every step gathers all members' batches with one
 index and runs one attack, one gradient pass and one SGD step for all of
 them. +EAT's external models never see the target, so each member's
-externals for a task, one per generation, train in lockstep too. Each
-member keeps its own stream, random generators, replay buffer, attack audit
-and log, and gets exactly the bits it would get trained alone;
+externals for a task, one per generation, train in lockstep too. The group
+shares one replay buffer, in which each member has its own block of rows.
+Each member keeps its own stream, random generators, buffer block, attack
+audit and log, and gets exactly the bits it would get trained alone;
 ``train_stream`` is the same loop with one member and a plain model. All
 randomness flows through per-purpose numpy Generators derived from the run
 seed, so runs are bit-reproducible; evaluation draws from a separate seed
@@ -172,12 +173,11 @@ class _Rngs:
 @dataclass
 class _Member:
     """One run of a lockstep group: everything but the stacked target model
-    is its own."""
+    and the group's replay buffer is its own."""
     stream: TaskStream
     cfg: TrainConfig
     eval_spec: EvalSpec | None
     rngs: _Rngs
-    buffer: ReplayBuffer
     log: RunLog = field(default_factory=RunLog)
     audit: AttackAudit | None = None  # the current task's
 
@@ -204,18 +204,6 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, *a.shape[2:])
 
 
-def _sample(members, n: int):
-    """n rows from every member's buffer with its own rng, member-major:
-    x (E, n, d), y (E, n), and stored logits (E, n, classes), or None when
-    some sampled entry has none."""
-    draws = [m.buffer.sample_arrays(n, m.rngs.buffer) for m in members]
-    xs, ys, logits = zip(*draws)
-    # np.array copies a short list of equal-shape arrays like np.stack, at
-    # a fraction of its per-call cost
-    return (np.array(xs), np.array(ys),
-            None if any(lg is None for lg in logits) else np.array(logits))
-
-
 def der_terms(model, buf_x, stored_logits, alpha: float):
     """Distillation term: alpha * MSE(model logits on buffer x, stored logits).
 
@@ -225,7 +213,7 @@ def der_terms(model, buf_x, stored_logits, alpha: float):
     own logits.
     """
     if stored_logits is None:
-        raise ValueError("DER replay needs buffer entries with stored logits")
+        raise ValueError("DER replay needs a buffer that stores logits with its rows")
 
     def mse(logits):
         if (stored_logits.size != logits.size
@@ -250,9 +238,9 @@ def derpp_label_terms(model, buf_x, buf_y, beta: float):
 
 
 def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
-               replaying: bool, cfg: TrainConfig) -> MLPModel:
+               buffer: ReplayBuffer, replaying: bool, cfg: TrainConfig) -> MLPModel:
     """One SGD update of every member on its current batch, after which the
-    batch's clean rows enter each member's buffer.
+    batch's clean rows enter each member's block of the group's buffer.
 
     xb (E, rows, d) and yb (E, rows) hold member e's batch in block e, cb
     marks its clean task rows (None: all are), and model is the _lockstep
@@ -261,16 +249,18 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
     label term on a second buffer batch, which +AT attacks in place. +AT
     attacks every row of the cross-entropy batch, +CAT only the current
     rows, which lead it; the adversarial rows replace them or, with at_mix
-    "union", follow them. Each member draws from its own buffer and
+    "union", follow them. Each member draws from its own block and
     generators.
     """
     replay_bs = cfg.replay_batch_size or cfg.batch_size
     atk_rng = _rng_arg([m.rngs.attack for m in members])
+    buf_rngs = [m.rngs.buffer for m in members]
     b = xb.shape[1]
     x, y = xb, yb
     if replaying and replay == "er":
-        mx, my, _ = _sample(members, replay_bs)
-        x, y = np.concatenate([xb, mx], axis=1), np.concatenate([yb, my], axis=1)
+        mx, my, _ = buffer.sample_arrays(replay_bs, buf_rngs)
+        x = np.concatenate([xb, mx.reshape(len(members), replay_bs, -1)], axis=1)
+        y = np.concatenate([yb, my.reshape(len(members), replay_bs)], axis=1)
     n_atk = {"at": x.shape[1], "cat": b}.get(robust, 0)
     if n_atk:
         src, ys = x[:, :n_atk], y[:, :n_atk]
@@ -294,12 +284,11 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
 
     _, grads = loss_and_grads(model, _flat(x), ce)
     if replaying and replay in ("der", "derpp"):
-        bx, _, blogits = _sample(members, replay_bs)
-        _, der_grads = der_terms(model, _flat(bx), blogits, cfg.der_alpha)
+        bx, _, blogits = buffer.sample_arrays(replay_bs, buf_rngs)
+        _, der_grads = der_terms(model, bx, blogits, cfg.der_alpha)
         grads = add_grads(grads, der_grads)
         if replay == "derpp":
-            bx2, by2, _ = _sample(members, replay_bs)
-            bx2, by2 = _flat(bx2), _flat(by2)
+            bx2, by2, _ = buffer.sample_arrays(replay_bs, buf_rngs)
             if robust == "at":
                 bx2 = attack(model, bx2, by2, cfg.attack, atk_rng)
                 for m in members:
@@ -307,13 +296,13 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
             _, label_grads = derpp_label_terms(model, bx2, by2, cfg.derpp_beta)
             grads = add_grads(grads, label_grads)
     stepped = sgd_step(model, grads, cfg.sgd)
+    if not buffer.capacity:
+        return stepped
     # DER stores the pre-step model's logits of the rows it inserts. Clean,
     # the cross-entropy batch is exactly xb, so they are that pass's logits;
     # otherwise a forward pass over the clean rows gives them.
     singles = None
     for e, m in enumerate(members):
-        if m.buffer.capacity == 0:
-            continue
         cx, cy = (xb[e], yb[e]) if cb is None else (xb[e][cb[e]], yb[e][cb[e]])
         ins_logits = None
         if replay in ("der", "derpp"):
@@ -322,7 +311,7 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
             else:
                 singles = singles or _split(model)
                 ins_logits = forward(singles[e], cx)
-        m.buffer.reservoir_insert_arrays(cx, cy, ins_logits, m.rngs.buffer)
+        buffer.reservoir_insert_arrays(e, cx, cy, ins_logits, m.rngs.buffer)
     return stepped
 
 
@@ -360,7 +349,7 @@ def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds,
 
 
 def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
-              members) -> MLPModel:
+              members, buffer: ReplayBuffer) -> MLPModel:
     """Train one task of every member for epochs_per_task epochs, replaying
     when possible; tasks[e] is member e's, all with one index and size.
 
@@ -410,11 +399,11 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
         fc = None if clean is None else _flat(clean)
         for s in range(0, rows, cfg.batch_size):
             idx = perms[:, s:s + cfg.batch_size]
-            # Replay engages from the second task on; the buffers still fill
-            # during the first so later tasks can draw on them.
-            replaying = index > 0 and any(len(m.buffer) for m in members)
+            # Replay engages from the second task on; the buffer still fills
+            # during the first so later tasks can draw on it.
             model = batch_step(model, fx[idx], fy[idx], None if fc is None else fc[idx],
-                               replay, robust, members, replaying, cfg)
+                               replay, robust, members, buffer,
+                               index > 0 and len(buffer) > 0, cfg)
         if index > 0:
             for e, (m, single) in enumerate(zip(members, _split(model))):
                 ae = (aes[e] if robust == "eat"
@@ -471,9 +460,9 @@ def train_streams(streams, strategy: str, cfgs, eval_specs=None
                          f"size per task, got (layer sizes, task sizes) {sorted(shapes)}")
     ((layer_sizes, _),) = shapes
     model = _lockstep([init_model(layer_sizes, _sub(c.seed, 0)) for c in cfgs])
-    capacity = 0 if replay == "joint" else cfg.buffer_capacity
-    members = [_Member(s, c, spec, _Rngs.for_seed(c.seed), ReplayBuffer(capacity))
+    members = [_Member(s, c, spec, _Rngs.for_seed(c.seed))
                for s, c, spec in zip(streams, cfgs, eval_specs)]
+    buffer = ReplayBuffer(0 if replay == "joint" else cfg.buffer_capacity, len(members))
     last = len(streams[0].tasks) - 1
     if replay == "joint":
         # (step, each member's task, indices of the tasks whose data it reads)
@@ -484,7 +473,7 @@ def train_streams(streams, strategy: str, cfgs, eval_specs=None
     for step, tasks, reads in plan:
         for m in members:
             m.log.data_access[step] = set(reads)
-        model = _run_task(model, tasks, replay, robust, cfg, members)
+        model = _run_task(model, tasks, replay, robust, cfg, members, buffer)
         for m, single in zip(members, _split(model)):
             m.log.records.append(_snapshot(single, step, m.stream, m.eval_spec,
                                            m.cfg, m.log))

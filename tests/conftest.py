@@ -5,9 +5,12 @@ wall-clock numbers) instead of re-running configs per test; everything
 else in the suite is self-contained and ignores this module. When the
 fixture ran, the terminal summary lists each config's wall-clock seconds
 next to its budget, since pytest's durations table charges all of them
-to the first test that uses the fixture.
+to the first test that uses the fixture, and the sha256 prefixes of its
+metrics.csv and rates.csv, so a log shows whether outputs moved. The
+digests depend on the BLAS build, so nothing asserts them.
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -59,10 +62,20 @@ def shipped_runs(tmp_path_factory, pytestconfig) -> dict[str, ConfigRun]:
     return runs
 
 
+def _digests(run: ConfigRun) -> str:
+    """sha256 prefixes of the run's metrics.csv and rates.csv."""
+    out = []
+    for name in ("metrics.csv", "rates.csv"):
+        path = run.out_dir / name
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:8] if path.exists() else "-"
+        out.append(f"{name} {digest}")
+    return "  ".join(out)
+
+
 def pytest_terminal_summary(terminalreporter, config):
     """Each shipped config's wall-clock seconds, with the budget that
     test_acceptance.py holds it to: the toy pair 120 s together, each
-    stream config 300 s."""
+    stream config 300 s; and each config's output digests."""
     runs = config.stash.get(RUNS, {})
     if not runs:
         return
@@ -72,7 +85,8 @@ def pytest_terminal_summary(terminalreporter, config):
         if name == "toy_imbalanced" and "toy_balanced" in runs:
             seconds["toy pair"] = runs["toy_balanced"].seconds + run.seconds
     budgets = {"toy pair": 120.0, "stream_pgd": 300.0, "stream_fgsm": 300.0}
-    terminalreporter.section("shipped configs: wall-clock seconds")
+    terminalreporter.section("shipped configs: wall-clock seconds, output digests")
     for name, s in seconds.items():
         budget = f" (budget {budgets[name]:.0f} s)" if name in budgets else ""
-        terminalreporter.write_line(f"{name:<16} {s:7.1f} s{budget}")
+        digests = f"  {_digests(runs[name])}" if name in runs else ""
+        terminalreporter.write_line(f"{name:<16} {s:7.1f} s{budget:<18}{digests}".rstrip())

@@ -158,9 +158,8 @@ def test_reservoir_retention_uniformity():
     trials = 10_000
     for _ in range(trials):
         buf = ReplayBuffer(50)
-        buf.reservoir_insert_arrays(xs, ys, None, rng)  # as training inserts
-        for e in buf.entries:
-            counts[e.y] += 1
+        buf.reservoir_insert_arrays(0, xs, ys, None, rng)  # as training inserts
+        counts[buf.y[0]] += 1  # the items kept, each once
     freq = counts / trials
     dev = np.abs(freq - 0.05)
     assert dev.max() <= 0.01

@@ -12,7 +12,7 @@ from eatcl.attacks import AttackConfig, attack
 from eatcl.datasets import Dataset, gen_blob_stream, gen_crescent, single_task_stream
 from eatcl.nets import (MLPModel, backward, ce_loss_and_grads, forward, init_model,
                         sgd_step, softmax_ce, unstack_models)
-from eatcl.replay import BufferEntry, ReplayBuffer
+from eatcl.replay import ReplayBuffer
 from eatcl.runner import ConfigError, parse_config
 from eatcl.strategies import (STRATEGIES, EvalSpec, TrainConfig, der_terms,
                               derpp_label_terms, eat_generate, parse_strategy,
@@ -291,16 +291,16 @@ def test_buffer_holds_only_clean_current_rows(monkeypatch):
     made = []
 
     class RecordedBuffer(ReplayBuffer):
-        def __init__(self, capacity):
-            super().__init__(capacity)
+        def __init__(self, capacity, members):
+            super().__init__(capacity, members)
             made.append(self)
 
     monkeypatch.setattr(eatcl.strategies, "ReplayBuffer", RecordedBuffer)
     train_stream(stream, "er_eat", cfg)
     (buf,) = made
     assert len(buf) == cfg.buffer_capacity
-    for e in buf.entries:
-        assert tuple(e.x) in clean_rows
+    for row in buf.x[0]:
+        assert tuple(row) in clean_rows
 
 
 def test_data_access_stays_on_current_task():
@@ -351,10 +351,36 @@ def test_der_without_stored_logits_fails_cleanly():
     model = init_model((4, 3, 2), seed=0)
     buf = ReplayBuffer(4)
     rng = np.random.default_rng(0)
-    buf.reservoir_insert(BufferEntry(np.zeros(4), 0, None), rng)
-    x, _, logits = buf.sample_arrays(2, rng)
+    buf.reservoir_insert_arrays(0, np.zeros((1, 4)), np.zeros(1, dtype=np.int64),
+                                None, rng)
+    x, _, logits = buf.sample_arrays(2, [rng])
     with pytest.raises(ValueError):
         der_terms(model, x, logits, 0.5)
+
+
+def test_only_der_buffers_store_logits(monkeypatch):
+    # ER's buffer holds rows without logits and samples logits None; DER's
+    # samples one stored logits row per sampled row, for every member
+    made = []
+
+    class RecordedBuffer(ReplayBuffer):
+        def __init__(self, capacity, members):
+            super().__init__(capacity, members)
+            made.append(self)
+
+    monkeypatch.setattr(eatcl.strategies, "ReplayBuffer", RecordedBuffer)
+    for strategy, stores in (("er", False), ("der", True)):
+        made.clear()
+        train_streams([_small_stream(s) for s in (5, 6)], strategy,
+                      [_cfg(seed=s) for s in (5, 6)])
+        (buf,) = made
+        x, y, logits = buf.sample_arrays(4, [np.random.default_rng(s) for s in (0, 1)])
+        assert x.shape == (8, 8) and y.shape == (8,)
+        assert (buf.logits is not None) == stores
+        if stores:
+            assert logits.shape == (8, 6)
+        else:
+            assert logits is None
 
 
 def test_eval_spec_uses_held_out_stream():
@@ -457,7 +483,7 @@ def test_stored_der_logits_equal_pre_step_forward_pass(monkeypatch):
     # clean DER and DER++ store the cross-entropy pass's logits of the rows
     # they insert; like the forward pass the other robustness schemes run,
     # they must equal the pre-step model's logits of those rows, bit for bit
-    stepped, made, inserts = [], [], []
+    stepped, inserts = [], []
     real_sgd_step = eatcl.strategies.sgd_step
 
     def recording_sgd_step(model, grads, cfg):
@@ -465,19 +491,15 @@ def test_stored_der_logits_equal_pre_step_forward_pass(monkeypatch):
         return real_sgd_step(model, grads, cfg)
 
     class RecordedBuffer(ReplayBuffer):
-        def __init__(self, capacity):
-            super().__init__(capacity)
-            made.append(self)
-
-        def reservoir_insert_arrays(self, x, y, logits, rng):
-            inserts.append((made.index(self), stepped[-1], x.copy(), logits.copy()))
-            super().reservoir_insert_arrays(x, y, logits, rng)
+        def reservoir_insert_arrays(self, member, x, y, logits, rng):
+            inserts.append((member, stepped[-1], x.copy(), logits.copy()))
+            super().reservoir_insert_arrays(member, x, y, logits, rng)
 
     monkeypatch.setattr(eatcl.strategies, "sgd_step", recording_sgd_step)
     monkeypatch.setattr(eatcl.strategies, "ReplayBuffer", RecordedBuffer)
     for strategy, seeds in itertools.product(("der", "derpp", "der_at", "derpp_eat"),
                                              ([5], [5, 6])):
-        stepped.clear(), made.clear(), inserts.clear()
+        stepped.clear(), inserts.clear()
         train_streams([_small_stream(s) for s in seeds], strategy,
                       [_cfg(seed=s) for s in seeds])
         assert len(inserts) > len(seeds)

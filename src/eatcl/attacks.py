@@ -1,17 +1,19 @@
 """White-box adversarial example generation for the dense classifiers.
 
-FGSM takes a single signed-gradient step of size eps. PGD-K takes K steps
-of size alpha, projecting back into the closed L-infinity ball of radius
-eps around the clean batch after every step, optionally starting from a
-uniform random point inside the ball. Range clipping (e.g. to [0, 1] for
-image-like data) is optional and applied after the ball projection.
+PGD-K takes K signed-gradient steps of size alpha, projecting back into
+the closed L-infinity ball of radius eps around the clean batch after every
+step, optionally starting from a uniform random point inside the ball. FGSM
+is PGD's one step from x: a single signed-gradient step of size eps with no
+random start, which the projection leaves as it is. Range clipping (e.g. to
+[0, 1] for image-like data) is optional and applied after the ball
+projection.
 
 Attacks never relabel: outputs pair with the original labels.
 
 A stacked model of E members (see nets) attacks a batch of E*B rows, block
-e against member e; PGD then takes a sequence of E generators, and member e
-draws its random start from the e-th. The output is bit-identical to E
-single-model attacks.
+e against member e; a PGD random start then takes a sequence of E
+generators, and member e draws its start from the e-th. The output is
+bit-identical to E single-model attacks.
 """
 
 from __future__ import annotations
@@ -50,13 +52,6 @@ class AttackConfig:
                 raise ValueError(f"clip range needs lo < hi, got {self.clip}")
 
 
-def input_grad(model: MLPModel, x, y) -> np.ndarray:
-    """Gradient of the mean cross-entropy loss w.r.t. the input batch."""
-    xs = check_input(model, x)
-    grad = ce_input_grad(model, xs, ce_targets(y, xs.shape[:-1], model.num_classes))
-    return grad.reshape(-1, xs.shape[-1])
-
-
 def project_linf(x_adv, x, eps: float) -> np.ndarray:
     """Elementwise clamp of x_adv into [x - eps, x + eps]."""
     x_adv = np.asarray(x_adv, dtype=np.float64)
@@ -68,30 +63,39 @@ def project_linf(x_adv, x, eps: float) -> np.ndarray:
 
 
 def fgsm(model: MLPModel, x, y, cfg: AttackConfig) -> np.ndarray:
-    """x' = x + eps * sign(grad_x loss), then optional range clip. sign(0) is 0."""
+    """PGD's one step from x: x' = x + eps * sign(grad_x loss), then the
+    optional range clip. sign(0) is 0."""
     if cfg.kind != "fgsm":
         raise ValueError(f"fgsm called with kind={cfg.kind!r}")
-    x = np.asarray(x, dtype=np.float64)
-    adv = x + cfg.eps * np.sign(input_grad(model, x, y))
-    if cfg.clip is not None:
-        adv = np.clip(adv, cfg.clip[0], cfg.clip[1])
-    return adv
+    return _steps(model, x, y, cfg, cfg.eps, 1, None)
 
 
 def pgd(model: MLPModel, x, y, cfg: AttackConfig, rng) -> np.ndarray:
-    """K projected signed-gradient steps inside the closed eps-ball around x.
+    """K projected signed-gradient steps inside the closed eps-ball around
+    x, from a uniform random point in the ball when cfg.random_start."""
+    if cfg.kind != "pgd":
+        raise ValueError(f"pgd called with kind={cfg.kind!r}")
+    return _steps(model, x, y, cfg, cfg.alpha, cfg.iters,
+                  rng if cfg.random_start else None)
+
+
+def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
+           rng) -> np.ndarray:
+    """iters signed-gradient steps of size alpha, each projected into the
+    closed cfg.eps-ball around x and clipped to cfg.clip, from a uniform
+    random start in the ball drawn from rng, or from x when rng is None.
 
     The batch, the generators and the labels are checked once, before the
     first step; every step is one forward and one input-only backward pass.
     """
-    if cfg.kind != "pgd":
-        raise ValueError(f"pgd called with kind={cfg.kind!r}")
     x = check_input(model, x)
     stacked = x.ndim == 3
-    if stacked and (isinstance(rng, np.random.Generator) or len(rng) != model.members):
+    if (rng is not None and stacked
+            and (isinstance(rng, np.random.Generator) or len(rng) != model.members)):
         raise ValueError(f"{model.members} stacked models need a sequence of as many rngs")
     targets = ce_targets(y, x.shape[:-1], model.num_classes)
-    if cfg.random_start:
+    adv = x
+    if rng is not None:
         if stacked:
             start = np.stack([r.uniform(-cfg.eps, cfg.eps, size=x.shape[1:]) for r in rng])
         else:
@@ -99,10 +103,8 @@ def pgd(model: MLPModel, x, y, cfg: AttackConfig, rng) -> np.ndarray:
         adv = x + start
         if cfg.clip is not None:
             adv = np.clip(adv, cfg.clip[0], cfg.clip[1])
-    else:
-        adv = x.copy()
-    for _ in range(cfg.iters):
-        adv = adv + cfg.alpha * np.sign(ce_input_grad(model, adv, targets))
+    for _ in range(iters):
+        adv = adv + alpha * np.sign(ce_input_grad(model, adv, targets))
         adv = project_linf(adv, x, cfg.eps)
         if cfg.clip is not None:
             adv = np.clip(adv, cfg.clip[0], cfg.clip[1])

@@ -25,7 +25,6 @@ class MetricsRecord:
     per_task_robustness: list[float]
     mean_accuracy: float
     mean_robustness: float
-    prev_task_rate: float | None = None
 
 
 def predict(model: MLPModel, x) -> np.ndarray:

@@ -65,13 +65,6 @@ class GradBundle:
     input_grads: np.ndarray
 
 
-def _as_batch(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2-D batch, got shape {x.shape}")
-    return x
-
-
 def init_model(layer_sizes, seed) -> MLPModel:
     """Seeded uniform init: weights in +-sqrt(6/fan_in), biases zero."""
     sizes = tuple(int(s) for s in layer_sizes)
@@ -109,7 +102,9 @@ def check_input(model: MLPModel, x) -> np.ndarray:
     For a stacked model of E members the batch's rows must split into E
     equal blocks, and it comes back as an (E, rows / E, input_dim) view.
     """
-    x = _as_batch(x)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected a 2-D batch, got shape {x.shape}")
     if x.shape[1] != model.input_dim:
         raise ValueError(
             f"input dim {x.shape[1]} does not match model input {model.input_dim}"
@@ -146,14 +141,6 @@ def forward(model: MLPModel, x) -> np.ndarray:
     """Logits for a batch, shape (batch, num_classes); (E, batch / E,
     num_classes) for a stacked model."""
     return _activations(model, check_input(model, x))[-1]
-
-
-def softmax(logits) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for stability."""
-    z = _as_batch(logits)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _row_max(logits: np.ndarray) -> np.ndarray:
@@ -224,40 +211,6 @@ def ce_targets(labels, lead: tuple[int, ...], num_classes: int) -> np.ndarray:
     return onehot
 
 
-def backward(model: MLPModel, x, dlogits) -> GradBundle:
-    """Exact reverse-mode gradients of the loss whose logit-gradient is dlogits.
-
-    Recomputes the forward activations internally, then backpropagates to
-    every weight, bias, and to the input batch.
-    """
-    x = _as_batch(x)
-    dlogits = _as_batch(dlogits)
-    # forward pass keeping pre-activations
-    acts = [x]
-    pre = []
-    h = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i < last else z
-        acts.append(h)
-    if dlogits.shape != acts[-1].shape:
-        raise ValueError(
-            f"dlogits shape {dlogits.shape} does not match logits {acts[-1].shape}"
-        )
-    weight_grads = [None] * len(model.weights)
-    bias_grads = [None] * len(model.biases)
-    delta = dlogits
-    for i in range(last, -1, -1):
-        weight_grads[i] = acts[i].T @ delta
-        bias_grads[i] = delta.sum(axis=0)
-        delta = delta @ model.weights[i].T
-        if i > 0:
-            delta = delta * (pre[i - 1] > 0)
-    return GradBundle(weight_grads, bias_grads, delta)
-
-
 def add_grads(a: GradBundle, b: GradBundle) -> GradBundle:
     """Elementwise sum of two gradient bundles over the same model."""
     return GradBundle(
@@ -309,8 +262,8 @@ def loss_and_grads(model: MLPModel, x, loss) -> tuple[float, GradBundle]:
     """A loss of the logits and all its gradients from one forward pass.
 
     loss(logits) returns (value, d value / d logits). Bit-identical to
-    forward, then loss, then backward, which recomputes the forward
-    activations.
+    forward, then loss, then a backward pass that recomputes the forward
+    activations (the reference in tests/reference.py).
     """
     acts = _activations(model, check_input(model, x))
     value, dlogits = loss(acts[-1])
@@ -330,7 +283,7 @@ def ce_input_grad(model: MLPModel, x: np.ndarray, targets: np.ndarray) -> np.nda
     For inner loops that check once and call many times: x must already be
     a batch from check_input and targets come from ce_targets for that
     batch; only non-finite logits are still caught. Bit-identical to the
-    input gradient of forward + softmax_ce + backward.
+    input gradient of ce_loss_and_grads.
     """
     acts = _activations(model, x)
     logits = acts[-1]

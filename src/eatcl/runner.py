@@ -58,25 +58,12 @@ def _parse_str_list(s: str) -> tuple[str, ...]:
     return parts
 
 
-def _parse_opt_int(s: str):
-    return None if s.strip() == "" else int(s)
+def _optional(parse):
+    """parse, but an empty value means None."""
+    return lambda s: None if s.strip() == "" else parse(s)
 
 
-def _parse_opt_float(s: str):
-    return None if s.strip() == "" else float(s)
-
-
-def _parse_opt_bool(s: str):
-    return None if s.strip() == "" else _parse_bool(s)
-
-
-def _parse_opt_str(s: str):
-    return None if s.strip() == "" else s.strip()
-
-
-def _parse_opt_pair(s: str):
-    if s.strip() == "":
-        return None
+def _parse_pair(s: str) -> tuple[float, float]:
     parts = s.split()
     if len(parts) != 2:
         raise ValueError("expected two numbers or empty")
@@ -119,7 +106,7 @@ _SCHEMA: dict[str, tuple] = {
     "train.lr": (float, 0.1),
     "train.buffer_capacity": (int, 200),
     "train.hidden": (_parse_int_list, (32,)),
-    "train.replay_batch_size": (_parse_opt_int, None),
+    "train.replay_batch_size": (_optional(int), None),
     "train.at_mix": (str, "replace"),
     "train.eat_external_epochs": (int, 10),
     "train.eat_refresh": (_parse_bool, False),
@@ -130,12 +117,12 @@ _SCHEMA: dict[str, tuple] = {
     "attack.alpha": (float, 0.0078),
     "attack.iters": (int, 4),
     "attack.random_start": (_parse_bool, True),
-    "attack.clip": (_parse_opt_pair, None),
-    "eval.attack.kind": (_parse_opt_str, None),
-    "eval.attack.eps": (_parse_opt_float, None),
-    "eval.attack.alpha": (_parse_opt_float, None),
-    "eval.attack.iters": (_parse_opt_int, None),
-    "eval.attack.random_start": (_parse_opt_bool, None),
+    "attack.clip": (_optional(_parse_pair), None),
+    "eval.attack.kind": (_optional(str.strip), None),
+    "eval.attack.eps": (_optional(float), None),
+    "eval.attack.alpha": (_optional(float), None),
+    "eval.attack.iters": (_optional(int), None),
+    "eval.attack.random_start": (_optional(_parse_bool), None),
     "eval.seed": (int, 0),
     "save.models": (_parse_bool, True),
     "save.grids": (_parse_bool, True),

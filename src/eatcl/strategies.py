@@ -36,7 +36,7 @@ them. +EAT's external models never see the target, so each member's
 externals for a task, one per generation, train in lockstep too. The group
 shares one replay buffer, in which each member has its own block of rows.
 Each member keeps its own stream, random generators, buffer block, attack
-audit and log, and gets exactly the bits it would get trained alone;
+counts and log, and gets exactly the bits it would get trained alone;
 ``train_stream`` is the same loop with one member and a plain model. All
 randomness flows through per-purpose numpy Generators derived from the run
 seed, so runs are bit-reproducible; evaluation draws from a separate seed
@@ -120,34 +120,8 @@ class AttackRatePoint:
 class RunLog:
     records: list[MetricsRecord] = field(default_factory=list)
     attack_rates: list[AttackRatePoint] = field(default_factory=list)
-    data_access: dict[int, set[int]] = field(default_factory=dict)
     attack_counts: dict[str, int] = field(
         default_factory=lambda: {"current": 0, "memory": 0, "external": 0})
-
-
-class AttackAudit:
-    """Counts attacked rows by source and collects current-task AEs per epoch."""
-
-    def __init__(self, counts: dict):
-        self.counts = counts
-        self._x: list[np.ndarray] = []
-        self._y: list[np.ndarray] = []
-
-    def record(self, source: str, n: int) -> None:
-        self.counts[source] += n
-
-    def collect_current(self, adv: np.ndarray, y: np.ndarray) -> None:
-        if len(adv):
-            self._x.append(adv)
-            self._y.append(y)
-
-    def reset_epoch(self) -> None:
-        self._x, self._y = [], []
-
-    def epoch_dataset(self, classes) -> Dataset | None:
-        if not self._x:
-            return None
-        return Dataset(np.vstack(self._x), np.concatenate(self._y), classes)
 
 
 def _sub(seed, *parts) -> list[int]:
@@ -168,8 +142,6 @@ class _Rngs:
                      np.random.default_rng(_sub(seed, 3)))
 
 
-
-
 @dataclass
 class _Member:
     """One run of a lockstep group: everything but the stacked target model
@@ -179,7 +151,9 @@ class _Member:
     eval_spec: EvalSpec | None
     rngs: _Rngs
     log: RunLog = field(default_factory=RunLog)
-    audit: AttackAudit | None = None  # the current task's
+    # this epoch's current-task (adversarial rows, labels) for its attack
+    # rate, cleared when the epoch ends
+    aes: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def _lockstep(models) -> MLPModel:
@@ -266,9 +240,9 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
         src, ys = x[:, :n_atk], y[:, :n_atk]
         adv = attack(model, _flat(src), _flat(ys), cfg.attack, atk_rng).reshape(src.shape)
         for m, a, ya in zip(members, adv, ys):
-            m.audit.record("current", b)
-            m.audit.record("memory", n_atk - b)
-            m.audit.collect_current(a[:b], ya[:b])
+            m.log.attack_counts["current"] += b
+            m.log.attack_counts["memory"] += n_atk - b
+            m.aes.append((a[:b], ya[:b]))
         if cfg.at_mix == "union":  # the attacked rows, then their AEs
             x = np.concatenate([src, adv, x[:, n_atk:]], axis=1)
             y = np.concatenate([ys, ys, y[:, n_atk:]], axis=1)
@@ -292,7 +266,7 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
             if robust == "at":
                 bx2 = attack(model, bx2, by2, cfg.attack, atk_rng)
                 for m in members:
-                    m.audit.record("memory", replay_bs)
+                    m.log.attack_counts["memory"] += replay_bs
             _, label_grads = derpp_label_terms(model, bx2, by2, cfg.derpp_beta)
             grads = add_grads(grads, label_grads)
     stepped = sgd_step(model, grads, cfg.sgd)
@@ -316,7 +290,7 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
 
 
 def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds,
-                 audit: AttackAudit | None = None
+                 counts: dict | None = None
                  ) -> list[tuple[MLPModel, np.random.Generator]]:
     """Throwaway external models for a task, one per seed, trained in lockstep.
 
@@ -326,7 +300,7 @@ def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds,
     so each attack and SGD step serves all of them; member e gets the exact
     bits it would get alone. Returns (model, attack rng) per seed: attacking
     every task example against the model with that rng gives the seed's
-    adversarial copy of the task.
+    adversarial copy of the task. Attacked rows add to counts["external"].
     """
     if len(task.data) == 0:
         raise ValueError("cannot generate adversarial examples for an empty task")
@@ -341,8 +315,8 @@ def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds,
             idx = perms[:, s:s + cfg.batch_size].ravel()  # member-major blocks
             xb, yb = x[idx], y[idx]
             adv = attack(ext, xb, yb, cfg.attack, _rng_arg(atk_rngs))
-            if audit is not None:
-                audit.record("external", len(idx))
+            if counts is not None:
+                counts["external"] += len(idx)
             _, grads = ce_loss_and_grads(ext, adv, yb)
             ext = sgd_step(ext, grads, cfg.sgd)
     return list(zip(_split(ext), atk_rngs))
@@ -362,20 +336,19 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
     longer dispatch-bound, so stacking the members would only add memory.
     """
     index = tasks[0].index
-    for m in members:
-        m.audit = AttackAudit(m.log.attack_counts)
     externals = []
     if robust == "eat":
         # EAT never trains joint, so the task index is the stream step
         later = range(1, cfg.epochs_per_task) if cfg.eat_refresh else ()
         seeds = [[_sub(m.cfg.seed, 4, index)]
                  + [_sub(m.cfg.seed, 4, index, e) for e in later] for m in members]
-        externals = [eat_generate(t, model.layer_sizes, cfg, member_seeds, m.audit)
+        externals = [eat_generate(t, model.layer_sizes, cfg, member_seeds,
+                                  m.log.attack_counts)
                      for t, member_seeds, m in zip(tasks, seeds, members)]
     n = len(tasks[0].data)
     xs = np.stack([t.data.x for t in tasks])
     ys = np.stack([t.data.y for t in tasks])
-    clean, aes = None, None  # every row is clean, unless +EAT adds its copy
+    clean = None  # every row is clean, unless +EAT adds its copy
     if externals:
         # the clean rows, then room for the epoch's adversarial copy
         xs = np.concatenate([xs, np.empty_like(xs)], axis=1)
@@ -383,15 +356,12 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
         clean = np.zeros(ys.shape, dtype=bool)
         clean[:, :n] = True
     for epoch in range(cfg.epochs_per_task):
-        if externals and epoch < len(externals[0]):
-            aes = []
-            for m, t, ext, copy in zip(members, tasks, externals, xs[:, n:]):
+        for m, t, ext, copy in zip(members, tasks, externals, xs[:, n:]):
+            if epoch < len(ext):
                 model_e, rng = ext[epoch]
                 copy[...] = attack(model_e, t.data.x, t.data.y, cfg.attack, rng)
-                m.audit.record("external", n)
-                aes.append(Dataset(copy, t.data.y.copy(), t.data.classes))
-        for m in members:
-            m.audit.reset_epoch()  # keep only this epoch's AEs for its attack rate
+                m.log.attack_counts["external"] += n
+            m.aes.append((copy, t.data.y))
         rows = xs.shape[1]
         perms = np.stack([m.rngs.batch.permutation(rows) for m in members])
         perms += np.arange(len(members))[:, None] * rows  # rows of the flat arrays
@@ -405,19 +375,19 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
                                replay, robust, members, buffer,
                                index > 0 and len(buffer) > 0, cfg)
         if index > 0:
-            for e, (m, single) in enumerate(zip(members, _split(model))):
-                ae = (aes[e] if robust == "eat"
-                      else m.audit.epoch_dataset(tasks[e].class_set))
-                if ae is not None and len(ae):
+            for m, t, single in zip(members, tasks, _split(model)):
+                if m.aes:
+                    ae = Dataset(np.vstack([a for a, _ in m.aes]),
+                                 np.concatenate([ya for _, ya in m.aes]), t.class_set)
                     m.log.attack_rates.append(AttackRatePoint(
-                        index, epoch,
-                        prev_task_rate(single, tasks[e], ae, m.stream.class_sets)))
+                        index, epoch, prev_task_rate(single, t, ae, m.stream.class_sets)))
+        for m in members:
+            m.aes.clear()
     return model
 
 
 def _snapshot(model, step: int, train_stream: TaskStream,
-              eval_spec: EvalSpec | None, cfg: TrainConfig,
-              log: RunLog) -> MetricsRecord:
+              eval_spec: EvalSpec | None, cfg: TrainConfig) -> MetricsRecord:
     stream = eval_spec.stream if eval_spec is not None else train_stream
     atk = eval_spec.attack if eval_spec is not None else cfg.attack
     eval_seed = eval_spec.seed if eval_spec is not None else 0
@@ -427,10 +397,7 @@ def _snapshot(model, step: int, train_stream: TaskStream,
         accs.append(clean_accuracy(model, data))
         robs.append(robustness(model, data, atk,
                                np.random.default_rng([eval_seed, step, t])))
-    rates = [p.rate for p in log.attack_rates if p.task == step]
-    rate = float(np.mean(rates)) if rates else (0.0 if step == 0 else None)
-    return MetricsRecord(step, accs, robs, float(np.mean(accs)),
-                         float(np.mean(robs)), rate)
+    return MetricsRecord(step, accs, robs, float(np.mean(accs)), float(np.mean(robs)))
 
 
 def train_streams(streams, strategy: str, cfgs, eval_specs=None
@@ -464,26 +431,21 @@ def train_streams(streams, strategy: str, cfgs, eval_specs=None
                for s, c, spec in zip(streams, cfgs, eval_specs)]
     buffer = ReplayBuffer(0 if replay == "joint" else cfg.buffer_capacity, len(members))
     last = len(streams[0].tasks) - 1
-    if replay == "joint":
-        # (step, each member's task, indices of the tasks whose data it reads)
-        plan = [(last, [Task(0, s.merged(), s.all_classes) for s in streams],
-                 [t.index for t in streams[0].tasks])]
+    if replay == "joint":  # (step, each member's task)
+        plan = [(last, [Task(0, s.merged(), s.all_classes) for s in streams])]
     else:
-        plan = [(i, [s.tasks[i] for s in streams], [i]) for i in range(last + 1)]
-    for step, tasks, reads in plan:
-        for m in members:
-            m.log.data_access[step] = set(reads)
+        plan = [(i, [s.tasks[i] for s in streams]) for i in range(last + 1)]
+    for step, tasks in plan:
         model = _run_task(model, tasks, replay, robust, cfg, members, buffer)
         for m, single in zip(members, _split(model)):
-            m.log.records.append(_snapshot(single, step, m.stream, m.eval_spec,
-                                           m.cfg, m.log))
+            m.log.records.append(_snapshot(single, step, m.stream, m.eval_spec, m.cfg))
     return [(single, m.log) for single, m in zip(_split(model), members)]
 
 
 def train_stream(stream: TaskStream, strategy: str, cfg: TrainConfig,
                  eval_spec: EvalSpec | None = None) -> tuple[MLPModel, RunLog]:
     """Run one strategy over the stream; returns the trained target model and
-    a log of per-step metrics, per-epoch attack rates, and audit trails.
+    a log of per-step metrics, per-epoch attack rates, and attack counts.
 
     The classifier head spans every class in the stream (single-head,
     no task ids). Metrics snapshots are taken after each task over all

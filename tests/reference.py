@@ -1,0 +1,61 @@
+"""Reference math that the tests check the production kernels against.
+
+Plain single-model versions, written for clarity rather than speed:
+``softmax`` normalises logits row by row, and ``backward`` recomputes the
+forward activations of a batch and backpropagates a logit gradient to every
+weight, bias and to the input. Nothing in ``eatcl`` calls them; production
+training and attacks run ``nets.loss_and_grads`` and ``nets.ce_input_grad``.
+"""
+
+import numpy as np
+
+from eatcl.nets import GradBundle, MLPModel
+
+
+def _as_batch(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected a 2-D batch, got shape {x.shape}")
+    return x
+
+
+def softmax(logits) -> np.ndarray:
+    """Row-wise softmax with max-subtraction for stability."""
+    z = _as_batch(logits)
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def backward(model: MLPModel, x, dlogits) -> GradBundle:
+    """Exact reverse-mode gradients of the loss whose logit-gradient is dlogits.
+
+    Recomputes the forward activations internally, then backpropagates to
+    every weight, bias, and to the input batch.
+    """
+    x = _as_batch(x)
+    dlogits = _as_batch(dlogits)
+    # forward pass keeping pre-activations
+    acts = [x]
+    pre = []
+    h = x
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w + b
+        pre.append(z)
+        h = np.maximum(z, 0.0) if i < last else z
+        acts.append(h)
+    if dlogits.shape != acts[-1].shape:
+        raise ValueError(
+            f"dlogits shape {dlogits.shape} does not match logits {acts[-1].shape}"
+        )
+    weight_grads = [None] * len(model.weights)
+    bias_grads = [None] * len(model.biases)
+    delta = dlogits
+    for i in range(last, -1, -1):
+        weight_grads[i] = acts[i].T @ delta
+        bias_grads[i] = delta.sum(axis=0)
+        delta = delta @ model.weights[i].T
+        if i > 0:
+            delta = delta * (pre[i - 1] > 0)
+    return GradBundle(weight_grads, bias_grads, delta)

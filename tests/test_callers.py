@@ -1,0 +1,49 @@
+"""Every public function and method in src/eatcl has a caller in src/eatcl.
+
+A name counts as used when it occurs anywhere in the package as a name, an
+attribute or an import alias; being re-exported by eatcl/__init__.py counts,
+since that is the library API. Code that only the tests reach belongs in
+the tests (see reference.py)."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "eatcl"
+
+
+def _public_functions(tree: ast.Module):
+    """(qualified name, name) of the module's public functions and the
+    public methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+            if node.asname:
+                used.add(node.asname)
+    return used
+
+
+def test_every_public_function_has_a_caller_in_src():
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert "nets" in trees and "strategies" in trees
+    used = set().union(*(_used_names(tree) for tree in trees.values()))
+    unused = [f"{module}.{qualified}" for module, tree in trees.items()
+              for qualified, name in _public_functions(tree) if name not in used]
+    assert unused == [], f"public functions with no caller in src/eatcl: {unused}"

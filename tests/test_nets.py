@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eatcl.nets import (GradBundle, MLPModel, SGDConfig, add_grads, backward,
-                        ce_input_grad, ce_loss_and_grads, ce_targets, check_input,
-                        forward, init_model, sgd_step, softmax, softmax_ce,
-                        stack_models, unstack_models)
+from eatcl.nets import (GradBundle, MLPModel, SGDConfig, add_grads, ce_input_grad,
+                        ce_loss_and_grads, ce_targets, check_input, forward,
+                        init_model, sgd_step, softmax_ce, stack_models,
+                        unstack_models)
+from reference import backward, softmax
 
 
 def _rand_model(rng, sizes):

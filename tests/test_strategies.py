@@ -1,4 +1,4 @@
-"""Strategy engine tests: determinism equivalences, audit trails, buffer
+"""Strategy engine tests: determinism equivalences, attack counts, buffer
 hygiene, loss-term gradients against finite differences, and lockstep
 training equal to training alone."""
 
@@ -10,13 +10,14 @@ import pytest
 import eatcl.strategies
 from eatcl.attacks import AttackConfig, attack
 from eatcl.datasets import Dataset, gen_blob_stream, gen_crescent, single_task_stream
-from eatcl.nets import (MLPModel, backward, ce_loss_and_grads, forward, init_model,
-                        sgd_step, softmax_ce, unstack_models)
+from eatcl.nets import (MLPModel, ce_loss_and_grads, forward, init_model, sgd_step,
+                        softmax_ce, unstack_models)
 from eatcl.replay import ReplayBuffer
 from eatcl.runner import ConfigError, parse_config
 from eatcl.strategies import (STRATEGIES, EvalSpec, TrainConfig, der_terms,
                               derpp_label_terms, eat_generate, parse_strategy,
                               train_stream, train_streams)
+from reference import backward
 
 
 def _models_equal(a, b):
@@ -230,9 +231,9 @@ def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
     stream = _small_stream(21)
     calls = []
 
-    def recording(task, layer_sizes, cfg, seeds, audit=None):
+    def recording(task, layer_sizes, cfg, seeds, counts=None):
         calls.append((task.index, seeds))
-        return eat_generate(task, layer_sizes, cfg, seeds, audit)
+        return eat_generate(task, layer_sizes, cfg, seeds, counts)
 
     monkeypatch.setattr(eatcl.strategies, "eat_generate", recording)
     for refresh in (False, True):
@@ -303,20 +304,42 @@ def test_buffer_holds_only_clean_current_rows(monkeypatch):
         assert tuple(row) in clean_rows
 
 
-def test_data_access_stays_on_current_task():
+def _record_run_task(monkeypatch):
+    # the tasks handed to _run_task at each step are the data a run touches
+    seen = []
+    real_run_task = eatcl.strategies._run_task
+
+    def recording(model, tasks, *args):
+        seen.append(tasks)
+        return real_run_task(model, tasks, *args)
+
+    monkeypatch.setattr(eatcl.strategies, "_run_task", recording)
+    return seen
+
+
+def test_data_access_stays_on_current_task(monkeypatch):
+    # replay strategies train step i on task i alone
     stream = _small_stream(11)
+    seen = _record_run_task(monkeypatch)
     for kind in ("er", "er_at", "er_eat", "derpp"):
+        seen.clear()
         _, log = train_stream(stream, kind, _cfg())
-        for step, touched in log.data_access.items():
-            assert touched == {step}, f"{kind} touched {touched} at {step}"
+        assert [rec.step for rec in log.records] == list(range(len(stream.tasks)))
+        assert len(seen) == len(stream.tasks), kind
+        for i, tasks in enumerate(seen):
+            assert len(tasks) == 1 and tasks[0] is stream.tasks[i], (kind, i)
 
 
-def test_joint_accesses_everything_at_once():
+def test_joint_accesses_everything_at_once(monkeypatch):
+    # joint trains once, at the last step, on the whole stream merged into one task
     stream = _small_stream(12)
+    seen = _record_run_task(monkeypatch)
     _, log = train_stream(stream, "joint", _cfg())
-    (step,) = log.data_access.keys()
-    assert step == len(stream.tasks) - 1
-    assert log.data_access[step] == {0, 1, 2}
+    assert [rec.step for rec in log.records] == [len(stream.tasks) - 1]
+    ((task,),) = seen
+    merged = stream.merged()
+    assert np.array_equal(task.data.x, merged.x)
+    assert np.array_equal(task.data.y, merged.y)
 
 
 def test_single_head_spans_all_classes():
@@ -333,8 +356,8 @@ def test_metrics_records_shape_and_rate_zero_first():
         assert rec.step == i
         assert len(rec.per_task_accuracy) == i + 1
         assert len(rec.per_task_robustness) == i + 1
-    assert log.records[0].prev_task_rate == 0.0
-    assert log.records[1].prev_task_rate is not None
+    assert not any(p.task == 0 for p in log.attack_rates)
+    assert any(p.task == 1 for p in log.attack_rates)
 
 
 def test_attack_rates_only_after_first_task():
@@ -434,7 +457,7 @@ def test_strategy_names_split_into_two_axes():
 
 def _run_bits(model, log):
     return ([a.tobytes() for a in model.weights + model.biases], log.records,
-            log.attack_rates, log.data_access, log.attack_counts)
+            log.attack_rates, log.attack_counts)
 
 
 def test_lockstep_runs_equal_runs_alone():

@@ -1,12 +1,12 @@
 """White-box adversarial example generation for the dense classifiers.
 
-PGD-K takes K signed-gradient steps of size alpha, projecting back into
-the closed L-infinity ball of radius eps around the clean batch after every
-step, optionally starting from a uniform random point inside the ball. FGSM
-is PGD's one step from x: a single signed-gradient step of size eps with no
-random start, which the projection leaves as it is. Range clipping (e.g. to
-[0, 1] for image-like data) is optional and applied after the ball
-projection.
+``attack`` runs both, by the config's kind. PGD-K takes K signed-gradient
+steps of size alpha, projecting back into the closed L-infinity ball of
+radius eps around the clean batch after every step, optionally starting
+from a uniform random point inside the ball. FGSM is PGD's one step from
+x: a single signed-gradient step of size eps with no random start, which
+the projection leaves as it is. Range clipping (e.g. to [0, 1] for
+image-like data) is optional and applied after the ball projection.
 
 Attacks never relabel: outputs pair with the original labels.
 
@@ -62,23 +62,6 @@ def project_linf(x_adv, x, eps: float) -> np.ndarray:
     return np.minimum(np.maximum(x_adv, x - eps), x + eps)
 
 
-def fgsm(model: MLPModel, x, y, cfg: AttackConfig) -> np.ndarray:
-    """PGD's one step from x: x' = x + eps * sign(grad_x loss), then the
-    optional range clip. sign(0) is 0."""
-    if cfg.kind != "fgsm":
-        raise ValueError(f"fgsm called with kind={cfg.kind!r}")
-    return _steps(model, x, y, cfg, cfg.eps, 1, None)
-
-
-def pgd(model: MLPModel, x, y, cfg: AttackConfig, rng) -> np.ndarray:
-    """K projected signed-gradient steps inside the closed eps-ball around
-    x, from a uniform random point in the ball when cfg.random_start."""
-    if cfg.kind != "pgd":
-        raise ValueError(f"pgd called with kind={cfg.kind!r}")
-    return _steps(model, x, y, cfg, cfg.alpha, cfg.iters,
-                  rng if cfg.random_start else None)
-
-
 def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
            rng) -> np.ndarray:
     """iters signed-gradient steps of size alpha, each projected into the
@@ -112,10 +95,16 @@ def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
 
 
 def attack(model: MLPModel, x, y, cfg: AttackConfig, rng=None) -> np.ndarray:
-    """Dispatch on cfg.kind. PGD needs an rng for its random start, or one
-    per member for a stacked model."""
+    """Adversarial examples for (x, y) against model, by cfg.kind.
+
+    FGSM: x + eps * sign(grad_x loss), then the optional clip; sign(0) is 0.
+    PGD: cfg.iters projected signed-gradient steps of size cfg.alpha, from a
+    random start in the eps-ball when cfg.random_start; only that start
+    draws from rng, a Generator or, for a stacked model, one per member.
+    """
     if cfg.kind == "fgsm":
-        return fgsm(model, x, y, cfg)
-    if rng is None:
-        raise ValueError("pgd attack needs an rng")
-    return pgd(model, x, y, cfg, rng)
+        return _steps(model, x, y, cfg, cfg.eps, 1, None)
+    if cfg.random_start and rng is None:
+        raise ValueError("pgd attack with a random start needs an rng")
+    return _steps(model, x, y, cfg, cfg.alpha, cfg.iters,
+                  rng if cfg.random_start else None)

@@ -49,7 +49,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    model, bounds = runner.load_model_json(args.model)
+    if args.res < 2:
+        print(f"--res must be >= 2, got {args.res}", file=sys.stderr)
+        return 2
+    try:
+        model, bounds = runner.load_model_json(args.model)
+    except (ValueError, KeyError, TypeError) as exc:
+        print(f"unreadable model artifact {args.model}: {exc!r}", file=sys.stderr)
+        return 2
     if args.bounds is not None:
         lo_x, hi_x, lo_y, hi_y = args.bounds
         bounds = {"x": [lo_x, hi_x], "y": [lo_y, hi_y]}

@@ -19,15 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SGDConfig:
-    learning_rate: float = 0.1
-
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-
-
 @dataclass
 class MLPModel:
     """Fixed-topology MLP: layer_sizes[0] inputs -> ... -> layer_sizes[-1] logits.
@@ -220,9 +211,8 @@ def add_grads(a: GradBundle, b: GradBundle) -> GradBundle:
     )
 
 
-def sgd_step(model: MLPModel, grads: GradBundle, cfg: SGDConfig) -> MLPModel:
+def sgd_step(model: MLPModel, grads: GradBundle, lr: float) -> MLPModel:
     """One SGD update, theta <- theta - lr * grad. Returns a new model."""
-    lr = cfg.learning_rate
     for w, gw in zip(model.weights, grads.weight_grads):
         if w.shape != gw.shape:
             raise ValueError(f"weight grad shape {gw.shape} != {w.shape}")
@@ -263,18 +253,12 @@ def loss_and_grads(model: MLPModel, x, loss) -> tuple[float, GradBundle]:
 
     loss(logits) returns (value, d value / d logits). Bit-identical to
     forward, then loss, then a backward pass that recomputes the forward
-    activations (the reference in tests/reference.py).
+    activations (the reference in tests/reference.py). A stacked model's
+    gradients stack like its parameters; the input gradient has E*B rows.
     """
     acts = _activations(model, check_input(model, x))
     value, dlogits = loss(acts[-1])
     return value, _backprop(model, acts, dlogits, params=True)
-
-
-def ce_loss_and_grads(model: MLPModel, x, y) -> tuple[float, GradBundle]:
-    """Mean cross-entropy and all its gradients from one forward pass. For
-    a stacked model, one loss per member, parameter gradients stacked like
-    the parameters, and the input gradient in the batch's E*B rows."""
-    return loss_and_grads(model, x, lambda logits: softmax_ce(logits, y))
 
 
 def ce_input_grad(model: MLPModel, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -283,7 +267,7 @@ def ce_input_grad(model: MLPModel, x: np.ndarray, targets: np.ndarray) -> np.nda
     For inner loops that check once and call many times: x must already be
     a batch from check_input and targets come from ce_targets for that
     batch; only non-finite logits are still caught. Bit-identical to the
-    input gradient of ce_loss_and_grads.
+    input gradient of loss_and_grads with the softmax_ce loss.
     """
     acts = _activations(model, x)
     logits = acts[-1]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .attacks import AttackConfig
 from .datasets import (Dataset, TaskStream, gen_blob_stream, gen_crescent,
                        imbalance_subsample, single_task_stream)
 from .metrics import boundary_grid
-from .nets import MLPModel, SGDConfig
+from .nets import MLPModel
 from .strategies import STRATEGIES, EvalSpec, RunLog, TrainConfig, train_streams
 
 
@@ -204,22 +204,16 @@ def build_attack(cfg: dict) -> AttackConfig:
 
 
 def build_eval_attack(cfg: dict) -> AttackConfig:
-    def pick(key, fallback):
-        v = cfg[key]
-        return fallback if v is None else v
-    return AttackConfig(kind=pick("eval.attack.kind", cfg["attack.kind"]),
-                        eps=pick("eval.attack.eps", cfg["attack.eps"]),
-                        alpha=pick("eval.attack.alpha", cfg["attack.alpha"]),
-                        iters=pick("eval.attack.iters", cfg["attack.iters"]),
-                        random_start=pick("eval.attack.random_start",
-                                          cfg["attack.random_start"]),
-                        clip=cfg["attack.clip"])
+    """The training attack with every eval.attack.* value that is set."""
+    over = {k: cfg[f"eval.attack.{k}"]
+            for k in ("kind", "eps", "alpha", "iters", "random_start")}
+    return replace(build_attack(cfg), **{k: v for k, v in over.items() if v is not None})
 
 
 def build_train_config(cfg: dict, seed: int) -> TrainConfig:
     return TrainConfig(epochs_per_task=cfg["train.epochs_per_task"],
                        batch_size=cfg["train.batch_size"],
-                       sgd=SGDConfig(learning_rate=cfg["train.lr"]),
+                       lr=cfg["train.lr"],
                        buffer_capacity=cfg["train.buffer_capacity"],
                        attack=build_attack(cfg),
                        eat_external_epochs=cfg["train.eat_external_epochs"],

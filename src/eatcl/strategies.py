@@ -52,9 +52,8 @@ import numpy as np
 from .attacks import AttackConfig, attack
 from .datasets import Dataset, Task, TaskStream
 from .metrics import MetricsRecord, clean_accuracy, prev_task_rate, robustness
-from .nets import (MLPModel, SGDConfig, add_grads, ce_loss_and_grads, forward,
-                   init_model, loss_and_grads, sgd_step, softmax_ce, stack_models,
-                   unstack_models)
+from .nets import (MLPModel, add_grads, forward, init_model, loss_and_grads,
+                   sgd_step, softmax_ce, stack_models, unstack_models)
 from .replay import ReplayBuffer
 
 STRATEGIES = ("joint", "joint_at", "er", "er_at", "er_cat", "er_eat",
@@ -74,7 +73,7 @@ def parse_strategy(name: str) -> tuple[str, str]:
 class TrainConfig:
     epochs_per_task: int = 50
     batch_size: int = 32
-    sgd: SGDConfig = field(default_factory=SGDConfig)
+    lr: float = 0.1
     buffer_capacity: int = 200
     attack: AttackConfig = field(default_factory=AttackConfig)
     eat_external_epochs: int = 10
@@ -87,6 +86,8 @@ class TrainConfig:
     eat_refresh: bool = False  # regenerate the adversarial task copy every epoch
 
     def __post_init__(self):
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.epochs_per_task < 1 or self.batch_size < 1:
             raise ValueError("epochs_per_task and batch_size must be >= 1")
         if self.buffer_capacity < 0:
@@ -269,7 +270,7 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
                     m.log.attack_counts["memory"] += replay_bs
             _, label_grads = derpp_label_terms(model, bx2, by2, cfg.derpp_beta)
             grads = add_grads(grads, label_grads)
-    stepped = sgd_step(model, grads, cfg.sgd)
+    stepped = sgd_step(model, grads, cfg.lr)
     if not buffer.capacity:
         return stepped
     # DER stores the pre-step model's logits of the rows it inserts. Clean,
@@ -317,8 +318,8 @@ def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds,
             adv = attack(ext, xb, yb, cfg.attack, _rng_arg(atk_rngs))
             if counts is not None:
                 counts["external"] += len(idx)
-            _, grads = ce_loss_and_grads(ext, adv, yb)
-            ext = sgd_step(ext, grads, cfg.sgd)
+            _, grads = loss_and_grads(ext, adv, lambda z: softmax_ce(z, yb))
+            ext = sgd_step(ext, grads, cfg.lr)
     return list(zip(_split(ext), atk_rngs))
 
 

@@ -7,7 +7,8 @@ fixture ran, the terminal summary lists each config's wall-clock seconds
 next to its budget, since pytest's durations table charges all of them
 to the first test that uses the fixture, and the sha256 prefixes of its
 metrics.csv and rates.csv, so a log shows whether outputs moved. The
-digests depend on the BLAS build, so nothing asserts them.
+digests depend on the BLAS build, so nothing asserts them. Every run's
+summary also prints the line counts of src/eatcl and of strategies.py.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import pytest
 from eatcl.runner import parse_config, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src" / "eatcl"
 SHIPPED = ("toy_balanced", "toy_imbalanced", "stream_pgd", "stream_fgsm",
            "smoke")
 RUNS = pytest.StashKey[dict]()
@@ -75,7 +77,12 @@ def _digests(run: ConfigRun) -> str:
 def pytest_terminal_summary(terminalreporter, config):
     """Each shipped config's wall-clock seconds, with the budget that
     test_acceptance.py holds it to: the toy pair 120 s together, each
-    stream config 300 s; and each config's output digests."""
+    stream config 300 s; and each config's output digests. First, on
+    every run, the line counts of src/eatcl and strategies.py."""
+    lines = {p.name: len(p.read_text().splitlines()) for p in SRC_DIR.glob("*.py")}
+    terminalreporter.section("source size")
+    terminalreporter.write_line(f"src/eatcl {sum(lines.values())} lines, "
+                                f"{lines['strategies.py']} of them in strategies.py")
     runs = config.stash.get(RUNS, {})
     if not runs:
         return

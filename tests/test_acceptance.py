@@ -17,7 +17,7 @@ import numpy as np
 from eatcl.attacks import AttackConfig, attack
 from eatcl.datasets import Dataset, Task
 from eatcl.metrics import prev_task_rate
-from eatcl.nets import MLPModel, ce_loss_and_grads, forward, init_model, softmax_ce
+from eatcl.nets import MLPModel, forward, init_model, loss_and_grads, softmax_ce
 from eatcl.replay import ReplayBuffer
 
 from conftest import CONFIG_DIR, run_config
@@ -73,7 +73,7 @@ def test_gradients_match_central_differences():
         n = int(rng.integers(1, 4))
         x = rng.normal(0.0, 1.0, size=(n, sizes[0]))
         y = rng.integers(0, sizes[-1], size=n)
-        _, grads = ce_loss_and_grads(model, x, y)
+        _, grads = loss_and_grads(model, x, lambda z: softmax_ce(z, y))
         for arrs, anal in ((model.weights, grads.weight_grads),
                            (model.biases, grads.bias_grads)):
             for a, g in zip(arrs, anal):

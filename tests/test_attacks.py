@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from eatcl.attacks import AttackConfig, attack, fgsm, pgd, project_linf
+from eatcl.attacks import AttackConfig, attack, project_linf
 from eatcl.nets import (MLPModel, ce_input_grad, ce_targets, forward, init_model,
                         stack_models)
 from reference import softmax
@@ -33,7 +33,7 @@ def test_fgsm_against_linear_closed_form():
     got = ce_input_grad(model, x, ce_targets(y, (len(x),), 2))
     np.testing.assert_allclose(got, expected_grad, atol=1e-12)
     eps = 0.3
-    adv = fgsm(model, x, y, AttackConfig(kind="fgsm", eps=eps))
+    adv = attack(model, x, y, AttackConfig(kind="fgsm", eps=eps))
     np.testing.assert_allclose(adv, x + eps * np.sign(expected_grad), atol=1e-12)
 
 
@@ -41,7 +41,7 @@ def test_fgsm_zero_gradient_leaves_input_unchanged():
     # all-zero weights give zero input gradient; sign(0) must be 0
     model = _linear_model(np.zeros((2, 3)))
     x = np.array([[0.7, -0.1]])
-    adv = fgsm(model, x, np.array([2]), AttackConfig(kind="fgsm", eps=0.5))
+    adv = attack(model, x, np.array([2]), AttackConfig(kind="fgsm", eps=0.5))
     np.testing.assert_array_equal(adv, x)
 
 
@@ -68,12 +68,12 @@ def test_fgsm_equals_single_step_pgd():
     x = rng.normal(size=(8, 4))
     y = rng.integers(0, 3, size=8)
     eps = 0.2
-    a = fgsm(model, x, y, AttackConfig(kind="fgsm", eps=eps))
-    b = pgd(model, x, y,
-            AttackConfig(kind="pgd", eps=eps, alpha=eps, iters=1,
-                         random_start=False),
-            np.random.default_rng(0))
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    a = attack(model, x, y, AttackConfig(kind="fgsm", eps=eps))
+    b = attack(model, x, y,
+               AttackConfig(kind="pgd", eps=eps, alpha=eps, iters=1,
+                            random_start=False),
+               np.random.default_rng(0))
+    np.testing.assert_array_equal(a, b)
 
 
 def test_pgd_stays_in_ball_with_random_start():
@@ -84,7 +84,7 @@ def test_pgd_stays_in_ball_with_random_start():
     for eps, alpha, iters in [(0.1, 0.03, 5), (0.5, 0.9, 3), (0.02, 0.02, 10)]:
         cfg = AttackConfig(kind="pgd", eps=eps, alpha=alpha, iters=iters,
                            random_start=True)
-        adv = pgd(model, x, y, cfg, np.random.default_rng(4))
+        adv = attack(model, x, y, cfg, np.random.default_rng(4))
         assert np.max(np.abs(adv - x)) <= eps + 1e-12
 
 
@@ -95,10 +95,10 @@ def test_clip_bounds_respected():
     y = rng.integers(0, 2, size=10)
     cfg = AttackConfig(kind="pgd", eps=0.4, alpha=0.2, iters=4,
                        random_start=True, clip=(0.0, 1.0))
-    adv = pgd(model, x, y, cfg, np.random.default_rng(7))
+    adv = attack(model, x, y, cfg, np.random.default_rng(7))
     assert adv.min() >= -1e-12 and adv.max() <= 1.0 + 1e-12
     cfg_f = AttackConfig(kind="fgsm", eps=0.4, clip=(0.0, 1.0))
-    advf = fgsm(model, x, y, cfg_f)
+    advf = attack(model, x, y, cfg_f)
     assert advf.min() >= -1e-12 and advf.max() <= 1.0 + 1e-12
 
 
@@ -108,9 +108,15 @@ def test_attack_dispatch_and_rng_requirement():
     y = np.array([0])
     out = attack(model, x, y, AttackConfig(kind="fgsm", eps=0.1))
     assert out.shape == x.shape
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs an rng"):
         attack(model, x, y,
                AttackConfig(kind="pgd", eps=0.1, alpha=0.05, iters=2))
+    # without a random start PGD draws nothing, so it needs no rng
+    fixed = AttackConfig(kind="pgd", eps=0.3, alpha=0.1, iters=3, random_start=False)
+    x = np.random.default_rng(1).normal(size=(5, 2))
+    y = np.array([0, 1, 1, 0, 1])
+    np.testing.assert_array_equal(attack(model, x, y, fixed),
+                                  attack(model, x, y, fixed, np.random.default_rng(2)))
 
 
 def test_pgd_deterministic_given_rng():
@@ -120,8 +126,8 @@ def test_pgd_deterministic_given_rng():
     y = rng.integers(0, 3, size=6)
     cfg = AttackConfig(kind="pgd", eps=0.1, alpha=0.04, iters=6,
                        random_start=True)
-    a = pgd(model, x, y, cfg, np.random.default_rng(42))
-    b = pgd(model, x, y, cfg, np.random.default_rng(42))
+    a = attack(model, x, y, cfg, np.random.default_rng(42))
+    b = attack(model, x, y, cfg, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
 
 
@@ -145,7 +151,7 @@ def test_eps_zero_returns_input():
     y = rng.integers(0, 2, size=5)
     cfg = AttackConfig(kind="pgd", eps=0.0, alpha=0.1, iters=3,
                        random_start=True)
-    adv = pgd(model, x, y, cfg, np.random.default_rng(13))
+    adv = attack(model, x, y, cfg, np.random.default_rng(13))
     np.testing.assert_allclose(adv, x, atol=1e-12)
 
 

@@ -102,3 +102,26 @@ def test_grid_explicit_bounds(conf_path, tmp_path):
     assert main(["grid", str(model_path), "--res", "4", "--out", str(grid_out),
                  "--bounds", "-1", "1", "-1", "1"]) == 0
     assert grid_out.exists()
+
+
+def test_grid_rejects_resolution_below_two(conf_path, tmp_path, capsys):
+    out_dir = tmp_path / "g3"
+    assert main(["run", str(conf_path), "--out", str(out_dir), "--quiet"]) == 0
+    grid_out = tmp_path / "r.csv"
+    assert main(["grid", str(out_dir / "models" / "joint_s0.json"), "--res", "1",
+                 "--out", str(grid_out)]) == 2
+    err = capsys.readouterr().err
+    assert "--res must be >= 2" in err and len(err.strip().splitlines()) == 1
+    assert not grid_out.exists()
+
+
+def test_grid_rejects_unreadable_model_artifact(tmp_path, capsys):
+    truncated = tmp_path / "cut.json"
+    truncated.write_text('{"layer_sizes": [2, 3, 2], "weights": [[[0.1, ')
+    missing_field = tmp_path / "empty.json"
+    missing_field.write_text("{}")
+    for path in (truncated, missing_field):
+        assert main(["grid", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "unreadable model artifact" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eatcl.nets import (GradBundle, MLPModel, SGDConfig, add_grads, ce_input_grad,
-                        ce_loss_and_grads, ce_targets, check_input, forward,
-                        init_model, sgd_step, softmax_ce, stack_models,
-                        unstack_models)
+from eatcl.nets import (GradBundle, MLPModel, add_grads, ce_input_grad, ce_targets,
+                        check_input, forward, init_model, loss_and_grads, sgd_step,
+                        softmax_ce, stack_models, unstack_models)
+from eatcl.strategies import TrainConfig
 from reference import backward, softmax
 
 
@@ -141,7 +141,7 @@ def test_single_pass_equals_forward_softmax_ce_backward_bitwise():
         y = rng.integers(0, sizes[-1], size=n)
         ref_loss, dlogits = softmax_ce(forward(model, x), y)
         ref = backward(model, x, dlogits)
-        loss, got = ce_loss_and_grads(model, x, y)
+        loss, got = loss_and_grads(model, x, lambda z: softmax_ce(z, y))
         assert loss == ref_loss
         for a, b in zip(got.weight_grads + got.bias_grads,
                         ref.weight_grads + ref.bias_grads):
@@ -156,14 +156,14 @@ def test_single_pass_rejects_bad_labels_and_nonfinite_logits():
     x = np.zeros((2, 2))
     for bad in (np.array([0, 2]), np.array([-1, 0]), np.array([0])):
         with pytest.raises(ValueError):
-            ce_loss_and_grads(model, x, bad)
+            loss_and_grads(model, x, lambda z: softmax_ce(z, bad))
         with pytest.raises(ValueError):
             ce_targets(bad, (2,), 2)
     targets = ce_targets(np.array([1, 0]), (2,), 2)
     np.testing.assert_array_equal(targets, [[0.0, 1.0], [1.0, 0.0]])
     nan_x = np.array([[np.nan, 0.0], [0.0, 0.0]])
     with pytest.raises(FloatingPointError):
-        ce_loss_and_grads(model, nan_x, np.array([0, 1]))
+        loss_and_grads(model, nan_x, lambda z: softmax_ce(z, np.array([0, 1])))
     with pytest.raises(FloatingPointError):
         ce_input_grad(model, nan_x, targets)
 
@@ -191,10 +191,10 @@ def test_sgd_step_is_pure_and_exact():
     model = init_model((2, 3, 2), seed=3)
     x = np.array([[0.3, -0.2], [1.0, 0.4]])
     y = np.array([0, 1])
-    _, g = ce_loss_and_grads(model, x, y)
+    _, g = loss_and_grads(model, x, lambda z: softmax_ce(z, y))
     before = [w.copy() for w in model.weights]
     lr = 0.05
-    stepped = sgd_step(model, g, SGDConfig(learning_rate=lr))
+    stepped = sgd_step(model, g, lr)
     for w, w0 in zip(model.weights, before):
         np.testing.assert_array_equal(w, w0)  # input untouched
     for wn, w0, gw in zip(stepped.weights, before, g.weight_grads):
@@ -206,17 +206,17 @@ def test_sgd_step_rejects_mismatched_grads():
     other = init_model((2, 4, 2), seed=3)
     x = np.array([[0.1, 0.2]])
     y = np.array([0])
-    _, g = ce_loss_and_grads(other, x, y)
+    _, g = loss_and_grads(other, x, lambda z: softmax_ce(z, y))
     with pytest.raises(ValueError):
-        sgd_step(model, g, SGDConfig())
+        sgd_step(model, g, 0.1)
 
 
 def test_add_grads_sums_terms():
     model = init_model((2, 3, 2), seed=4)
     x = np.array([[0.5, -0.5]])
     y = np.array([1])
-    _, g1 = ce_loss_and_grads(model, x, y)
-    _, g2 = ce_loss_and_grads(model, x * 2, y)
+    _, g1 = loss_and_grads(model, x, lambda z: softmax_ce(z, y))
+    _, g2 = loss_and_grads(model, x * 2, lambda z: softmax_ce(z, y))
     s = add_grads(g1, g2)
     for a, b, c in zip(s.weight_grads, g1.weight_grads, g2.weight_grads):
         np.testing.assert_allclose(a, b + c, atol=0)
@@ -224,9 +224,9 @@ def test_add_grads_sums_terms():
 
 def test_sgd_config_validation():
     with pytest.raises(ValueError):
-        SGDConfig(learning_rate=0.0)
+        TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
-        SGDConfig(learning_rate=-1.0)
+        TrainConfig(lr=-1.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -261,7 +261,7 @@ def test_stacked_loss_and_sgd_step_equal_members_alone_bitwise():
     # E models in lockstep must give every member the exact bits it gets
     # alone: the loss, every gradient, and the stepped parameters
     rng = np.random.default_rng(31)
-    cfg = SGDConfig(learning_rate=0.07)
+    lr = 0.07
     for sizes in [(2, 3, 2), (16, 32, 10), (5, 4, 6, 3), (3, 1)]:
         for e in (1, 3):
             members = [_rand_model(rng, sizes) for _ in range(e)]
@@ -270,14 +270,14 @@ def test_stacked_loss_and_sgd_step_equal_members_alone_bitwise():
             ys = [rng.integers(0, sizes[-1], size=b) for _ in range(e)]
             stacked = stack_models(members)
             x, y = np.vstack(xs), np.concatenate(ys)
-            loss, grads = ce_loss_and_grads(stacked, x, y)
-            stepped = unstack_models(sgd_step(stacked, grads, cfg))
+            loss, grads = loss_and_grads(stacked, x, lambda z: softmax_ce(z, y))
+            stepped = unstack_models(sgd_step(stacked, grads, lr))
             x3 = check_input(stacked, x)
             only_x = ce_input_grad(stacked, x3, ce_targets(y, x3.shape[:-1], sizes[-1]))
             assert loss.shape == (e,)
             assert grads.input_grads.shape == (e * b, sizes[0])
             for i, (m, x, y) in enumerate(zip(members, xs, ys)):
-                ref_loss, ref = ce_loss_and_grads(m, x, y)
+                ref_loss, ref = loss_and_grads(m, x, lambda z: softmax_ce(z, y))
                 assert loss[i] == ref_loss
                 for got, want in zip(grads.weight_grads, ref.weight_grads):
                     assert np.array_equal(got[i], want)
@@ -286,7 +286,7 @@ def test_stacked_loss_and_sgd_step_equal_members_alone_bitwise():
                 assert np.array_equal(grads.input_grads[i * b:(i + 1) * b],
                                       ref.input_grads)
                 assert np.array_equal(only_x[i], ref.input_grads)
-                alone = sgd_step(m, ref, cfg)
+                alone = sgd_step(m, ref, lr)
                 for got, want in zip(stepped[i].weights + stepped[i].biases,
                                      alone.weights + alone.biases):
                     assert got.shape == want.shape and np.array_equal(got, want)
@@ -296,10 +296,11 @@ def test_stacked_pass_rejects_bad_rows_labels_and_nonfinite_logits():
     members = [init_model((2, 3, 2), seed=s) for s in range(3)]
     stacked = stack_models(members)
     with pytest.raises(ValueError, match="do not split"):
-        ce_loss_and_grads(stacked, np.zeros((4, 2)), np.zeros(4, dtype=int))
+        loss_and_grads(stacked, np.zeros((4, 2)),
+                       lambda z: softmax_ce(z, np.zeros(4, dtype=int)))
     for bad in (np.array([0, 1, 2, 0, 1, 0]), np.zeros(3, dtype=int)):
         with pytest.raises(ValueError):
-            ce_loss_and_grads(stacked, np.zeros((6, 2)), bad)
+            loss_and_grads(stacked, np.zeros((6, 2)), lambda z: softmax_ce(z, bad))
     # one diverged member is enough
     weights = [w.copy() for w in stacked.weights]
     weights[0][1] = 1.0
@@ -307,4 +308,5 @@ def test_stacked_pass_rejects_bad_rows_labels_and_nonfinite_logits():
     huge = MLPModel(stacked.layer_sizes, weights, stacked.biases)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
-            ce_loss_and_grads(huge, np.full((6, 2), 10.0), np.zeros(6, dtype=int))
+            loss_and_grads(huge, np.full((6, 2), 10.0),
+                           lambda z: softmax_ce(z, np.zeros(6, dtype=int)))

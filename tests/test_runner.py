@@ -8,6 +8,8 @@ import os
 import numpy as np
 import pytest
 
+import eatcl.runner
+from eatcl.cli import main
 from eatcl.runner import (ConfigError, RunResult, _write_metrics_csv,
                           _write_rates_csv, build_eval_attack, build_streams,
                           build_train_config, default_config, emit_config,
@@ -105,10 +107,24 @@ def test_build_train_config_wires_fields():
     cfg = parse_config("train.lr = 0.07\ntrain.hidden = 4 5\n"
                        "train.at_mix = union\n")
     t = build_train_config(cfg, seed=9)
-    assert t.sgd.learning_rate == 0.07
+    assert t.lr == 0.07
     assert t.hidden_sizes == (4, 5)
     assert t.at_mix == "union"
     assert t.seed == 9
+
+
+def test_nonpositive_lr_rejected_before_training(tmp_path, monkeypatch):
+    for bad in ("0", "-1.0"):
+        with pytest.raises(ConfigError, match="lr must be > 0"):
+            parse_config(f"train.lr = {bad}\n")
+    # the CLI stops at the config: nothing trains and nothing is written
+    trained = []
+    monkeypatch.setattr(eatcl.runner, "train_streams",
+                        lambda *a, **k: trained.append(a))
+    conf = tmp_path / "bad.conf"
+    conf.write_text("train.lr = 0\n")
+    assert main(["run", str(conf), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert trained == [] and not (tmp_path / "out").exists()
 
 
 def test_build_streams_blobs_share_centers():

@@ -10,7 +10,7 @@ import pytest
 import eatcl.strategies
 from eatcl.attacks import AttackConfig, attack
 from eatcl.datasets import Dataset, gen_blob_stream, gen_crescent, single_task_stream
-from eatcl.nets import (MLPModel, ce_loss_and_grads, forward, init_model, sgd_step,
+from eatcl.nets import (MLPModel, forward, init_model, loss_and_grads, sgd_step,
                         softmax_ce, unstack_models)
 from eatcl.replay import ReplayBuffer
 from eatcl.runner import ConfigError, parse_config
@@ -204,7 +204,8 @@ def _external_alone(task, layer_sizes, cfg, seed):
         for s in range(0, len(x), cfg.batch_size):
             idx = perm[s:s + cfg.batch_size]
             adv = attack(ext, x[idx], y[idx], cfg.attack, atk_rng)
-            ext = sgd_step(ext, ce_loss_and_grads(ext, adv, y[idx])[1], cfg.sgd)
+            grads = loss_and_grads(ext, adv, lambda z: softmax_ce(z, y[idx]))[1]
+            ext = sgd_step(ext, grads, cfg.lr)
     return ext, attack(ext, x, y, cfg.attack, atk_rng)
 
 
@@ -509,9 +510,9 @@ def test_stored_der_logits_equal_pre_step_forward_pass(monkeypatch):
     stepped, inserts = [], []
     real_sgd_step = eatcl.strategies.sgd_step
 
-    def recording_sgd_step(model, grads, cfg):
+    def recording_sgd_step(model, grads, lr):
         stepped.append(model)
-        return real_sgd_step(model, grads, cfg)
+        return real_sgd_step(model, grads, lr)
 
     class RecordedBuffer(ReplayBuffer):
         def reservoir_insert_arrays(self, member, x, y, logits, rng):

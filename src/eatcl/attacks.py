@@ -8,6 +8,12 @@ x: a single signed-gradient step of size eps with no random start, which
 the projection leaves as it is. Range clipping (e.g. to [0, 1] for
 image-like data) is optional and applied after the ball projection.
 
+A step is a fixed function of the batch, so PGD stops early once the whole
+batch is back at its state of two steps ago: from there it only alternates
+between its two latest states (a fixed point is the case where they are
+equal), and the attack returns the one that the remaining steps would end
+on. The output is bit for bit that of taking every step.
+
 Attacks never relabel: outputs pair with the original labels.
 
 A stacked model of E members (see nets) attacks a batch of E*B rows, block
@@ -52,14 +58,14 @@ class AttackConfig:
                 raise ValueError(f"clip range needs lo < hi, got {self.clip}")
 
 
-def project_linf(x_adv, x, eps: float) -> np.ndarray:
-    """Elementwise clamp of x_adv into [x - eps, x + eps]."""
+def project_linf(x_adv, lo, hi) -> np.ndarray:
+    """Elementwise clamp of x_adv into [lo, hi]; the eps-ball around x when
+    lo = x - eps and hi = x + eps, which an attack computes once."""
     x_adv = np.asarray(x_adv, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x_adv.shape != x.shape:
-        raise ValueError(f"shape mismatch {x_adv.shape} vs {x.shape}")
+    if not x_adv.shape == lo.shape == hi.shape:
+        raise ValueError(f"shape mismatch {x_adv.shape} vs {lo.shape} and {hi.shape}")
     # same bits as np.clip, without its per-call wrapper overhead
-    return np.minimum(np.maximum(x_adv, x - eps), x + eps)
+    return np.minimum(np.maximum(x_adv, lo), hi)
 
 
 def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
@@ -69,7 +75,10 @@ def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
     random start in the ball drawn from rng, or from x when rng is None.
 
     The batch, the generators and the labels are checked once, before the
-    first step; every step is one forward and one input-only backward pass.
+    first step; every step taken is one forward and one input-only backward
+    pass, which still rejects non-finite logits. Once a step repeats the
+    state of two steps before, the loop stops and returns the state that
+    taking every remaining step would end on: the same bits, fewer passes.
     """
     x = check_input(model, x)
     stacked = x.ndim == 3
@@ -86,11 +95,20 @@ def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
         adv = x + start
         if cfg.clip is not None:
             adv = np.clip(adv, cfg.clip[0], cfg.clip[1])
-    for _ in range(iters):
-        adv = adv + alpha * np.sign(ce_input_grad(model, adv, targets))
-        adv = project_linf(adv, x, cfg.eps)
+    lo, hi = x - cfg.eps, x + cfg.eps
+    before = None  # the state one step before adv
+    for k in range(iters):
+        new = adv + alpha * np.sign(ce_input_grad(model, adv, targets))
+        new = project_linf(new, lo, hi)
         if cfg.clip is not None:
-            adv = np.clip(adv, cfg.clip[0], cfg.clip[1])
+            new = np.clip(new, cfg.clip[0], cfg.clip[1])
+        # back at the bits of two steps ago (as bytes, -0.0 is not 0.0): from
+        # here the batch only alternates between its two latest states
+        if 0 < k < iters - 1 and new.tobytes() == before.tobytes():
+            if (iters - 1 - k) % 2 == 0:  # an even number of steps left
+                adv = new
+            break
+        before, adv = adv, new
     return adv.reshape(-1, x.shape[-1]) if stacked else adv
 
 

@@ -1,15 +1,18 @@
 """Reference math that the tests check the production kernels against.
 
-Plain single-model versions, written for clarity rather than speed:
-``softmax`` normalises logits row by row, and ``backward`` recomputes the
-forward activations of a batch and backpropagates a logit gradient to every
-weight, bias and to the input. Nothing in ``eatcl`` calls them; production
-training and attacks run ``nets.loss_and_grads`` and ``nets.ce_input_grad``.
+Plain versions, written for clarity rather than speed: ``softmax``
+normalises logits row by row, and ``backward`` recomputes the forward
+activations of a batch and backpropagates a logit gradient to every weight,
+bias and to the input; both take single models. ``pgd_every_step`` takes
+every PGD step with no early exit, for single and stacked models. Nothing in
+``eatcl`` calls them; production training and attacks run
+``nets.loss_and_grads``, ``nets.ce_input_grad`` and ``attacks.attack``.
 """
 
 import numpy as np
 
-from eatcl.nets import GradBundle, MLPModel
+from eatcl.attacks import AttackConfig
+from eatcl.nets import GradBundle, MLPModel, ce_input_grad, ce_targets, check_input
 
 
 def _as_batch(x) -> np.ndarray:
@@ -59,3 +62,27 @@ def backward(model: MLPModel, x, dlogits) -> GradBundle:
         if i > 0:
             delta = delta * (pre[i - 1] > 0)
     return GradBundle(weight_grads, bias_grads, delta)
+
+
+def pgd_every_step(model: MLPModel, x, y, cfg: AttackConfig, rng=None) -> np.ndarray:
+    """PGD by cfg, taking all cfg.iters steps: a signed-gradient step of size
+    cfg.alpha, np.clip into the eps-ball, then np.clip to cfg.clip. With
+    cfg.random_start it starts from a uniform point in the ball drawn from
+    rng, or for a stacked model member e's block from rng[e]."""
+    x = check_input(model, x)
+    targets = ce_targets(y, x.shape[:-1], model.num_classes)
+    adv = x
+    if cfg.random_start:
+        if x.ndim == 3:
+            start = np.stack([r.uniform(-cfg.eps, cfg.eps, size=x.shape[1:]) for r in rng])
+        else:
+            start = rng.uniform(-cfg.eps, cfg.eps, size=x.shape)
+        adv = x + start
+        if cfg.clip is not None:
+            adv = np.clip(adv, *cfg.clip)
+    for _ in range(cfg.iters):
+        adv = adv + cfg.alpha * np.sign(ce_input_grad(model, adv, targets))
+        adv = np.clip(adv, x - cfg.eps, x + cfg.eps)
+        if cfg.clip is not None:
+            adv = np.clip(adv, *cfg.clip)
+    return adv.reshape(-1, x.shape[-1])

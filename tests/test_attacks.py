@@ -1,6 +1,9 @@
 """Attack tests: closed-form FGSM oracle on a linear softmax model,
 projection oracle, ball/clip invariants, FGSM/PGD agreement, stacked
-models against their members attacked alone."""
+models against their members attacked alone, and PGD's early exit against
+the loop that takes every step."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -8,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import eatcl.attacks
 from eatcl.attacks import AttackConfig, attack, project_linf
 from eatcl.nets import (MLPModel, ce_input_grad, ce_targets, forward, init_model,
                         stack_models)
-from reference import softmax
+from reference import pgd_every_step, softmax
 
 
 def _linear_model(w):
@@ -50,7 +54,7 @@ def test_fgsm_zero_gradient_leaves_input_unchanged():
        arrays(np.float64, (3, 4), elements=st.floats(-10, 10)),
        st.floats(0.0, 5.0))
 def test_project_linf_elementwise_oracle(x_adv, x, eps):
-    out = project_linf(x_adv, x, eps)
+    out = project_linf(x_adv, x - eps, x + eps)
     for i in range(3):
         for j in range(4):
             lo, hi = x[i, j] - eps, x[i, j] + eps
@@ -59,7 +63,7 @@ def test_project_linf_elementwise_oracle(x_adv, x, eps):
 
 def test_project_linf_shape_mismatch():
     with pytest.raises(ValueError):
-        project_linf(np.zeros((2, 2)), np.zeros((3, 2)), 0.1)
+        project_linf(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
 
 
 def test_fgsm_equals_single_step_pgd():
@@ -232,3 +236,72 @@ def test_stacked_attack_checks_before_any_step():
         for c in (cfg, fgsm_cfg):
             with pytest.raises(FloatingPointError):
                 attack(huge, np.full((6, 2), 10.0), y, c, rngs(3))
+
+
+@pytest.fixture
+def grad_passes(monkeypatch):
+    """Counts the input-gradient passes the attacks make."""
+    count = [0]
+    inner = eatcl.attacks.ce_input_grad
+
+    def counted(*args):
+        count[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(eatcl.attacks, "ce_input_grad", counted)
+    return count
+
+
+def test_pgd_early_exit_equals_every_step_bitwise(grad_passes):
+    # the exit must keep every bit for both parities of the steps left,
+    # single and stacked, with and without random start and clip
+    rng = np.random.default_rng(30)
+    steps = 0
+    for sizes, e in itertools.product([(2, 3, 2), (4, 5, 3), (16, 32, 10)], (1, 3)):
+        members = [init_model(sizes, seed=int(rng.integers(1000))) for _ in range(e)]
+        model = members[0] if e == 1 else stack_models(members)
+        x = rng.uniform(0, 1, size=(e * 8, sizes[0]))
+        y = rng.integers(0, sizes[-1], size=e * 8)
+        for ratio, iters, random_start, clip in itertools.product(
+                (0.25, 0.5, 1.0, 1.5), range(1, 12), (True, False), (None, (0.0, 1.0))):
+            cfg = AttackConfig(kind="pgd", eps=0.2, alpha=0.2 * ratio, iters=iters,
+                               random_start=random_start, clip=clip)
+            seeds = [int(s) for s in rng.integers(1000, size=e)]
+
+            def rngs():
+                gens = [np.random.default_rng(s) for s in seeds]
+                return gens[0] if e == 1 else gens
+
+            got = attack(model, x, y, cfg, rngs())
+            steps += iters
+            ref = pgd_every_step(model, x, y, cfg, rngs())
+            assert got.tobytes() == ref.tobytes(), (sizes, e, cfg)
+    # the grid exercises the exit (only attack's passes are counted)
+    assert grad_passes[0] < steps
+
+
+def test_pgd_exit_fires_on_a_cycling_batch(grad_passes):
+    # alpha = eps drives rows to the corners of the ball, where the toy
+    # configs' PGD-10 settles into a cycle
+    rng = np.random.default_rng(31)
+    model = init_model((2, 3, 2), seed=32)
+    x = rng.normal(size=(64, 2))
+    y = rng.integers(0, 2, size=64)
+    cfg = AttackConfig(kind="pgd", eps=0.1, alpha=0.1, iters=10, random_start=True)
+    got = attack(model, x, y, cfg, np.random.default_rng(33))
+    assert grad_passes[0] < 10
+    ref = pgd_every_step(model, x, y, cfg, np.random.default_rng(33))
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_pgd_exit_only_when_the_batch_repeats(grad_passes):
+    # the stream configs' small steps (alpha = eps / 4) never repeat a state
+    rng = np.random.default_rng(34)
+    model = init_model((16, 32, 10), seed=35)
+    x = rng.uniform(0, 1, size=(32, 16))
+    y = rng.integers(0, 10, size=32)
+    cfg = AttackConfig(kind="pgd", eps=0.0314, alpha=0.0314 / 4, iters=4)
+    attack(model, x, y, cfg, np.random.default_rng(36))
+    assert grad_passes[0] == 4
+    attack(model, x, y, AttackConfig(kind="fgsm", eps=0.0314))
+    assert grad_passes[0] == 5

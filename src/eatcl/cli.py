@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run <config>`` — execute the experiment grid and write artifacts.
-* ``validate <config>`` — parse and check a config without running it.
+* ``validate <config>`` — check a config and its first seed's data, no training.
 * ``grid <model.json>`` — decision-boundary grid CSV from a saved model.
 * ``report <out_dir>`` — reprint the summary table of a finished run.
 
@@ -42,6 +42,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _read_config(args.config)
+    runner.build_streams(cfg, cfg["seeds"][0])  # dataset values the generators reject
     print(f"ok: {cfg['experiment']} "
           f"({len(cfg['strategies'])} strategies x {len(cfg['seeds'])} seeds, "
           f"dataset={cfg['dataset']})")

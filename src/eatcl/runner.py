@@ -63,13 +63,6 @@ def _optional(parse):
     return lambda s: None if s.strip() == "" else parse(s)
 
 
-def _parse_pair(s: str) -> tuple[float, float]:
-    parts = s.split()
-    if len(parts) != 2:
-        raise ValueError("expected two numbers or empty")
-    return (float(parts[0]), float(parts[1]))
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -117,16 +110,11 @@ _SCHEMA: dict[str, tuple] = {
     "attack.alpha": (float, 0.0078),
     "attack.iters": (int, 4),
     "attack.random_start": (_parse_bool, True),
-    "attack.clip": (_optional(_parse_pair), None),
     "eval.attack.kind": (_optional(str.strip), None),
     "eval.attack.eps": (_optional(float), None),
     "eval.attack.alpha": (_optional(float), None),
     "eval.attack.iters": (_optional(int), None),
-    "eval.attack.random_start": (_optional(_parse_bool), None),
-    "eval.seed": (int, 0),
     "save.models": (_parse_bool, True),
-    "save.grids": (_parse_bool, True),
-    "grid.resolution": (int, 120),
 }
 
 
@@ -178,6 +166,8 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"unknown strategy {s!r}; pick from {sorted(STRATEGIES)}")
     if len(set(cfg["seeds"])) != len(cfg["seeds"]):
         raise ConfigError("seeds must be distinct")
+    if min(cfg["seeds"]) < 0:
+        raise ConfigError("seeds must be >= 0")
     if cfg["attack.kind"] not in ("fgsm", "pgd"):
         raise ConfigError(f"attack.kind must be 'fgsm' or 'pgd', got {cfg['attack.kind']!r}")
     ek = cfg["eval.attack.kind"]
@@ -185,8 +175,6 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"eval.attack.kind must be 'fgsm' or 'pgd', got {ek!r}")
     if not (0.0 < cfg["crescents.minority_fraction"] <= 1.0):
         raise ConfigError("crescents.minority_fraction must be in (0, 1]")
-    if cfg["grid.resolution"] < 2:
-        raise ConfigError("grid.resolution must be >= 2")
     # Delegate numeric range checks to the dataclasses so the CLI and the
     # library reject identical configs for identical reasons.
     try:
@@ -199,14 +187,13 @@ def _validate(cfg: dict) -> None:
 def build_attack(cfg: dict) -> AttackConfig:
     return AttackConfig(kind=cfg["attack.kind"], eps=cfg["attack.eps"],
                         alpha=cfg["attack.alpha"], iters=cfg["attack.iters"],
-                        random_start=cfg["attack.random_start"],
-                        clip=cfg["attack.clip"])
+                        random_start=cfg["attack.random_start"])
 
 
 def build_eval_attack(cfg: dict) -> AttackConfig:
     """The training attack with every eval.attack.* value that is set."""
     over = {k: cfg[f"eval.attack.{k}"]
-            for k in ("kind", "eps", "alpha", "iters", "random_start")}
+            for k in ("kind", "eps", "alpha", "iters")}
     return replace(build_attack(cfg), **{k: v for k, v in over.items() if v is not None})
 
 
@@ -229,25 +216,28 @@ def build_train_config(cfg: dict, seed: int) -> TrainConfig:
 def build_streams(cfg: dict, seed: int) -> tuple[TaskStream, TaskStream]:
     """Train and test streams for one run seed. Test data is always
     balanced and freshly sampled; blob tasks share centers across the
-    two streams."""
-    if cfg["dataset"] == "crescents":
-        train = gen_crescent(cfg["crescents.per_class"], cfg["crescents.noise"],
-                             seed=[seed, 100])
-        frac = cfg["crescents.minority_fraction"]
-        if frac < 1.0:
-            train = imbalance_subsample(
-                train, {cfg["crescents.minority_class"]: frac}, seed=[seed, 102])
-        test = gen_crescent(cfg["crescents.test_per_class"], cfg["crescents.noise"],
-                            seed=[seed, 101])
-        return single_task_stream(train), single_task_stream(test)
-    train = gen_blob_stream(cfg["blobs.tasks"], cfg["blobs.classes_per_task"],
-                            cfg["blobs.dim"], cfg["blobs.per_class"],
-                            cfg["blobs.separation"], cfg["blobs.noise"],
-                            seed=[seed, 100], sample_seed=[seed, 101])
-    test = gen_blob_stream(cfg["blobs.tasks"], cfg["blobs.classes_per_task"],
-                           cfg["blobs.dim"], cfg["blobs.test_per_class"],
-                           cfg["blobs.separation"], cfg["blobs.noise"],
-                           seed=[seed, 100], sample_seed=[seed, 102])
+    two streams. A dataset value the generators reject is a ConfigError."""
+    try:
+        if cfg["dataset"] == "crescents":
+            train = gen_crescent(cfg["crescents.per_class"], cfg["crescents.noise"],
+                                 seed=[seed, 100])
+            frac = cfg["crescents.minority_fraction"]
+            if frac < 1.0:
+                train = imbalance_subsample(
+                    train, {cfg["crescents.minority_class"]: frac}, seed=[seed, 102])
+            test = gen_crescent(cfg["crescents.test_per_class"], cfg["crescents.noise"],
+                                seed=[seed, 101])
+            return single_task_stream(train), single_task_stream(test)
+        train = gen_blob_stream(cfg["blobs.tasks"], cfg["blobs.classes_per_task"],
+                                cfg["blobs.dim"], cfg["blobs.per_class"],
+                                cfg["blobs.separation"], cfg["blobs.noise"],
+                                seed=[seed, 100], sample_seed=[seed, 101])
+        test = gen_blob_stream(cfg["blobs.tasks"], cfg["blobs.classes_per_task"],
+                               cfg["blobs.dim"], cfg["blobs.test_per_class"],
+                               cfg["blobs.separation"], cfg["blobs.noise"],
+                               seed=[seed, 100], sample_seed=[seed, 102])
+    except ValueError as exc:
+        raise ConfigError(f"{cfg['dataset']}: {exc}") from exc
     return train, test
 
 
@@ -281,10 +271,11 @@ def write_grid_csv(model: MLPModel, bounds: dict, resolution: int,
             fh.write(f"{row[0]:.17g},{row[1]:.17g},{int(row[2])}\n")
 
 
-def _data_bounds(stream: TaskStream, pad: float = 0.5) -> dict:
+def _data_bounds(stream: TaskStream) -> dict:
+    """The 2-D training data's box, padded by 0.5 on every side."""
     xs = np.vstack([t.data.x for t in stream.tasks])
-    return {"x": [float(xs[:, 0].min() - pad), float(xs[:, 0].max() + pad)],
-            "y": [float(xs[:, 1].min() - pad), float(xs[:, 1].max() + pad)]}
+    lo, hi = xs.min(axis=0) - 0.5, xs.max(axis=0) + 0.5
+    return {"x": [float(lo[0]), float(hi[0])], "y": [float(lo[1]), float(hi[1])]}
 
 
 @dataclass
@@ -297,18 +288,21 @@ class RunResult:
 
 
 def run_experiment(cfg: dict, out_dir: str, quiet: bool = False,
-                   seeds=None, progress=print) -> list[RunResult]:
+                   seeds=None) -> list[RunResult]:
     """Execute the full strategy x seed grid and write all artifacts.
 
-    Each strategy's seeds train together as one lockstep group
-    (strategies.train_streams); results, CSV rows and the manifest's run
-    list keep the seed-major order (for each seed, each strategy), and a
-    run's train_seconds is its group's time divided by the group's size.
+    Every seed's streams are built before anything is written, so a
+    dataset value the generators reject fails as a ConfigError with no
+    output directory. Each strategy's seeds train together as one lockstep
+    group (strategies.train_streams); results, CSV rows and the manifest's
+    run list keep the seed-major order (for each seed, each strategy), and
+    a run's train_seconds is its group's time divided by the group's size.
     """
     seeds = list(cfg["seeds"] if seeds is None else seeds)
+    streams = [build_streams(cfg, seed) for seed in seeds]
     os.makedirs(out_dir, exist_ok=True)
-    for sub in ("models", "grids"):
-        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+    if cfg["save.models"]:
+        os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
     with open(os.path.join(out_dir, "config.resolved.conf"), "w") as fh:
         fh.write(emit_config(cfg))
 
@@ -316,9 +310,7 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False,
     artifacts = ["config.resolved.conf", "metrics.csv", "rates.csv",
                  "summary.json"]
     seconds: dict[str, float] = {}
-    streams = [build_streams(cfg, seed) for seed in seeds]
-    specs = [EvalSpec(stream=test_s, attack=eval_attack, seed=cfg["eval.seed"])
-             for _, test_s in streams]
+    specs = [EvalSpec(stream=test_s, attack=eval_attack) for _, test_s in streams]
     # cells[j][i]: strategy j, seed i; each strategy's seeds train as one
     # lockstep group
     cells: list[list[RunResult]] = []
@@ -334,18 +326,13 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False,
             cells[-1].append(RunResult(run_id, strat, seed, model, log))
             if not quiet:
                 final = log.records[-1]
-                progress(f"{run_id}: acc {final.mean_accuracy:.2f} "
-                         f"rob {final.mean_robustness:.2f} "
-                         f"({per_run:.1f}s)")
+                print(f"{run_id}: acc {final.mean_accuracy:.2f} "
+                      f"rob {final.mean_robustness:.2f} ({per_run:.1f}s)")
             if cfg["save.models"]:
                 bounds = _data_bounds(train_s) if train_s.input_dim == 2 else None
                 path = os.path.join(out_dir, "models", f"{run_id}.json")
                 save_model_json(model, bounds, path)
                 artifacts.append(f"models/{run_id}.json")
-                if cfg["save.grids"] and bounds is not None:
-                    gpath = os.path.join(out_dir, "grids", f"{run_id}.csv")
-                    write_grid_csv(model, bounds, cfg["grid.resolution"], gpath)
-                    artifacts.append(f"grids/{run_id}.csv")
     results = [row[i] for i in range(len(seeds)) for row in cells]  # seed-major
 
     _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), results)
@@ -364,7 +351,7 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False,
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if not quiet:
-        progress(format_summary_table(summary))
+        print(format_summary_table(summary))
     return results
 
 

@@ -39,8 +39,8 @@ Each member keeps its own stream, random generators, buffer block, attack
 counts and log, and gets exactly the bits it would get trained alone;
 ``train_stream`` is the same loop with one member and a plain model. All
 randomness flows through per-purpose numpy Generators derived from the run
-seed, so runs are bit-reproducible; evaluation draws from a separate seed
-and never disturbs training.
+seed, so runs are bit-reproducible; evaluation draws from generators
+seeded by (0, step, task) alone and never disturbs training.
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ class TrainConfig:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.epochs_per_task < 1 or self.batch_size < 1:
             raise ValueError("epochs_per_task and batch_size must be >= 1")
+        if self.replay_batch_size is not None and self.replay_batch_size < 1:
+            raise ValueError(f"replay_batch_size must be >= 1, got {self.replay_batch_size}")
         if self.buffer_capacity < 0:
             raise ValueError("buffer_capacity must be >= 0")
         if self.eat_external_epochs < 1:
@@ -107,7 +109,6 @@ class EvalSpec:
     """Held-out per-task test stream plus the attack used for robustness."""
     stream: TaskStream
     attack: AttackConfig
-    seed: int = 0
 
 
 @dataclass
@@ -290,8 +291,7 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
     return stepped
 
 
-def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds,
-                 counts: dict | None = None
+def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds, counts: dict
                  ) -> list[tuple[MLPModel, np.random.Generator]]:
     """Throwaway external models for a task, one per seed, trained in lockstep.
 
@@ -316,8 +316,7 @@ def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds,
             idx = perms[:, s:s + cfg.batch_size].ravel()  # member-major blocks
             xb, yb = x[idx], y[idx]
             adv = attack(ext, xb, yb, cfg.attack, _rng_arg(atk_rngs))
-            if counts is not None:
-                counts["external"] += len(idx)
+            counts["external"] += len(idx)
             _, grads = loss_and_grads(ext, adv, lambda z: softmax_ce(z, yb))
             ext = sgd_step(ext, grads, cfg.lr)
     return list(zip(_split(ext), atk_rngs))
@@ -391,13 +390,12 @@ def _snapshot(model, step: int, train_stream: TaskStream,
               eval_spec: EvalSpec | None, cfg: TrainConfig) -> MetricsRecord:
     stream = eval_spec.stream if eval_spec is not None else train_stream
     atk = eval_spec.attack if eval_spec is not None else cfg.attack
-    eval_seed = eval_spec.seed if eval_spec is not None else 0
     accs, robs = [], []
     for t in range(step + 1):
         data = stream.tasks[t].data
         accs.append(clean_accuracy(model, data))
         robs.append(robustness(model, data, atk,
-                               np.random.default_rng([eval_seed, step, t])))
+                               np.random.default_rng([0, step, t])))
     return MetricsRecord(step, accs, robs, float(np.mean(accs)), float(np.mean(robs)))
 
 

@@ -8,7 +8,8 @@ next to its budget, since pytest's durations table charges all of them
 to the first test that uses the fixture, and the sha256 prefixes of its
 metrics.csv and rates.csv, so a log shows whether outputs moved. The
 digests depend on the BLAS build, so nothing asserts them. Every run's
-summary also prints the line counts of src/eatcl and of strategies.py.
+summary also prints the line counts of src/eatcl and of strategies.py, and
+the number of config keys.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from eatcl.runner import parse_config, run_experiment
+from eatcl.runner import default_config, parse_config, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src" / "eatcl"
@@ -78,11 +79,13 @@ def pytest_terminal_summary(terminalreporter, config):
     """Each shipped config's wall-clock seconds, with the budget that
     test_acceptance.py holds it to: the toy pair 120 s together, each
     stream config 300 s; and each config's output digests. First, on
-    every run, the line counts of src/eatcl and strategies.py."""
+    every run, the line counts of src/eatcl and strategies.py and the
+    number of config keys."""
     lines = {p.name: len(p.read_text().splitlines()) for p in SRC_DIR.glob("*.py")}
     terminalreporter.section("source size")
     terminalreporter.write_line(f"src/eatcl {sum(lines.values())} lines, "
-                                f"{lines['strategies.py']} of them in strategies.py")
+                                f"{lines['strategies.py']} of them in strategies.py; "
+                                f"{len(default_config())} config keys")
     runs = config.stash.get(RUNS, {})
     if not runs:
         return

@@ -21,7 +21,6 @@ train.hidden = 3
 attack.eps = 0.1
 attack.alpha = 0.1
 attack.iters = 2
-grid.resolution = 6
 """
 
 
@@ -43,6 +42,25 @@ def test_validate_bad_config(tmp_path, capsys):
     p.write_text("no_such_key = 1\n")
     assert main(["validate", str(p)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("seeds = 0 1", "seeds = 0 -1"),
+    ("crescents.per_class = 25", "crescents.per_class = 0"),
+    ("crescents.test_per_class = 20", "crescents.test_per_class = 0"),
+    ("dataset = crescents", "dataset = blobs\nblobs.per_class = 0"),
+])
+def test_bad_seed_or_dataset_value_fails_before_any_file(old, new, tmp_path, capsys):
+    p = tmp_path / "bad.conf"
+    p.write_text(CONF.replace(old, new))
+    out_dir = tmp_path / "out"
+    for argv in (["validate", str(p)], ["run", str(p), "--out", str(out_dir)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error"), err
+        assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_missing_file_exit_code(capsys):

@@ -10,12 +10,13 @@ import pytest
 
 import eatcl.runner
 from eatcl.cli import main
+from eatcl.attacks import AttackConfig
 from eatcl.runner import (ConfigError, RunResult, _write_metrics_csv,
-                          _write_rates_csv, build_eval_attack, build_streams,
-                          build_train_config, default_config, emit_config,
-                          format_summary_table, load_model_json, parse_config,
-                          run_experiment, summarize_results)
-from eatcl.strategies import EvalSpec, train_stream
+                          _write_rates_csv, build_attack, build_eval_attack,
+                          build_streams, build_train_config, default_config,
+                          emit_config, format_summary_table, load_model_json,
+                          parse_config, run_experiment, summarize_results)
+from eatcl.strategies import EvalSpec, TrainConfig, train_stream
 
 TINY = """
 experiment = unit
@@ -37,7 +38,6 @@ attack.eps = 0.05
 attack.alpha = 0.02
 attack.iters = 2
 save.models = false
-save.grids = false
 """
 
 
@@ -57,6 +57,14 @@ def test_parse_then_emit_round_trip():
 def test_unknown_key_reports_line():
     with pytest.raises(ConfigError, match="line 2.*mystery"):
         parse_config("experiment = x\nmystery = 1\n")
+
+
+def test_removed_keys_are_unknown():
+    for line in ("save.grids = false", "grid.resolution = 8", "attack.clip = 0 1",
+                 "eval.attack.random_start = true", "eval.seed = 0"):
+        key = line.partition(" ")[0]
+        with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+            parse_config(f"experiment = x\n{line}\n")
 
 
 def test_duplicate_key_rejected():
@@ -86,6 +94,8 @@ def test_validation_errors():
         parse_config("dataset = mnist\n")
     with pytest.raises(ConfigError, match="distinct"):
         parse_config("seeds = 1 1\n")
+    with pytest.raises(ConfigError, match="seeds must be >= 0"):
+        parse_config("seeds = 0 -1\n")
     with pytest.raises(ConfigError):
         parse_config("attack.eps = -0.5\n")
     with pytest.raises(ConfigError):
@@ -101,6 +111,12 @@ def test_eval_attack_inherits_then_overrides():
     ev2 = build_eval_attack(cfg2)
     assert ev2.eps == 0.3 and ev2.iters == 1
     assert ev2.alpha == cfg2["attack.alpha"]
+
+
+def test_cli_and_library_defaults_agree():
+    # _SCHEMA and the dataclasses each spell out the defaults
+    assert build_train_config(default_config(), seed=0) == TrainConfig()
+    assert build_attack(default_config()) == AttackConfig()
 
 
 def test_build_train_config_wires_fields():
@@ -123,6 +139,20 @@ def test_nonpositive_lr_rejected_before_training(tmp_path, monkeypatch):
                         lambda *a, **k: trained.append(a))
     conf = tmp_path / "bad.conf"
     conf.write_text("train.lr = 0\n")
+    assert main(["run", str(conf), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert trained == [] and not (tmp_path / "out").exists()
+
+
+def test_nonpositive_replay_batch_size_rejected_before_training(tmp_path, monkeypatch):
+    for bad in ("0", "-1"):
+        with pytest.raises(ConfigError, match="replay_batch_size must be >= 1"):
+            parse_config(f"train.replay_batch_size = {bad}\n")
+    assert parse_config("train.replay_batch_size = 1\n")["train.replay_batch_size"] == 1
+    trained = []
+    monkeypatch.setattr(eatcl.runner, "train_streams",
+                        lambda *a, **k: trained.append(a))
+    conf = tmp_path / "bad.conf"
+    conf.write_text("train.replay_batch_size = -1\n")
     assert main(["run", str(conf), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert trained == [] and not (tmp_path / "out").exists()
 
@@ -186,7 +216,7 @@ def test_lockstep_grid_writes_the_csvs_of_cells_run_alone(tmp_path):
     alone = []
     for seed in cfg["seeds"]:
         train_s, test_s = build_streams(cfg, seed)
-        spec = EvalSpec(test_s, build_eval_attack(cfg), cfg["eval.seed"])
+        spec = EvalSpec(test_s, build_eval_attack(cfg))
         for strat in cfg["strategies"]:
             model, log = train_stream(train_s, strat, build_train_config(cfg, seed), spec)
             alone.append(RunResult(f"{strat}_s{seed}", strat, seed, model, log))
@@ -221,8 +251,7 @@ def test_model_artifact_round_trip(tmp_path):
                                atol=0)
 
 
-def test_crescent_run_writes_grid(tmp_path):
-    text = """
+CRESCENTS = """
 experiment = grids
 dataset = crescents
 strategies = joint
@@ -236,18 +265,29 @@ train.hidden = 3
 attack.eps = 0.1
 attack.alpha = 0.1
 attack.iters = 2
-grid.resolution = 8
 """
-    cfg = parse_config(text)
-    run_experiment(cfg, str(tmp_path / "g"), quiet=True)
-    grid_path = tmp_path / "g" / "grids" / "joint_s0.csv"
-    assert grid_path.exists()
-    lines = grid_path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,class"
-    assert len(lines) == 1 + 8 * 8
+
+
+def test_crescent_run_saves_model_bounds_for_the_grid_command(tmp_path):
+    # a run writes no grids; `eatcl grid` renders one from the saved model
+    run_experiment(parse_config(CRESCENTS), str(tmp_path / "g"), quiet=True)
+    assert sorted(p.name for p in (tmp_path / "g").iterdir()) == [
+        "config.resolved.conf", "manifest.json", "metrics.csv", "models",
+        "rates.csv", "summary.json"]
     model_path = tmp_path / "g" / "models" / "joint_s0.json"
     _, bounds = load_model_json(str(model_path))
     assert set(bounds) == {"x", "y"}
+    grid_path = tmp_path / "grid.csv"
+    assert main(["grid", str(model_path), "--res", "8", "--out", str(grid_path)]) == 0
+    lines = grid_path.read_text().strip().splitlines()
+    assert lines[0] == "x,y,class"
+    assert len(lines) == 1 + 8 * 8
+
+
+def test_models_dir_only_with_save_models(tmp_path):
+    cfg = parse_config(CRESCENTS + "save.models = false\n")
+    run_experiment(cfg, str(tmp_path / "n"), quiet=True)
+    assert not (tmp_path / "n" / "models").exists()
 
 
 def test_summary_math():

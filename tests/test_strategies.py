@@ -170,8 +170,10 @@ def test_eat_generate_ball_and_labels():
     task = stream.tasks[0]
     cfg = _cfg(eat_external_epochs=2,
                attack=AttackConfig(eps=0.07, alpha=0.03, iters=3))
-    externals = eat_generate(task, (8, 6, 2), cfg, [[5, 4, 0], [5, 4, 0, 1]])
+    counts = {"external": 0}
+    externals = eat_generate(task, (8, 6, 2), cfg, [[5, 4, 0], [5, 4, 0, 1]], counts)
     assert len(externals) == 2
+    assert counts == {"external": 2 * 2 * len(task.data)}  # epochs x members x rows
     ae = Dataset(_eat_copy(task, externals[0], cfg), task.data.y.copy())
     assert len(ae) == len(task.data)
     np.testing.assert_array_equal(ae.y, task.data.y)
@@ -186,9 +188,9 @@ def test_eat_generate_independent_of_target_model():
     stream = _small_stream(6, tasks=1)
     task = stream.tasks[0]
     cfg = _cfg()
-    a = eat_generate(task, (8, 6, 2), cfg, [[1, 4, 0]])
+    a = eat_generate(task, (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
     train_stream(stream, "er", cfg)  # unrelated training in between
-    b = eat_generate(task, (8, 6, 2), cfg, [[1, 4, 0]])
+    b = eat_generate(task, (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
     np.testing.assert_array_equal(_eat_copy(task, a[0], cfg), _eat_copy(task, b[0], cfg))
 
 
@@ -219,7 +221,7 @@ def test_eat_lockstep_members_equal_members_trained_alone():
                 AttackConfig(eps=0.2, alpha=0.1, iters=2, random_start=False,
                              clip=(-1.0, 1.0))):
         cfg = _cfg(eat_external_epochs=2, batch_size=13, attack=atk)
-        lockstep = eat_generate(task, (8, 5, 4, 2), cfg, seeds)
+        lockstep = eat_generate(task, (8, 5, 4, 2), cfg, seeds, {"external": 0})
         for seed, member in zip(seeds, lockstep):
             ref_model, ref_copy = _external_alone(task, (8, 5, 4, 2), cfg, seed)
             assert _models_equal(member[0], ref_model)
@@ -232,7 +234,7 @@ def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
     stream = _small_stream(21)
     calls = []
 
-    def recording(task, layer_sizes, cfg, seeds, counts=None):
+    def recording(task, layer_sizes, cfg, seeds, counts):
         calls.append((task.index, seeds))
         return eat_generate(task, layer_sizes, cfg, seeds, counts)
 
@@ -412,7 +414,7 @@ def test_eval_spec_uses_held_out_stream():
     test_s = gen_blob_stream(3, 2, 8, 30, separation=1.5, noise=0.3,
                              seed=16, sample_seed=[16, 2])
     atk = AttackConfig(eps=0.05, alpha=0.02, iters=2)
-    spec = EvalSpec(stream=test_s, attack=atk, seed=0)
+    spec = EvalSpec(stream=test_s, attack=atk)
     _, log_a = train_stream(train_s, "er", _cfg(), spec)
     _, log_b = train_stream(train_s, "er", _cfg())
     # held-out accuracy differs from train accuracy in general
@@ -467,7 +469,7 @@ def test_lockstep_runs_equal_runs_alone():
     seeds = (5, 6, 7)
     streams = [_small_stream(30 + s) for s in seeds]
     atk = AttackConfig(eps=0.05, alpha=0.02, iters=2)
-    specs = [EvalSpec(stream=_small_stream(40 + s), attack=atk, seed=1) for s in seeds]
+    specs = [EvalSpec(stream=_small_stream(40 + s), attack=atk) for s in seeds]
     for strategy, at_mix, refresh in itertools.product(
             STRATEGIES, ("replace", "union"), (False, True)):
         cfgs = [_cfg(seed=s, epochs_per_task=2, batch_size=13, replay_batch_size=7,

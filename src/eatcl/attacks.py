@@ -8,11 +8,12 @@ x: a single signed-gradient step of size eps with no random start, which
 the projection leaves as it is. Range clipping (e.g. to [0, 1] for
 image-like data) is optional and applied after the ball projection.
 
-A step is a fixed function of the batch, so PGD stops early once the whole
-batch is back at its state of two steps ago: from there it only alternates
-between its two latest states (a fixed point is the case where they are
-equal), and the attack returns the one that the remaining steps would end
-on. The output is bit for bit that of taking every step.
+A step is a fixed function of the batch, so PGD stops early once a step
+returns the whole batch to the state it started from (a fixed point) or to
+the state of two steps ago (a cycle of two): from there it only alternates
+between its two latest states, and the attack returns the one that the
+remaining steps would end on. The output is bit for bit that of taking
+every step.
 
 Attacks never relabel: outputs pair with the original labels.
 
@@ -76,9 +77,10 @@ def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
 
     The batch, the generators and the labels are checked once, before the
     first step; every step taken is one forward and one input-only backward
-    pass, which still rejects non-finite logits. Once a step repeats the
-    state of two steps before, the loop stops and returns the state that
-    taking every remaining step would end on: the same bits, fewer passes.
+    pass, which still rejects non-finite logits. Once a step returns the
+    state it started from or the one before, the loop stops and returns the
+    state that taking every remaining step would end on: the same bits,
+    fewer passes.
     """
     x = check_input(model, x)
     stacked = x.ndim == 3
@@ -96,19 +98,24 @@ def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
         if cfg.clip is not None:
             adv = np.clip(adv, cfg.clip[0], cfg.clip[1])
     lo, hi = x - cfg.eps, x + cfg.eps
-    before = None  # the state one step before adv
+    # the bytes (-0.0 is not 0.0) of adv and of the state before it, each
+    # taken once, by the step that made it
+    back1, back2 = (adv.tobytes() if iters > 1 else None), None
     for k in range(iters):
         new = adv + alpha * np.sign(ce_input_grad(model, adv, targets))
         new = project_linf(new, lo, hi)
         if cfg.clip is not None:
             new = np.clip(new, cfg.clip[0], cfg.clip[1])
-        # back at the bits of two steps ago (as bytes, -0.0 is not 0.0): from
-        # here the batch only alternates between its two latest states
-        if 0 < k < iters - 1 and new.tobytes() == before.tobytes():
-            if (iters - 1 - k) % 2 == 0:  # an even number of steps left
-                adv = new
-            break
-        before, adv = adv, new
+        if k < iters - 1:
+            key = new.tobytes()
+            # back at adv (a fixed point) or at the state before it: from
+            # here the batch only alternates between adv and new
+            if key == back1 or key == back2:
+                if (iters - 1 - k) % 2 == 0:  # an even number of steps left
+                    adv = new
+                break
+            back2, back1 = back1, key
+        adv = new
     return adv.reshape(-1, x.shape[-1]) if stacked else adv
 
 

@@ -5,7 +5,8 @@ Subcommands:
 * ``run <config>`` — execute the experiment grid and write artifacts.
 * ``validate <config>`` — check a config and its first seed's data, no training.
 * ``grid <model.json>`` — decision-boundary grid CSV from a saved model.
-* ``report <out_dir>`` — reprint the summary table of a finished run.
+* ``report <out_dir> [<out_dir> ...]`` — reprint the summary tables of
+  finished runs, in the order given.
 
 The output root defaults to ``--out``, then the EATCL_OUT environment
 variable, then ``runs/<experiment>`` under the working directory.
@@ -76,8 +77,14 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    summary = runner.load_summary(args.out_dir)
-    print(runner.format_summary_table(summary))
+    tables = []  # every summary is read before anything is printed
+    for out_dir in args.out_dirs:
+        try:
+            tables.append(runner.format_summary_table(runner.load_summary(out_dir)))
+        except (ValueError, KeyError, TypeError) as exc:
+            print(f"unreadable summary in {out_dir}: {exc!r}", file=sys.stderr)
+            return 2
+    print("\n".join(tables))
     return 0
 
 
@@ -108,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("XLO", "XHI", "YLO", "YHI"))
     p.set_defaults(func=_cmd_grid)
 
-    p = sub.add_parser("report", help="reprint the summary table of a run")
-    p.add_argument("out_dir")
+    p = sub.add_parser("report", help="reprint the summary tables of runs")
+    p.add_argument("out_dirs", nargs="+", metavar="out_dir")
     p.set_defaults(func=_cmd_report)
     return parser
 

@@ -140,9 +140,12 @@ def imbalance_subsample(d: Dataset, keep_fraction_per_class: dict, seed=0) -> Da
 
     keep_fraction_per_class maps class id -> fraction in (0, 1]; classes not
     in the map keep everything. Resulting class sizes are
-    round(fraction * original size); an empty class is an error.
+    round(fraction * original size); an empty class, or a key that is not
+    one of d.classes, is an error.
     """
     for c, f in keep_fraction_per_class.items():
+        if c not in d.classes:
+            raise ValueError(f"class {c} is not one of the data's classes {sorted(d.classes)}")
         if not 0 < f <= 1:
             raise ValueError(f"fraction for class {c} must be in (0, 1], got {f}")
     rng = np.random.default_rng(seed)

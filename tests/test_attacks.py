@@ -292,6 +292,14 @@ def test_pgd_exit_fires_on_a_cycling_batch(grad_passes):
     assert grad_passes[0] < 10
     ref = pgd_every_step(model, x, y, cfg, np.random.default_rng(33))
     assert got.tobytes() == ref.tobytes()
+    # in a ball this small no gradient sign changes, so the first step from
+    # x reaches a corner and the second returns it: a fixed point, found
+    # there rather than one step later as a cycle back to the corner
+    cfg = AttackConfig(kind="pgd", eps=0.001, alpha=0.001, iters=10, random_start=False)
+    grad_passes[0] = 0
+    got = attack(model, x, y, cfg)
+    assert grad_passes[0] == 2
+    assert got.tobytes() == pgd_every_step(model, x, y, cfg).tobytes()
 
 
 def test_pgd_exit_only_when_the_batch_repeats(grad_passes):

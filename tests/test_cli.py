@@ -79,6 +79,43 @@ def test_run_then_report_same_table(conf_path, tmp_path, capsys):
     assert report_table == run_table
 
 
+def _report(capsys, *dirs):
+    code = main(["report", *map(str, dirs)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_report_prints_each_run_in_argument_order(conf_path, tmp_path, capsys):
+    both, one = tmp_path / "both", tmp_path / "one"
+    assert main(["run", str(conf_path), "--out", str(both), "--quiet"]) == 0
+    assert main(["run", str(conf_path), "--out", str(one), "--seed", "1", "--quiet"]) == 0
+    _, both_out, _ = _report(capsys, both)
+    _, one_out, _ = _report(capsys, one)
+    assert both_out != one_out
+    assert _report(capsys, both, one) == (0, both_out + one_out, "")
+    assert _report(capsys, one, both) == (0, one_out + both_out, "")
+
+
+def test_report_rejects_a_bad_summary_before_printing(conf_path, tmp_path, capsys):
+    good = tmp_path / "good"
+    assert main(["run", str(conf_path), "--out", str(good), "--quiet"]) == 0
+    for name, text in (("truncated", "{"), ("empty", "{}")):
+        bad = tmp_path / name
+        bad.mkdir()
+        (bad / "summary.json").write_text(text)
+        for dirs in ((bad,), (good, bad), (bad, good)):
+            code, out, err = _report(capsys, *dirs)
+            assert code == 2 and out == "", (name, dirs)
+            err = err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith(f"unreadable summary in {bad}"), err
+    # a missing directory keeps its one "not found" line and exit 1
+    for dirs in ((tmp_path / "missing",), (good, tmp_path / "missing")):
+        code, out, err = _report(capsys, *dirs)
+        assert code == 1 and out == ""
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("not found"), err
+
+
 def test_run_quiet_prints_nothing(conf_path, tmp_path, capsys):
     out_dir = tmp_path / "quiet"
     assert main(["run", str(conf_path), "--out", str(out_dir), "--quiet"]) == 0

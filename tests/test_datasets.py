@@ -66,6 +66,9 @@ def test_imbalance_subsample_validation():
         imbalance_subsample(d, {1: 1.5})
     with pytest.raises(ValueError):
         imbalance_subsample(d, {1: 0.01})  # would round to zero rows
+    for unknown in ({5: 0.5}, {1: 0.5, -1: 0.5}):
+        with pytest.raises(ValueError, match="not one of the data's classes"):
+            imbalance_subsample(d, unknown)
 
 
 def test_split_by_classes_ascending_and_disjoint():

@@ -182,6 +182,20 @@ def test_build_streams_crescent_imbalance_train_only():
     assert int(np.sum(yte == 0)) == 80 and int(np.sum(yte == 1)) == 80
 
 
+def test_unknown_minority_class_rejected_before_training(tmp_path, monkeypatch):
+    # a minority class the crescents lack would otherwise train on balanced data
+    text = "dataset = crescents\ncrescents.minority_class = 5\ncrescents.minority_fraction = 0.5\n"
+    with pytest.raises(ConfigError, match="class 5 is not one of"):
+        build_streams(parse_config(text), seed=0)
+    trained = []
+    monkeypatch.setattr(eatcl.runner, "train_streams",
+                        lambda *a, **k: trained.append(a))
+    conf = tmp_path / "bad.conf"
+    conf.write_text(text)
+    assert main(["run", str(conf), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert trained == [] and not (tmp_path / "out").exists()
+
+
 def test_run_experiment_artifacts_and_determinism(tmp_path):
     cfg = parse_config(TINY)
     out1 = tmp_path / "a"

@@ -29,13 +29,14 @@ def _read_config(path: str) -> dict:
 
 def _cmd_run(args) -> int:
     cfg = _read_config(args.config)
+    if args.seed is not None:  # validated, and written to config.resolved.conf
+        cfg = runner.parse_config(runner.emit_config({**cfg, "seeds": (args.seed,)}))
     if args.out is not None:
         out_dir = args.out
     else:
         root = os.environ.get("EATCL_OUT", "runs")
         out_dir = os.path.join(root, cfg["experiment"])
-    seeds = [args.seed] if args.seed is not None else None
-    runner.run_experiment(cfg, out_dir, quiet=args.quiet, seeds=seeds)
+    runner.run_experiment(cfg, out_dir, quiet=args.quiet)
     if not args.quiet:
         print(f"artifacts written to {out_dir}")
     return 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,6 +42,13 @@ def _parse_bool(s: str) -> bool:
     if low in ("false", "no", "0", "off"):
         return False
     raise ValueError(f"not a boolean: {s!r}")
+
+
+def _parse_float(s: str) -> float:
+    value = float(s)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {s!r}")
+    return value
 
 
 def _parse_int_list(s: str) -> tuple[int, ...]:
@@ -75,51 +82,54 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# key -> (parser, default). None defaults for eval.attack.* mean "inherit
-# from attack.*"; resolution happens in build_eval_attack.
+# key -> (parser, default); a train.<name> or attack.<name> key is (parser,):
+# it sets the TrainConfig or AttackConfig field <name> and takes its default.
+# An eval.attack.* key left None inherits attack.* (see build_eval_attack).
 _SCHEMA: dict[str, tuple] = {
     "experiment": (str, "experiment"),
     "dataset": (str, "blobs"),
     "strategies": (_parse_str_list, ("er",)),
     "seeds": (_parse_int_list, (0,)),
     "crescents.per_class": (int, 1000),
-    "crescents.noise": (float, 0.015),
+    "crescents.noise": (_parse_float, 0.015),
     "crescents.minority_class": (int, 1),
-    "crescents.minority_fraction": (float, 1.0),
+    "crescents.minority_fraction": (_parse_float, 1.0),
     "crescents.test_per_class": (int, 1000),
     "blobs.tasks": (int, 5),
     "blobs.classes_per_task": (int, 2),
     "blobs.dim": (int, 16),
     "blobs.per_class": (int, 500),
     "blobs.test_per_class": (int, 200),
-    "blobs.separation": (float, 0.09),
-    "blobs.noise": (float, 0.05),
-    "train.epochs_per_task": (int, 50),
-    "train.batch_size": (int, 32),
-    "train.lr": (float, 0.1),
-    "train.buffer_capacity": (int, 200),
-    "train.hidden": (_parse_int_list, (32,)),
-    "train.replay_batch_size": (_optional(int), None),
-    "train.at_mix": (str, "replace"),
-    "train.eat_external_epochs": (int, 10),
-    "train.eat_refresh": (_parse_bool, False),
-    "train.der_alpha": (float, 0.5),
-    "train.derpp_beta": (float, 0.5),
-    "attack.kind": (str, "pgd"),
-    "attack.eps": (float, 0.0314),
-    "attack.alpha": (float, 0.0078),
-    "attack.iters": (int, 4),
-    "attack.random_start": (_parse_bool, True),
+    "blobs.separation": (_parse_float, 0.09),
+    "blobs.noise": (_parse_float, 0.05),
+    "train.epochs_per_task": (int,),
+    "train.batch_size": (int,),
+    "train.lr": (_parse_float,),
+    "train.buffer_capacity": (int,),
+    "train.hidden": (_parse_int_list,),
+    "train.replay_batch_size": (_optional(int),),
+    "train.at_mix": (str,),
+    "train.eat_external_epochs": (int,),
+    "train.eat_refresh": (_parse_bool,),
+    "train.der_alpha": (_parse_float,),
+    "train.derpp_beta": (_parse_float,),
+    "attack.kind": (str,),
+    "attack.eps": (_parse_float,),
+    "attack.alpha": (_parse_float,),
+    "attack.iters": (int,),
+    "attack.random_start": (_parse_bool,),
     "eval.attack.kind": (_optional(str.strip), None),
-    "eval.attack.eps": (_optional(float), None),
-    "eval.attack.alpha": (_optional(float), None),
+    "eval.attack.eps": (_optional(_parse_float), None),
+    "eval.attack.alpha": (_optional(_parse_float), None),
     "eval.attack.iters": (_optional(int), None),
     "save.models": (_parse_bool, True),
 }
 
 
 def default_config() -> dict:
-    return {k: d for k, (_, d) in _SCHEMA.items()}
+    defaults = {f"{prefix}.{f.name}": f.default for prefix, cls in
+                (("train", TrainConfig), ("attack", AttackConfig)) for f in fields(cls)}
+    return {k: spec[1] if len(spec) > 1 else defaults[k] for k, spec in _SCHEMA.items()}
 
 
 def parse_config(text: str) -> dict:
@@ -168,49 +178,34 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("seeds must be distinct")
     if min(cfg["seeds"]) < 0:
         raise ConfigError("seeds must be >= 0")
-    if cfg["attack.kind"] not in ("fgsm", "pgd"):
-        raise ConfigError(f"attack.kind must be 'fgsm' or 'pgd', got {cfg['attack.kind']!r}")
-    ek = cfg["eval.attack.kind"]
-    if ek is not None and ek not in ("fgsm", "pgd"):
-        raise ConfigError(f"eval.attack.kind must be 'fgsm' or 'pgd', got {ek!r}")
     if not (0.0 < cfg["crescents.minority_fraction"] <= 1.0):
         raise ConfigError("crescents.minority_fraction must be in (0, 1]")
-    # Delegate numeric range checks to the dataclasses so the CLI and the
-    # library reject identical configs for identical reasons.
+    # Delegate the checks of train.* and attack.* values to the dataclasses
+    # so the CLI and the library reject identical configs for identical reasons.
     try:
-        build_train_config(cfg, seed=0)
+        build_train_config(cfg)
         build_eval_attack(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+def _under(cfg: dict, prefix: str) -> dict:
+    """The values of cfg's <prefix>.<name> keys, by name."""
+    return {k[len(prefix) + 1:]: v for k, v in cfg.items() if k.startswith(prefix + ".")}
+
+
 def build_attack(cfg: dict) -> AttackConfig:
-    return AttackConfig(kind=cfg["attack.kind"], eps=cfg["attack.eps"],
-                        alpha=cfg["attack.alpha"], iters=cfg["attack.iters"],
-                        random_start=cfg["attack.random_start"])
+    return AttackConfig(**_under(cfg, "attack"))
 
 
 def build_eval_attack(cfg: dict) -> AttackConfig:
     """The training attack with every eval.attack.* value that is set."""
-    over = {k: cfg[f"eval.attack.{k}"]
-            for k in ("kind", "eps", "alpha", "iters")}
-    return replace(build_attack(cfg), **{k: v for k, v in over.items() if v is not None})
+    over = {k: v for k, v in _under(cfg, "eval.attack").items() if v is not None}
+    return replace(build_attack(cfg), **over)
 
 
-def build_train_config(cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(epochs_per_task=cfg["train.epochs_per_task"],
-                       batch_size=cfg["train.batch_size"],
-                       lr=cfg["train.lr"],
-                       buffer_capacity=cfg["train.buffer_capacity"],
-                       attack=build_attack(cfg),
-                       eat_external_epochs=cfg["train.eat_external_epochs"],
-                       der_alpha=cfg["train.der_alpha"],
-                       derpp_beta=cfg["train.derpp_beta"],
-                       seed=seed,
-                       hidden_sizes=cfg["train.hidden"],
-                       replay_batch_size=cfg["train.replay_batch_size"],
-                       at_mix=cfg["train.at_mix"],
-                       eat_refresh=cfg["train.eat_refresh"])
+def build_train_config(cfg: dict) -> TrainConfig:
+    return TrainConfig(attack=build_attack(cfg), **_under(cfg, "train"))
 
 
 def build_streams(cfg: dict, seed: int) -> tuple[TaskStream, TaskStream]:
@@ -287,8 +282,7 @@ class RunResult:
     log: RunLog
 
 
-def run_experiment(cfg: dict, out_dir: str, quiet: bool = False,
-                   seeds=None) -> list[RunResult]:
+def run_experiment(cfg: dict, out_dir: str, quiet: bool = False) -> list[RunResult]:
     """Execute the full strategy x seed grid and write all artifacts.
 
     Every seed's streams are built before anything is written, so a
@@ -298,7 +292,7 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False,
     run list keep the seed-major order (for each seed, each strategy), and
     a run's train_seconds is its group's time divided by the group's size.
     """
-    seeds = list(cfg["seeds"] if seeds is None else seeds)
+    seeds = cfg["seeds"]
     streams = [build_streams(cfg, seed) for seed in seeds]
     os.makedirs(out_dir, exist_ok=True)
     if cfg["save.models"]:
@@ -311,13 +305,13 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False,
                  "summary.json"]
     seconds: dict[str, float] = {}
     specs = [EvalSpec(stream=test_s, attack=eval_attack) for _, test_s in streams]
+    tcfg = build_train_config(cfg)
     # cells[j][i]: strategy j, seed i; each strategy's seeds train as one
     # lockstep group
     cells: list[list[RunResult]] = []
     for strat in cfg["strategies"]:
-        tcfgs = [build_train_config(cfg, seed) for seed in seeds]
         started = time.perf_counter()
-        trained = train_streams([train_s for train_s, _ in streams], strat, tcfgs, specs)
+        trained = train_streams([train_s for train_s, _ in streams], strat, tcfg, seeds, specs)
         per_run = (time.perf_counter() - started) / len(seeds)
         cells.append([])
         for seed, (train_s, _), (model, log) in zip(seeds, streams, trained):

@@ -27,7 +27,7 @@ examples replace their clean sources; `at_mix="union"` trains both), while
 distillation batch always stays clean, since stored logits pair with clean
 inputs, and only clean current-task rows ever enter the buffer.
 
-Runs of one strategy that differ only in their seed share every shape, so
+Runs of one strategy under one TrainConfig differ only in their seed, so
 ``train_streams`` trains them together, in lockstep: their target models
 are the members of one model stacked on the leading model axis of the one
 gradient kernel, and every step gathers all members' batches with one
@@ -45,7 +45,7 @@ seeded by (0, step, task) alone and never disturbs training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,8 +79,7 @@ class TrainConfig:
     eat_external_epochs: int = 10
     der_alpha: float = 0.5
     derpp_beta: float = 0.5
-    seed: int = 0
-    hidden_sizes: tuple[int, ...] = (32,)
+    hidden: tuple[int, ...] = (32,)  # hidden layer widths
     replay_batch_size: int | None = None  # None -> batch_size
     at_mix: str = "replace"  # "replace" | "union"
     eat_refresh: bool = False  # regenerate the adversarial task copy every epoch
@@ -100,7 +99,7 @@ class TrainConfig:
             raise ValueError("loss weights must be >= 0")
         if self.at_mix not in ("replace", "union"):
             raise ValueError(f"at_mix must be 'replace' or 'union', got {self.at_mix!r}")
-        if not all(h >= 1 for h in self.hidden_sizes):
+        if not all(h >= 1 for h in self.hidden):
             raise ValueError("hidden sizes must be >= 1")
 
 
@@ -149,8 +148,8 @@ class _Member:
     """One run of a lockstep group: everything but the stacked target model
     and the group's replay buffer is its own."""
     stream: TaskStream
-    cfg: TrainConfig
-    eval_spec: EvalSpec | None
+    seed: int
+    eval_spec: EvalSpec
     rngs: _Rngs
     log: RunLog = field(default_factory=RunLog)
     # this epoch's current-task (adversarial rows, labels) for its attack
@@ -340,8 +339,8 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
     if robust == "eat":
         # EAT never trains joint, so the task index is the stream step
         later = range(1, cfg.epochs_per_task) if cfg.eat_refresh else ()
-        seeds = [[_sub(m.cfg.seed, 4, index)]
-                 + [_sub(m.cfg.seed, 4, index, e) for e in later] for m in members]
+        seeds = [[_sub(m.seed, 4, index)] + [_sub(m.seed, 4, index, e) for e in later]
+                 for m in members]
         externals = [eat_generate(t, model.layer_sizes, cfg, member_seeds,
                                   m.log.attack_counts)
                      for t, member_seeds, m in zip(tasks, seeds, members)]
@@ -386,48 +385,41 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
     return model
 
 
-def _snapshot(model, step: int, train_stream: TaskStream,
-              eval_spec: EvalSpec | None, cfg: TrainConfig) -> MetricsRecord:
-    stream = eval_spec.stream if eval_spec is not None else train_stream
-    atk = eval_spec.attack if eval_spec is not None else cfg.attack
+def _snapshot(model, step: int, spec: EvalSpec) -> MetricsRecord:
     accs, robs = [], []
     for t in range(step + 1):
-        data = stream.tasks[t].data
+        data = spec.stream.tasks[t].data
         accs.append(clean_accuracy(model, data))
-        robs.append(robustness(model, data, atk,
+        robs.append(robustness(model, data, spec.attack,
                                np.random.default_rng([0, step, t])))
     return MetricsRecord(step, accs, robs, float(np.mean(accs)), float(np.mean(robs)))
 
 
-def train_streams(streams, strategy: str, cfgs, eval_specs=None
+def train_streams(streams, strategy: str, cfg: TrainConfig, seeds, eval_specs
                   ) -> list[tuple[MLPModel, RunLog]]:
-    """train_stream for several runs at once, trained in lockstep: run e is
-    (streams[e], cfgs[e], eval_specs[e]), and it returns run e's
-    (model, log) in position e, bit for bit what train_stream gives it.
+    """train_stream for several runs of one config at once, trained in
+    lockstep: run e is (streams[e], seeds[e], eval_specs[e]), and it returns
+    run e's (model, log) in position e, bit for bit what train_stream gives it.
 
-    The configs may differ only in their seed, and the streams must give
-    one model shape and one size per task; otherwise ValueError, before any
-    training. One diverging run raises for all of them.
+    The streams must give one model shape and one size per task; otherwise
+    ValueError, before any training. One diverging run raises for all of
+    them.
     """
     replay, robust = parse_strategy(strategy)
-    eval_specs = [None] * len(streams) if eval_specs is None else list(eval_specs)
-    if not streams or not len(streams) == len(cfgs) == len(eval_specs):
-        raise ValueError("need one config and one eval spec (or None) per stream")
-    cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
-        raise ValueError("runs trained in lockstep may differ only in their seed")
+    if not streams or not len(streams) == len(seeds) == len(eval_specs):
+        raise ValueError("need one seed and one eval spec per stream")
     for stream, spec in zip(streams, eval_specs):
-        if spec is not None and len(spec.stream.tasks) != len(stream.tasks):
+        if len(spec.stream.tasks) != len(stream.tasks):
             raise ValueError("eval stream must have the same task structure")
-    shapes = {((s.input_dim, *cfg.hidden_sizes, max(s.all_classes) + 1),
+    shapes = {((s.input_dim, *cfg.hidden, max(s.all_classes) + 1),
                tuple(len(t.data) for t in s.tasks)) for s in streams}
     if len(shapes) != 1:
         raise ValueError(f"runs trained in lockstep need one model shape and one "
                          f"size per task, got (layer sizes, task sizes) {sorted(shapes)}")
     ((layer_sizes, _),) = shapes
-    model = _lockstep([init_model(layer_sizes, _sub(c.seed, 0)) for c in cfgs])
-    members = [_Member(s, c, spec, _Rngs.for_seed(c.seed))
-               for s, c, spec in zip(streams, cfgs, eval_specs)]
+    model = _lockstep([init_model(layer_sizes, _sub(seed, 0)) for seed in seeds])
+    members = [_Member(s, seed, spec, _Rngs.for_seed(seed))
+               for s, seed, spec in zip(streams, seeds, eval_specs)]
     buffer = ReplayBuffer(0 if replay == "joint" else cfg.buffer_capacity, len(members))
     last = len(streams[0].tasks) - 1
     if replay == "joint":  # (step, each member's task)
@@ -437,19 +429,20 @@ def train_streams(streams, strategy: str, cfgs, eval_specs=None
     for step, tasks in plan:
         model = _run_task(model, tasks, replay, robust, cfg, members, buffer)
         for m, single in zip(members, _split(model)):
-            m.log.records.append(_snapshot(single, step, m.stream, m.eval_spec, m.cfg))
+            m.log.records.append(_snapshot(single, step, m.eval_spec))
     return [(single, m.log) for single, m in zip(_split(model), members)]
 
 
-def train_stream(stream: TaskStream, strategy: str, cfg: TrainConfig,
-                 eval_spec: EvalSpec | None = None) -> tuple[MLPModel, RunLog]:
-    """Run one strategy over the stream; returns the trained target model and
-    a log of per-step metrics, per-epoch attack rates, and attack counts.
+def train_stream(stream: TaskStream, strategy: str, cfg: TrainConfig, seed: int,
+                 eval_spec: EvalSpec) -> tuple[MLPModel, RunLog]:
+    """Run one strategy over the stream from the run seed; returns the
+    trained target model and a log of per-step metrics, per-epoch attack
+    rates, and attack counts.
 
     The classifier head spans every class in the stream (single-head,
     no task ids). Metrics snapshots are taken after each task over all
-    tasks seen so far, on eval_spec's held-out stream when given, else on
-    the training data. Joint training is one merged task with an empty
-    buffer, trained and snapshotted at the last step.
+    tasks seen so far, on eval_spec's stream under its attack. Joint
+    training is one merged task with an empty buffer, trained and
+    snapshotted at the last step.
     """
-    return train_streams([stream], strategy, [cfg], [eval_spec])[0]
+    return train_streams([stream], strategy, cfg, [seed], [eval_spec])[0]

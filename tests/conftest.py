@@ -7,16 +7,19 @@ fixture ran, the terminal summary lists each config's wall-clock seconds
 next to its budget, since pytest's durations table charges all of them
 to the first test that uses the fixture, and the sha256 prefixes of its
 metrics.csv and rates.csv, so a log shows whether outputs moved. The
-digests depend on the BLAS build, so nothing asserts them. Every run's
-summary also prints the line counts of src/eatcl and of strategies.py, and
-the number of config keys.
+digests depend on the numeric build, so test_acceptance.py asserts them
+against tests/digests.json only on the build recorded there (build_facts).
+Every run's summary also prints the line counts of src/eatcl and of
+strategies.py, and the number of config keys.
 """
 
+import ctypes
 import hashlib
 import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eatcl.runner import default_config, parse_config, run_experiment
@@ -65,14 +68,43 @@ def shipped_runs(tmp_path_factory, pytestconfig) -> dict[str, ConfigRun]:
     return runs
 
 
-def _digests(run: ConfigRun) -> str:
-    """sha256 prefixes of the run's metrics.csv and rates.csv."""
-    out = []
+def output_digests(run: ConfigRun) -> dict[str, str]:
+    """sha256 of the run's metrics.csv and rates.csv, "-" for a missing file."""
+    out = {}
     for name in ("metrics.csv", "rates.csv"):
         path = run.out_dir / name
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:8] if path.exists() else "-"
-        out.append(f"{name} {digest}")
-    return "  ".join(out)
+        out[name] = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
+    return out
+
+
+def _openblas_core() -> str | None:
+    """The kernel set a DYNAMIC_ARCH OpenBLAS picked for this CPU when it
+    loaded, read from the library numpy loaded; None if none is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                    "openblas_get_corename"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
+def build_facts() -> dict:
+    """The numeric build that output bits depend on: the numpy version, its
+    BLAS, the SIMD extensions numpy found on this CPU, and the OpenBLAS core."""
+    info = np.show_config(mode="dicts")
+    blas = info["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "simd": info["SIMD Extensions"]["found"],
+            "openblas_core": _openblas_core()}
 
 
 def pytest_terminal_summary(terminalreporter, config):
@@ -98,5 +130,7 @@ def pytest_terminal_summary(terminalreporter, config):
     terminalreporter.section("shipped configs: wall-clock seconds, output digests")
     for name, s in seconds.items():
         budget = f" (budget {budgets[name]:.0f} s)" if name in budgets else ""
-        digests = f"  {_digests(runs[name])}" if name in runs else ""
+        digests = ""
+        if name in runs:
+            digests = "".join(f"  {f} {d[:8]}" for f, d in output_digests(runs[name]).items())
         terminalreporter.write_line(f"{name:<16} {s:7.1f} s{budget:<18}{digests}".rstrip())

@@ -4,15 +4,19 @@ One test per claim, in dependency order: the toy experiment's accuracy and
 robustness bands, gradient correctness against central finite differences,
 attack constraint invariants, reservoir retention statistics, the stream
 orderings under PGD and FGSM training, the previous-task attack-rate
-contract, and byte-level rerun determinism. Each test finishes with a PASS
-line carrying the measured numbers so a captured log tells the full story.
+contract, byte-level rerun determinism, and the shipped configs' recorded
+output digests. Each test finishes with a PASS line carrying the measured
+numbers so a captured log tells the full story.
 Wall-clock budgets assume a single desk-class core.
 """
 
 import csv
+import json
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from eatcl.attacks import AttackConfig, attack
 from eatcl.datasets import Dataset, Task
@@ -20,7 +24,9 @@ from eatcl.metrics import prev_task_rate
 from eatcl.nets import MLPModel, forward, init_model, loss_and_grads, softmax_ce
 from eatcl.replay import ReplayBuffer
 
-from conftest import CONFIG_DIR, run_config
+from conftest import CONFIG_DIR, build_facts, output_digests, run_config
+
+DIGESTS = Path(__file__).resolve().parent / "digests.json"
 
 
 def test_toy_training_mode_bands(shipped_runs):
@@ -266,3 +272,22 @@ def test_rerun_byte_identical_csvs(shipped_runs, tmp_path):
         b = (second.out_dir / name).read_bytes()
         assert a == b, f"{name} differs between reruns"
     print("PASS determinism: metrics.csv and rates.csv byte-identical on rerun")
+
+
+def test_shipped_output_digests(shipped_runs):
+    """Every shipped config's metrics.csv and rates.csv keep the sha256
+    recorded in digests.json. Output bits depend on the numeric build (a
+    DYNAMIC_ARCH OpenBLAS picks its kernels by CPU), so the check runs only
+    on the build recorded there and skips, naming the difference, on any
+    other. A change that moves output bits on purpose records the new
+    digests, which the failure message prints."""
+    recorded = json.loads(DIGESTS.read_text())
+    build = build_facts()
+    differ = [f"{key} is {build.get(key)!r}, recorded {value!r}"
+              for key, value in recorded["build"].items() if build.get(key) != value]
+    if differ:
+        pytest.skip("digests were recorded on another build: " + "; ".join(differ))
+    got = {name: output_digests(run) for name, run in shipped_runs.items()}
+    assert got == recorded["digests"], json.dumps(got, indent=2)
+    print(f"PASS output digests: {len(got)} shipped configs, metrics.csv and "
+          f"rates.csv as recorded on {build['blas']} ({build['openblas_core']})")

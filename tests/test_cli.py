@@ -49,6 +49,14 @@ def test_validate_bad_config(tmp_path, capsys):
     ("crescents.per_class = 25", "crescents.per_class = 0"),
     ("crescents.test_per_class = 20", "crescents.test_per_class = 0"),
     ("dataset = crescents", "dataset = blobs\nblobs.per_class = 0"),
+    # non-finite floats
+    ("attack.eps = 0.1", "attack.eps = nan"),
+    ("attack.eps = 0.1", "attack.eps = inf"),
+    ("attack.iters = 2", "attack.iters = 2\neval.attack.eps = nan"),
+    ("train.hidden = 3", "train.hidden = 3\ntrain.lr = inf"),
+    ("train.hidden = 3", "train.hidden = 3\ntrain.der_alpha = nan"),
+    ("dataset = crescents", "dataset = blobs\nblobs.noise = nan"),
+    ("crescents.per_class = 25", "crescents.per_class = 25\ncrescents.noise = nan"),
 ])
 def test_bad_seed_or_dataset_value_fails_before_any_file(old, new, tmp_path, capsys):
     p = tmp_path / "bad.conf"
@@ -122,12 +130,25 @@ def test_run_quiet_prints_nothing(conf_path, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_run_seed_override(conf_path, tmp_path):
+def test_run_seed_override(conf_path, tmp_path, capsys):
+    # --seed replaces the config's seeds: the resolved config reruns the run,
+    # and a bad seed is a config error before any file is written
     out_dir = tmp_path / "one"
     assert main(["run", str(conf_path), "--out", str(out_dir),
                  "--seed", "1", "--quiet"]) == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["runs"] == ["joint_s1"]
+    assert "\nseeds = 1\n" in (out_dir / "config.resolved.conf").read_text()
+    rerun = tmp_path / "rerun"
+    assert main(["run", str(out_dir / "config.resolved.conf"), "--out", str(rerun),
+                 "--quiet"]) == 0
+    for name in ("metrics.csv", "rates.csv"):
+        assert (rerun / name).read_bytes() == (out_dir / name).read_bytes()
+    bad = tmp_path / "bad"
+    assert main(["run", str(conf_path), "--out", str(bad), "--seed", "-1", "--quiet"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error"), err
+    assert not bad.exists()
 
 
 def test_out_env_var(conf_path, tmp_path, monkeypatch):

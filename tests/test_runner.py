@@ -4,6 +4,7 @@ artifact determinism, summary math."""
 import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,16 @@ def test_bad_value_reports_key_and_line():
         parse_config("train.batch_size = lots\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_float_reports_key_and_line(value):
+    floats = [k for k, v in default_config().items() if isinstance(v, float)]
+    assert len(floats) == 9
+    for key in floats + ["eval.attack.eps", "eval.attack.alpha"]:
+        with pytest.raises(ConfigError,
+                           match=f"line 2: bad value for '{key}': not a finite number"):
+            parse_config(f"experiment = x\n{key} = {value}\n")
+
+
 def test_missing_equals_rejected():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("just some words\n")
@@ -100,6 +111,9 @@ def test_validation_errors():
         parse_config("attack.eps = -0.5\n")
     with pytest.raises(ConfigError):
         parse_config("crescents.minority_fraction = 0\n")
+    for key in ("attack.kind", "eval.attack.kind"):
+        with pytest.raises(ConfigError, match="attack kind must be one of"):
+            parse_config(f"{key} = cw\n")
 
 
 def test_eval_attack_inherits_then_overrides():
@@ -114,19 +128,49 @@ def test_eval_attack_inherits_then_overrides():
 
 
 def test_cli_and_library_defaults_agree():
-    # _SCHEMA and the dataclasses each spell out the defaults
-    assert build_train_config(default_config(), seed=0) == TrainConfig()
+    # the config's train.* / attack.* defaults are read off the dataclasses
+    assert build_train_config(default_config()) == TrainConfig()
     assert build_attack(default_config()) == AttackConfig()
 
 
+OFF_DEFAULT = """
+train.epochs_per_task = 3
+train.batch_size = 7
+train.lr = 0.07
+train.buffer_capacity = 11
+train.hidden = 4 5
+train.replay_batch_size = 9
+train.at_mix = union
+train.eat_external_epochs = 2
+train.eat_refresh = true
+train.der_alpha = 0.3
+train.derpp_beta = 0.2
+attack.kind = fgsm
+attack.eps = 0.1
+attack.alpha = 0.05
+attack.iters = 6
+attack.random_start = false
+"""
+
+
 def test_build_train_config_wires_fields():
-    cfg = parse_config("train.lr = 0.07\ntrain.hidden = 4 5\n"
-                       "train.at_mix = union\n")
-    t = build_train_config(cfg, seed=9)
-    assert t.lr == 0.07
-    assert t.hidden_sizes == (4, 5)
-    assert t.at_mix == "union"
-    assert t.seed == 9
+    # every train.* and attack.* key, set off its default, lands in the
+    # TrainConfig / AttackConfig field of its name
+    cfg, default = parse_config(OFF_DEFAULT), default_config()
+    t = build_train_config(cfg)
+    for key in (k for k in default if k.startswith(("train.", "attack."))):
+        prefix, name = key.split(".")
+        assert cfg[key] != default[key], key
+        assert getattr(t if prefix == "train" else t.attack, name) == cfg[key], key
+    assert t.attack == build_attack(cfg)
+    # each eval.attack.* key overrides its own field of the training attack only
+    for line in ("eval.attack.kind = pgd", "eval.attack.eps = 0.2",
+                 "eval.attack.alpha = 0.01", "eval.attack.iters = 9"):
+        key = line.split(" = ")[0]
+        ev = parse_config(OFF_DEFAULT + line + "\n")
+        name = key.rpartition(".")[2]
+        assert getattr(build_attack(ev), name) != ev[key], key
+        assert build_eval_attack(ev) == replace(build_attack(ev), **{name: ev[key]}), key
 
 
 def test_nonpositive_lr_rejected_before_training(tmp_path, monkeypatch):
@@ -232,7 +276,7 @@ def test_lockstep_grid_writes_the_csvs_of_cells_run_alone(tmp_path):
         train_s, test_s = build_streams(cfg, seed)
         spec = EvalSpec(test_s, build_eval_attack(cfg))
         for strat in cfg["strategies"]:
-            model, log = train_stream(train_s, strat, build_train_config(cfg, seed), spec)
+            model, log = train_stream(train_s, strat, build_train_config(cfg), seed, spec)
             alone.append(RunResult(f"{strat}_s{seed}", strat, seed, model, log))
     _write_metrics_csv(str(tmp_path / "metrics.csv"), alone)
     _write_rates_csv(str(tmp_path / "rates.csv"), alone)
@@ -244,14 +288,17 @@ def test_lockstep_grid_writes_the_csvs_of_cells_run_alone(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["runs"] == run_ids
     assert sorted(manifest["train_seconds"]) == sorted(run_ids)
-    one = run_experiment(cfg, str(tmp_path / "one"), quiet=True, seeds=[1])
+    one = run_experiment({**cfg, "seeds": (1,)}, str(tmp_path / "one"), quiet=True)
     assert [r.run_id for r in one] == ["derpp_s1", "er_at_s1"]
 
 
 def test_run_experiment_seed_override(tmp_path):
+    # a config's seeds replaced by one seed runs that seed alone, and the
+    # resolved config names it
     cfg = parse_config(TINY.replace("seeds = 0", "seeds = 0 1"))
-    res = run_experiment(cfg, str(tmp_path / "o"), quiet=True, seeds=[1])
+    res = run_experiment({**cfg, "seeds": (1,)}, str(tmp_path / "o"), quiet=True)
     assert [r.run_id for r in res] == ["er_s1"]
+    assert "\nseeds = 1\n" in (tmp_path / "o" / "config.resolved.conf").read_text()
 
 
 def test_model_artifact_round_trip(tmp_path):

@@ -32,18 +32,29 @@ def _small_stream(seed=0, tasks=3):
 
 def _cfg(**kw):
     base = dict(epochs_per_task=3, batch_size=16, buffer_capacity=40,
-                attack=AttackConfig(eps=0.05, alpha=0.02, iters=2),
-                seed=5, hidden_sizes=(6,))
+                attack=AttackConfig(eps=0.05, alpha=0.02, iters=2), hidden=(6,))
     base.update(kw)
     return TrainConfig(**base)
+
+
+def _train(stream, strategy, cfg, seed=5, spec=None):
+    """train_stream from seed, evaluated on spec or else on the training
+    stream under the training attack."""
+    return train_stream(stream, strategy, cfg, seed, spec or EvalSpec(stream, cfg.attack))
+
+
+def _train_group(streams, strategy, cfg, seeds):
+    """train_streams, each run evaluated on its training stream."""
+    return train_streams(streams, strategy, cfg, seeds,
+                         [EvalSpec(s, cfg.attack) for s in streams])
 
 
 def test_er_equals_joint_on_single_task():
     d = gen_crescent(60, seed=3)
     stream = single_task_stream(d)
     cfg = _cfg(buffer_capacity=30)
-    m_er, _ = train_stream(stream, "er", cfg)
-    m_joint, _ = train_stream(stream, "joint", cfg)
+    m_er, _ = _train(stream, "er", cfg)
+    m_joint, _ = _train(stream, "joint", cfg)
     assert _models_equal(m_er, m_joint)
 
 
@@ -51,8 +62,8 @@ def test_er_at_with_zero_eps_equals_er():
     stream = _small_stream(1)
     cfg = _cfg(attack=AttackConfig(kind="pgd", eps=0.0, alpha=0.01, iters=2,
                                    random_start=True))
-    m_at, _ = train_stream(stream, "er_at", cfg)
-    m_er, _ = train_stream(stream, "er", cfg)
+    m_at, _ = _train(stream, "er_at", cfg)
+    m_er, _ = _train(stream, "er", cfg)
     assert _models_equal(m_at, m_er)
 
 
@@ -62,8 +73,8 @@ def test_cat_equals_at_without_memory():
     stream = _small_stream(2)
     for at_mix in ("replace", "union"):
         cfg = _cfg(buffer_capacity=0, at_mix=at_mix)
-        m_at, _ = train_stream(stream, "er_at", cfg)
-        m_cat, _ = train_stream(stream, "er_cat", cfg)
+        m_at, _ = _train(stream, "er_at", cfg)
+        m_cat, _ = _train(stream, "er_cat", cfg)
         assert _models_equal(m_at, m_cat), at_mix
 
 
@@ -71,8 +82,8 @@ def test_repeat_runs_bitwise_identical():
     stream = _small_stream(3)
     cfg = _cfg()
     for kind in ("er", "er_at", "er_eat", "derpp_at"):
-        m1, l1 = train_stream(stream, kind, cfg)
-        m2, l2 = train_stream(stream, kind, cfg)
+        m1, l1 = _train(stream, kind, cfg)
+        m2, l2 = _train(stream, kind, cfg)
         assert _models_equal(m1, m2)
         assert [r.mean_accuracy for r in l1.records] == \
                [r.mean_accuracy for r in l2.records]
@@ -82,8 +93,8 @@ def test_repeat_runs_bitwise_identical():
 
 def test_seed_changes_results():
     stream = _small_stream(4)
-    m1, _ = train_stream(stream, "er", _cfg(seed=1))
-    m2, _ = train_stream(stream, "er", _cfg(seed=2))
+    m1, _ = _train(stream, "er", _cfg(), seed=1)
+    m2, _ = _train(stream, "er", _cfg(), seed=2)
     assert not _models_equal(m1, m2)
 
 
@@ -189,7 +200,7 @@ def test_eat_generate_independent_of_target_model():
     task = stream.tasks[0]
     cfg = _cfg()
     a = eat_generate(task, (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
-    train_stream(stream, "er", cfg)  # unrelated training in between
+    _train(stream, "er", cfg)  # unrelated training in between
     b = eat_generate(task, (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
     np.testing.assert_array_equal(_eat_copy(task, a[0], cfg), _eat_copy(task, b[0], cfg))
 
@@ -242,17 +253,17 @@ def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
     for refresh in (False, True):
         calls.clear()
         cfg = _cfg(eat_refresh=refresh)
-        train_stream(stream, "derpp_eat", cfg)
+        _train(stream, "derpp_eat", cfg)
         epochs = range(1, cfg.epochs_per_task) if refresh else []
-        assert calls == [(t, [[cfg.seed, 4, t]] + [[cfg.seed, 4, t, e] for e in epochs])
+        assert calls == [(t, [[5, 4, t]] + [[5, 4, t, e] for e in epochs])
                          for t in range(len(stream.tasks))], refresh
 
 
 def test_audit_counts_er_never_attacks():
     stream = _small_stream(7)
-    _, log = train_stream(stream, "er", _cfg())
+    _, log = _train(stream, "er", _cfg())
     assert log.attack_counts == {"current": 0, "memory": 0, "external": 0}
-    _, log_joint = train_stream(stream, "joint", _cfg())
+    _, log_joint = _train(stream, "joint", _cfg())
     assert log_joint.attack_counts == {"current": 0, "memory": 0, "external": 0}
 
 
@@ -263,7 +274,7 @@ def test_audit_counts_eat_only_external():
     for refresh in (False, True):
         cfg = _cfg(eat_external_epochs=2, eat_refresh=refresh)
         generations = cfg.epochs_per_task if refresh else 1
-        _, log = train_stream(stream, "er_eat", cfg)
+        _, log = _train(stream, "er_eat", cfg)
         assert log.attack_counts["current"] == 0
         assert log.attack_counts["memory"] == 0
         assert log.attack_counts["external"] == \
@@ -281,7 +292,7 @@ def test_audit_counts_at_formula():
     # task on (384 rows); DER's distillation batch stays clean
     for kind, memory in (("er_at", attacked_mem), ("der_at", 0),
                          ("derpp_at", attacked_mem)):
-        _, log = train_stream(stream, kind, cfg)
+        _, log = _train(stream, kind, cfg)
         # every current row is attacked once per epoch: 540 rows
         assert log.attack_counts == {"current": cfg.epochs_per_task * n_rows,
                                      "memory": memory, "external": 0}, kind
@@ -300,7 +311,7 @@ def test_buffer_holds_only_clean_current_rows(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(eatcl.strategies, "ReplayBuffer", RecordedBuffer)
-    train_stream(stream, "er_eat", cfg)
+    _train(stream, "er_eat", cfg)
     (buf,) = made
     assert len(buf) == cfg.buffer_capacity
     for row in buf.x[0]:
@@ -326,7 +337,7 @@ def test_data_access_stays_on_current_task(monkeypatch):
     seen = _record_run_task(monkeypatch)
     for kind in ("er", "er_at", "er_eat", "derpp"):
         seen.clear()
-        _, log = train_stream(stream, kind, _cfg())
+        _, log = _train(stream, kind, _cfg())
         assert [rec.step for rec in log.records] == list(range(len(stream.tasks)))
         assert len(seen) == len(stream.tasks), kind
         for i, tasks in enumerate(seen):
@@ -337,7 +348,7 @@ def test_joint_accesses_everything_at_once(monkeypatch):
     # joint trains once, at the last step, on the whole stream merged into one task
     stream = _small_stream(12)
     seen = _record_run_task(monkeypatch)
-    _, log = train_stream(stream, "joint", _cfg())
+    _, log = _train(stream, "joint", _cfg())
     assert [rec.step for rec in log.records] == [len(stream.tasks) - 1]
     ((task,),) = seen
     merged = stream.merged()
@@ -347,13 +358,13 @@ def test_joint_accesses_everything_at_once(monkeypatch):
 
 def test_single_head_spans_all_classes():
     stream = _small_stream(13)
-    model, _ = train_stream(stream, "er", _cfg())
+    model, _ = _train(stream, "er", _cfg())
     assert model.layer_sizes[-1] == 6  # 3 tasks x 2 classes
 
 
 def test_metrics_records_shape_and_rate_zero_first():
     stream = _small_stream(14)
-    _, log = train_stream(stream, "er_at", _cfg())
+    _, log = _train(stream, "er_at", _cfg())
     assert len(log.records) == len(stream.tasks)
     for i, rec in enumerate(log.records):
         assert rec.step == i
@@ -366,7 +377,7 @@ def test_metrics_records_shape_and_rate_zero_first():
 def test_attack_rates_only_after_first_task():
     stream = _small_stream(15)
     cfg = _cfg()
-    _, log = train_stream(stream, "er_at", cfg)
+    _, log = _train(stream, "er_at", cfg)
     assert all(p.task >= 1 for p in log.attack_rates)
     # one point per epoch for each later task
     assert len(log.attack_rates) == (len(stream.tasks) - 1) * cfg.epochs_per_task
@@ -397,8 +408,7 @@ def test_only_der_buffers_store_logits(monkeypatch):
     monkeypatch.setattr(eatcl.strategies, "ReplayBuffer", RecordedBuffer)
     for strategy, stores in (("er", False), ("der", True)):
         made.clear()
-        train_streams([_small_stream(s) for s in (5, 6)], strategy,
-                      [_cfg(seed=s) for s in (5, 6)])
+        _train_group([_small_stream(s) for s in (5, 6)], strategy, _cfg(), (5, 6))
         (buf,) = made
         x, y, logits = buf.sample_arrays(4, [np.random.default_rng(s) for s in (0, 1)])
         assert x.shape == (8, 8) and y.shape == (8,)
@@ -415,8 +425,8 @@ def test_eval_spec_uses_held_out_stream():
                              seed=16, sample_seed=[16, 2])
     atk = AttackConfig(eps=0.05, alpha=0.02, iters=2)
     spec = EvalSpec(stream=test_s, attack=atk)
-    _, log_a = train_stream(train_s, "er", _cfg(), spec)
-    _, log_b = train_stream(train_s, "er", _cfg())
+    _, log_a = _train(train_s, "er", _cfg(), spec=spec)
+    _, log_b = _train(train_s, "er", _cfg())
     # held-out accuracy differs from train accuracy in general
     assert log_a.records[-1].mean_accuracy != log_b.records[-1].mean_accuracy
 
@@ -426,21 +436,19 @@ def test_eval_does_not_disturb_training():
     test_s = gen_blob_stream(3, 2, 8, 30, separation=1.5, noise=0.3,
                              seed=17, sample_seed=[17, 2])
     atk = AttackConfig(eps=0.05, alpha=0.02, iters=2)
-    m1, _ = train_stream(train_s, "er_at", _cfg(),
-                         EvalSpec(stream=test_s, attack=atk))
-    m2, _ = train_stream(train_s, "er_at", _cfg())
+    m1, _ = _train(train_s, "er_at", _cfg(), spec=EvalSpec(stream=test_s, attack=atk))
+    m2, _ = _train(train_s, "er_at", _cfg())
     assert _models_equal(m1, m2)
 
 
 def test_invalid_strategy_and_mismatched_eval():
     stream = _small_stream(18)
     with pytest.raises(ValueError):
-        train_stream(stream, "magic", _cfg())
+        _train(stream, "magic", _cfg())
     short = gen_blob_stream(2, 2, 8, 10, 1.5, 0.3, seed=18)
     with pytest.raises(ValueError):
-        train_stream(stream, "er", _cfg(),
-                     EvalSpec(stream=short,
-                              attack=AttackConfig(eps=0.1, alpha=0.05)))
+        _train(stream, "er", _cfg(),
+               spec=EvalSpec(stream=short, attack=AttackConfig(eps=0.1, alpha=0.05)))
 
 
 def test_strategy_names_split_into_two_axes():
@@ -453,7 +461,7 @@ def test_strategy_names_split_into_two_axes():
     stream = _small_stream(19)
     for bad in ("der_cat", "derpp_cat", "joint_cat", "joint_eat", "er_", "magic"):
         with pytest.raises(ValueError, match="unknown strategy"):
-            train_stream(stream, bad, _cfg())
+            _train(stream, bad, _cfg())
         with pytest.raises(ConfigError, match="unknown strategy"):
             parse_config(f"strategies = er {bad}\n")
 
@@ -472,13 +480,12 @@ def test_lockstep_runs_equal_runs_alone():
     specs = [EvalSpec(stream=_small_stream(40 + s), attack=atk) for s in seeds]
     for strategy, at_mix, refresh in itertools.product(
             STRATEGIES, ("replace", "union"), (False, True)):
-        cfgs = [_cfg(seed=s, epochs_per_task=2, batch_size=13, replay_batch_size=7,
-                     eat_external_epochs=1, at_mix=at_mix, eat_refresh=refresh)
-                for s in seeds]
-        lockstep = train_streams(streams, strategy, cfgs, specs)
+        cfg = _cfg(epochs_per_task=2, batch_size=13, replay_batch_size=7,
+                   eat_external_epochs=1, at_mix=at_mix, eat_refresh=refresh)
+        lockstep = train_streams(streams, strategy, cfg, seeds, specs)
         assert len(lockstep) == len(seeds)
-        for run, stream, cfg, spec in zip(lockstep, streams, cfgs, specs):
-            alone = train_stream(stream, strategy, cfg, spec)
+        for run, stream, seed, spec in zip(lockstep, streams, seeds, specs):
+            alone = train_stream(stream, strategy, cfg, seed, spec)
             assert _run_bits(*run) == _run_bits(*alone), (strategy, at_mix, refresh)
 
 
@@ -488,21 +495,20 @@ def test_lockstep_rejects_mismatched_runs_before_any_step(monkeypatch):
 
     monkeypatch.setattr(eatcl.strategies, "batch_step", no_step)
     monkeypatch.setattr(eatcl.strategies, "eat_generate", no_step)
-    base, cfgs = _small_stream(1), [_cfg(seed=1), _cfg(seed=2)]
+    base, seeds = _small_stream(1), (1, 2)
     cases = [
         # task sizes, input dim, task count
-        ([base, gen_blob_stream(3, 2, 8, 31, 1.5, 0.3, seed=2)], cfgs),
-        ([base, gen_blob_stream(3, 2, 9, 30, 1.5, 0.3, seed=2)], cfgs),
-        ([base, gen_blob_stream(2, 2, 8, 30, 1.5, 0.3, seed=2)], cfgs),
-        # configs that differ beyond the seed, or do not pair with the streams
-        ([base, _small_stream(2)], [_cfg(seed=1), _cfg(seed=2, batch_size=8)]),
-        ([base, _small_stream(2)], [_cfg(seed=1)]),
-        ([], []),
+        ([base, gen_blob_stream(3, 2, 8, 31, 1.5, 0.3, seed=2)], seeds),
+        ([base, gen_blob_stream(3, 2, 9, 30, 1.5, 0.3, seed=2)], seeds),
+        ([base, gen_blob_stream(2, 2, 8, 30, 1.5, 0.3, seed=2)], seeds),
+        # seeds that do not pair with the streams
+        ([base, _small_stream(2)], (1,)),
+        ([], ()),
     ]
-    for (streams, run_cfgs), strategy in itertools.product(
+    for (streams, run_seeds), strategy in itertools.product(
             cases, ("er", "joint_at", "der_eat")):
         with pytest.raises(ValueError):
-            train_streams(streams, strategy, run_cfgs)
+            _train_group(streams, strategy, _cfg(), run_seeds)
 
 
 def test_stored_der_logits_equal_pre_step_forward_pass(monkeypatch):
@@ -526,8 +532,7 @@ def test_stored_der_logits_equal_pre_step_forward_pass(monkeypatch):
     for strategy, seeds in itertools.product(("der", "derpp", "der_at", "derpp_eat"),
                                              ([5], [5, 6])):
         stepped.clear(), inserts.clear()
-        train_streams([_small_stream(s) for s in seeds], strategy,
-                      [_cfg(seed=s) for s in seeds])
+        _train_group([_small_stream(s) for s in seeds], strategy, _cfg(), seeds)
         assert len(inserts) > len(seeds)
         for member, pre_step, x, logits in inserts:
             model = (pre_step if pre_step.members is None

@@ -25,6 +25,7 @@ bit-identical to E single-model attacks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,11 @@ class AttackConfig:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"attack kind must be one of {ATTACK_KINDS}, got {self.kind!r}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        # the random start draws from [-eps, eps], whose width must be finite
+        if not (self.eps >= 0 and math.isfinite(2 * self.eps)):
+            raise ValueError(f"eps must be >= 0 with 2 * eps finite, got {self.eps}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be > 0 and finite, got {self.alpha}")
         if self.iters < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
         if self.clip is not None:

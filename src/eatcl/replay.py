@@ -6,6 +6,15 @@ is the point, not a bug to correct. The rows live in arrays with one block
 per member of a lockstep group: x (E, capacity, d), y (E, capacity) and, when
 the rows come with the model's logits at insertion time (for
 distillation-style replay), logits (E, capacity, classes).
+
+A member's buffer draws never depend on the model: they are set by how many
+rows it offers at each step and how many buffer batches each step samples.
+So the training loop plans each epoch when it starts (``plan_epoch``), and
+the buffer draws each member's whole epoch with one generator call over the
+bounds that the per-step calls would use, in their order. One
+``integers`` call over concatenated bounds gives the values, and leaves the
+generator state, of the sequence of calls. Each step then samples with
+precomputed indices and inserts every member's rows with one write.
 """
 
 from __future__ import annotations
@@ -25,67 +34,121 @@ class ReplayBuffer:
         self.seen_counts = [0] * members
         self.sizes = [0] * members
         self.x = self.y = self.logits = None
-        self._offsets = [e * capacity for e in range(members)]
+        self._flat = ()  # (E * capacity, ...) views of x, y and logits
+        # this epoch's planned steps, taken in order: (buffer batches left,
+        # rows offered, slots written, rows written there, seen counts and
+        # sizes after the step)
+        self._steps = []
+        self._step = 0
 
     def __len__(self) -> int:
         """The rows every member holds."""
         return min(self.sizes)
 
-    def reservoir_insert_arrays(self, member: int, x, y, logits, rng) -> None:
-        """Algorithm-R insertion of the rows of (x, y, logits-or-None), in
-        order, into member's block: fill, then put row k in a random slot
-        w.p. capacity / seen_k.
+    def plan_epoch(self, counts, samples: int, batch_size: int, rngs) -> None:
+        """Plan the draws of an epoch of steps, with rngs[e] for member e.
 
-        Once the block is full, row k draws integers(0, seen_k) for its own
-        running count seen_k, and all those draws come from one call. When
-        two rows draw one slot, the later one stays, as it would inserted
-        after the other. Logits come with every insert or with none.
+        Member e offers counts[t][e] rows at step t. Step t first samples
+        `samples` buffer batches of batch_size rows per member, drawn
+        uniformly with replacement, if every member holds rows; then each
+        member's rows enter its block by Algorithm R, in order: fill, then
+        row k goes to slot integers(0, seen_k) if that is below capacity,
+        where seen_k is its running count. When two rows of a step draw one
+        slot, the later one stays. Each member's draws come from one call.
         """
-        n = len(y)
-        start = self.seen_counts[member]
-        self.seen_counts[member] += n
-        if self.capacity == 0 or n == 0:
-            return
-        if self.x is None:
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1, len(self.sizes))
+        cap, steps = self.capacity, len(counts)
+        seen0 = np.asarray(self.seen_counts)
+        seen = seen0 + np.cumsum(counts, axis=0)  # each member's, after each step
+        before = np.minimum(seen - counts, cap)  # each member's size at each step
+        replays = (before > 0).all(axis=1) & (samples > 0)
+        sample_step = np.repeat(np.arange(steps), replays * samples * batch_size)
+        # a step's rows are member-major: member e's start at first[t, e]
+        first = np.cumsum(counts, axis=1) - counts
+        draws, writes = [], []
+        for e, rng in enumerate(rngs):
+            row_step = np.repeat(np.arange(steps), counts[:, e])
+            seen_k = np.arange(seen0[e] + 1, seen0[e] + 1 + len(row_step))
+            earlier = seen[:, e] - counts[:, e] - seen0[e]  # its rows in earlier steps
+            row = np.arange(len(row_step)) + np.repeat(first[:, e] - earlier, counts[:, e])
+            drawing = (seen_k > cap) & (cap > 0)
+            bounds = np.concatenate([before[sample_step, e], seen_k[drawing]])
+            # the call order: each step's samples, then its inserts
+            order = np.argsort(np.concatenate([sample_step, row_step[drawing]]), kind="stable")
+            drawn = np.empty_like(bounds)
+            if len(bounds):
+                drawn[order] = rng.integers(0, bounds[order])
+            draws.append(drawn[:len(sample_step)] + e * cap)
+            slot = seen_k - 1
+            slot[drawing] = drawn[len(sample_step):]
+            kept = slot < cap
+            writes.append((row_step[kept], slot[kept] + e * cap, row[kept]))
+        # each (step, batch)'s member-major rows of the flat arrays
+        sample_idx = (np.stack(draws).reshape(len(rngs), -1, batch_size).swapaxes(0, 1)
+                      .reshape(-1, len(rngs) * batch_size))
+        # of a step's rows that land in one slot, the last one stays
+        write_step, at, row = (np.concatenate(a)[::-1] for a in zip(*writes))
+        _, last = np.unique(write_step * cap * len(rngs) + at, return_index=True)
+        write_step, at, row = write_step[last], at[last], row[last]
+        cuts = np.searchsorted(write_step, np.arange(1, steps))
+        batches = iter(sample_idx)
+        self._steps = [([next(batches) for _ in range(samples)] if r else [], n, at_t, row_t,
+                        seen_t, size_t)
+                       for r, n, at_t, row_t, seen_t, size_t in zip(
+                           replays, counts.sum(axis=1), np.split(at, cuts),
+                           np.split(row, cuts), seen.tolist(), np.minimum(seen, cap).tolist())]
+        self._step = 0
+
+    def end_epoch(self) -> None:
+        """Raise unless every planned step was taken, so a change to the
+        step schedule cannot silently shift the draws."""
+        if self._step != len(self._steps):
+            raise RuntimeError(f"the replay plan has {len(self._steps)} steps, "
+                               f"{self._step} were taken")
+        self._steps, self._step = [], 0
+
+    def _current(self):
+        if self._step >= len(self._steps):
+            raise ValueError("no planned buffer step left")
+        return self._steps[self._step]
+
+    def sample_arrays(self, batch_size: int):
+        """The step's next planned buffer batch: batch_size rows of every
+        member, as member-major (E * batch_size, ...) arrays x, y and stored
+        logits, or None when the rows have none."""
+        batches = self._current()[0]
+        if not batches:
+            raise ValueError("no buffer batch planned at this step")
+        if len(batches[0]) != batch_size * len(self.sizes):
+            raise ValueError(f"planned buffer batches have {len(batches[0]) // len(self.sizes)} "
+                             f"rows per member, not {batch_size}")
+        idx = batches.pop(0)
+        return tuple(None if a is None else a.take(idx, axis=0) for a in self._flat)
+
+    def insert(self, x, y, logits) -> None:
+        """End the step: its offered rows (x, y, logits-or-None), member-major,
+        enter the members' blocks as planned. Logits come with every insert
+        or with none."""
+        batches, n, at, rows, seen, sizes = self._current()
+        if batches:
+            raise ValueError(f"{len(batches)} planned buffer batches were not sampled")
+        if len(y) != n:
+            raise ValueError(f"the plan offers {n} rows at this step, got {len(y)}")
+        if self.x is None and self.capacity and len(y):
             shape = (len(self.sizes), self.capacity)
             self.x = np.empty(shape + x.shape[1:], dtype=x.dtype)
             self.y = np.empty(shape, dtype=np.int64)
             if logits is not None:
                 self.logits = np.empty(shape + logits.shape[1:], dtype=logits.dtype)
-        if (logits is None) != (self.logits is None):
+            self._flat = tuple(None if a is None else a.reshape(-1, *a.shape[2:])
+                               for a in (self.x, self.y, self.logits))
+        if self.x is not None and (logits is None) != (self.logits is None):
             raise ValueError("insert logits with every row or with none")
-        size = self.sizes[member]
-        fill = min(n, self.capacity - size)
-        if fill:
-            self.sizes[member] += fill
-            self._write(member, slice(size, size + fill), slice(0, fill), x, y, logits)
-        if fill == n:
-            return
-        slots = rng.integers(0, np.arange(start + fill + 1, start + n + 1))
-        kept = (slots < self.capacity).nonzero()[0]
-        if len(kept) > 1:  # keep the last row that drew each slot
-            kept = kept[::-1]
-            at, last = np.unique(slots[kept], return_index=True)
-            self._write(member, at, fill + kept[last], x, y, logits)
-        elif len(kept):
-            self._write(member, slots[kept], fill + kept, x, y, logits)
-
-    def _write(self, member, at, rows, x, y, logits) -> None:
-        """Rows rows of the inserted arrays into member's slots at."""
-        self.x[member, at] = x[rows]
-        self.y[member, at] = y[rows]
-        if self.logits is not None:
-            self.logits[member, at] = logits[rows]
-
-    def sample_arrays(self, batch_size: int, rngs):
-        """batch_size rows of every member, drawn uniformly with replacement
-        with rngs[e] for member e, as member-major (E * batch_size, ...)
-        arrays x, y and stored logits, or None when the rows have none."""
-        if not all(self.sizes):
-            raise ValueError("cannot sample from an empty buffer")
-        # integers(lo, lo + size) draws what integers(0, size) does, plus lo:
-        # here the offset of member e's block in the flattened arrays
-        idx = np.concatenate([rng.integers(lo, lo + size, size=batch_size)
-                              for lo, rng, size in zip(self._offsets, rngs, self.sizes)])
-        return tuple(None if a is None else a.reshape(-1, *a.shape[2:]).take(idx, axis=0)
-                     for a in (self.x, self.y, self.logits))
+        self._step += 1
+        self.seen_counts, self.sizes = seen, sizes
+        if len(at):
+            fx, fy, flogits = self._flat
+            fx[at] = x[rows]
+            fy[at] = y[rows]
+            if flogits is not None:
+                flogits[at] = logits[rows]

@@ -35,6 +35,11 @@ index and runs one attack, one gradient pass and one SGD step for all of
 them. +EAT's external models never see the target, so each member's
 externals for a task, one per generation, train in lockstep too. The group
 shares one replay buffer, in which each member has its own block of rows.
+The buffer's draws never depend on the model, only on the epoch's batch
+order, the clean rows and the replay scheme's buffer batches per step, so
+each epoch's samples and inserts are planned when it starts, with one
+generator call per member (see replay), and each step samples every member
+with one take and inserts every member's rows with one write.
 Each member keeps its own stream, random generators, buffer block, attack
 counts and log, and gets exactly the bits it would get trained alone;
 ``train_stream`` is the same loop with one member and a plain model. All
@@ -45,6 +50,7 @@ seeded by (0, step, task) alone and never disturbs training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +64,8 @@ from .replay import ReplayBuffer
 
 STRATEGIES = ("joint", "joint_at", "er", "er_at", "er_cat", "er_eat",
               "der", "der_at", "der_eat", "derpp", "derpp_at", "derpp_eat")
+# the buffer batches batch_step samples per step while replaying
+_BUFFER_BATCHES = {"er": 1, "der": 1, "derpp": 2}
 
 
 def parse_strategy(name: str) -> tuple[str, str]:
@@ -85,8 +93,8 @@ class TrainConfig:
     eat_refresh: bool = False  # regenerate the adversarial task copy every epoch
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValueError(f"lr must be > 0 and finite, got {self.lr}")
         if self.epochs_per_task < 1 or self.batch_size < 1:
             raise ValueError("epochs_per_task and batch_size must be >= 1")
         if self.replay_batch_size is not None and self.replay_batch_size < 1:
@@ -95,8 +103,8 @@ class TrainConfig:
             raise ValueError("buffer_capacity must be >= 0")
         if self.eat_external_epochs < 1:
             raise ValueError("eat_external_epochs must be >= 1")
-        if self.der_alpha < 0 or self.derpp_beta < 0:
-            raise ValueError("loss weights must be >= 0")
+        if not all(w >= 0 and math.isfinite(w) for w in (self.der_alpha, self.derpp_beta)):
+            raise ValueError("loss weights must be finite and >= 0")
         if self.at_mix not in ("replace", "union"):
             raise ValueError(f"at_mix must be 'replace' or 'union', got {self.at_mix!r}")
         if not all(h >= 1 for h in self.hidden):
@@ -225,15 +233,14 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
     attacks every row of the cross-entropy batch, +CAT only the current
     rows, which lead it; the adversarial rows replace them or, with at_mix
     "union", follow them. Each member draws from its own block and
-    generators.
+    generators; the buffer batches and inserts follow the epoch's plan.
     """
     replay_bs = cfg.replay_batch_size or cfg.batch_size
     atk_rng = _rng_arg([m.rngs.attack for m in members])
-    buf_rngs = [m.rngs.buffer for m in members]
     b = xb.shape[1]
     x, y = xb, yb
     if replaying and replay == "er":
-        mx, my, _ = buffer.sample_arrays(replay_bs, buf_rngs)
+        mx, my, _ = buffer.sample_arrays(replay_bs)
         x = np.concatenate([xb, mx.reshape(len(members), replay_bs, -1)], axis=1)
         y = np.concatenate([yb, my.reshape(len(members), replay_bs)], axis=1)
     n_atk = {"at": x.shape[1], "cat": b}.get(robust, 0)
@@ -259,11 +266,11 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
 
     _, grads = loss_and_grads(model, _flat(x), ce)
     if replaying and replay in ("der", "derpp"):
-        bx, _, blogits = buffer.sample_arrays(replay_bs, buf_rngs)
+        bx, _, blogits = buffer.sample_arrays(replay_bs)
         _, der_grads = der_terms(model, bx, blogits, cfg.der_alpha)
         grads = add_grads(grads, der_grads)
         if replay == "derpp":
-            bx2, by2, _ = buffer.sample_arrays(replay_bs, buf_rngs)
+            bx2, by2, _ = buffer.sample_arrays(replay_bs)
             if robust == "at":
                 bx2 = attack(model, bx2, by2, cfg.attack, atk_rng)
                 for m in members:
@@ -275,18 +282,17 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
         return stepped
     # DER stores the pre-step model's logits of the rows it inserts. Clean,
     # the cross-entropy batch is exactly xb, so they are that pass's logits;
-    # otherwise a forward pass over the clean rows gives them.
-    singles = None
-    for e, m in enumerate(members):
-        cx, cy = (xb[e], yb[e]) if cb is None else (xb[e][cb[e]], yb[e][cb[e]])
-        ins_logits = None
-        if replay in ("der", "derpp"):
-            if robust == "clean":
-                ins_logits = ce_logits[0].reshape(*xb.shape[:2], -1)[e]
-            else:
-                singles = singles or _split(model)
-                ins_logits = forward(singles[e], cx)
-        buffer.reservoir_insert_arrays(e, cx, cy, ins_logits, m.rngs.buffer)
+    # otherwise a forward pass over each member's clean rows gives them.
+    cx, cy = (_flat(xb), _flat(yb)) if cb is None else (xb[cb], yb[cb])
+    ins_logits = None
+    if replay in ("der", "derpp"):
+        if robust == "clean":
+            ins_logits = ce_logits[0].reshape(len(cy), -1)
+        else:
+            rows = xb if cb is None else [xe[ce] for xe, ce in zip(xb, cb)]
+            ins_logits = np.concatenate([forward(single, xe)
+                                         for single, xe in zip(_split(model), rows)])
+    buffer.insert(cx, cy, ins_logits)
     return stepped
 
 
@@ -366,13 +372,21 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
         perms += np.arange(len(members))[:, None] * rows  # rows of the flat arrays
         fx, fy = _flat(xs), _flat(ys)
         fc = None if clean is None else _flat(clean)
-        for s in range(0, rows, cfg.batch_size):
+        starts = range(0, rows, cfg.batch_size)
+        if buffer.capacity:  # each member offers the buffer its clean rows
+            offered = np.ones(perms.shape, dtype=bool) if fc is None else fc[perms]
+            buffer.plan_epoch(np.add.reduceat(offered, starts, axis=1, dtype=np.int64).T,
+                              _BUFFER_BATCHES[replay] if index > 0 else 0,
+                              cfg.replay_batch_size or cfg.batch_size,
+                              [m.rngs.buffer for m in members])
+        for s in starts:
             idx = perms[:, s:s + cfg.batch_size]
             # Replay engages from the second task on; the buffer still fills
             # during the first so later tasks can draw on it.
             model = batch_step(model, fx[idx], fy[idx], None if fc is None else fc[idx],
                                replay, robust, members, buffer,
                                index > 0 and len(buffer) > 0, cfg)
+        buffer.end_epoch()
         if index > 0:
             for m, t, single in zip(members, tasks, _split(model)):
                 if m.aes:

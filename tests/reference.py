@@ -4,9 +4,12 @@ Plain versions, written for clarity rather than speed: ``softmax``
 normalises logits row by row, and ``backward`` recomputes the forward
 activations of a batch and backpropagates a logit gradient to every weight,
 bias and to the input; both take single models. ``pgd_every_step`` takes
-every PGD step with no early exit, for single and stacked models. Nothing in
-``eatcl`` calls them; production training and attacks run
-``nets.loss_and_grads``, ``nets.ce_input_grad`` and ``attacks.attack``.
+every PGD step with no early exit, for single and stacked models.
+``PerCallReservoir`` inserts one row and samples one member at a time, with
+one generator call per draw or batch. Nothing in ``eatcl`` calls them;
+production training, attacks and replay run ``nets.loss_and_grads``,
+``nets.ce_input_grad``, ``attacks.attack`` and the epoch plan of
+``replay.ReplayBuffer``.
 """
 
 import numpy as np
@@ -86,3 +89,39 @@ def pgd_every_step(model: MLPModel, x, y, cfg: AttackConfig, rng=None) -> np.nda
         if cfg.clip is not None:
             adv = np.clip(adv, *cfg.clip)
     return adv.reshape(-1, x.shape[-1])
+
+
+class PerCallReservoir:
+    """Reservoir buffers of E members, one row or one batch per call.
+
+    ``insert`` is Algorithm R (Vitter, "Random sampling with a reservoir",
+    ACM TOMS 1985) for one row: fill, then the row with running count seen
+    goes to slot integers(0, seen) if that is below capacity. ``sample``
+    draws batch_size rows of one member uniformly with replacement, with
+    one integers(0, size, size=batch_size) call. Rows are kept as given.
+    """
+
+    def __init__(self, capacity: int, members: int = 1):
+        self.capacity = capacity
+        self.seen_counts = [0] * members
+        self.rows = [[] for _ in range(members)]
+
+    @property
+    def sizes(self) -> list[int]:
+        return [len(rows) for rows in self.rows]
+
+    def insert(self, member: int, row, rng) -> None:
+        self.seen_counts[member] += 1
+        rows = self.rows[member]
+        if len(rows) < self.capacity:
+            rows.append(row)
+        elif self.capacity:
+            j = int(rng.integers(0, self.seen_counts[member]))
+            if j < self.capacity:
+                rows[j] = row
+
+    def sample(self, member: int, batch_size: int, rng) -> list:
+        rows = self.rows[member]
+        if not rows:
+            raise ValueError("cannot sample from an empty buffer")
+        return [rows[j] for j in rng.integers(0, len(rows), size=batch_size)]

@@ -172,9 +172,14 @@ def test_reservoir_retention_uniformity():
     rng = np.random.default_rng(13)
     counts = np.zeros(1000)
     trials = 10_000
+    starts = range(0, 1000, 32)
     for _ in range(trials):
         buf = ReplayBuffer(50)
-        buf.reservoir_insert_arrays(0, xs, ys, None, rng)  # as training inserts
+        # as training inserts: an epoch of 32-row steps, planned at once
+        buf.plan_epoch([[len(ys[s:s + 32])] for s in starts], 0, 1, [rng])
+        for s in starts:
+            buf.insert(xs[s:s + 32], ys[s:s + 32], None)
+        buf.end_epoch()
         counts[buf.y[0]] += 1  # the items kept, each once
     freq = counts / trials
     dev = np.abs(freq - 0.05)

@@ -146,6 +146,12 @@ def test_attack_config_validation():
         AttackConfig(iters=0)
     with pytest.raises(ValueError):
         AttackConfig(clip=(1.0, 0.0))
+    # non-finite values, and an eps ball whose width 2 * eps overflows
+    for kw in ({"eps": float("nan")}, {"eps": float("inf")}, {"eps": 1e308},
+               {"alpha": float("nan")}, {"alpha": float("inf")}):
+        with pytest.raises(ValueError):
+            AttackConfig(**kw)
+    AttackConfig(eps=8e307)  # 2 * eps is still finite
 
 
 def test_eps_zero_returns_input():

@@ -57,6 +57,9 @@ def test_validate_bad_config(tmp_path, capsys):
     ("train.hidden = 3", "train.hidden = 3\ntrain.der_alpha = nan"),
     ("dataset = crescents", "dataset = blobs\nblobs.noise = nan"),
     ("crescents.per_class = 25", "crescents.per_class = 25\ncrescents.noise = nan"),
+    # an eps ball too wide for the random start to draw from
+    ("attack.eps = 0.1", "attack.eps = 1e308"),
+    ("attack.iters = 2", "attack.iters = 2\neval.attack.eps = 1e308"),
 ])
 def test_bad_seed_or_dataset_value_fails_before_any_file(old, new, tmp_path, capsys):
     p = tmp_path / "bad.conf"

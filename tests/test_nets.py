@@ -227,6 +227,10 @@ def test_sgd_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(lr=-1.0)
+    for kw in ({"lr": float("inf")}, {"lr": float("nan")}, {"der_alpha": float("nan")},
+               {"der_alpha": float("inf")}, {"derpp_beta": float("inf")}):
+        with pytest.raises(ValueError):
+            TrainConfig(**kw)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,4 +1,5 @@
-"""Reservoir buffer tests: fill phase, retention statistics, sampling, slot
+"""Reservoir buffer tests: the epoch plan against the per-call reference,
+numpy's one-call draws, fill phase, retention statistics, sampling, slot
 collisions and the member blocks of a lockstep group's buffer."""
 
 import numpy as np
@@ -7,23 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eatcl.replay import ReplayBuffer
-
-
-class PerRowReservoir:
-    """Algorithm R (Vitter, "Random sampling with a reservoir", ACM TOMS
-    1985), one row at a time: the reference the batch insert must match."""
-
-    def __init__(self, capacity):
-        self.capacity, self.seen, self.rows = capacity, 0, []
-
-    def insert(self, row, rng):
-        self.seen += 1
-        if len(self.rows) < self.capacity:
-            self.rows.append(row)
-        elif self.capacity:
-            j = int(rng.integers(0, self.seen))
-            if j < self.capacity:
-                self.rows[j] = row
+from reference import PerCallReservoir
 
 
 def _rows(ids, dim=3, with_logits=False):
@@ -35,13 +20,150 @@ def _rows(ids, dim=3, with_logits=False):
 
 
 def _insert(buf, ids, rng, member=0, with_logits=False):
-    buf.reservoir_insert_arrays(member, *_rows(ids, with_logits=with_logits), rng)
+    """One planned step in which member offers the rows of ids and every
+    other member none."""
+    counts = [0] * len(buf.sizes)
+    counts[member] = len(ids)
+    buf.plan_epoch([counts], 0, 1, [rng] * len(buf.sizes))
+    buf.insert(*_rows(ids, with_logits=with_logits))
+    buf.end_epoch()
+
+
+def _sample(buf, batch_size, rngs):
+    """One planned step that samples one buffer batch and offers no rows."""
+    buf.plan_epoch([[0] * len(rngs)], 1, batch_size, rngs)
+    out = buf.sample_arrays(batch_size)
+    buf.insert(*_rows([], with_logits=buf.logits is not None))
+    buf.end_epoch()
+    return out
 
 
 def _kept(buf, member=0):
     """The stream items member's block holds, slot by slot."""
     size = buf.sizes[member]
     return [] if size == 0 else buf.x[member, :size, 0].astype(int).tolist()
+
+
+def _run_against_reference(capacity, epochs, samples, batch_size, seed, with_logits=True):
+    """Train-loop schedule on a planned buffer and on the per-call reference:
+    epochs[i][t][e] rows of member e at step t of epoch i, each step sampling
+    `samples` batches first while every member holds rows. Asserts both
+    sample, hold and draw the same bytes, step by step."""
+    members = len(epochs[0][0])
+    buf, ref = ReplayBuffer(capacity, members), PerCallReservoir(capacity, members)
+    rngs_buf = [np.random.default_rng([seed, e]) for e in range(members)]
+    rngs_ref = [np.random.default_rng([seed, e]) for e in range(members)]
+    start = 0
+    for epoch in epochs:
+        buf.plan_epoch(epoch, samples, batch_size, rngs_buf)
+        for counts in epoch:
+            assert len(buf) == min(ref.sizes)
+            if len(buf) > 0:
+                for _ in range(samples):
+                    got = buf.sample_arrays(batch_size)
+                    want = [row for e in range(members)
+                            for row in ref.sample(e, batch_size, rngs_ref[e])]
+                    for k in range(2 + with_logits):
+                        assert got[k].tobytes() == np.stack([r[k] for r in want]).tobytes()
+            x, y, logits = _rows(range(start, start + sum(counts)), with_logits=with_logits)
+            buf.insert(x, y, logits)
+            members_of_rows = np.repeat(np.arange(members), counts)  # member-major
+            for i, e in enumerate(members_of_rows):
+                ref.insert(e, (x[i], y[i], None if logits is None else logits[i]), rngs_ref[e])
+            start += len(y)
+            assert buf.seen_counts == ref.seen_counts
+            assert buf.sizes == ref.sizes
+        buf.end_epoch()
+    for e, rows in enumerate(ref.rows):
+        for k, name in enumerate(("x", "y", "logits")[:2 + with_logits]):
+            if rows:
+                assert getattr(buf, name)[e, :len(rows)].tobytes() == \
+                    np.stack([r[k] for r in rows]).tobytes()
+    assert (buf.logits is None) == (not with_logits or not any(ref.sizes))
+    for rb, rr in zip(rngs_buf, rngs_ref):
+        assert rb.bit_generator.state == rr.bit_generator.state
+    return buf
+
+
+def _steps(rng, epochs, steps, members, low, high):
+    return [[rng.integers(low, high + 1, size=members).tolist() for _ in range(steps)]
+            for _ in range(epochs)]
+
+
+CASES = {
+    # (capacity, epochs of steps of per-member row counts)
+    "fill_phase": lambda m: (40, [[[6] * m] * 3] * 2),
+    "short_last_batch": lambda m: (10, [[[8] * m] * 3 + [[3] * m]] * 3),
+    "clean_counts_vary": lambda m: (12, _steps(np.random.default_rng(m), 3, 5, m, 0, 8)),
+    "capacity_1": lambda m: (1, [[[5] * m] * 4] * 2),
+    "capacity_above_task": lambda m: (100, [[[8] * m] * 4] * 4),
+    "member_starts_empty": lambda m: (6, [[[0] + [4] * (m - 1)] * 2 + [[4] * m] * 3] * 2),
+}
+
+
+@pytest.mark.parametrize("samples", [0, 1, 2])
+@pytest.mark.parametrize("members", [1, 3])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_planned_buffer_equals_per_call_reference(case, members, samples):
+    capacity, epochs = CASES[case](members)
+    _run_against_reference(capacity, epochs, samples, 4, seed=17)
+
+
+def test_one_integers_call_equals_the_call_sequence():
+    # the epoch plan rests on this: one integers call over the concatenated
+    # bounds of a sequence of calls, scalar bound with size= or array bounds,
+    # gives the sequence's values and leaves the generator where it would;
+    # bound 1 draws nothing either way
+    for seed in range(50):
+        shape = np.random.default_rng([seed, 0])
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        values, bounds = [], []
+        for _ in range(12):
+            if shape.random() < 0.5:
+                bound, size = int(shape.integers(1, 40)), int(shape.integers(0, 33))
+                values.append(a.integers(0, bound, size=size))
+                bounds.append(np.full(size, bound))
+            else:
+                low = int(shape.integers(1, 3000))
+                arr = np.arange(low, low + int(shape.integers(0, 33)))
+                values.append(a.integers(0, arr))
+                bounds.append(arr)
+        values.append(a.integers(0, 1, size=5))
+        bounds.append(np.ones(5, dtype=np.int64))
+        assert np.concatenate(values).tolist() == b.integers(0, np.concatenate(bounds)).tolist()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_plan_must_be_consumed_exactly():
+    rngs = [np.random.default_rng(0)]
+    buf = ReplayBuffer(4)
+    _insert(buf, range(6), rngs[0])
+    # a step sampled fewer batches than planned
+    buf.plan_epoch([[2], [2]], 1, 3, rngs)
+    with pytest.raises(ValueError):
+        buf.insert(*_rows([10, 11]))
+    # or more
+    buf.sample_arrays(3)
+    with pytest.raises(ValueError):
+        buf.sample_arrays(3)
+    # or offered other rows
+    with pytest.raises(ValueError):
+        buf.insert(*_rows([10]))
+    buf.insert(*_rows([10, 11]))
+    # or took fewer steps
+    with pytest.raises(RuntimeError):
+        buf.end_epoch()
+    # or sampled another batch size
+    with pytest.raises(ValueError):
+        buf.sample_arrays(2)
+    buf.sample_arrays(3)
+    buf.insert(*_rows([12, 13]))
+    buf.end_epoch()
+    # or more steps than planned
+    with pytest.raises(ValueError):
+        buf.insert(*_rows([]))
+    with pytest.raises(ValueError):
+        buf.sample_arrays(3)
 
 
 def test_fill_phase_keeps_everything():
@@ -73,20 +195,23 @@ def test_capacity_zero_accepts_nothing():
     assert buf.seen_counts == [10]
     assert buf.x is None  # allocates nothing
     with pytest.raises(ValueError):
-        buf.sample_arrays(1, [rng])
+        _sample(buf, 1, [rng])
 
 
 def test_retention_frequency_matches_reservoir_statistics():
     # every stream item should be retained with probability capacity/stream,
-    # checked by monte carlo over many trials (scaled-down version); batches
-    # of 32 keep what, and draw what, per-row inserts would
+    # checked by monte carlo over many trials (scaled-down version); an epoch
+    # of batches of 32 keeps what, and draws what, per-row inserts would
     capacity, stream, trials = 20, 200, 2000
     hits = np.zeros(stream)
+    starts = range(0, stream, 32)
     for trial in range(trials):
         rng = np.random.default_rng([3, trial])
         buf = ReplayBuffer(capacity)
-        for s in range(0, stream, 32):
-            _insert(buf, range(s, min(s + 32, stream)), rng)
+        buf.plan_epoch([[min(32, stream - s)] for s in starts], 0, 1, [rng])
+        for s in starts:
+            buf.insert(*_rows(range(s, min(s + 32, stream))))
+        buf.end_epoch()
         hits[_kept(buf)] += 1
     freq = hits / trials
     expected = capacity / stream
@@ -98,7 +223,7 @@ def test_sample_draws_with_replacement_from_contents():
     rng = np.random.default_rng(4)
     for i in range(4):
         _insert(buf, [i], rng)
-    x, _, _ = buf.sample_arrays(100, [np.random.default_rng(5)])
+    x, _, _ = _sample(buf, 100, [np.random.default_rng(5)])
     assert len(x) == 100  # more draws than rows: must be with replacement
     ids = set(x[:, 0].astype(int).tolist())
     assert ids <= {0, 1, 2, 3}
@@ -110,7 +235,7 @@ def test_sample_arrays_stacks_entries():
     rng = np.random.default_rng(6)
     for i in range(3):
         _insert(buf, [i], rng, with_logits=True)
-    x, y, logits = buf.sample_arrays(8, [np.random.default_rng(7)])
+    x, y, logits = _sample(buf, 8, [np.random.default_rng(7)])
     assert x.shape == (8, 3)
     assert y.shape == (8,)
     assert logits.shape == (8, 2)
@@ -124,7 +249,7 @@ def test_sample_arrays_without_logits_returns_none():
     buf = ReplayBuffer(2)
     rng = np.random.default_rng(8)
     _insert(buf, [0], rng)
-    _, _, logits = buf.sample_arrays(3, [np.random.default_rng(9)])
+    _, _, logits = _sample(buf, 3, [np.random.default_rng(9)])
     assert logits is None
 
 
@@ -132,26 +257,20 @@ def test_sample_arrays_without_logits_returns_none():
 @given(st.integers(0, 12), st.lists(st.integers(0, 30), min_size=1, max_size=5),
        st.booleans(), st.integers(0, 2 ** 31 - 1))
 def test_array_insert_equals_per_row_inserts(capacity, chunks, with_logits, seed):
-    # the training loop inserts whole batches; they must keep exactly what,
-    # and draw exactly what, one Algorithm-R insert per row would
-    ref, buf, start = PerRowReservoir(capacity), ReplayBuffer(capacity), 0
-    rng_ref, rng_buf = np.random.default_rng(seed), np.random.default_rng(seed)
-    for n in chunks:
-        x, y, logits = _rows(range(start, start + n), with_logits=with_logits)
-        start += n
-        for k in range(n):
-            ref.insert((x[k], y[k], None if logits is None else logits[k]), rng_ref)
-        buf.reservoir_insert_arrays(0, x, y, logits, rng_buf)
-    size = len(ref.rows)
-    assert buf.seen_counts == [ref.seen]
-    assert buf.sizes == [size]
-    if size:
-        assert buf.x[0, :size].tolist() == [r[0].tolist() for r in ref.rows]
-        assert buf.y[0, :size].tolist() == [int(r[1]) for r in ref.rows]
-        if with_logits:
-            assert buf.logits[0, :size].tolist() == [r[2].tolist() for r in ref.rows]
-    assert (buf.logits is None) == (not with_logits or size == 0)
-    assert rng_buf.random() == rng_ref.random()
+    # the training loop inserts whole batches, an epoch of them planned at
+    # once; they must keep exactly what, and draw exactly what, one
+    # Algorithm-R insert per row would
+    _run_against_reference(capacity, [[[n] for n in chunks]], 0, 1, seed, with_logits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12), st.sampled_from([1, 3]), st.integers(0, 2),
+       st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=5), min_size=1, max_size=3),
+       st.integers(0, 2 ** 31 - 1))
+def test_planned_epochs_equal_per_call_reference(capacity, members, samples, epochs, seed):
+    # any schedule: epochs of steps whose members offer different row counts
+    epochs = [[[(n + e) % 10 for e in range(members)] for n in steps] for steps in epochs]
+    _run_against_reference(capacity, epochs, samples, 3, seed)
 
 
 def test_slot_drawn_twice_keeps_the_later_row():
@@ -165,16 +284,16 @@ def test_slot_drawn_twice_keeps_the_later_row():
             break
     else:
         pytest.fail("no seed below 100 draws one slot twice")
-    buf, ref = ReplayBuffer(capacity), PerRowReservoir(capacity)
+    buf, ref = ReplayBuffer(capacity), PerCallReservoir(capacity)
     _insert(buf, [0, 1], None)
     for i in (0, 1):
-        ref.insert(i, None)
+        ref.insert(0, i, None)
     _insert(buf, batch, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     for i in batch:
-        ref.insert(int(i), rng)
+        ref.insert(0, int(i), rng)
     last = {int(s): int(i) for s, i in zip(slots, batch) if s < capacity}
-    assert _kept(buf) == ref.rows
+    assert _kept(buf) == ref.rows[0]
     assert all(_kept(buf)[s] == i for s, i in last.items())
 
 
@@ -184,18 +303,24 @@ def test_slot_drawn_twice_keeps_the_later_row():
                 min_size=1, max_size=5),
        st.integers(0, 2 ** 31 - 1))
 def test_members_equal_one_member_buffers(capacity, calls, seed):
-    # an E = 3 buffer fed different row counts per member per call holds,
+    # an E = 3 buffer fed different row counts per member per step holds,
     # draws and samples exactly what three one-member buffers would
     group, alone = ReplayBuffer(capacity, 3), [ReplayBuffer(capacity) for _ in range(3)]
     rngs_group = [np.random.default_rng([seed, e]) for e in range(3)]
     rngs_alone = [np.random.default_rng([seed, e]) for e in range(3)]
+    group.plan_epoch(calls, 0, 1, rngs_group)
+    for b, counts, r in zip(alone, zip(*calls), rngs_alone):
+        b.plan_epoch([[n] for n in counts], 0, 1, [r])
     start = 0
     for counts in calls:
+        rows = _rows(range(start, start + sum(counts)), with_logits=True)
+        group.insert(*rows)
         for e, n in enumerate(counts):
-            rows = _rows(range(start, start + n), with_logits=True)
-            start += n
-            group.reservoir_insert_arrays(e, *rows, rngs_group[e])
-            alone[e].reservoir_insert_arrays(0, *rows, rngs_alone[e])
+            lo = sum(counts[:e])  # member-major rows
+            alone[e].insert(*(a[lo:lo + n] for a in rows))
+        start += sum(counts)
+    for b in (group, *alone):
+        b.end_epoch()
     assert group.seen_counts == [b.seen_counts[0] for b in alone]
     assert group.sizes == [b.sizes[0] for b in alone]
     for e, b in enumerate(alone):
@@ -205,8 +330,8 @@ def test_members_equal_one_member_buffers(capacity, calls, seed):
                 assert getattr(group, name)[e, :size].tobytes() == \
                     getattr(b, name)[0, :size].tobytes()
     if all(group.sizes):
-        got = group.sample_arrays(7, rngs_group)
-        want = [b.sample_arrays(7, [r]) for b, r in zip(alone, rngs_alone)]
+        got = _sample(group, 7, rngs_group)
+        want = [_sample(b, 7, [r]) for b, r in zip(alone, rngs_alone)]
         for k in range(3):
             assert got[k].tobytes() == np.concatenate([w[k] for w in want]).tobytes()
     for rg, ra in zip(rngs_group, rngs_alone):
@@ -229,7 +354,7 @@ def test_sampling_an_empty_member_raises():
     assert buf.sizes == [3, 0]
     assert len(buf) == 0
     with pytest.raises(ValueError):
-        buf.sample_arrays(2, [rng, rng])
+        _sample(buf, 2, [rng, rng])
 
 
 def test_insertion_deterministic_given_rng():

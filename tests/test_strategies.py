@@ -387,10 +387,9 @@ def test_attack_rates_only_after_first_task():
 def test_der_without_stored_logits_fails_cleanly():
     model = init_model((4, 3, 2), seed=0)
     buf = ReplayBuffer(4)
-    rng = np.random.default_rng(0)
-    buf.reservoir_insert_arrays(0, np.zeros((1, 4)), np.zeros(1, dtype=np.int64),
-                                None, rng)
-    x, _, logits = buf.sample_arrays(2, [rng])
+    buf.plan_epoch([[1], [0]], 1, 2, [np.random.default_rng(0)])
+    buf.insert(np.zeros((1, 4)), np.zeros(1, dtype=np.int64), None)
+    x, _, logits = buf.sample_arrays(2)
     with pytest.raises(ValueError):
         der_terms(model, x, logits, 0.5)
 
@@ -410,7 +409,8 @@ def test_only_der_buffers_store_logits(monkeypatch):
         made.clear()
         _train_group([_small_stream(s) for s in (5, 6)], strategy, _cfg(), (5, 6))
         (buf,) = made
-        x, y, logits = buf.sample_arrays(4, [np.random.default_rng(s) for s in (0, 1)])
+        buf.plan_epoch([[0, 0]], 1, 4, [np.random.default_rng(s) for s in (0, 1)])
+        x, y, logits = buf.sample_arrays(4)
         assert x.shape == (8, 8) and y.shape == (8,)
         assert (buf.logits is not None) == stores
         if stores:
@@ -522,10 +522,18 @@ def test_stored_der_logits_equal_pre_step_forward_pass(monkeypatch):
         stepped.append(model)
         return real_sgd_step(model, grads, lr)
 
+    planned = []  # each planned step's rows per member
+
     class RecordedBuffer(ReplayBuffer):
-        def reservoir_insert_arrays(self, member, x, y, logits, rng):
-            inserts.append((member, stepped[-1], x.copy(), logits.copy()))
-            super().reservoir_insert_arrays(member, x, y, logits, rng)
+        def plan_epoch(self, counts, *args):
+            planned.extend(counts)
+            super().plan_epoch(counts, *args)
+
+        def insert(self, x, y, logits):
+            cuts = np.cumsum(planned.pop(0))[:-1]  # the rows are member-major
+            for member, (xe, le) in enumerate(zip(np.split(x, cuts), np.split(logits, cuts))):
+                inserts.append((member, stepped[-1], xe.copy(), le.copy()))
+            super().insert(x, y, logits)
 
     monkeypatch.setattr(eatcl.strategies, "sgd_step", recording_sgd_step)
     monkeypatch.setattr(eatcl.strategies, "ReplayBuffer", RecordedBuffer)
@@ -538,3 +546,48 @@ def test_stored_der_logits_equal_pre_step_forward_pass(monkeypatch):
             model = (pre_step if pre_step.members is None
                      else unstack_models(pre_step)[member])
             assert forward(model, x).tobytes() == logits.tobytes(), strategy
+
+
+def test_buffer_draws_one_integers_call_per_member_and_epoch(monkeypatch):
+    # each member's buffer generator makes one integers call per epoch that
+    # draws: every sample and insert draw of the epoch comes from that call
+    calls = []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, []
+            calls.append(self.calls)
+
+        def integers(self, *args, **kwargs):
+            out = self.rng.integers(*args, **kwargs)
+            self.calls.append(out.size)
+            return out
+
+    real_for_seed = eatcl.strategies._Rngs.for_seed
+
+    def counted_for_seed(seed):
+        rngs = real_for_seed(seed)
+        rngs.buffer = Counting(rngs.buffer)
+        return rngs
+
+    monkeypatch.setattr(eatcl.strategies._Rngs, "for_seed", staticmethod(counted_for_seed))
+    stream = _small_stream(9)
+    # capacity below a task's 60 rows: every epoch's inserts draw
+    cfg = _cfg(buffer_capacity=10)
+    for strategy in ("der", "derpp"):
+        calls.clear()
+        _train_group([stream, stream], strategy, cfg, (5, 6))
+        epochs = len(stream.tasks) * cfg.epochs_per_task
+        assert len(calls) == 2
+        for member in calls:  # the draws of each call
+            assert len(member) == epochs and all(member), strategy
+
+
+def test_a_step_schedule_off_the_plan_raises(monkeypatch):
+    # the epoch plan fixes how many buffer batches each step samples; a step
+    # that samples fewer or more fails at once instead of shifting draws
+    stream = _small_stream(9)
+    for strategy, planned in (("er", 2), ("derpp", 1)):
+        monkeypatch.setitem(eatcl.strategies._BUFFER_BATCHES, strategy, planned)
+        with pytest.raises(ValueError, match="planned"):
+            _train(stream, strategy, _cfg())

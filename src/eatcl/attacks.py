@@ -5,8 +5,7 @@ steps of size alpha, projecting back into the closed L-infinity ball of
 radius eps around the clean batch after every step, optionally starting
 from a uniform random point inside the ball. FGSM is PGD's one step from
 x: a single signed-gradient step of size eps with no random start, which
-the projection leaves as it is. Range clipping (e.g. to [0, 1] for
-image-like data) is optional and applied after the ball projection.
+the projection leaves as it is.
 
 A step is a fixed function of the batch, so PGD stops early once a step
 returns the whole batch to the state it started from (a fixed point) or to
@@ -43,7 +42,6 @@ class AttackConfig:
     alpha: float = 0.0078
     iters: int = 4
     random_start: bool = True
-    clip: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
@@ -55,10 +53,6 @@ class AttackConfig:
             raise ValueError(f"alpha must be > 0 and finite, got {self.alpha}")
         if self.iters < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
-        if self.clip is not None:
-            lo, hi = self.clip
-            if not lo < hi:
-                raise ValueError(f"clip range needs lo < hi, got {self.clip}")
 
 
 def project_linf(x_adv, lo, hi) -> np.ndarray:
@@ -74,8 +68,8 @@ def project_linf(x_adv, lo, hi) -> np.ndarray:
 def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
            rng) -> np.ndarray:
     """iters signed-gradient steps of size alpha, each projected into the
-    closed cfg.eps-ball around x and clipped to cfg.clip, from a uniform
-    random start in the ball drawn from rng, or from x when rng is None.
+    closed cfg.eps-ball around x, from a uniform random start in the ball
+    drawn from rng, or from x when rng is None.
 
     The batch, the generators and the labels are checked once, before the
     first step; every step taken is one forward and one input-only backward
@@ -97,8 +91,6 @@ def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
         else:
             start = rng.uniform(-cfg.eps, cfg.eps, size=x.shape)
         adv = x + start
-        if cfg.clip is not None:
-            adv = np.clip(adv, cfg.clip[0], cfg.clip[1])
     lo, hi = x - cfg.eps, x + cfg.eps
     # the bytes (-0.0 is not 0.0) of adv and of the state before it, each
     # taken once, by the step that made it
@@ -106,8 +98,6 @@ def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
     for k in range(iters):
         new = adv + alpha * np.sign(ce_input_grad(model, adv, targets))
         new = project_linf(new, lo, hi)
-        if cfg.clip is not None:
-            new = np.clip(new, cfg.clip[0], cfg.clip[1])
         if k < iters - 1:
             key = new.tobytes()
             # back at adv (a fixed point) or at the state before it: from
@@ -124,7 +114,7 @@ def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
 def attack(model: MLPModel, x, y, cfg: AttackConfig, rng=None) -> np.ndarray:
     """Adversarial examples for (x, y) against model, by cfg.kind.
 
-    FGSM: x + eps * sign(grad_x loss), then the optional clip; sign(0) is 0.
+    FGSM: x + eps * sign(grad_x loss); sign(0) is 0.
     PGD: cfg.iters projected signed-gradient steps of size cfg.alpha, from a
     random start in the eps-ball when cfg.random_start; only that start
     draws from rng, a Generator or, for a stacked model, one per member.

@@ -15,6 +15,7 @@ variable, then ``runs/<experiment>`` under the working directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -55,14 +56,17 @@ def _cmd_grid(args) -> int:
     if args.res < 2:
         print(f"--res must be >= 2, got {args.res}", file=sys.stderr)
         return 2
+    bounds = args.bounds  # XLO XHI YLO YHI
     try:
-        model, bounds = runner.load_model_json(args.model)
+        model, stored = runner.load_model_json(args.model)
+        if bounds is None and stored is not None:  # the grid uses the stored bounds
+            (lo_x, hi_x), (lo_y, hi_y) = stored["x"], stored["y"]
+            bounds = [float(v) for v in (lo_x, hi_x, lo_y, hi_y)]
+            if not all(map(math.isfinite, bounds)):
+                raise ValueError(f"stored bounds must be finite, got {stored}")
     except (ValueError, KeyError, TypeError) as exc:
         print(f"unreadable model artifact {args.model}: {exc!r}", file=sys.stderr)
         return 2
-    if args.bounds is not None:
-        lo_x, hi_x, lo_y, hi_y = args.bounds
-        bounds = {"x": [lo_x, hi_x], "y": [lo_y, hi_y]}
     if bounds is None:
         print("model artifact has no stored bounds; pass --bounds XLO XHI YLO YHI",
               file=sys.stderr)
@@ -72,7 +76,8 @@ def _cmd_grid(args) -> int:
               file=sys.stderr)
         return 2
     out = args.out or (os.path.splitext(args.model)[0] + ".grid.csv")
-    runner.write_grid_csv(model, bounds, args.res, out)
+    lo_x, hi_x, lo_y, hi_y = bounds
+    runner.write_grid_csv(model, {"x": [lo_x, hi_x], "y": [lo_y, hi_y]}, args.res, out)
     print(f"grid written to {out}")
     return 0
 

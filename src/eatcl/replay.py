@@ -13,8 +13,10 @@ So the training loop plans each epoch when it starts (``plan_epoch``), and
 the buffer draws each member's whole epoch with one generator call over the
 bounds that the per-step calls would use, in their order. One
 ``integers`` call over concatenated bounds gives the values, and leaves the
-generator state, of the sequence of calls. Each step then samples with
-precomputed indices and inserts every member's rows with one write.
+generator state, of the sequence of calls. The plan is data, one entry per
+step: the indices of the step's buffer batches, which ``sample_arrays``
+takes, and the slots its rows go to, which ``insert`` writes with one write
+for every member. The buffer keeps no epoch state of its own.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import numpy as np
 
 
 class ReplayBuffer:
-    """Reservoir buffers of E members, each with its own seen count and size.
-    Single-writer; the training loop owns it. The arrays are made at the
-    first insert, so a capacity-0 buffer holds none."""
+    """Reservoir buffers of E members, each with its own seen count and size
+    of every row planned so far. Single-writer; the training loop owns it.
+    The arrays are made at the first insert: a capacity-0 buffer has none."""
 
     def __init__(self, capacity: int, members: int = 1):
         if capacity < 0:
@@ -35,26 +37,19 @@ class ReplayBuffer:
         self.sizes = [0] * members
         self.x = self.y = self.logits = None
         self._flat = ()  # (E * capacity, ...) views of x, y and logits
-        # this epoch's planned steps, taken in order: (buffer batches left,
-        # rows offered, slots written, rows written there, seen counts and
-        # sizes after the step)
-        self._steps = []
-        self._step = 0
 
-    def __len__(self) -> int:
-        """The rows every member holds."""
-        return min(self.sizes)
-
-    def plan_epoch(self, counts, samples: int, batch_size: int, rngs) -> None:
-        """Plan the draws of an epoch of steps, with rngs[e] for member e.
+    def plan_epoch(self, counts, samples: int, batch_size: int, rngs) -> list:
+        """Plan the draws of an epoch of steps, with rngs[e] for member e:
+        one (batches, writes) per step, for sample_arrays and insert.
 
         Member e offers counts[t][e] rows at step t. Step t first samples
         `samples` buffer batches of batch_size rows per member, drawn
-        uniformly with replacement, if every member holds rows; then each
-        member's rows enter its block by Algorithm R, in order: fill, then
-        row k goes to slot integers(0, seen_k) if that is below capacity,
-        where seen_k is its running count. When two rows of a step draw one
-        slot, the later one stays. Each member's draws come from one call.
+        uniformly with replacement, if every member holds rows (else batches
+        is empty); then each member's rows enter its block by Algorithm R,
+        in order: fill, then row k goes to slot integers(0, seen_k) if that
+        is below capacity, where seen_k is its running count. When two rows
+        of a step draw one slot, the later one stays. Each member's draws
+        come from one call.
         """
         counts = np.asarray(counts, dtype=np.int64).reshape(-1, len(self.sizes))
         cap, steps = self.capacity, len(counts)
@@ -91,47 +86,21 @@ class ReplayBuffer:
         _, last = np.unique(write_step * cap * len(rngs) + at, return_index=True)
         write_step, at, row = write_step[last], at[last], row[last]
         cuts = np.searchsorted(write_step, np.arange(1, steps))
+        self.seen_counts = (seen0 + counts.sum(axis=0)).tolist()
+        self.sizes = np.minimum(self.seen_counts, cap).tolist()
         batches = iter(sample_idx)
-        self._steps = [([next(batches) for _ in range(samples)] if r else [], n, at_t, row_t,
-                        seen_t, size_t)
-                       for r, n, at_t, row_t, seen_t, size_t in zip(
-                           replays, counts.sum(axis=1), np.split(at, cuts),
-                           np.split(row, cuts), seen.tolist(), np.minimum(seen, cap).tolist())]
-        self._step = 0
+        return [([next(batches) for _ in range(samples)] if r else [], w) for r, w in
+                zip(replays, zip(counts.sum(axis=1), np.split(at, cuts), np.split(row, cuts)))]
 
-    def end_epoch(self) -> None:
-        """Raise unless every planned step was taken, so a change to the
-        step schedule cannot silently shift the draws."""
-        if self._step != len(self._steps):
-            raise RuntimeError(f"the replay plan has {len(self._steps)} steps, "
-                               f"{self._step} were taken")
-        self._steps, self._step = [], 0
-
-    def _current(self):
-        if self._step >= len(self._steps):
-            raise ValueError("no planned buffer step left")
-        return self._steps[self._step]
-
-    def sample_arrays(self, batch_size: int):
-        """The step's next planned buffer batch: batch_size rows of every
-        member, as member-major (E * batch_size, ...) arrays x, y and stored
-        logits, or None when the rows have none."""
-        batches = self._current()[0]
-        if not batches:
-            raise ValueError("no buffer batch planned at this step")
-        if len(batches[0]) != batch_size * len(self.sizes):
-            raise ValueError(f"planned buffer batches have {len(batches[0]) // len(self.sizes)} "
-                             f"rows per member, not {batch_size}")
-        idx = batches.pop(0)
+    def sample_arrays(self, idx):
+        """The planned buffer batch idx of every member, as member-major
+        arrays x, y and stored logits, or None when the rows have none."""
         return tuple(None if a is None else a.take(idx, axis=0) for a in self._flat)
 
-    def insert(self, x, y, logits) -> None:
-        """End the step: its offered rows (x, y, logits-or-None), member-major,
-        enter the members' blocks as planned. Logits come with every insert
-        or with none."""
-        batches, n, at, rows, seen, sizes = self._current()
-        if batches:
-            raise ValueError(f"{len(batches)} planned buffer batches were not sampled")
+    def insert(self, writes, x, y, logits) -> None:
+        """Write one step's offered rows (x, y, logits-or-None), member-major,
+        as its planned writes say. Logits come with every insert or none."""
+        n, at, rows = writes
         if len(y) != n:
             raise ValueError(f"the plan offers {n} rows at this step, got {len(y)}")
         if self.x is None and self.capacity and len(y):
@@ -144,8 +113,6 @@ class ReplayBuffer:
                                for a in (self.x, self.y, self.logits))
         if self.x is not None and (logits is None) != (self.logits is None):
             raise ValueError("insert logits with every row or with none")
-        self._step += 1
-        self.seen_counts, self.sizes = seen, sizes
         if len(at):
             fx, fy, flogits = self._flat
             fx[at] = x[rows]

@@ -51,18 +51,15 @@ def _parse_float(s: str) -> float:
     return value
 
 
-def _parse_int_list(s: str) -> tuple[int, ...]:
-    parts = s.split()
-    if not parts:
-        raise ValueError("expected at least one integer")
-    return tuple(int(p) for p in parts)
-
-
 def _parse_str_list(s: str) -> tuple[str, ...]:
     parts = tuple(s.split())
     if not parts:
         raise ValueError("expected at least one value")
     return parts
+
+
+def _parse_int_list(s: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in _parse_str_list(s))
 
 
 def _optional(parse):
@@ -249,12 +246,16 @@ def save_model_json(model: MLPModel, bounds, path: str) -> None:
 
 
 def load_model_json(path: str) -> tuple[MLPModel, dict | None]:
+    """The saved model and its stored bounds; ValueError if a weight or bias misfits."""
     with open(path) as fh:
         payload = json.load(fh)
-    model = MLPModel(tuple(payload["layer_sizes"]),
-                     [np.asarray(w, dtype=np.float64) for w in payload["weights"]],
-                     [np.asarray(b, dtype=np.float64) for b in payload["biases"]])
-    return model, payload.get("bounds")
+    sizes = tuple(payload["layer_sizes"])
+    weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
+    biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
+    if (len(sizes) < 2 or [w.shape for w in weights] != list(zip(sizes, sizes[1:]))
+            or [b.shape for b in biases] != [(n,) for n in sizes[1:]]):
+        raise ValueError(f"weights and biases do not fit layer sizes {sizes}")
+    return MLPModel(sizes, weights, biases), payload.get("bounds")
 
 
 def write_grid_csv(model: MLPModel, bounds: dict, resolution: int,

@@ -35,11 +35,9 @@ index and runs one attack, one gradient pass and one SGD step for all of
 them. +EAT's external models never see the target, so each member's
 externals for a task, one per generation, train in lockstep too. The group
 shares one replay buffer, in which each member has its own block of rows.
-The buffer's draws never depend on the model, only on the epoch's batch
-order, the clean rows and the replay scheme's buffer batches per step, so
-each epoch's samples and inserts are planned when it starts, with one
-generator call per member (see replay), and each step samples every member
-with one take and inserts every member's rows with one write.
+Its draws never depend on the model, so each epoch is planned when it starts
+(see replay), and the plan alone says which steps replay; each step samples
+every member with one take and inserts their rows with one write.
 Each member keeps its own stream, random generators, buffer block, attack
 counts and log, and gets exactly the bits it would get trained alone;
 ``train_stream`` is the same loop with one member and a plain model. All
@@ -64,7 +62,7 @@ from .replay import ReplayBuffer
 
 STRATEGIES = ("joint", "joint_at", "er", "er_at", "er_cat", "er_eat",
               "der", "der_at", "der_eat", "derpp", "derpp_at", "derpp_eat")
-# the buffer batches batch_step samples per step while replaying
+# the buffer batches a replaying step samples
 _BUFFER_BATCHES = {"er": 1, "der": 1, "derpp": 2}
 
 
@@ -221,28 +219,31 @@ def derpp_label_terms(model, buf_x, buf_y, beta: float):
 
 
 def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
-               buffer: ReplayBuffer, replaying: bool, cfg: TrainConfig) -> MLPModel:
+               buffer: ReplayBuffer, step, cfg: TrainConfig) -> MLPModel:
     """One SGD update of every member on its current batch, after which the
     batch's clean rows enter each member's block of the group's buffer.
 
     xb (E, rows, d) and yb (E, rows) hold member e's batch in block e, cb
     marks its clean task rows (None: all are), and model is the _lockstep
-    model of the E members. With replaying, ER appends a memory batch, DER
-    adds its distillation term on a clean buffer batch, and DER++ also its
-    label term on a second buffer batch, which +AT attacks in place. +AT
-    attacks every row of the cross-entropy batch, +CAT only the current
-    rows, which lead it; the adversarial rows replace them or, with at_mix
-    "union", follow them. Each member draws from its own block and
-    generators; the buffer batches and inserts follow the epoch's plan.
+    model of the E members. step is its (batches, writes) entry of the
+    buffer's epoch plan, writes None with no buffer. With planned batches,
+    as many as the scheme takes (else ValueError), the step replays: ER
+    appends a memory batch, DER adds its distillation term on a clean buffer
+    batch, and DER++ also its label term on a second one, which +AT attacks
+    in place. +AT attacks every row of the cross-entropy batch, +CAT only the
+    current rows, which lead it; the adversarial rows replace them or, with
+    at_mix "union", follow them. Each member uses its own block and rngs.
     """
-    replay_bs = cfg.replay_batch_size or cfg.batch_size
+    batches, writes = step
+    if batches and len(batches) != _BUFFER_BATCHES[replay]:
+        raise ValueError(f"replay plan for {replay}: {len(batches)} buffer batches planned")
     atk_rng = _rng_arg([m.rngs.attack for m in members])
     b = xb.shape[1]
     x, y = xb, yb
-    if replaying and replay == "er":
-        mx, my, _ = buffer.sample_arrays(replay_bs)
-        x = np.concatenate([xb, mx.reshape(len(members), replay_bs, -1)], axis=1)
-        y = np.concatenate([yb, my.reshape(len(members), replay_bs)], axis=1)
+    if batches and replay == "er":
+        mx, my, _ = buffer.sample_arrays(batches[0])
+        x = np.concatenate([xb, mx.reshape(len(members), -1, xb.shape[2])], axis=1)
+        y = np.concatenate([yb, my.reshape(len(members), -1)], axis=1)
     n_atk = {"at": x.shape[1], "cat": b}.get(robust, 0)
     if n_atk:
         src, ys = x[:, :n_atk], y[:, :n_atk]
@@ -265,20 +266,20 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
         return softmax_ce(logits, _flat(y))
 
     _, grads = loss_and_grads(model, _flat(x), ce)
-    if replaying and replay in ("der", "derpp"):
-        bx, _, blogits = buffer.sample_arrays(replay_bs)
+    if batches and replay in ("der", "derpp"):
+        bx, _, blogits = buffer.sample_arrays(batches[0])
         _, der_grads = der_terms(model, bx, blogits, cfg.der_alpha)
         grads = add_grads(grads, der_grads)
         if replay == "derpp":
-            bx2, by2, _ = buffer.sample_arrays(replay_bs)
+            bx2, by2, _ = buffer.sample_arrays(batches[1])
             if robust == "at":
                 bx2 = attack(model, bx2, by2, cfg.attack, atk_rng)
                 for m in members:
-                    m.log.attack_counts["memory"] += replay_bs
+                    m.log.attack_counts["memory"] += len(by2) // len(members)
             _, label_grads = derpp_label_terms(model, bx2, by2, cfg.derpp_beta)
             grads = add_grads(grads, label_grads)
     stepped = sgd_step(model, grads, cfg.lr)
-    if not buffer.capacity:
+    if writes is None:
         return stepped
     # DER stores the pre-step model's logits of the rows it inserts. Clean,
     # the cross-entropy batch is exactly xb, so they are that pass's logits;
@@ -292,7 +293,7 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
             rows = xb if cb is None else [xe[ce] for xe, ce in zip(xb, cb)]
             ins_logits = np.concatenate([forward(single, xe)
                                          for single, xe in zip(_split(model), rows)])
-    buffer.insert(cx, cy, ins_logits)
+    buffer.insert(writes, cx, cy, ins_logits)
     return stepped
 
 
@@ -330,7 +331,7 @@ def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds, counts: dict
 def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
               members, buffer: ReplayBuffer) -> MLPModel:
     """Train one task of every member for epochs_per_task epochs, replaying
-    when possible; tasks[e] is member e's, all with one index and size.
+    from the second task on; tasks[e] is member e's, all with one index and size.
 
     +EAT first trains each member's external models, in lockstep: one for
     the whole task, or one per epoch with eat_refresh. Each epoch's
@@ -373,20 +374,17 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
         fx, fy = _flat(xs), _flat(ys)
         fc = None if clean is None else _flat(clean)
         starts = range(0, rows, cfg.batch_size)
+        plan = [([], None)] * len(starts)  # no buffer: no batches, no writes
         if buffer.capacity:  # each member offers the buffer its clean rows
             offered = np.ones(perms.shape, dtype=bool) if fc is None else fc[perms]
-            buffer.plan_epoch(np.add.reduceat(offered, starts, axis=1, dtype=np.int64).T,
-                              _BUFFER_BATCHES[replay] if index > 0 else 0,
-                              cfg.replay_batch_size or cfg.batch_size,
-                              [m.rngs.buffer for m in members])
-        for s in starts:
+            plan = buffer.plan_epoch(np.add.reduceat(offered, starts, axis=1, dtype=np.int64).T,
+                                     _BUFFER_BATCHES[replay] if index > 0 else 0,
+                                     cfg.replay_batch_size or cfg.batch_size,
+                                     [m.rngs.buffer for m in members])
+        for s, step in zip(starts, plan, strict=True):
             idx = perms[:, s:s + cfg.batch_size]
-            # Replay engages from the second task on; the buffer still fills
-            # during the first so later tasks can draw on it.
             model = batch_step(model, fx[idx], fy[idx], None if fc is None else fc[idx],
-                               replay, robust, members, buffer,
-                               index > 0 and len(buffer) > 0, cfg)
-        buffer.end_epoch()
+                               replay, robust, members, buffer, step, cfg)
         if index > 0:
             for m, t, single in zip(members, tasks, _split(model)):
                 if m.aes:

@@ -10,10 +10,12 @@ metrics.csv and rates.csv, so a log shows whether outputs moved. The
 digests depend on the numeric build, so test_acceptance.py asserts them
 against tests/digests.json only on the build recorded there (build_facts).
 Every run's summary also prints the line counts of src/eatcl and of
-strategies.py, and the number of config keys.
+strategies.py, the number of config keys, and the number of TrainConfig and
+AttackConfig fields, which counts library-only options too.
 """
 
 import ctypes
+import dataclasses
 import hashlib
 import json
 import time
@@ -22,7 +24,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eatcl.attacks import AttackConfig
 from eatcl.runner import default_config, parse_config, run_experiment
+from eatcl.strategies import TrainConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src" / "eatcl"
@@ -111,13 +115,15 @@ def pytest_terminal_summary(terminalreporter, config):
     """Each shipped config's wall-clock seconds, with the budget that
     test_acceptance.py holds it to: the toy pair 120 s together, each
     stream config 300 s; and each config's output digests. First, on
-    every run, the line counts of src/eatcl and strategies.py and the
-    number of config keys."""
+    every run, the line counts of src/eatcl and strategies.py, the number
+    of config keys and the number of TrainConfig + AttackConfig fields."""
     lines = {p.name: len(p.read_text().splitlines()) for p in SRC_DIR.glob("*.py")}
+    run_fields = sum(len(dataclasses.fields(c)) for c in (TrainConfig, AttackConfig))
     terminalreporter.section("source size")
     terminalreporter.write_line(f"src/eatcl {sum(lines.values())} lines, "
                                 f"{lines['strategies.py']} of them in strategies.py; "
-                                f"{len(default_config())} config keys")
+                                f"{len(default_config())} config keys, "
+                                f"{run_fields} TrainConfig + AttackConfig fields")
     runs = config.stash.get(RUNS, {})
     if not runs:
         return

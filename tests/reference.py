@@ -69,9 +69,9 @@ def backward(model: MLPModel, x, dlogits) -> GradBundle:
 
 def pgd_every_step(model: MLPModel, x, y, cfg: AttackConfig, rng=None) -> np.ndarray:
     """PGD by cfg, taking all cfg.iters steps: a signed-gradient step of size
-    cfg.alpha, np.clip into the eps-ball, then np.clip to cfg.clip. With
-    cfg.random_start it starts from a uniform point in the ball drawn from
-    rng, or for a stacked model member e's block from rng[e]."""
+    cfg.alpha, then np.clip into the eps-ball. With cfg.random_start it
+    starts from a uniform point in the ball drawn from rng, or for a stacked
+    model member e's block from rng[e]."""
     x = check_input(model, x)
     targets = ce_targets(y, x.shape[:-1], model.num_classes)
     adv = x
@@ -81,13 +81,9 @@ def pgd_every_step(model: MLPModel, x, y, cfg: AttackConfig, rng=None) -> np.nda
         else:
             start = rng.uniform(-cfg.eps, cfg.eps, size=x.shape)
         adv = x + start
-        if cfg.clip is not None:
-            adv = np.clip(adv, *cfg.clip)
     for _ in range(cfg.iters):
         adv = adv + cfg.alpha * np.sign(ce_input_grad(model, adv, targets))
         adv = np.clip(adv, x - cfg.eps, x + cfg.eps)
-        if cfg.clip is not None:
-            adv = np.clip(adv, *cfg.clip)
     return adv.reshape(-1, x.shape[-1])
 
 

@@ -122,8 +122,8 @@ def test_gradients_match_central_differences():
 
 
 def test_attack_ball_clip_and_single_step_equivalence():
-    """1000 random attack invocations stay inside the L-inf ball and clip
-    box to 1e-12, and FGSM matches PGD(K=1, no random start, alpha=eps)."""
+    """1000 random attack invocations stay inside the L-inf ball to 1e-12,
+    and FGSM matches PGD(K=1, no random start, alpha=eps)."""
     started = time.perf_counter()
     rng = np.random.default_rng(11)
     n_fgsm_pairs = 0
@@ -136,24 +136,19 @@ def test_attack_ball_clip_and_single_step_equivalence():
         y = rng.integers(0, classes, size=n)
         eps = 0.0 if rng.random() < 0.1 else float(rng.uniform(1e-4, 0.3))
         kind = "fgsm" if rng.random() < 0.5 else "pgd"
-        clip = None
-        if rng.random() < 0.5:
-            clip = (float(np.floor(x.min())) - 0.5, float(np.ceil(x.max())) + 0.5)
+        rng.random()  # an unused draw, kept in the sequence that sets every trial's inputs
         cfg = AttackConfig(kind=kind, eps=eps,
                            alpha=max(eps, 1e-6) * float(rng.uniform(0.2, 1.5)),
                            iters=int(rng.integers(1, 7)),
-                           random_start=bool(rng.random() < 0.5), clip=clip)
+                           random_start=bool(rng.random() < 0.5))
         adv = attack(model, x, y, cfg, np.random.default_rng([11, trial, 1]))
         assert adv.shape == x.shape
         assert np.max(np.abs(adv - x)) <= eps + 1e-12
-        if clip is not None:
-            assert adv.min() >= clip[0] - 1e-12
-            assert adv.max() <= clip[1] + 1e-12
         if kind == "fgsm":
             twin = AttackConfig(kind="pgd", eps=eps, alpha=max(eps, 1e-6),
-                                iters=1, random_start=False, clip=clip)
+                                iters=1, random_start=False)
             cfg1 = AttackConfig(kind="fgsm", eps=eps, alpha=max(eps, 1e-6),
-                                iters=1, random_start=False, clip=clip)
+                                iters=1, random_start=False)
             a = attack(model, x, y, cfg1)
             b = attack(model, x, y, twin, np.random.default_rng([11, trial, 2]))
             assert np.max(np.abs(a - b)) <= 1e-12
@@ -176,10 +171,9 @@ def test_reservoir_retention_uniformity():
     for _ in range(trials):
         buf = ReplayBuffer(50)
         # as training inserts: an epoch of 32-row steps, planned at once
-        buf.plan_epoch([[len(ys[s:s + 32])] for s in starts], 0, 1, [rng])
-        for s in starts:
-            buf.insert(xs[s:s + 32], ys[s:s + 32], None)
-        buf.end_epoch()
+        plan = buf.plan_epoch([[len(ys[s:s + 32])] for s in starts], 0, 1, [rng])
+        for s, (_, writes) in zip(starts, plan, strict=True):
+            buf.insert(writes, xs[s:s + 32], ys[s:s + 32], None)
         counts[buf.y[0]] += 1  # the items kept, each once
     freq = counts / trials
     dev = np.abs(freq - 0.05)

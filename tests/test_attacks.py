@@ -1,5 +1,5 @@
 """Attack tests: closed-form FGSM oracle on a linear softmax model,
-projection oracle, ball/clip invariants, FGSM/PGD agreement, stacked
+projection oracle, ball invariants, FGSM/PGD agreement, stacked
 models against their members attacked alone, and PGD's early exit against
 the loop that takes every step."""
 
@@ -92,20 +92,6 @@ def test_pgd_stays_in_ball_with_random_start():
         assert np.max(np.abs(adv - x)) <= eps + 1e-12
 
 
-def test_clip_bounds_respected():
-    rng = np.random.default_rng(5)
-    model = init_model((3, 4, 2), seed=6)
-    x = rng.uniform(0, 1, size=(10, 3))
-    y = rng.integers(0, 2, size=10)
-    cfg = AttackConfig(kind="pgd", eps=0.4, alpha=0.2, iters=4,
-                       random_start=True, clip=(0.0, 1.0))
-    adv = attack(model, x, y, cfg, np.random.default_rng(7))
-    assert adv.min() >= -1e-12 and adv.max() <= 1.0 + 1e-12
-    cfg_f = AttackConfig(kind="fgsm", eps=0.4, clip=(0.0, 1.0))
-    advf = attack(model, x, y, cfg_f)
-    assert advf.min() >= -1e-12 and advf.max() <= 1.0 + 1e-12
-
-
 def test_attack_dispatch_and_rng_requirement():
     model = init_model((2, 3, 2), seed=0)
     x = np.zeros((1, 2))
@@ -144,8 +130,6 @@ def test_attack_config_validation():
         AttackConfig(alpha=0.0)
     with pytest.raises(ValueError):
         AttackConfig(iters=0)
-    with pytest.raises(ValueError):
-        AttackConfig(clip=(1.0, 0.0))
     # non-finite values, and an eps ball whose width 2 * eps overflows
     for kw in ({"eps": float("nan")}, {"eps": float("inf")}, {"eps": 1e308},
                {"alpha": float("nan")}, {"alpha": float("inf")}):
@@ -190,8 +174,7 @@ def test_stacked_attack_equals_members_alone_bitwise():
     cfgs = [AttackConfig(kind="fgsm", eps=0.2),
             AttackConfig(kind="pgd", eps=0.1, alpha=0.03, iters=5, random_start=True),
             AttackConfig(kind="pgd", eps=0.1, alpha=0.03, iters=5, random_start=False),
-            AttackConfig(kind="pgd", eps=0.3, alpha=0.1, iters=4, random_start=True,
-                         clip=(-0.5, 0.5))]
+            AttackConfig(kind="pgd", eps=0.3, alpha=0.1, iters=4, random_start=True)]
     rng = np.random.default_rng(20)
     for sizes in [(2, 3, 2), (16, 32, 10), (5, 4, 6, 3)]:
         for e in (1, 3):
@@ -260,7 +243,7 @@ def grad_passes(monkeypatch):
 
 def test_pgd_early_exit_equals_every_step_bitwise(grad_passes):
     # the exit must keep every bit for both parities of the steps left,
-    # single and stacked, with and without random start and clip
+    # single and stacked, with and without random start
     rng = np.random.default_rng(30)
     steps = 0
     for sizes, e in itertools.product([(2, 3, 2), (4, 5, 3), (16, 32, 10)], (1, 3)):
@@ -268,10 +251,10 @@ def test_pgd_early_exit_equals_every_step_bitwise(grad_passes):
         model = members[0] if e == 1 else stack_models(members)
         x = rng.uniform(0, 1, size=(e * 8, sizes[0]))
         y = rng.integers(0, sizes[-1], size=e * 8)
-        for ratio, iters, random_start, clip in itertools.product(
-                (0.25, 0.5, 1.0, 1.5), range(1, 12), (True, False), (None, (0.0, 1.0))):
+        for ratio, iters, random_start in itertools.product(
+                (0.25, 0.5, 1.0, 1.5), range(1, 12), (True, False)):
             cfg = AttackConfig(kind="pgd", eps=0.2, alpha=0.2 * ratio, iters=iters,
-                               random_start=random_start, clip=clip)
+                               random_start=random_start)
             seeds = [int(s) for s in rng.integers(1000, size=e)]
 
             def rngs():

@@ -199,8 +199,23 @@ def test_grid_rejects_unreadable_model_artifact(tmp_path, capsys):
     truncated.write_text('{"layer_sizes": [2, 3, 2], "weights": [[[0.1, ')
     missing_field = tmp_path / "empty.json"
     missing_field.write_text("{}")
-    for path in (truncated, missing_field):
+    model = {"layer_sizes": [2, 3, 2], "weights": [[[0.1] * 3] * 2, [[0.2] * 2] * 3],
+             "biases": [[0.0] * 3, [0.0] * 2], "bounds": {"x": [-1, 1], "y": [-1, 1]}}
+    malformed = {  # a weight that does not fit the layer sizes, and bad stored bounds
+        "weight.json": {**model, "weights": [[[0.1] * 2] * 2, [[0.2] * 2] * 3]},
+        "no_y.json": {**model, "bounds": {"x": [-1, 1]}},
+        "text.json": {**model, "bounds": {"x": ["a", 1], "y": [-1, 1]}},
+        "nan.json": {**model, "bounds": {"x": [-1, 1], "y": [float("nan"), 1]}},
+    }
+    for name, payload in malformed.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    for path in (truncated, missing_field, *(tmp_path / name for name in malformed)):
         assert main(["grid", str(path), "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert "unreadable model artifact" in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "x.csv").exists()
+    # bounds given on the command line replace bad stored ones
+    for name in ("no_y.json", "text.json", "nan.json"):
+        assert main(["grid", str(tmp_path / name), "--res", "3", "--out",
+                     str(tmp_path / "x.csv"), "--bounds", "-1", "1", "-1", "1"]) == 0
+        assert len((tmp_path / "x.csv").read_text().splitlines()) == 10

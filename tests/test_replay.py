@@ -24,18 +24,22 @@ def _insert(buf, ids, rng, member=0, with_logits=False):
     other member none."""
     counts = [0] * len(buf.sizes)
     counts[member] = len(ids)
-    buf.plan_epoch([counts], 0, 1, [rng] * len(buf.sizes))
-    buf.insert(*_rows(ids, with_logits=with_logits))
-    buf.end_epoch()
+    ((batches, writes),) = buf.plan_epoch([counts], 0, 1, [rng] * len(buf.sizes))
+    assert batches == []
+    buf.insert(writes, *_rows(ids, with_logits=with_logits))
+
+
+def _sample_plan(buf, batch_size, rngs):
+    """The batches of one planned step that samples one buffer batch and
+    offers no rows: none while a member is empty."""
+    ((batches, _),) = buf.plan_epoch([[0] * len(rngs)], 1, batch_size, rngs)
+    return batches
 
 
 def _sample(buf, batch_size, rngs):
-    """One planned step that samples one buffer batch and offers no rows."""
-    buf.plan_epoch([[0] * len(rngs)], 1, batch_size, rngs)
-    out = buf.sample_arrays(batch_size)
-    buf.insert(*_rows([], with_logits=buf.logits is not None))
-    buf.end_epoch()
-    return out
+    """One planned step's buffer batch."""
+    (idx,) = _sample_plan(buf, batch_size, rngs)
+    return buf.sample_arrays(idx)
 
 
 def _kept(buf, member=0):
@@ -48,37 +52,36 @@ def _run_against_reference(capacity, epochs, samples, batch_size, seed, with_log
     """Train-loop schedule on a planned buffer and on the per-call reference:
     epochs[i][t][e] rows of member e at step t of epoch i, each step sampling
     `samples` batches first while every member holds rows. Asserts both
-    sample, hold and draw the same bytes, step by step."""
+    sample and hold the same bytes, step by step, count the same rows each
+    epoch, and leave the generators in one state."""
     members = len(epochs[0][0])
     buf, ref = ReplayBuffer(capacity, members), PerCallReservoir(capacity, members)
     rngs_buf = [np.random.default_rng([seed, e]) for e in range(members)]
     rngs_ref = [np.random.default_rng([seed, e]) for e in range(members)]
     start = 0
     for epoch in epochs:
-        buf.plan_epoch(epoch, samples, batch_size, rngs_buf)
-        for counts in epoch:
-            assert len(buf) == min(ref.sizes)
-            if len(buf) > 0:
-                for _ in range(samples):
-                    got = buf.sample_arrays(batch_size)
-                    want = [row for e in range(members)
-                            for row in ref.sample(e, batch_size, rngs_ref[e])]
-                    for k in range(2 + with_logits):
-                        assert got[k].tobytes() == np.stack([r[k] for r in want]).tobytes()
+        plan = buf.plan_epoch(epoch, samples, batch_size, rngs_buf)
+        for counts, (batches, writes) in zip(epoch, plan, strict=True):
+            assert len(batches) == (samples if min(ref.sizes) > 0 else 0)
+            for idx in batches:
+                got = buf.sample_arrays(idx)
+                want = [row for e in range(members)
+                        for row in ref.sample(e, batch_size, rngs_ref[e])]
+                for k in range(2 + with_logits):
+                    assert got[k].tobytes() == np.stack([r[k] for r in want]).tobytes()
             x, y, logits = _rows(range(start, start + sum(counts)), with_logits=with_logits)
-            buf.insert(x, y, logits)
+            buf.insert(writes, x, y, logits)
             members_of_rows = np.repeat(np.arange(members), counts)  # member-major
             for i, e in enumerate(members_of_rows):
                 ref.insert(e, (x[i], y[i], None if logits is None else logits[i]), rngs_ref[e])
             start += len(y)
-            assert buf.seen_counts == ref.seen_counts
-            assert buf.sizes == ref.sizes
-        buf.end_epoch()
-    for e, rows in enumerate(ref.rows):
-        for k, name in enumerate(("x", "y", "logits")[:2 + with_logits]):
-            if rows:
-                assert getattr(buf, name)[e, :len(rows)].tobytes() == \
-                    np.stack([r[k] for r in rows]).tobytes()
+            for e, rows in enumerate(ref.rows):
+                for k, name in enumerate(("x", "y", "logits")[:2 + with_logits]):
+                    if rows:
+                        assert getattr(buf, name)[e, :len(rows)].tobytes() == \
+                            np.stack([r[k] for r in rows]).tobytes()
+        assert buf.seen_counts == ref.seen_counts
+        assert buf.sizes == ref.sizes
     assert (buf.logits is None) == (not with_logits or not any(ref.sizes))
     for rb, rr in zip(rngs_buf, rngs_ref):
         assert rb.bit_generator.state == rr.bit_generator.state
@@ -138,32 +141,12 @@ def test_plan_must_be_consumed_exactly():
     rngs = [np.random.default_rng(0)]
     buf = ReplayBuffer(4)
     _insert(buf, range(6), rngs[0])
-    # a step sampled fewer batches than planned
-    buf.plan_epoch([[2], [2]], 1, 3, rngs)
-    with pytest.raises(ValueError):
-        buf.insert(*_rows([10, 11]))
-    # or more
-    buf.sample_arrays(3)
-    with pytest.raises(ValueError):
-        buf.sample_arrays(3)
-    # or offered other rows
-    with pytest.raises(ValueError):
-        buf.insert(*_rows([10]))
-    buf.insert(*_rows([10, 11]))
-    # or took fewer steps
-    with pytest.raises(RuntimeError):
-        buf.end_epoch()
-    # or sampled another batch size
-    with pytest.raises(ValueError):
-        buf.sample_arrays(2)
-    buf.sample_arrays(3)
-    buf.insert(*_rows([12, 13]))
-    buf.end_epoch()
-    # or more steps than planned
-    with pytest.raises(ValueError):
-        buf.insert(*_rows([]))
-    with pytest.raises(ValueError):
-        buf.sample_arrays(3)
+    ((_, writes), _) = buf.plan_epoch([[2], [2]], 1, 3, rngs)
+    # a step offered other rows than planned
+    for ids in ([10], [10, 11, 12]):
+        with pytest.raises(ValueError):
+            buf.insert(writes, *_rows(ids))
+    buf.insert(writes, *_rows([10, 11]))
 
 
 def test_fill_phase_keeps_everything():
@@ -171,7 +154,7 @@ def test_fill_phase_keeps_everything():
     rng = np.random.default_rng(0)
     for i in range(10):
         _insert(buf, [i], rng)
-    assert len(buf) == 10
+    assert buf.sizes == [10]
     assert buf.seen_counts == [10]
     assert sorted(_kept(buf)) == list(range(10))
 
@@ -181,9 +164,9 @@ def test_capacity_bound_and_seen_count():
     rng = np.random.default_rng(1)
     for i in range(100):
         _insert(buf, [i], rng)
-        assert len(buf) <= 5
+        assert buf.sizes[0] <= 5
     assert buf.seen_counts == [100]
-    assert len(buf) == 5
+    assert buf.sizes == [5]
 
 
 def test_capacity_zero_accepts_nothing():
@@ -191,11 +174,10 @@ def test_capacity_zero_accepts_nothing():
     rng = np.random.default_rng(2)
     for i in range(10):
         _insert(buf, [i], rng)
-    assert len(buf) == 0
+    assert buf.sizes == [0]
     assert buf.seen_counts == [10]
     assert buf.x is None  # allocates nothing
-    with pytest.raises(ValueError):
-        _sample(buf, 1, [rng])
+    assert _sample_plan(buf, 1, [rng]) == []  # and never replays
 
 
 def test_retention_frequency_matches_reservoir_statistics():
@@ -208,10 +190,9 @@ def test_retention_frequency_matches_reservoir_statistics():
     for trial in range(trials):
         rng = np.random.default_rng([3, trial])
         buf = ReplayBuffer(capacity)
-        buf.plan_epoch([[min(32, stream - s)] for s in starts], 0, 1, [rng])
-        for s in starts:
-            buf.insert(*_rows(range(s, min(s + 32, stream))))
-        buf.end_epoch()
+        plan = buf.plan_epoch([[min(32, stream - s)] for s in starts], 0, 1, [rng])
+        for s, (_, writes) in zip(starts, plan, strict=True):
+            buf.insert(writes, *_rows(range(s, min(s + 32, stream))))
         hits[_kept(buf)] += 1
     freq = hits / trials
     expected = capacity / stream
@@ -308,19 +289,17 @@ def test_members_equal_one_member_buffers(capacity, calls, seed):
     group, alone = ReplayBuffer(capacity, 3), [ReplayBuffer(capacity) for _ in range(3)]
     rngs_group = [np.random.default_rng([seed, e]) for e in range(3)]
     rngs_alone = [np.random.default_rng([seed, e]) for e in range(3)]
-    group.plan_epoch(calls, 0, 1, rngs_group)
-    for b, counts, r in zip(alone, zip(*calls), rngs_alone):
-        b.plan_epoch([[n] for n in counts], 0, 1, [r])
+    plan = group.plan_epoch(calls, 0, 1, rngs_group)
+    plans = [b.plan_epoch([[n] for n in counts], 0, 1, [r])
+             for b, counts, r in zip(alone, zip(*calls), rngs_alone)]
     start = 0
-    for counts in calls:
+    for t, counts in enumerate(calls):
         rows = _rows(range(start, start + sum(counts)), with_logits=True)
-        group.insert(*rows)
+        group.insert(plan[t][1], *rows)
         for e, n in enumerate(counts):
             lo = sum(counts[:e])  # member-major rows
-            alone[e].insert(*(a[lo:lo + n] for a in rows))
+            alone[e].insert(plans[e][t][1], *(a[lo:lo + n] for a in rows))
         start += sum(counts)
-    for b in (group, *alone):
-        b.end_epoch()
     assert group.seen_counts == [b.seen_counts[0] for b in alone]
     assert group.sizes == [b.sizes[0] for b in alone]
     for e, b in enumerate(alone):
@@ -352,9 +331,8 @@ def test_sampling_an_empty_member_raises():
     rng = np.random.default_rng(12)
     _insert(buf, [0, 1, 2], rng, member=0)
     assert buf.sizes == [3, 0]
-    assert len(buf) == 0
-    with pytest.raises(ValueError):
-        _sample(buf, 2, [rng, rng])
+    # while a member is empty, the planned step holds no buffer batch
+    assert _sample_plan(buf, 2, [rng, rng]) == []
 
 
 def test_insertion_deterministic_given_rng():
@@ -375,7 +353,7 @@ def test_invariants_hold_for_any_stream(n, capacity, seed):
     rng = np.random.default_rng(seed)
     for i in range(n):
         _insert(buf, [i], rng)
-    assert len(buf) == min(n, capacity)
+    assert buf.sizes == [min(n, capacity)]
     assert buf.seen_counts == [n]
 
 

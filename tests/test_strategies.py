@@ -229,8 +229,7 @@ def test_eat_lockstep_members_equal_members_trained_alone():
     seeds = [[3, 4, 0], [3, 4, 0, 1], [3, 4, 0, 2]]
     for atk in (AttackConfig(eps=0.05, alpha=0.02, iters=3, random_start=True),
                 AttackConfig(kind="fgsm", eps=0.05),
-                AttackConfig(eps=0.2, alpha=0.1, iters=2, random_start=False,
-                             clip=(-1.0, 1.0))):
+                AttackConfig(eps=0.2, alpha=0.1, iters=2, random_start=False)):
         cfg = _cfg(eat_external_epochs=2, batch_size=13, attack=atk)
         lockstep = eat_generate(task, (8, 5, 4, 2), cfg, seeds, {"external": 0})
         for seed, member in zip(seeds, lockstep):
@@ -313,7 +312,7 @@ def test_buffer_holds_only_clean_current_rows(monkeypatch):
     monkeypatch.setattr(eatcl.strategies, "ReplayBuffer", RecordedBuffer)
     _train(stream, "er_eat", cfg)
     (buf,) = made
-    assert len(buf) == cfg.buffer_capacity
+    assert buf.sizes == [cfg.buffer_capacity]
     for row in buf.x[0]:
         assert tuple(row) in clean_rows
 
@@ -387,9 +386,9 @@ def test_attack_rates_only_after_first_task():
 def test_der_without_stored_logits_fails_cleanly():
     model = init_model((4, 3, 2), seed=0)
     buf = ReplayBuffer(4)
-    buf.plan_epoch([[1], [0]], 1, 2, [np.random.default_rng(0)])
-    buf.insert(np.zeros((1, 4)), np.zeros(1, dtype=np.int64), None)
-    x, _, logits = buf.sample_arrays(2)
+    (_, writes), ((idx,), _) = buf.plan_epoch([[1], [0]], 1, 2, [np.random.default_rng(0)])
+    buf.insert(writes, np.zeros((1, 4)), np.zeros(1, dtype=np.int64), None)
+    x, _, logits = buf.sample_arrays(idx)
     with pytest.raises(ValueError):
         der_terms(model, x, logits, 0.5)
 
@@ -409,8 +408,9 @@ def test_only_der_buffers_store_logits(monkeypatch):
         made.clear()
         _train_group([_small_stream(s) for s in (5, 6)], strategy, _cfg(), (5, 6))
         (buf,) = made
-        buf.plan_epoch([[0, 0]], 1, 4, [np.random.default_rng(s) for s in (0, 1)])
-        x, y, logits = buf.sample_arrays(4)
+        (((idx,), _),) = buf.plan_epoch([[0, 0]], 1, 4,
+                                        [np.random.default_rng(s) for s in (0, 1)])
+        x, y, logits = buf.sample_arrays(idx)
         assert x.shape == (8, 8) and y.shape == (8,)
         assert (buf.logits is not None) == stores
         if stores:
@@ -527,13 +527,13 @@ def test_stored_der_logits_equal_pre_step_forward_pass(monkeypatch):
     class RecordedBuffer(ReplayBuffer):
         def plan_epoch(self, counts, *args):
             planned.extend(counts)
-            super().plan_epoch(counts, *args)
+            return super().plan_epoch(counts, *args)
 
-        def insert(self, x, y, logits):
+        def insert(self, writes, x, y, logits):
             cuts = np.cumsum(planned.pop(0))[:-1]  # the rows are member-major
             for member, (xe, le) in enumerate(zip(np.split(x, cuts), np.split(logits, cuts))):
                 inserts.append((member, stepped[-1], xe.copy(), le.copy()))
-            super().insert(x, y, logits)
+            super().insert(writes, x, y, logits)
 
     monkeypatch.setattr(eatcl.strategies, "sgd_step", recording_sgd_step)
     monkeypatch.setattr(eatcl.strategies, "ReplayBuffer", RecordedBuffer)
@@ -585,9 +585,13 @@ def test_buffer_draws_one_integers_call_per_member_and_epoch(monkeypatch):
 
 def test_a_step_schedule_off_the_plan_raises(monkeypatch):
     # the epoch plan fixes how many buffer batches each step samples; a step
-    # that samples fewer or more fails at once instead of shifting draws
+    # handed more or fewer than its replay scheme samples fails at once
+    # instead of shifting draws
     stream = _small_stream(9)
+    real_plan_epoch = ReplayBuffer.plan_epoch
     for strategy, planned in (("er", 2), ("derpp", 1)):
-        monkeypatch.setitem(eatcl.strategies._BUFFER_BATCHES, strategy, planned)
+        monkeypatch.setattr(ReplayBuffer, "plan_epoch",
+                            lambda self, counts, samples, *args, planned=planned:
+                            real_plan_epoch(self, counts, planned, *args))
         with pytest.raises(ValueError, match="planned"):
             _train(stream, strategy, _cfg())

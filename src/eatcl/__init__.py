@@ -15,5 +15,4 @@ from .metrics import (MetricsRecord, boundary_grid, clean_accuracy,
                       prev_task_rate, robustness)
 from .nets import MLPModel, forward, init_model, sgd_step
 from .replay import ReplayBuffer
-from .strategies import (STRATEGIES, EvalSpec, RunLog, TrainConfig, eat_generate,
-                         train_stream)
+from .strategies import STRATEGIES, RunLog, TrainConfig, eat_generate, train_streams

@@ -57,6 +57,9 @@ def _cmd_grid(args) -> int:
         print(f"--res must be >= 2, got {args.res}", file=sys.stderr)
         return 2
     bounds = args.bounds  # XLO XHI YLO YHI
+    if bounds is not None and not all(map(math.isfinite, bounds)):
+        print(f"--bounds must be finite, got {bounds}", file=sys.stderr)
+        return 2
     try:
         model, stored = runner.load_model_json(args.model)
         if bounds is None and stored is not None:  # the grid uses the stored bounds

@@ -46,9 +46,10 @@ def robustness(model: MLPModel, test: Dataset, atk: AttackConfig, rng) -> float:
     return float(np.mean(predict(model, adv) == test.y) * 100.0)
 
 
-def prev_task_rate(model: MLPModel, current_task: Task, ae: Dataset,
+def prev_task_rate(model: MLPModel, current_task: Task, ae: np.ndarray,
                    seen_class_sets) -> float:
-    """Share of current-task adversarial examples the model sends to an earlier task.
+    """Share of current-task adversarial examples, the (n, d) rows ae, that
+    the model sends to an earlier task.
 
     seen_class_sets lists each task's class set in stream order; sets before
     current_task.index count as "previous". Returns a percentage; 0 at the
@@ -61,7 +62,7 @@ def prev_task_rate(model: MLPModel, current_task: Task, ae: Dataset,
         prev |= set(s)
     if not prev:
         return 0.0
-    preds = predict(model, ae.x)
+    preds = predict(model, ae)
     return float(np.mean(np.isin(preds, sorted(prev))) * 100.0)
 
 

@@ -24,11 +24,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .attacks import AttackConfig
-from .datasets import (Dataset, TaskStream, gen_blob_stream, gen_crescent,
-                       imbalance_subsample, single_task_stream)
+from .datasets import (TaskStream, gen_blob_stream, gen_crescent, imbalance_subsample,
+                       single_task_stream)
 from .metrics import boundary_grid
 from .nets import MLPModel
-from .strategies import STRATEGIES, EvalSpec, RunLog, TrainConfig, train_streams
+from .strategies import STRATEGIES, RunLog, TrainConfig, train_streams
 
 
 class ConfigError(ValueError):
@@ -305,17 +305,17 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False) -> list[RunResu
     artifacts = ["config.resolved.conf", "metrics.csv", "rates.csv",
                  "summary.json"]
     seconds: dict[str, float] = {}
-    specs = [EvalSpec(stream=test_s, attack=eval_attack) for _, test_s in streams]
     tcfg = build_train_config(cfg)
+    trains, tests = zip(*streams)  # each seed's (train, test) streams
     # cells[j][i]: strategy j, seed i; each strategy's seeds train as one
     # lockstep group
     cells: list[list[RunResult]] = []
     for strat in cfg["strategies"]:
         started = time.perf_counter()
-        trained = train_streams([train_s for train_s, _ in streams], strat, tcfg, seeds, specs)
+        trained = train_streams(trains, tests, strat, tcfg, seeds, eval_attack)
         per_run = (time.perf_counter() - started) / len(seeds)
         cells.append([])
-        for seed, (train_s, _), (model, log) in zip(seeds, streams, trained):
+        for seed, train_s, (model, log) in zip(seeds, trains, trained):
             run_id = f"{strat}_s{seed}"
             seconds[run_id] = per_run
             cells[-1].append(RunResult(run_id, strat, seed, model, log))

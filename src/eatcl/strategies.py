@@ -38,9 +38,9 @@ shares one replay buffer, in which each member has its own block of rows.
 Its draws never depend on the model, so each epoch is planned when it starts
 (see replay), and the plan alone says which steps replay; each step samples
 every member with one take and inserts their rows with one write.
-Each member keeps its own stream, random generators, buffer block, attack
-counts and log, and gets exactly the bits it would get trained alone;
-``train_stream`` is the same loop with one member and a plain model. All
+Each member keeps its own stream, test stream, random generators, buffer
+block, attack counts and log, and gets exactly the bits it would get
+trained alone, as a group of one, whose model is a plain model. All
 randomness flows through per-purpose numpy Generators derived from the run
 seed, so runs are bit-reproducible; evaluation draws from generators
 seeded by (0, step, task) alone and never disturbs training.
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackConfig, attack
-from .datasets import Dataset, Task, TaskStream
+from .datasets import Task, TaskStream
 from .metrics import MetricsRecord, clean_accuracy, prev_task_rate, robustness
 from .nets import (MLPModel, add_grads, forward, init_model, loss_and_grads,
                    sgd_step, softmax_ce, stack_models, unstack_models)
@@ -110,13 +110,6 @@ class TrainConfig:
 
 
 @dataclass
-class EvalSpec:
-    """Held-out per-task test stream plus the attack used for robustness."""
-    stream: TaskStream
-    attack: AttackConfig
-
-
-@dataclass
 class AttackRatePoint:
     task: int
     epoch: int
@@ -154,13 +147,13 @@ class _Member:
     """One run of a lockstep group: everything but the stacked target model
     and the group's replay buffer is its own."""
     stream: TaskStream
+    test: TaskStream  # held out, for the metrics snapshots
     seed: int
-    eval_spec: EvalSpec
     rngs: _Rngs
     log: RunLog = field(default_factory=RunLog)
-    # this epoch's current-task (adversarial rows, labels) for its attack
-    # rate, cleared when the epoch ends
-    aes: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    # this epoch's current-task adversarial rows for its attack rate,
+    # cleared when the epoch ends
+    aes: list[np.ndarray] = field(default_factory=list)
 
 
 def _lockstep(models) -> MLPModel:
@@ -248,10 +241,10 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
     if n_atk:
         src, ys = x[:, :n_atk], y[:, :n_atk]
         adv = attack(model, _flat(src), _flat(ys), cfg.attack, atk_rng).reshape(src.shape)
-        for m, a, ya in zip(members, adv, ys):
+        for m, a in zip(members, adv):
             m.log.attack_counts["current"] += b
             m.log.attack_counts["memory"] += n_atk - b
-            m.aes.append((a[:b], ya[:b]))
+            m.aes.append(a[:b])
         if cfg.at_mix == "union":  # the attacked rows, then their AEs
             x = np.concatenate([src, adv, x[:, n_atk:]], axis=1)
             y = np.concatenate([ys, ys, y[:, n_atk:]], axis=1)
@@ -354,75 +347,77 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
     n = len(tasks[0].data)
     xs = np.stack([t.data.x for t in tasks])
     ys = np.stack([t.data.y for t in tasks])
-    clean = None  # every row is clean, unless +EAT adds its copy
     if externals:
         # the clean rows, then room for the epoch's adversarial copy
         xs = np.concatenate([xs, np.empty_like(xs)], axis=1)
         ys = np.concatenate([ys, ys], axis=1)
-        clean = np.zeros(ys.shape, dtype=bool)
-        clean[:, :n] = True
     for epoch in range(cfg.epochs_per_task):
         for m, t, ext, copy in zip(members, tasks, externals, xs[:, n:]):
             if epoch < len(ext):
                 model_e, rng = ext[epoch]
                 copy[...] = attack(model_e, t.data.x, t.data.y, cfg.attack, rng)
                 m.log.attack_counts["external"] += n
-            m.aes.append((copy, t.data.y))
+            m.aes.append(copy)
         rows = xs.shape[1]
         perms = np.stack([m.rngs.batch.permutation(rows) for m in members])
+        clean = perms < n  # every row, unless +EAT adds its copy
         perms += np.arange(len(members))[:, None] * rows  # rows of the flat arrays
         fx, fy = _flat(xs), _flat(ys)
-        fc = None if clean is None else _flat(clean)
         starts = range(0, rows, cfg.batch_size)
         plan = [([], None)] * len(starts)  # no buffer: no batches, no writes
         if buffer.capacity:  # each member offers the buffer its clean rows
-            offered = np.ones(perms.shape, dtype=bool) if fc is None else fc[perms]
-            plan = buffer.plan_epoch(np.add.reduceat(offered, starts, axis=1, dtype=np.int64).T,
+            plan = buffer.plan_epoch(np.add.reduceat(clean, starts, axis=1, dtype=np.int64).T,
                                      _BUFFER_BATCHES[replay] if index > 0 else 0,
                                      cfg.replay_batch_size or cfg.batch_size,
                                      [m.rngs.buffer for m in members])
         for s, step in zip(starts, plan, strict=True):
             idx = perms[:, s:s + cfg.batch_size]
-            model = batch_step(model, fx[idx], fy[idx], None if fc is None else fc[idx],
-                               replay, robust, members, buffer, step, cfg)
+            cb = clean[:, s:s + cfg.batch_size] if externals else None
+            model = batch_step(model, fx[idx], fy[idx], cb, replay, robust, members,
+                               buffer, step, cfg)
         if index > 0:
             for m, t, single in zip(members, tasks, _split(model)):
                 if m.aes:
-                    ae = Dataset(np.vstack([a for a, _ in m.aes]),
-                                 np.concatenate([ya for _, ya in m.aes]), t.class_set)
-                    m.log.attack_rates.append(AttackRatePoint(
-                        index, epoch, prev_task_rate(single, t, ae, m.stream.class_sets)))
+                    m.log.attack_rates.append(AttackRatePoint(index, epoch, prev_task_rate(
+                        single, t, np.vstack(m.aes), m.stream.class_sets)))
         for m in members:
             m.aes.clear()
     return model
 
 
-def _snapshot(model, step: int, spec: EvalSpec) -> MetricsRecord:
+def _snapshot(model, step: int, test: TaskStream, atk: AttackConfig) -> MetricsRecord:
     accs, robs = [], []
     for t in range(step + 1):
-        data = spec.stream.tasks[t].data
+        data = test.tasks[t].data
         accs.append(clean_accuracy(model, data))
-        robs.append(robustness(model, data, spec.attack,
-                               np.random.default_rng([0, step, t])))
+        robs.append(robustness(model, data, atk, np.random.default_rng([0, step, t])))
     return MetricsRecord(step, accs, robs, float(np.mean(accs)), float(np.mean(robs)))
 
 
-def train_streams(streams, strategy: str, cfg: TrainConfig, seeds, eval_specs
-                  ) -> list[tuple[MLPModel, RunLog]]:
-    """train_stream for several runs of one config at once, trained in
-    lockstep: run e is (streams[e], seeds[e], eval_specs[e]), and it returns
-    run e's (model, log) in position e, bit for bit what train_stream gives it.
+def train_streams(streams, tests, strategy: str, cfg: TrainConfig, seeds,
+                  eval_attack: AttackConfig) -> list[tuple[MLPModel, RunLog]]:
+    """Run one strategy over each stream from its run seed, the runs trained
+    together in lockstep: run e is (streams[e], tests[e], seeds[e]), and
+    position e of the result holds its trained target model and a log of
+    per-step metrics, per-epoch attack rates and attack counts, bit for bit
+    what it gets trained alone, as a group of one.
+
+    The classifier head spans every class in the stream (single-head, no
+    task ids). Metrics snapshots are taken after each task over all tasks
+    seen so far, on the run's test stream under eval_attack. Joint training
+    is one merged task with an empty buffer, trained and snapshotted at the
+    last step.
 
     The streams must give one model shape and one size per task; otherwise
     ValueError, before any training. One diverging run raises for all of
     them.
     """
     replay, robust = parse_strategy(strategy)
-    if not streams or not len(streams) == len(seeds) == len(eval_specs):
-        raise ValueError("need one seed and one eval spec per stream")
-    for stream, spec in zip(streams, eval_specs):
-        if len(spec.stream.tasks) != len(stream.tasks):
-            raise ValueError("eval stream must have the same task structure")
+    if not streams or not len(streams) == len(tests) == len(seeds):
+        raise ValueError("need one test stream and one seed per stream")
+    for stream, test in zip(streams, tests):
+        if len(test.tasks) != len(stream.tasks):
+            raise ValueError("test stream must have the same task structure")
     shapes = {((s.input_dim, *cfg.hidden, max(s.all_classes) + 1),
                tuple(len(t.data) for t in s.tasks)) for s in streams}
     if len(shapes) != 1:
@@ -430,8 +425,8 @@ def train_streams(streams, strategy: str, cfg: TrainConfig, seeds, eval_specs
                          f"size per task, got (layer sizes, task sizes) {sorted(shapes)}")
     ((layer_sizes, _),) = shapes
     model = _lockstep([init_model(layer_sizes, _sub(seed, 0)) for seed in seeds])
-    members = [_Member(s, seed, spec, _Rngs.for_seed(seed))
-               for s, seed, spec in zip(streams, seeds, eval_specs)]
+    members = [_Member(s, test, seed, _Rngs.for_seed(seed))
+               for s, test, seed in zip(streams, tests, seeds)]
     buffer = ReplayBuffer(0 if replay == "joint" else cfg.buffer_capacity, len(members))
     last = len(streams[0].tasks) - 1
     if replay == "joint":  # (step, each member's task)
@@ -441,20 +436,5 @@ def train_streams(streams, strategy: str, cfg: TrainConfig, seeds, eval_specs
     for step, tasks in plan:
         model = _run_task(model, tasks, replay, robust, cfg, members, buffer)
         for m, single in zip(members, _split(model)):
-            m.log.records.append(_snapshot(single, step, m.eval_spec))
+            m.log.records.append(_snapshot(single, step, m.test, eval_attack))
     return [(single, m.log) for single, m in zip(_split(model), members)]
-
-
-def train_stream(stream: TaskStream, strategy: str, cfg: TrainConfig, seed: int,
-                 eval_spec: EvalSpec) -> tuple[MLPModel, RunLog]:
-    """Run one strategy over the stream from the run seed; returns the
-    trained target model and a log of per-step metrics, per-epoch attack
-    rates, and attack counts.
-
-    The classifier head spans every class in the stream (single-head,
-    no task ids). Metrics snapshots are taken after each task over all
-    tasks seen so far, on eval_spec's stream under its attack. Joint
-    training is one merged task with an empty buffer, trained and
-    snapshotted at the last step.
-    """
-    return train_streams([stream], strategy, cfg, [seed], [eval_spec])[0]

@@ -239,14 +239,12 @@ def test_prev_task_rate_contract(shipped_runs):
     for on-the-fly adversarial training on the stream's second task."""
     model = _forced_prediction_model()
     first = Task(0, Dataset(np.array([[2.0]]), np.array([0]), (0,)), (0, 1))
-    ae = Dataset(np.array([[2.0]]), np.array([0]), (0,))
-    assert prev_task_rate(model, first, ae, [(0, 1)]) == 0.0
+    assert prev_task_rate(model, first, np.array([[2.0]]), [(0, 1)]) == 0.0
 
     # 3 of 8 rows land above the hinge -> class 0, an earlier-task class
     x = np.array([[2.0]] * 3 + [[0.5]] * 5)
     cur = Task(1, Dataset(x, np.full(8, 2), (2,)), (2, 3))
-    ae = Dataset(x, np.full(8, 2), (2,))
-    rate = prev_task_rate(model, cur, ae, [(0, 1), (2, 3)])
+    rate = prev_task_rate(model, cur, x, [(0, 1), (2, 3)])
     assert rate == 37.5
 
     by_strategy = {"er_at": [], "er_eat": []}

@@ -1,4 +1,5 @@
-"""Every public function and method in src/eatcl has a caller in src/eatcl.
+"""Every public function and method in src/eatcl has a caller in src/eatcl,
+and every module but eatcl/__init__.py uses each name it imports.
 
 A name counts as used when it occurs anywhere in the package as a name, an
 attribute or an import alias; being re-exported by eatcl/__init__.py counts,
@@ -47,3 +48,34 @@ def test_every_public_function_has_a_caller_in_src():
     unused = [f"{module}.{qualified}" for module, tree in trees.items()
               for qualified, name in _public_functions(tree) if name not in used]
     assert unused == [], f"public functions with no caller in src/eatcl: {unused}"
+
+
+def _unused_imports(tree: ast.Module, lines: list[str]) -> list[str]:
+    """Names the module imports but never reads. `from __future__` imports
+    and imports on a line marked `# noqa: F401` are exempt."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read:
+                unused.append(bound)
+    return unused
+
+
+def test_every_import_is_used_in_its_module():
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert any(path.stem == "strategies" for path in paths)
+    unused = {}
+    for path in paths:
+        source = path.read_text()
+        names = _unused_imports(ast.parse(source, str(path)), source.splitlines())
+        if names:
+            unused[path.stem] = names
+    assert unused == {}, f"imports never used in their module: {unused}"

@@ -219,3 +219,12 @@ def test_grid_rejects_unreadable_model_artifact(tmp_path, capsys):
         assert main(["grid", str(tmp_path / name), "--res", "3", "--out",
                      str(tmp_path / "x.csv"), "--bounds", "-1", "1", "-1", "1"]) == 0
         assert len((tmp_path / "x.csv").read_text().splitlines()) == 10
+    (tmp_path / "x.csv").unlink()
+    # non-finite bounds on the command line, for a model without stored ones
+    (tmp_path / "unbounded.json").write_text(json.dumps({**model, "bounds": None}))
+    for bad in (["nan", "1", "0", "1"], ["0", "inf", "0", "1"]):
+        assert main(["grid", str(tmp_path / "unbounded.json"), "--res", "3", "--out",
+                     str(tmp_path / "x.csv"), "--bounds", *bad]) == 2
+        err = capsys.readouterr().err
+        assert "--bounds must be finite" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.csv").exists()

@@ -17,7 +17,7 @@ from eatcl.runner import (ConfigError, RunResult, _write_metrics_csv,
                           build_streams, build_train_config, default_config,
                           emit_config, format_summary_table, load_model_json,
                           parse_config, run_experiment, summarize_results)
-from eatcl.strategies import EvalSpec, TrainConfig, train_stream
+from eatcl.strategies import TrainConfig, train_streams
 
 TINY = """
 experiment = unit
@@ -274,9 +274,9 @@ def test_lockstep_grid_writes_the_csvs_of_cells_run_alone(tmp_path):
     alone = []
     for seed in cfg["seeds"]:
         train_s, test_s = build_streams(cfg, seed)
-        spec = EvalSpec(test_s, build_eval_attack(cfg))
         for strat in cfg["strategies"]:
-            model, log = train_stream(train_s, strat, build_train_config(cfg), seed, spec)
+            (model, log), = train_streams([train_s], [test_s], strat, build_train_config(cfg),
+                                          [seed], build_eval_attack(cfg))
             alone.append(RunResult(f"{strat}_s{seed}", strat, seed, model, log))
     _write_metrics_csv(str(tmp_path / "metrics.csv"), alone)
     _write_rates_csv(str(tmp_path / "rates.csv"), alone)

@@ -14,9 +14,8 @@ from eatcl.nets import (MLPModel, forward, init_model, loss_and_grads, sgd_step,
                         softmax_ce, unstack_models)
 from eatcl.replay import ReplayBuffer
 from eatcl.runner import ConfigError, parse_config
-from eatcl.strategies import (STRATEGIES, EvalSpec, TrainConfig, der_terms,
-                              derpp_label_terms, eat_generate, parse_strategy,
-                              train_stream, train_streams)
+from eatcl.strategies import (STRATEGIES, TrainConfig, der_terms, derpp_label_terms,
+                              eat_generate, parse_strategy, train_streams)
 from reference import backward
 
 
@@ -37,16 +36,18 @@ def _cfg(**kw):
     return TrainConfig(**base)
 
 
-def _train(stream, strategy, cfg, seed=5, spec=None):
-    """train_stream from seed, evaluated on spec or else on the training
-    stream under the training attack."""
-    return train_stream(stream, strategy, cfg, seed, spec or EvalSpec(stream, cfg.attack))
+def _train(stream, strategy, cfg, seed=5, test=None, atk=None):
+    """One run from seed as a group of one, evaluated on test under atk, by
+    default on the training stream under the training attack."""
+    return train_streams([stream], [stream if test is None else test], strategy, cfg,
+                         [seed], atk or cfg.attack)[0]
 
 
-def _train_group(streams, strategy, cfg, seeds):
-    """train_streams, each run evaluated on its training stream."""
-    return train_streams(streams, strategy, cfg, seeds,
-                         [EvalSpec(s, cfg.attack) for s in streams])
+def _train_group(streams, strategy, cfg, seeds, tests=None):
+    """train_streams, each run evaluated on its training stream unless tests
+    are given, under the training attack."""
+    return train_streams(streams, streams if tests is None else tests, strategy, cfg,
+                         seeds, cfg.attack)
 
 
 def test_er_equals_joint_on_single_task():
@@ -424,8 +425,7 @@ def test_eval_spec_uses_held_out_stream():
     test_s = gen_blob_stream(3, 2, 8, 30, separation=1.5, noise=0.3,
                              seed=16, sample_seed=[16, 2])
     atk = AttackConfig(eps=0.05, alpha=0.02, iters=2)
-    spec = EvalSpec(stream=test_s, attack=atk)
-    _, log_a = _train(train_s, "er", _cfg(), spec=spec)
+    _, log_a = _train(train_s, "er", _cfg(), test=test_s, atk=atk)
     _, log_b = _train(train_s, "er", _cfg())
     # held-out accuracy differs from train accuracy in general
     assert log_a.records[-1].mean_accuracy != log_b.records[-1].mean_accuracy
@@ -436,7 +436,7 @@ def test_eval_does_not_disturb_training():
     test_s = gen_blob_stream(3, 2, 8, 30, separation=1.5, noise=0.3,
                              seed=17, sample_seed=[17, 2])
     atk = AttackConfig(eps=0.05, alpha=0.02, iters=2)
-    m1, _ = _train(train_s, "er_at", _cfg(), spec=EvalSpec(stream=test_s, attack=atk))
+    m1, _ = _train(train_s, "er_at", _cfg(), test=test_s, atk=atk)
     m2, _ = _train(train_s, "er_at", _cfg())
     assert _models_equal(m1, m2)
 
@@ -447,8 +447,7 @@ def test_invalid_strategy_and_mismatched_eval():
         _train(stream, "magic", _cfg())
     short = gen_blob_stream(2, 2, 8, 10, 1.5, 0.3, seed=18)
     with pytest.raises(ValueError):
-        _train(stream, "er", _cfg(),
-               spec=EvalSpec(stream=short, attack=AttackConfig(eps=0.1, alpha=0.05)))
+        _train(stream, "er", _cfg(), test=short, atk=AttackConfig(eps=0.1, alpha=0.05))
 
 
 def test_strategy_names_split_into_two_axes():
@@ -473,19 +472,19 @@ def _run_bits(model, log):
 
 def test_lockstep_runs_equal_runs_alone():
     # a strategy's seeds trained together, as the members of one stacked
-    # model, must each get exactly the bits they get through train_stream
+    # model, must each get exactly the bits they get as a group of one
     seeds = (5, 6, 7)
     streams = [_small_stream(30 + s) for s in seeds]
     atk = AttackConfig(eps=0.05, alpha=0.02, iters=2)
-    specs = [EvalSpec(stream=_small_stream(40 + s), attack=atk) for s in seeds]
+    tests = [_small_stream(40 + s) for s in seeds]
     for strategy, at_mix, refresh in itertools.product(
             STRATEGIES, ("replace", "union"), (False, True)):
         cfg = _cfg(epochs_per_task=2, batch_size=13, replay_batch_size=7,
                    eat_external_epochs=1, at_mix=at_mix, eat_refresh=refresh)
-        lockstep = train_streams(streams, strategy, cfg, seeds, specs)
+        lockstep = train_streams(streams, tests, strategy, cfg, seeds, atk)
         assert len(lockstep) == len(seeds)
-        for run, stream, seed, spec in zip(lockstep, streams, seeds, specs):
-            alone = train_stream(stream, strategy, cfg, seed, spec)
+        for run, stream, seed, test in zip(lockstep, streams, seeds, tests):
+            alone = _train(stream, strategy, cfg, seed, test, atk)
             assert _run_bits(*run) == _run_bits(*alone), (strategy, at_mix, refresh)
 
 
@@ -498,17 +497,18 @@ def test_lockstep_rejects_mismatched_runs_before_any_step(monkeypatch):
     base, seeds = _small_stream(1), (1, 2)
     cases = [
         # task sizes, input dim, task count
-        ([base, gen_blob_stream(3, 2, 8, 31, 1.5, 0.3, seed=2)], seeds),
-        ([base, gen_blob_stream(3, 2, 9, 30, 1.5, 0.3, seed=2)], seeds),
-        ([base, gen_blob_stream(2, 2, 8, 30, 1.5, 0.3, seed=2)], seeds),
-        # seeds that do not pair with the streams
-        ([base, _small_stream(2)], (1,)),
-        ([], ()),
+        ([base, gen_blob_stream(3, 2, 8, 31, 1.5, 0.3, seed=2)], seeds, None),
+        ([base, gen_blob_stream(3, 2, 9, 30, 1.5, 0.3, seed=2)], seeds, None),
+        ([base, gen_blob_stream(2, 2, 8, 30, 1.5, 0.3, seed=2)], seeds, None),
+        # seeds or test streams that do not pair with the streams
+        ([base, _small_stream(2)], (1,), None),
+        ([base, _small_stream(2)], seeds, [base]),
+        ([], (), None),
     ]
-    for (streams, run_seeds), strategy in itertools.product(
+    for (streams, run_seeds, tests), strategy in itertools.product(
             cases, ("er", "joint_at", "der_eat")):
         with pytest.raises(ValueError):
-            _train_group(streams, strategy, _cfg(), run_seeds)
+            _train_group(streams, strategy, _cfg(), run_seeds, tests)
 
 
 def test_stored_der_logits_equal_pre_step_forward_pass(monkeypatch):

@@ -2,10 +2,10 @@
 
 ``attack`` runs both, by the config's kind. PGD-K takes K signed-gradient
 steps of size alpha, projecting back into the closed L-infinity ball of
-radius eps around the clean batch after every step, optionally starting
-from a uniform random point inside the ball. FGSM is PGD's one step from
-x: a single signed-gradient step of size eps with no random start, which
-the projection leaves as it is.
+radius eps around the clean batch after every step, starting from a
+uniform random point inside the ball. FGSM is PGD's one step from x: a
+single signed-gradient step of size eps with no random start, which the
+projection leaves as it is.
 
 A step is a fixed function of the batch, so PGD stops early once a step
 returns the whole batch to the state it started from (a fixed point) or to
@@ -14,10 +14,11 @@ between its two latest states, and the attack returns the one that the
 remaining steps would end on. The output is bit for bit that of taking
 every step.
 
-Attacks never relabel: outputs pair with the original labels.
+Attacks take one-hot targets (nets.one_hot) and never relabel: outputs
+pair with the original targets.
 
 A stacked model of E members (see nets) attacks a batch of E*B rows, block
-e against member e; a PGD random start then takes a sequence of E
+e against member e; PGD's random start then takes a sequence of E
 generators, and member e draws its start from the e-th. The output is
 bit-identical to E single-model attacks.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import MLPModel, ce_input_grad, ce_targets, check_input
+from .nets import MLPModel, ce_input_grad, check_input, check_targets
 from .nets import forward  # noqa: F401  bound here for perfbench/selftest.py
 
 ATTACK_KINDS = ("fgsm", "pgd")
@@ -41,7 +42,6 @@ class AttackConfig:
     eps: float = 0.0314
     alpha: float = 0.0078
     iters: int = 4
-    random_start: bool = True
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
@@ -65,13 +65,13 @@ def project_linf(x_adv, lo, hi) -> np.ndarray:
     return np.minimum(np.maximum(x_adv, lo), hi)
 
 
-def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
+def _steps(model: MLPModel, x, targets, cfg: AttackConfig, alpha: float, iters: int,
            rng) -> np.ndarray:
     """iters signed-gradient steps of size alpha, each projected into the
     closed cfg.eps-ball around x, from a uniform random start in the ball
     drawn from rng, or from x when rng is None.
 
-    The batch, the generators and the labels are checked once, before the
+    The batch, the generators and the targets are checked once, before the
     first step; every step taken is one forward and one input-only backward
     pass, which still rejects non-finite logits. Once a step returns the
     state it started from or the one before, the loop stops and returns the
@@ -83,7 +83,7 @@ def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
     if (rng is not None and stacked
             and (isinstance(rng, np.random.Generator) or len(rng) != model.members)):
         raise ValueError(f"{model.members} stacked models need a sequence of as many rngs")
-    targets = ce_targets(y, x.shape[:-1], model.num_classes)
+    targets = check_targets(targets, (*x.shape[:-1], model.num_classes))
     adv = x
     if rng is not None:
         if stacked:
@@ -111,17 +111,16 @@ def _steps(model: MLPModel, x, y, cfg: AttackConfig, alpha: float, iters: int,
     return adv.reshape(-1, x.shape[-1]) if stacked else adv
 
 
-def attack(model: MLPModel, x, y, cfg: AttackConfig, rng=None) -> np.ndarray:
-    """Adversarial examples for (x, y) against model, by cfg.kind.
+def attack(model: MLPModel, x, targets, cfg: AttackConfig, rng=None) -> np.ndarray:
+    """Adversarial examples for x and its one-hot targets against model, by cfg.kind.
 
     FGSM: x + eps * sign(grad_x loss); sign(0) is 0.
     PGD: cfg.iters projected signed-gradient steps of size cfg.alpha, from a
-    random start in the eps-ball when cfg.random_start; only that start
-    draws from rng, a Generator or, for a stacked model, one per member.
+    random start in the eps-ball; only that start draws from rng, a
+    Generator or, for a stacked model, one per member.
     """
     if cfg.kind == "fgsm":
-        return _steps(model, x, y, cfg, cfg.eps, 1, None)
-    if cfg.random_start and rng is None:
+        return _steps(model, x, targets, cfg, cfg.eps, 1, None)
+    if rng is None:
         raise ValueError("pgd attack with a random start needs an rng")
-    return _steps(model, x, y, cfg, cfg.alpha, cfg.iters,
-                  rng if cfg.random_start else None)
+    return _steps(model, x, targets, cfg, cfg.alpha, cfg.iters, rng)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .attacks import AttackConfig, attack
 from .datasets import Dataset, Task
-from .nets import MLPModel, forward
+from .nets import MLPModel, forward, one_hot
 
 
 @dataclass
@@ -42,7 +42,7 @@ def robustness(model: MLPModel, test: Dataset, atk: AttackConfig, rng) -> float:
     """Accuracy on attack(model, test): white-box against the evaluated model."""
     if len(test) == 0:
         raise ValueError("empty test set")
-    adv = attack(model, test.x, test.y, atk, rng)
+    adv = attack(model, test.x, one_hot(test.y, model.num_classes), atk, rng)
     return float(np.mean(predict(model, adv) == test.y) * 100.0)
 
 

@@ -1,7 +1,9 @@
 """Dense feed-forward classifiers with exact reverse-mode gradients.
 
 Everything is float64 numpy. Hidden layers use ReLU, the output layer is
-linear (logits). Gradients are computed for all parameters and for the
+linear (logits). One softmax cross-entropy kernel serves training and
+attacks, against one-hot targets that ``one_hot`` builds, the one place
+labels are checked. Gradients are computed for all parameters and for the
 input batch itself; input gradients are what the attack code consumes.
 Functions are pure: models go in, new models come out.
 
@@ -14,6 +16,7 @@ Every member's arrays are bit-identical to what it would get alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,63 +146,58 @@ def _row_max(logits: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.ascontiguousarray(logits.mT), axis=-2)[..., None]
 
 
-def _check_labels(y, n: int, c: int) -> np.ndarray:
-    y = np.asarray(y)
-    if y.shape != (n,):
-        raise ValueError(f"labels shape {y.shape} does not match batch {n}")
-    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= c):
-        raise ValueError(f"label out of range [0, {c})")
-    return y
+def one_hot(labels, num_classes: int) -> np.ndarray:
+    """One-hot float targets of shape (*labels.shape, num_classes), the only
+    label form training and attacks take. The one place labels are checked:
+    ValueError for non-integer or 0-d labels, or one outside
+    [0, num_classes)."""
+    y = np.asarray(labels)
+    if y.ndim == 0 or not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"labels must be an integer array, got {y.dtype} of shape {y.shape}")
+    if np.logical_or.reduce((y < 0) | (y >= num_classes), axis=None):
+        raise ValueError(f"label out of range [0, {num_classes})")
+    return np.eye(num_classes)[y]
 
 
-def _label_index(labels, shape) -> tuple:
-    """Checked labels as a fancy index of each row's label entry in logits
-    of the given shape: (rows, labels) for (B, classes), and (members,
-    rows, labels) for stacked (E, B, classes), whose E*B labels come block
-    by block."""
-    if len(shape) == 2:
-        n, c = shape
-        return np.arange(n), _check_labels(labels, n, c)
-    e, b, c = shape
-    y = _check_labels(labels, e * b, c)
-    return np.arange(e)[:, None], np.arange(b), y.reshape(e, b)
+def check_targets(targets, shape) -> np.ndarray:
+    """targets as an array of the (..., rows, classes) logits shape, given
+    in that shape or, for stacked (E, B, classes) logits, as E*B rows block
+    by block; ValueError for any other shape."""
+    targets = np.asarray(targets)
+    if targets.shape[-1:] != shape[-1:] or targets.size != math.prod(shape):
+        raise ValueError(f"targets shape {targets.shape} does not match logits {tuple(shape)}")
+    return targets.reshape(shape)
 
 
-def softmax_ce(logits, labels) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over the batch.
+def _ce_grad(p: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """exp(shifted logits) p, in place, into d(mean cross-entropy)/d(logits)
+    = (softmax - targets) / rows; returns the softmax denominators."""
+    total = np.add.reduce(p, axis=-1, keepdims=True)
+    p /= total
+    p -= targets
+    p /= p.shape[-2]
+    return total
 
-    Returns (loss, dlogits) where dlogits = (softmax - onehot) / batch_size,
+
+def softmax_ce(logits, targets) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over the batch against one-hot targets.
+
+    Returns (loss, dlogits) where dlogits = (softmax - targets) / batch_size,
     i.e. the exact gradient of the mean loss w.r.t. the logits. Stacked
-    logits (E, B, classes) take E*B labels, block e for member e, and give
-    one mean loss per member.
+    logits (E, B, classes) take E*B target rows, block e for member e (see
+    check_targets), and give one mean loss per member. A row whose logits
+    differ by more than the largest float64 gets a NaN loss.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim not in (2, 3):
         raise ValueError(f"expected 2-D or stacked 3-D logits, got shape {logits.shape}")
-    label = _label_index(labels, logits.shape)
-    n = logits.shape[-2]
+    targets = check_targets(targets, logits.shape)
     shifted = logits - _row_max(logits)
     p = np.exp(shifted)
-    total = np.add.reduce(p, axis=-1, keepdims=True)
-    loss = np.add.reduce(np.log(total[..., 0]) - shifted[label], axis=-1) / n
-    p /= total
-    p[label] -= 1.0
-    p /= n
+    total = _ce_grad(p, targets)
+    label = np.add.reduce(shifted * targets, axis=-1)
+    loss = np.add.reduce(np.log(total[..., 0]) - label, axis=-1) / logits.shape[-2]
     return loss, p
-
-
-def ce_targets(labels, lead: tuple[int, ...], num_classes: int) -> np.ndarray:
-    """Checked one-hot targets of shape (*lead, num_classes), for a batch
-    whose leading shape is lead: (n,), or (E, B) for a stacked model, whose
-    E*B labels come block by block.
-
-    Raises ValueError like softmax_ce does for labels of the wrong shape or
-    outside [0, num_classes).
-    """
-    shape = (*lead, num_classes)
-    onehot = np.zeros(shape)
-    onehot[_label_index(labels, shape)] = 1.0
-    return onehot
 
 
 def add_grads(a: GradBundle, b: GradBundle) -> GradBundle:
@@ -265,15 +263,13 @@ def ce_input_grad(model: MLPModel, x: np.ndarray, targets: np.ndarray) -> np.nda
     """Gradient of the mean cross-entropy w.r.t. the input batch alone.
 
     For inner loops that check once and call many times: x must already be
-    a batch from check_input and targets come from ce_targets for that
-    batch; only non-finite logits are still caught. Bit-identical to the
-    input gradient of loss_and_grads with the softmax_ce loss.
+    a batch from check_input and targets already of its logits' shape (see
+    check_targets); only non-finite logits are still caught. Bit-identical
+    to the input gradient of loss_and_grads with the softmax_ce loss.
     """
     acts = _activations(model, x)
     logits = acts[-1]
     p = logits - _row_max(logits)
     np.exp(p, out=p)
-    p /= np.add.reduce(p, axis=-1, keepdims=True)
-    p -= targets
-    p /= x.shape[-2]
+    _ce_grad(p, targets)
     return _backprop(model, acts, p, params=False)

@@ -3,9 +3,10 @@
 Every streamed item ends up retained with probability capacity / seen_count,
 so the buffer's class composition tracks the stream composition — that bias
 is the point, not a bug to correct. The rows live in arrays with one block
-per member of a lockstep group: x (E, capacity, d), y (E, capacity) and, when
-the rows come with the model's logits at insertion time (for
-distillation-style replay), logits (E, capacity, classes).
+per member of a lockstep group: x (E, capacity, d), the rows' one-hot
+targets (E, capacity, classes) and, when the rows come with the model's
+logits at insertion time (for distillation-style replay), logits
+(E, capacity, classes).
 
 A member's buffer draws never depend on the model: they are set by how many
 rows it offers at each step and how many buffer batches each step samples.
@@ -35,8 +36,8 @@ class ReplayBuffer:
         self.capacity = capacity
         self.seen_counts = [0] * members
         self.sizes = [0] * members
-        self.x = self.y = self.logits = None
-        self._flat = ()  # (E * capacity, ...) views of x, y and logits
+        self.x = self.targets = self.logits = None
+        self._flat = ()  # (E * capacity, ...) views of x, targets and logits
 
     def plan_epoch(self, counts, samples: int, batch_size: int, rngs) -> list:
         """Plan the draws of an epoch of steps, with rngs[e] for member e:
@@ -94,28 +95,26 @@ class ReplayBuffer:
 
     def sample_arrays(self, idx):
         """The planned buffer batch idx of every member, as member-major
-        arrays x, y and stored logits, or None when the rows have none."""
+        arrays x, targets and stored logits, or None when the rows have none."""
         return tuple(None if a is None else a.take(idx, axis=0) for a in self._flat)
 
-    def insert(self, writes, x, y, logits) -> None:
-        """Write one step's offered rows (x, y, logits-or-None), member-major,
+    def insert(self, writes, x, targets, logits) -> None:
+        """Write one step's offered rows (x, targets, logits-or-None), member-major,
         as its planned writes say. Logits come with every insert or none."""
         n, at, rows = writes
-        if len(y) != n:
-            raise ValueError(f"the plan offers {n} rows at this step, got {len(y)}")
-        if self.x is None and self.capacity and len(y):
+        offered = (x, targets, logits)
+        if len(x) != n:
+            raise ValueError(f"the plan offers {n} rows at this step, got {len(x)}")
+        if self.x is None and self.capacity and len(x):
             shape = (len(self.sizes), self.capacity)
-            self.x = np.empty(shape + x.shape[1:], dtype=x.dtype)
-            self.y = np.empty(shape, dtype=np.int64)
-            if logits is not None:
-                self.logits = np.empty(shape + logits.shape[1:], dtype=logits.dtype)
+            self.x, self.targets, self.logits = (
+                None if a is None else np.empty(shape + a.shape[1:], dtype=a.dtype)
+                for a in offered)
             self._flat = tuple(None if a is None else a.reshape(-1, *a.shape[2:])
-                               for a in (self.x, self.y, self.logits))
+                               for a in (self.x, self.targets, self.logits))
         if self.x is not None and (logits is None) != (self.logits is None):
             raise ValueError("insert logits with every row or with none")
         if len(at):
-            fx, fy, flogits = self._flat
-            fx[at] = x[rows]
-            fy[at] = y[rows]
-            if flogits is not None:
-                flogits[at] = logits[rows]
+            for flat, a in zip(self._flat, offered):
+                if flat is not None:
+                    flat[at] = a[rows]

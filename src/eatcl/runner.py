@@ -114,7 +114,6 @@ _SCHEMA: dict[str, tuple] = {
     "attack.eps": (_parse_float,),
     "attack.alpha": (_parse_float,),
     "attack.iters": (int,),
-    "attack.random_start": (_parse_bool,),
     "eval.attack.kind": (_optional(str.strip), None),
     "eval.attack.eps": (_optional(_parse_float), None),
     "eval.attack.alpha": (_optional(_parse_float), None),

@@ -25,7 +25,9 @@ Batch composition follows the pure-AT convention for +AT/+CAT (adversarial
 examples replace their clean sources; `at_mix="union"` trains both), while
 +EAT always unions the generated set with the clean task data. DER's
 distillation batch always stays clean, since stored logits pair with clean
-inputs, and only clean current-task rows ever enter the buffer.
+inputs, and only clean current-task rows ever enter the buffer. Labels become
+one-hot targets (nets.one_hot) once per task, and every attack, loss and buffer
+row takes those.
 
 Runs of one strategy under one TrainConfig differ only in their seed, so
 ``train_streams`` trains them together, in lockstep: their target models
@@ -57,7 +59,7 @@ from .attacks import AttackConfig, attack
 from .datasets import Task, TaskStream
 from .metrics import MetricsRecord, clean_accuracy, prev_task_rate, robustness
 from .nets import (MLPModel, add_grads, forward, init_model, loss_and_grads,
-                   sgd_step, softmax_ce, stack_models, unstack_models)
+                   one_hot, sgd_step, softmax_ce, stack_models, unstack_models)
 from .replay import ReplayBuffer
 
 STRATEGIES = ("joint", "joint_at", "er", "er_at", "er_cat", "er_eat",
@@ -202,28 +204,28 @@ def der_terms(model, buf_x, stored_logits, alpha: float):
     return loss_and_grads(model, buf_x, mse)
 
 
-def derpp_label_terms(model, buf_x, buf_y, beta: float):
+def derpp_label_terms(model, buf_x, buf_targets, beta: float):
     """DER++ label term: beta * cross-entropy on a second buffer batch."""
     def weighted_ce(logits):
-        ce, dlogits = softmax_ce(logits, buf_y)
+        ce, dlogits = softmax_ce(logits, buf_targets)
         return beta * ce, beta * dlogits
 
     return loss_and_grads(model, buf_x, weighted_ce)
 
 
-def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
+def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
                buffer: ReplayBuffer, step, cfg: TrainConfig) -> MLPModel:
     """One SGD update of every member on its current batch, after which the
     batch's clean rows enter each member's block of the group's buffer.
 
-    xb (E, rows, d) and yb (E, rows) hold member e's batch in block e, cb
-    marks its clean task rows (None: all are), and model is the _lockstep
-    model of the E members. step is its (batches, writes) entry of the
-    buffer's epoch plan, writes None with no buffer. With planned batches,
-    as many as the scheme takes (else ValueError), the step replays: ER
+    xb (E, rows, d) and its one-hot targets tb (E, rows, classes) hold member
+    e's batch in block e, cb marks its clean task rows (None: all are), and
+    model is the _lockstep model of the E members. step is its (batches, writes)
+    entry of the buffer's epoch plan, writes None with no buffer. With planned
+    batches, as many as the scheme takes (else ValueError), the step replays: ER
     appends a memory batch, DER adds its distillation term on a clean buffer
-    batch, and DER++ also its label term on a second one, which +AT attacks
-    in place. +AT attacks every row of the cross-entropy batch, +CAT only the
+    batch, and DER++ also its label term on a second one, which +AT attacks in
+    place. +AT attacks every row of the cross-entropy batch, +CAT only the
     current rows, which lead it; the adversarial rows replace them or, with
     at_mix "union", follow them. Each member uses its own block and rngs.
     """
@@ -232,22 +234,22 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
         raise ValueError(f"replay plan for {replay}: {len(batches)} buffer batches planned")
     atk_rng = _rng_arg([m.rngs.attack for m in members])
     b = xb.shape[1]
-    x, y = xb, yb
+    x, t = xb, tb
     if batches and replay == "er":
-        mx, my, _ = buffer.sample_arrays(batches[0])
+        mx, mt, _ = buffer.sample_arrays(batches[0])
         x = np.concatenate([xb, mx.reshape(len(members), -1, xb.shape[2])], axis=1)
-        y = np.concatenate([yb, my.reshape(len(members), -1)], axis=1)
+        t = np.concatenate([tb, mt.reshape(len(members), -1, tb.shape[2])], axis=1)
     n_atk = {"at": x.shape[1], "cat": b}.get(robust, 0)
     if n_atk:
-        src, ys = x[:, :n_atk], y[:, :n_atk]
-        adv = attack(model, _flat(src), _flat(ys), cfg.attack, atk_rng).reshape(src.shape)
+        src, ts = x[:, :n_atk], t[:, :n_atk]
+        adv = attack(model, _flat(src), _flat(ts), cfg.attack, atk_rng).reshape(src.shape)
         for m, a in zip(members, adv):
             m.log.attack_counts["current"] += b
             m.log.attack_counts["memory"] += n_atk - b
             m.aes.append(a[:b])
         if cfg.at_mix == "union":  # the attacked rows, then their AEs
             x = np.concatenate([src, adv, x[:, n_atk:]], axis=1)
-            y = np.concatenate([ys, ys, y[:, n_atk:]], axis=1)
+            t = np.concatenate([ts, ts, t[:, n_atk:]], axis=1)
         elif n_atk == x.shape[1]:  # every row attacked: no copy
             x = adv
         else:
@@ -256,7 +258,7 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
 
     def ce(logits):
         ce_logits.append(logits)
-        return softmax_ce(logits, _flat(y))
+        return softmax_ce(logits, _flat(t))
 
     _, grads = loss_and_grads(model, _flat(x), ce)
     if batches and replay in ("der", "derpp"):
@@ -264,12 +266,12 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
         _, der_grads = der_terms(model, bx, blogits, cfg.der_alpha)
         grads = add_grads(grads, der_grads)
         if replay == "derpp":
-            bx2, by2, _ = buffer.sample_arrays(batches[1])
+            bx2, bt2, _ = buffer.sample_arrays(batches[1])
             if robust == "at":
-                bx2 = attack(model, bx2, by2, cfg.attack, atk_rng)
+                bx2 = attack(model, bx2, bt2, cfg.attack, atk_rng)
                 for m in members:
-                    m.log.attack_counts["memory"] += len(by2) // len(members)
-            _, label_grads = derpp_label_terms(model, bx2, by2, cfg.derpp_beta)
+                    m.log.attack_counts["memory"] += len(bx2) // len(members)
+            _, label_grads = derpp_label_terms(model, bx2, bt2, cfg.derpp_beta)
             grads = add_grads(grads, label_grads)
     stepped = sgd_step(model, grads, cfg.lr)
     if writes is None:
@@ -277,46 +279,46 @@ def batch_step(model, xb, yb, cb, replay: str, robust: str, members,
     # DER stores the pre-step model's logits of the rows it inserts. Clean,
     # the cross-entropy batch is exactly xb, so they are that pass's logits;
     # otherwise a forward pass over each member's clean rows gives them.
-    cx, cy = (_flat(xb), _flat(yb)) if cb is None else (xb[cb], yb[cb])
+    cx, ct = (_flat(xb), _flat(tb)) if cb is None else (xb[cb], tb[cb])
     ins_logits = None
     if replay in ("der", "derpp"):
         if robust == "clean":
-            ins_logits = ce_logits[0].reshape(len(cy), -1)
+            ins_logits = ce_logits[0].reshape(len(cx), -1)
         else:
             rows = xb if cb is None else [xe[ce] for xe, ce in zip(xb, cb)]
             ins_logits = np.concatenate([forward(single, xe)
                                          for single, xe in zip(_split(model), rows)])
-    buffer.insert(writes, cx, cy, ins_logits)
+    buffer.insert(writes, cx, ct, ins_logits)
     return stepped
 
 
-def eat_generate(task: Task, layer_sizes, cfg: TrainConfig, seeds, counts: dict
+def eat_generate(x, targets, layer_sizes, cfg: TrainConfig, seeds, counts: dict
                  ) -> list[tuple[MLPModel, np.random.Generator]]:
     """Throwaway external models for a task, one per seed, trained in lockstep.
 
     Each is a fresh model of the given architecture, adversarially trained
-    from scratch on the task alone with its own batch order and attack rng.
+    from scratch on the task alone, its rows x with their one-hot targets,
+    with its own batch order and attack rng.
     The members are stacked on one model axis (a plain model for one seed),
     so each attack and SGD step serves all of them; member e gets the exact
     bits it would get alone. Returns (model, attack rng) per seed: attacking
-    every task example against the model with that rng gives the seed's
+    every task row against the model with that rng gives the seed's
     adversarial copy of the task. Attacked rows add to counts["external"].
     """
-    if len(task.data) == 0:
+    if len(x) == 0:
         raise ValueError("cannot generate adversarial examples for an empty task")
     ext = _lockstep([init_model(layer_sizes, _sub(s, 0)) for s in seeds])
     batch_rngs = [np.random.default_rng(_sub(s, 1)) for s in seeds]
     atk_rngs = [np.random.default_rng(_sub(s, 2)) for s in seeds]
-    x, y = task.data.x, task.data.y
     n = len(x)
     for _ in range(cfg.eat_external_epochs):
         perms = np.stack([r.permutation(n) for r in batch_rngs])
         for s in range(0, n, cfg.batch_size):
             idx = perms[:, s:s + cfg.batch_size].ravel()  # member-major blocks
-            xb, yb = x[idx], y[idx]
-            adv = attack(ext, xb, yb, cfg.attack, _rng_arg(atk_rngs))
+            xb, tb = x[idx], targets[idx]
+            adv = attack(ext, xb, tb, cfg.attack, _rng_arg(atk_rngs))
             counts["external"] += len(idx)
-            _, grads = loss_and_grads(ext, adv, lambda z: softmax_ce(z, yb))
+            _, grads = loss_and_grads(ext, adv, lambda z: softmax_ce(z, tb))
             ext = sgd_step(ext, grads, cfg.lr)
     return list(zip(_split(ext), atk_rngs))
 
@@ -325,6 +327,8 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
               members, buffer: ReplayBuffer) -> MLPModel:
     """Train one task of every member for epochs_per_task epochs, replaying
     from the second task on; tasks[e] is member e's, all with one index and size.
+    Each member's task labels become one-hot targets here, once, beside its
+    rows, and every batch gathers both with one index.
 
     +EAT first trains each member's external models, in lockstep: one for
     the whole task, or one per epoch with eat_refresh. Each epoch's
@@ -335,34 +339,33 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
     longer dispatch-bound, so stacking the members would only add memory.
     """
     index = tasks[0].index
+    n = len(tasks[0].data)
+    xs = np.stack([task.data.x for task in tasks])
+    ts = np.stack([one_hot(task.data.y, model.num_classes) for task in tasks])
     externals = []
     if robust == "eat":
         # EAT never trains joint, so the task index is the stream step
         later = range(1, cfg.epochs_per_task) if cfg.eat_refresh else ()
         seeds = [[_sub(m.seed, 4, index)] + [_sub(m.seed, 4, index, e) for e in later]
                  for m in members]
-        externals = [eat_generate(t, model.layer_sizes, cfg, member_seeds,
+        externals = [eat_generate(task.data.x, t, model.layer_sizes, cfg, member_seeds,
                                   m.log.attack_counts)
-                     for t, member_seeds, m in zip(tasks, seeds, members)]
-    n = len(tasks[0].data)
-    xs = np.stack([t.data.x for t in tasks])
-    ys = np.stack([t.data.y for t in tasks])
-    if externals:
+                     for task, t, member_seeds, m in zip(tasks, ts, seeds, members)]
         # the clean rows, then room for the epoch's adversarial copy
         xs = np.concatenate([xs, np.empty_like(xs)], axis=1)
-        ys = np.concatenate([ys, ys], axis=1)
+        ts = np.concatenate([ts, ts], axis=1)
     for epoch in range(cfg.epochs_per_task):
-        for m, t, ext, copy in zip(members, tasks, externals, xs[:, n:]):
+        for m, task, t, ext, copy in zip(members, tasks, ts, externals, xs[:, n:]):
             if epoch < len(ext):
                 model_e, rng = ext[epoch]
-                copy[...] = attack(model_e, t.data.x, t.data.y, cfg.attack, rng)
+                copy[...] = attack(model_e, task.data.x, t[:n], cfg.attack, rng)
                 m.log.attack_counts["external"] += n
             m.aes.append(copy)
         rows = xs.shape[1]
         perms = np.stack([m.rngs.batch.permutation(rows) for m in members])
         clean = perms < n  # every row, unless +EAT adds its copy
         perms += np.arange(len(members))[:, None] * rows  # rows of the flat arrays
-        fx, fy = _flat(xs), _flat(ys)
+        fx, ft = _flat(xs), _flat(ts)
         starts = range(0, rows, cfg.batch_size)
         plan = [([], None)] * len(starts)  # no buffer: no batches, no writes
         if buffer.capacity:  # each member offers the buffer its clean rows
@@ -373,13 +376,13 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
         for s, step in zip(starts, plan, strict=True):
             idx = perms[:, s:s + cfg.batch_size]
             cb = clean[:, s:s + cfg.batch_size] if externals else None
-            model = batch_step(model, fx[idx], fy[idx], cb, replay, robust, members,
+            model = batch_step(model, fx[idx], ft[idx], cb, replay, robust, members,
                                buffer, step, cfg)
         if index > 0:
-            for m, t, single in zip(members, tasks, _split(model)):
+            for m, task, single in zip(members, tasks, _split(model)):
                 if m.aes:
                     m.log.attack_rates.append(AttackRatePoint(index, epoch, prev_task_rate(
-                        single, t, np.vstack(m.aes), m.stream.class_sets)))
+                        single, task, np.vstack(m.aes), m.stream.class_sets)))
         for m in members:
             m.aes.clear()
     return model
@@ -424,6 +427,8 @@ def train_streams(streams, tests, strategy: str, cfg: TrainConfig, seeds,
         raise ValueError(f"runs trained in lockstep need one model shape and one "
                          f"size per task, got (layer sizes, task sizes) {sorted(shapes)}")
     ((layer_sizes, _),) = shapes
+    for s in streams:  # every label is one of its stream's classes: check them now
+        one_hot(np.array(s.all_classes), layer_sizes[-1])
     model = _lockstep([init_model(layer_sizes, _sub(seed, 0)) for seed in seeds])
     members = [_Member(s, test, seed, _Rngs.for_seed(seed))
                for s, test, seed in zip(streams, tests, seeds)]

@@ -1,21 +1,24 @@
 """Reference math that the tests check the production kernels against.
 
 Plain versions, written for clarity rather than speed: ``softmax``
-normalises logits row by row, and ``backward`` recomputes the forward
+normalises logits row by row, ``label_softmax_ce`` is the softmax
+cross-entropy indexed by integer labels that ``nets.softmax_ce`` over
+one-hot targets must equal bit for bit, and ``backward`` recomputes the forward
 activations of a batch and backpropagates a logit gradient to every weight,
 bias and to the input; both take single models. ``pgd_every_step`` takes
 every PGD step with no early exit, for single and stacked models.
 ``PerCallReservoir`` inserts one row and samples one member at a time, with
 one generator call per draw or batch. Nothing in ``eatcl`` calls them;
-production training, attacks and replay run ``nets.loss_and_grads``,
-``nets.ce_input_grad``, ``attacks.attack`` and the epoch plan of
-``replay.ReplayBuffer``.
+production training, attacks and replay run ``nets.softmax_ce``,
+``nets.loss_and_grads``, ``nets.ce_input_grad``, ``attacks.attack`` and the
+epoch plan of ``replay.ReplayBuffer``.
 """
 
 import numpy as np
 
 from eatcl.attacks import AttackConfig
-from eatcl.nets import GradBundle, MLPModel, ce_input_grad, ce_targets, check_input
+from eatcl.nets import (GradBundle, MLPModel, _row_max, ce_input_grad, check_input,
+                        check_targets)
 
 
 def _as_batch(x) -> np.ndarray:
@@ -31,6 +34,28 @@ def softmax(logits) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def label_softmax_ce(logits, labels):
+    """Mean softmax cross-entropy and its logit gradient, indexing each
+    row's label entry: (rows, labels) for (B, classes) logits, and
+    (members, rows, labels) for stacked (E, B, classes) logits, whose E*B
+    labels come block by block. Labels must be in range."""
+    logits = np.asarray(logits, dtype=np.float64)
+    *lead, n, c = logits.shape
+    labels = np.asarray(labels)
+    if lead:
+        label = np.arange(lead[0])[:, None], np.arange(n), labels.reshape(lead[0], n)
+    else:
+        label = np.arange(n), labels
+    shifted = logits - _row_max(logits)
+    p = np.exp(shifted)
+    total = np.add.reduce(p, axis=-1, keepdims=True)
+    loss = np.add.reduce(np.log(total[..., 0]) - shifted[label], axis=-1) / n
+    p /= total
+    p[label] -= 1.0
+    p /= n
+    return loss, p
 
 
 def backward(model: MLPModel, x, dlogits) -> GradBundle:
@@ -67,15 +92,15 @@ def backward(model: MLPModel, x, dlogits) -> GradBundle:
     return GradBundle(weight_grads, bias_grads, delta)
 
 
-def pgd_every_step(model: MLPModel, x, y, cfg: AttackConfig, rng=None) -> np.ndarray:
+def pgd_every_step(model: MLPModel, x, targets, cfg: AttackConfig, rng=None) -> np.ndarray:
     """PGD by cfg, taking all cfg.iters steps: a signed-gradient step of size
-    cfg.alpha, then np.clip into the eps-ball. With cfg.random_start it
-    starts from a uniform point in the ball drawn from rng, or for a stacked
-    model member e's block from rng[e]."""
+    cfg.alpha, then np.clip into the eps-ball. With an rng it starts from a
+    uniform point in the ball drawn from rng, or for a stacked model member
+    e's block from rng[e]; without one, from x."""
     x = check_input(model, x)
-    targets = ce_targets(y, x.shape[:-1], model.num_classes)
+    targets = check_targets(targets, (*x.shape[:-1], model.num_classes))
     adv = x
-    if cfg.random_start:
+    if rng is not None:
         if x.ndim == 3:
             start = np.stack([r.uniform(-cfg.eps, cfg.eps, size=x.shape[1:]) for r in rng])
         else:

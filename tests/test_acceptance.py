@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eatcl.attacks import AttackConfig, attack
+from eatcl.attacks import AttackConfig, _steps, attack
 from eatcl.datasets import Dataset, Task
 from eatcl.metrics import prev_task_rate
-from eatcl.nets import MLPModel, forward, init_model, loss_and_grads, softmax_ce
+from eatcl.nets import MLPModel, forward, init_model, loss_and_grads, one_hot, softmax_ce
 from eatcl.replay import ReplayBuffer
 
 from conftest import CONFIG_DIR, build_facts, output_digests, run_config
@@ -65,8 +65,8 @@ def test_toy_training_mode_bands(shipped_runs):
           f"ordering {ordered}/5 and {im_ordered}/5 in {elapsed:.0f}s")
 
 
-def _loss(model, x, y) -> float:
-    return softmax_ce(forward(model, x), y)[0]
+def _loss(model, x, targets) -> float:
+    return softmax_ce(forward(model, x), targets)[0]
 
 
 def test_gradients_match_central_differences():
@@ -88,7 +88,7 @@ def test_gradients_match_central_differences():
             b += rng.normal(0.0, 0.3, size=b.shape)
         n = int(rng.integers(1, 4))
         x = rng.normal(0.0, 1.0, size=(n, sizes[0]))
-        y = rng.integers(0, sizes[-1], size=n)
+        y = one_hot(rng.integers(0, sizes[-1], size=n), sizes[-1])
         _, grads = loss_and_grads(model, x, lambda z: softmax_ce(z, y))
         for arrs, anal in ((model.weights, grads.weight_grads),
                            (model.biases, grads.bias_grads)):
@@ -123,7 +123,7 @@ def test_gradients_match_central_differences():
 
 def test_attack_ball_clip_and_single_step_equivalence():
     """1000 random attack invocations stay inside the L-inf ball to 1e-12,
-    and FGSM matches PGD(K=1, no random start, alpha=eps)."""
+    and FGSM matches PGD(K=1, started at x, alpha=eps)."""
     started = time.perf_counter()
     rng = np.random.default_rng(11)
     n_fgsm_pairs = 0
@@ -133,24 +133,26 @@ def test_attack_ball_clip_and_single_step_equivalence():
         model = init_model((dim, int(rng.integers(1, 7)), classes), [11, trial])
         n = int(rng.integers(1, 6))
         x = rng.normal(0.0, 1.0, size=(n, dim)) * rng.uniform(0.2, 2.0)
-        y = rng.integers(0, classes, size=n)
+        y = one_hot(rng.integers(0, classes, size=n), classes)
         eps = 0.0 if rng.random() < 0.1 else float(rng.uniform(1e-4, 0.3))
         kind = "fgsm" if rng.random() < 0.5 else "pgd"
         rng.random()  # an unused draw, kept in the sequence that sets every trial's inputs
         cfg = AttackConfig(kind=kind, eps=eps,
                            alpha=max(eps, 1e-6) * float(rng.uniform(0.2, 1.5)),
-                           iters=int(rng.integers(1, 7)),
-                           random_start=bool(rng.random() < 0.5))
-        adv = attack(model, x, y, cfg, np.random.default_rng([11, trial, 1]))
+                           iters=int(rng.integers(1, 7)))
+        # half the PGD runs start at x, the other half at random
+        start_rng = None if rng.random() >= 0.5 else np.random.default_rng([11, trial, 1])
+        if kind == "fgsm" or start_rng is not None:
+            adv = attack(model, x, y, cfg, start_rng)
+        else:
+            adv = _steps(model, x, y, cfg, cfg.alpha, cfg.iters, None)
         assert adv.shape == x.shape
         assert np.max(np.abs(adv - x)) <= eps + 1e-12
         if kind == "fgsm":
-            twin = AttackConfig(kind="pgd", eps=eps, alpha=max(eps, 1e-6),
-                                iters=1, random_start=False)
-            cfg1 = AttackConfig(kind="fgsm", eps=eps, alpha=max(eps, 1e-6),
-                                iters=1, random_start=False)
+            twin = AttackConfig(kind="pgd", eps=eps, alpha=max(eps, 1e-6), iters=1)
+            cfg1 = AttackConfig(kind="fgsm", eps=eps, alpha=max(eps, 1e-6), iters=1)
             a = attack(model, x, y, cfg1)
-            b = attack(model, x, y, twin, np.random.default_rng([11, trial, 2]))
+            b = _steps(model, x, y, twin, twin.alpha, 1, None)
             assert np.max(np.abs(a - b)) <= 1e-12
             n_fgsm_pairs += 1
     elapsed = time.perf_counter() - started
@@ -163,7 +165,8 @@ def test_reservoir_retention_uniformity():
     """Capacity 50 over a 1000-item stream: 10,000 trials put every item's
     retention frequency within 0.05 +- 0.01."""
     started = time.perf_counter()
-    xs, ys = np.zeros((1000, 1)), np.arange(1000)
+    # each row holds its item id; the targets do not affect what is kept
+    xs, targets = np.arange(1000.0)[:, None], np.zeros((1000, 1))
     rng = np.random.default_rng(13)
     counts = np.zeros(1000)
     trials = 10_000
@@ -171,10 +174,10 @@ def test_reservoir_retention_uniformity():
     for _ in range(trials):
         buf = ReplayBuffer(50)
         # as training inserts: an epoch of 32-row steps, planned at once
-        plan = buf.plan_epoch([[len(ys[s:s + 32])] for s in starts], 0, 1, [rng])
+        plan = buf.plan_epoch([[len(xs[s:s + 32])] for s in starts], 0, 1, [rng])
         for s, (_, writes) in zip(starts, plan, strict=True):
-            buf.insert(writes, xs[s:s + 32], ys[s:s + 32], None)
-        counts[buf.y[0]] += 1  # the items kept, each once
+            buf.insert(writes, xs[s:s + 32], targets[s:s + 32], None)
+        counts[buf.x[0, :, 0].astype(np.int64)] += 1  # the items kept, each once
     freq = counts / trials
     dev = np.abs(freq - 0.05)
     assert dev.max() <= 0.01

@@ -45,8 +45,7 @@ def test_robustness_equals_accuracy_under_null_attack():
     x = rng.normal(size=(40, 4))
     y = rng.integers(0, 3, size=40)
     d = Dataset(x, y, (0, 1, 2))
-    atk = AttackConfig(kind="pgd", eps=0.0, alpha=0.1, iters=2,
-                       random_start=True)
+    atk = AttackConfig(kind="pgd", eps=0.0, alpha=0.1, iters=2)
     assert robustness(model, d, atk, np.random.default_rng(4)) == \
         pytest.approx(clean_accuracy(model, d), abs=1e-12)
 
@@ -57,8 +56,7 @@ def test_robustness_not_above_clean_for_real_attack():
     x = rng.normal(size=(60, 2))
     y = rng.integers(0, 2, size=60)
     d = Dataset(x, y, (0, 1))
-    atk = AttackConfig(kind="pgd", eps=0.5, alpha=0.2, iters=5,
-                       random_start=True)
+    atk = AttackConfig(kind="pgd", eps=0.5, alpha=0.2, iters=5)
     rob = robustness(model, d, atk, np.random.default_rng(7))
     assert rob <= clean_accuracy(model, d) + 1e-9
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eatcl.nets import (GradBundle, MLPModel, add_grads, ce_input_grad, ce_targets,
-                        check_input, forward, init_model, loss_and_grads, sgd_step,
+from eatcl.nets import (GradBundle, MLPModel, add_grads, ce_input_grad, check_input,
+                        forward, init_model, loss_and_grads, one_hot, sgd_step,
                         softmax_ce, stack_models, unstack_models)
 from eatcl.strategies import TrainConfig
-from reference import backward, softmax
+from reference import backward, label_softmax_ce, softmax
 
 
 def _rand_model(rng, sizes):
@@ -56,7 +56,7 @@ def test_softmax_ce_against_direct_formula():
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(16, 4))
     labels = rng.integers(0, 4, size=16)
-    loss, dlogits = softmax_ce(logits, labels)
+    loss, dlogits = softmax_ce(logits, one_hot(labels, 4))
     ref = np.mean([np.log(np.sum(np.exp(logits[i] - logits[i].max())))
                    - (logits[i, labels[i]] - logits[i].max())
                    for i in range(16)])
@@ -66,15 +66,62 @@ def test_softmax_ce_against_direct_formula():
 
 
 def test_softmax_ce_rejects_bad_labels():
+    # labels are checked where their targets are built; targets that do not
+    # give one row per logits row are rejected by the kernel
     logits = np.zeros((2, 3))
     with pytest.raises(ValueError):
-        softmax_ce(logits, np.array([0, 3]))
+        one_hot(np.array([0, 3]), 3)
     with pytest.raises(ValueError):
-        softmax_ce(logits, np.array([-1, 0]))
+        one_hot(np.array([-1, 0]), 3)
+    for bad in (one_hot(np.array([0]), 3), one_hot(np.array([0, 1]), 2), np.ones(6)):
+        with pytest.raises(ValueError):
+            softmax_ce(logits, bad)
+
+
+def test_one_hot_builds_and_checks_targets():
+    np.testing.assert_array_equal(one_hot(np.array([1, 0, 2]), 3),
+                                  [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    # any leading shape: stacked (E, B) labels give (E, B, classes) targets
+    stacked = one_hot(np.array([[0, 1], [1, 1]]), 2)
+    assert stacked.shape == (2, 2, 2) and stacked.dtype == np.float64
+    np.testing.assert_array_equal(stacked[1], [[0.0, 1.0], [0.0, 1.0]])
+    assert one_hot(np.zeros(0, dtype=int), 4).shape == (0, 4)
+    for bad in (np.array([0, 4]), np.array([[0], [-1]]), np.array(1), np.array([0.0, 1.0])):
+        with pytest.raises(ValueError):
+            one_hot(bad, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([None, 1, 2, 3]),
+       st.integers(1, 96), st.integers(2, 10), st.floats(0.01, 100.0),
+       st.integers(0, 3))
+def test_softmax_ce_equals_label_indexed_reference_bitwise(seed, members, rows, classes,
+                                                           scale, ties):
+    # the one kernel over one-hot targets must give the loss and gradient
+    # bits of indexing each row's label entry, for 2-D and stacked logits;
+    # ties rows repeat their maximum (at class 0, and with ties > 1 on
+    # rounded logits, anywhere)
+    rng = np.random.default_rng(seed)
+    lead = (rows,) if members is None else (members, rows)
+    logits = rng.normal(size=(*lead, classes)) * scale
+    if ties:
+        top = np.argmax(logits, axis=-1)
+        logits[..., 0] = np.take_along_axis(logits, top[..., None], axis=-1)[..., 0]
+    if ties > 1:
+        logits = np.round(logits)
+    labels = rng.integers(0, classes, size=lead)
+    loss, grad = softmax_ce(logits, one_hot(labels, classes))
+    ref_loss, ref_grad = label_softmax_ce(logits, labels)
+    assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+    # stacked logits also take their E*B targets flat, block by block
+    flat_loss, flat_grad = softmax_ce(logits, one_hot(labels.ravel(), classes))
+    assert np.asarray(flat_loss).tobytes() == np.asarray(loss).tobytes()
+    assert flat_grad.tobytes() == grad.tobytes()
 
 
 def _fd_loss(model, x, y):
-    loss, _ = softmax_ce(forward(model, x), y)
+    loss, _ = softmax_ce(forward(model, x), one_hot(y, model.num_classes))
     return loss
 
 
@@ -85,7 +132,7 @@ def test_backward_matches_finite_differences():
         model = _rand_model(rng, sizes)
         x = rng.normal(size=(6, sizes[0]))
         y = rng.integers(0, sizes[-1], size=6)
-        _, dlogits = softmax_ce(forward(model, x), y)
+        _, dlogits = softmax_ce(forward(model, x), one_hot(y, sizes[-1]))
         g = backward(model, x, dlogits)
         for li in range(len(model.weights)):
             w = model.weights[li]
@@ -114,7 +161,7 @@ def test_input_gradients_match_finite_differences():
     model = _rand_model(rng, (3, 4, 2))
     x = rng.normal(size=(4, 3))
     y = rng.integers(0, 2, size=4)
-    _, dlogits = softmax_ce(forward(model, x), y)
+    _, dlogits = softmax_ce(forward(model, x), one_hot(y, 2))
     g = backward(model, x, dlogits)
     h = 1e-5
     for i in range(4):
@@ -138,7 +185,7 @@ def test_single_pass_equals_forward_softmax_ce_backward_bitwise():
         model = _rand_model(rng, sizes)
         n = int(rng.integers(1, 70))
         x = rng.normal(size=(n, sizes[0])) * rng.uniform(0.1, 5.0)
-        y = rng.integers(0, sizes[-1], size=n)
+        y = one_hot(rng.integers(0, sizes[-1], size=n), sizes[-1])
         ref_loss, dlogits = softmax_ce(forward(model, x), y)
         ref = backward(model, x, dlogits)
         loss, got = loss_and_grads(model, x, lambda z: softmax_ce(z, y))
@@ -147,23 +194,24 @@ def test_single_pass_equals_forward_softmax_ce_backward_bitwise():
                         ref.weight_grads + ref.bias_grads):
             assert np.array_equal(a, b)
         assert np.array_equal(got.input_grads, ref.input_grads)
-        only_x = ce_input_grad(model, x, ce_targets(y, (n,), sizes[-1]))
+        only_x = ce_input_grad(model, x, y)
         assert np.array_equal(only_x, ref.input_grads)
 
 
 def test_single_pass_rejects_bad_labels_and_nonfinite_logits():
     model = init_model((2, 3, 2), seed=0)
     x = np.zeros((2, 2))
-    for bad in (np.array([0, 2]), np.array([-1, 0]), np.array([0])):
+    for bad in (np.array([0, 2]), np.array([-1, 0])):
         with pytest.raises(ValueError):
-            loss_and_grads(model, x, lambda z: softmax_ce(z, bad))
-        with pytest.raises(ValueError):
-            ce_targets(bad, (2,), 2)
-    targets = ce_targets(np.array([1, 0]), (2,), 2)
+            one_hot(bad, 2)
+    # one label for a batch of two: its targets are a row short
+    with pytest.raises(ValueError):
+        loss_and_grads(model, x, lambda z: softmax_ce(z, one_hot(np.array([0]), 2)))
+    targets = one_hot(np.array([1, 0]), 2)
     np.testing.assert_array_equal(targets, [[0.0, 1.0], [1.0, 0.0]])
     nan_x = np.array([[np.nan, 0.0], [0.0, 0.0]])
     with pytest.raises(FloatingPointError):
-        loss_and_grads(model, nan_x, lambda z: softmax_ce(z, np.array([0, 1])))
+        loss_and_grads(model, nan_x, lambda z: softmax_ce(z, targets))
     with pytest.raises(FloatingPointError):
         ce_input_grad(model, nan_x, targets)
 
@@ -190,7 +238,7 @@ def test_init_model_rejects_bad_sizes():
 def test_sgd_step_is_pure_and_exact():
     model = init_model((2, 3, 2), seed=3)
     x = np.array([[0.3, -0.2], [1.0, 0.4]])
-    y = np.array([0, 1])
+    y = one_hot(np.array([0, 1]), 2)
     _, g = loss_and_grads(model, x, lambda z: softmax_ce(z, y))
     before = [w.copy() for w in model.weights]
     lr = 0.05
@@ -205,7 +253,7 @@ def test_sgd_step_rejects_mismatched_grads():
     model = init_model((2, 3, 2), seed=3)
     other = init_model((2, 4, 2), seed=3)
     x = np.array([[0.1, 0.2]])
-    y = np.array([0])
+    y = one_hot(np.array([0]), 2)
     _, g = loss_and_grads(other, x, lambda z: softmax_ce(z, y))
     with pytest.raises(ValueError):
         sgd_step(model, g, 0.1)
@@ -214,7 +262,7 @@ def test_sgd_step_rejects_mismatched_grads():
 def test_add_grads_sums_terms():
     model = init_model((2, 3, 2), seed=4)
     x = np.array([[0.5, -0.5]])
-    y = np.array([1])
+    y = one_hot(np.array([1]), 2)
     _, g1 = loss_and_grads(model, x, lambda z: softmax_ce(z, y))
     _, g2 = loss_and_grads(model, x * 2, lambda z: softmax_ce(z, y))
     s = add_grads(g1, g2)
@@ -271,13 +319,13 @@ def test_stacked_loss_and_sgd_step_equal_members_alone_bitwise():
             members = [_rand_model(rng, sizes) for _ in range(e)]
             b = int(rng.integers(1, 40))
             xs = [rng.normal(size=(b, sizes[0])) for _ in range(e)]
-            ys = [rng.integers(0, sizes[-1], size=b) for _ in range(e)]
+            ys = [one_hot(rng.integers(0, sizes[-1], size=b), sizes[-1]) for _ in range(e)]
             stacked = stack_models(members)
-            x, y = np.vstack(xs), np.concatenate(ys)
+            x, y = np.vstack(xs), np.vstack(ys)
             loss, grads = loss_and_grads(stacked, x, lambda z: softmax_ce(z, y))
             stepped = unstack_models(sgd_step(stacked, grads, lr))
             x3 = check_input(stacked, x)
-            only_x = ce_input_grad(stacked, x3, ce_targets(y, x3.shape[:-1], sizes[-1]))
+            only_x = ce_input_grad(stacked, x3, y.reshape(*x3.shape[:-1], sizes[-1]))
             assert loss.shape == (e,)
             assert grads.input_grads.shape == (e * b, sizes[0])
             for i, (m, x, y) in enumerate(zip(members, xs, ys)):
@@ -301,10 +349,13 @@ def test_stacked_pass_rejects_bad_rows_labels_and_nonfinite_logits():
     stacked = stack_models(members)
     with pytest.raises(ValueError, match="do not split"):
         loss_and_grads(stacked, np.zeros((4, 2)),
-                       lambda z: softmax_ce(z, np.zeros(4, dtype=int)))
-    for bad in (np.array([0, 1, 2, 0, 1, 0]), np.zeros(3, dtype=int)):
-        with pytest.raises(ValueError):
-            loss_and_grads(stacked, np.zeros((6, 2)), lambda z: softmax_ce(z, bad))
+                       lambda z: softmax_ce(z, one_hot(np.zeros(4, dtype=int), 2)))
+    with pytest.raises(ValueError):
+        one_hot(np.array([0, 1, 2, 0, 1, 0]), 2)
+    # three labels for three members of two rows each
+    with pytest.raises(ValueError):
+        loss_and_grads(stacked, np.zeros((6, 2)),
+                       lambda z: softmax_ce(z, one_hot(np.zeros(3, dtype=int), 2)))
     # one diverged member is enough
     weights = [w.copy() for w in stacked.weights]
     weights[0][1] = 1.0
@@ -313,4 +364,4 @@ def test_stacked_pass_rejects_bad_rows_labels_and_nonfinite_logits():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
             loss_and_grads(huge, np.full((6, 2), 10.0),
-                           lambda z: softmax_ce(z, np.zeros(6, dtype=int)))
+                           lambda z: softmax_ce(z, one_hot(np.zeros(6, dtype=int), 2)))

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eatcl.nets import one_hot
 from eatcl.replay import ReplayBuffer
 from reference import PerCallReservoir
 
 
 def _rows(ids, dim=3, with_logits=False):
-    """(x, y, logits-or-None) for stream items ids: x all id, y id % 5."""
+    """(x, targets, logits-or-None) for stream items ids: x all id, the
+    targets of class id % 5."""
     ids = np.asarray(ids, dtype=float)
     x = np.repeat(ids[:, None], dim, axis=1)
     logits = np.stack([ids, -ids], axis=1) if with_logits else None
-    return x, ids.astype(np.int64) % 5, logits
+    return x, one_hot(ids.astype(np.int64) % 5, 5), logits
 
 
 def _insert(buf, ids, rng, member=0, with_logits=False):
@@ -69,14 +71,16 @@ def _run_against_reference(capacity, epochs, samples, batch_size, seed, with_log
                         for row in ref.sample(e, batch_size, rngs_ref[e])]
                 for k in range(2 + with_logits):
                     assert got[k].tobytes() == np.stack([r[k] for r in want]).tobytes()
-            x, y, logits = _rows(range(start, start + sum(counts)), with_logits=with_logits)
-            buf.insert(writes, x, y, logits)
+            x, targets, logits = _rows(range(start, start + sum(counts)),
+                                       with_logits=with_logits)
+            buf.insert(writes, x, targets, logits)
             members_of_rows = np.repeat(np.arange(members), counts)  # member-major
             for i, e in enumerate(members_of_rows):
-                ref.insert(e, (x[i], y[i], None if logits is None else logits[i]), rngs_ref[e])
-            start += len(y)
+                ref.insert(e, (x[i], targets[i], None if logits is None else logits[i]),
+                           rngs_ref[e])
+            start += len(x)
             for e, rows in enumerate(ref.rows):
-                for k, name in enumerate(("x", "y", "logits")[:2 + with_logits]):
+                for k, name in enumerate(("x", "targets", "logits")[:2 + with_logits]):
                     if rows:
                         assert getattr(buf, name)[e, :len(rows)].tobytes() == \
                             np.stack([r[k] for r in rows]).tobytes()
@@ -216,14 +220,14 @@ def test_sample_arrays_stacks_entries():
     rng = np.random.default_rng(6)
     for i in range(3):
         _insert(buf, [i], rng, with_logits=True)
-    x, y, logits = _sample(buf, 8, [np.random.default_rng(7)])
+    x, targets, logits = _sample(buf, 8, [np.random.default_rng(7)])
     assert x.shape == (8, 3)
-    assert y.shape == (8,)
+    assert targets.shape == (8, 5)
     assert logits.shape == (8, 2)
-    # y and logits must stay paired with their x rows
+    # targets and logits must stay paired with their x rows
     for k in range(8):
         assert logits[k, 0] == x[k, 0]
-        assert y[k] == int(x[k, 0]) % 5
+        assert targets[k].tolist() == np.eye(5)[int(x[k, 0]) % 5].tolist()
 
 
 def test_sample_arrays_without_logits_returns_none():
@@ -304,7 +308,7 @@ def test_members_equal_one_member_buffers(capacity, calls, seed):
     assert group.sizes == [b.sizes[0] for b in alone]
     for e, b in enumerate(alone):
         size = b.sizes[0]
-        for name in ("x", "y", "logits"):
+        for name in ("x", "targets", "logits"):
             if size:
                 assert getattr(group, name)[e, :size].tobytes() == \
                     getattr(b, name)[0, :size].tobytes()

@@ -62,7 +62,8 @@ def test_unknown_key_reports_line():
 
 def test_removed_keys_are_unknown():
     for line in ("save.grids = false", "grid.resolution = 8", "attack.clip = 0 1",
-                 "eval.attack.random_start = true", "eval.seed = 0"):
+                 "attack.random_start = true", "eval.attack.random_start = true",
+                 "eval.seed = 0"):
         key = line.partition(" ")[0]
         with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
             parse_config(f"experiment = x\n{line}\n")
@@ -149,7 +150,6 @@ attack.kind = fgsm
 attack.eps = 0.1
 attack.alpha = 0.05
 attack.iters = 6
-attack.random_start = false
 """
 
 

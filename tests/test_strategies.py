@@ -9,8 +9,9 @@ import pytest
 
 import eatcl.strategies
 from eatcl.attacks import AttackConfig, attack
-from eatcl.datasets import Dataset, gen_blob_stream, gen_crescent, single_task_stream
-from eatcl.nets import (MLPModel, forward, init_model, loss_and_grads, sgd_step,
+from eatcl.datasets import (Dataset, Task, TaskStream, gen_blob_stream, gen_crescent,
+                            single_task_stream)
+from eatcl.nets import (MLPModel, forward, init_model, loss_and_grads, one_hot, sgd_step,
                         softmax_ce, unstack_models)
 from eatcl.replay import ReplayBuffer
 from eatcl.runner import ConfigError, parse_config
@@ -61,8 +62,7 @@ def test_er_equals_joint_on_single_task():
 
 def test_er_at_with_zero_eps_equals_er():
     stream = _small_stream(1)
-    cfg = _cfg(attack=AttackConfig(kind="pgd", eps=0.0, alpha=0.01, iters=2,
-                                   random_start=True))
+    cfg = _cfg(attack=AttackConfig(kind="pgd", eps=0.0, alpha=0.01, iters=2))
     m_at, _ = _train(stream, "er_at", cfg)
     m_er, _ = _train(stream, "er", cfg)
     assert _models_equal(m_at, m_er)
@@ -157,7 +157,7 @@ def test_derpp_terms_adds_weighted_ce():
     rng = np.random.default_rng(2)
     model = init_model((3, 4, 3), seed=3)
     x2 = rng.normal(size=(5, 3))
-    y2 = rng.integers(0, 3, size=5)
+    y2 = one_hot(rng.integers(0, 3, size=5), 3)
     beta = 0.9
     loss, grads = derpp_label_terms(model, x2, y2, beta)
     ce, dlogits = softmax_ce(forward(model, x2), y2)
@@ -172,9 +172,13 @@ def test_derpp_terms_adds_weighted_ce():
     assert not any(g.any() for g in grads0.weight_grads + grads0.bias_grads)
 
 
+def _targets(task, classes=2):
+    return one_hot(task.data.y, classes)
+
+
 def _eat_copy(task, external, cfg):
     ext, rng = external
-    return attack(ext, task.data.x, task.data.y, cfg.attack, rng)
+    return attack(ext, task.data.x, _targets(task, ext.num_classes), cfg.attack, rng)
 
 
 def test_eat_generate_ball_and_labels():
@@ -183,7 +187,8 @@ def test_eat_generate_ball_and_labels():
     cfg = _cfg(eat_external_epochs=2,
                attack=AttackConfig(eps=0.07, alpha=0.03, iters=3))
     counts = {"external": 0}
-    externals = eat_generate(task, (8, 6, 2), cfg, [[5, 4, 0], [5, 4, 0, 1]], counts)
+    externals = eat_generate(task.data.x, _targets(task), (8, 6, 2), cfg,
+                             [[5, 4, 0], [5, 4, 0, 1]], counts)
     assert len(externals) == 2
     assert counts == {"external": 2 * 2 * len(task.data)}  # epochs x members x rows
     ae = Dataset(_eat_copy(task, externals[0], cfg), task.data.y.copy())
@@ -200,9 +205,9 @@ def test_eat_generate_independent_of_target_model():
     stream = _small_stream(6, tasks=1)
     task = stream.tasks[0]
     cfg = _cfg()
-    a = eat_generate(task, (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
+    a = eat_generate(task.data.x, _targets(task), (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
     _train(stream, "er", cfg)  # unrelated training in between
-    b = eat_generate(task, (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
+    b = eat_generate(task.data.x, _targets(task), (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
     np.testing.assert_array_equal(_eat_copy(task, a[0], cfg), _eat_copy(task, b[0], cfg))
 
 
@@ -212,7 +217,7 @@ def _external_alone(task, layer_sizes, cfg, seed):
     ext = init_model(layer_sizes, [*seed, 0])
     batch_rng = np.random.default_rng([*seed, 1])
     atk_rng = np.random.default_rng([*seed, 2])
-    x, y = task.data.x, task.data.y
+    x, y = task.data.x, _targets(task, layer_sizes[-1])
     for _ in range(cfg.eat_external_epochs):
         perm = batch_rng.permutation(len(x))
         for s in range(0, len(x), cfg.batch_size):
@@ -228,11 +233,12 @@ def test_eat_lockstep_members_equal_members_trained_alone():
     # any member or of its adversarial copy
     task = _small_stream(20, tasks=1).tasks[0]
     seeds = [[3, 4, 0], [3, 4, 0, 1], [3, 4, 0, 2]]
-    for atk in (AttackConfig(eps=0.05, alpha=0.02, iters=3, random_start=True),
+    for atk in (AttackConfig(eps=0.05, alpha=0.02, iters=3),
                 AttackConfig(kind="fgsm", eps=0.05),
-                AttackConfig(eps=0.2, alpha=0.1, iters=2, random_start=False)):
+                AttackConfig(eps=0.2, alpha=0.1, iters=2)):
         cfg = _cfg(eat_external_epochs=2, batch_size=13, attack=atk)
-        lockstep = eat_generate(task, (8, 5, 4, 2), cfg, seeds, {"external": 0})
+        lockstep = eat_generate(task.data.x, _targets(task), (8, 5, 4, 2), cfg, seeds,
+                                {"external": 0})
         for seed, member in zip(seeds, lockstep):
             ref_model, ref_copy = _external_alone(task, (8, 5, 4, 2), cfg, seed)
             assert _models_equal(member[0], ref_model)
@@ -245,9 +251,12 @@ def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
     stream = _small_stream(21)
     calls = []
 
-    def recording(task, layer_sizes, cfg, seeds, counts):
-        calls.append((task.index, seeds))
-        return eat_generate(task, layer_sizes, cfg, seeds, counts)
+    def recording(x, targets, layer_sizes, cfg, seeds, counts):
+        # the task a call trains on, by its rows
+        (index,) = [t.index for t in stream.tasks if np.array_equal(t.data.x, x)]
+        assert targets.tobytes() == _targets(stream.tasks[index], 6).tobytes()
+        calls.append((index, seeds))
+        return eat_generate(x, targets, layer_sizes, cfg, seeds, counts)
 
     monkeypatch.setattr(eatcl.strategies, "eat_generate", recording)
     for refresh in (False, True):
@@ -388,15 +397,16 @@ def test_der_without_stored_logits_fails_cleanly():
     model = init_model((4, 3, 2), seed=0)
     buf = ReplayBuffer(4)
     (_, writes), ((idx,), _) = buf.plan_epoch([[1], [0]], 1, 2, [np.random.default_rng(0)])
-    buf.insert(writes, np.zeros((1, 4)), np.zeros(1, dtype=np.int64), None)
+    buf.insert(writes, np.zeros((1, 4)), np.zeros((1, 2)), None)
     x, _, logits = buf.sample_arrays(idx)
     with pytest.raises(ValueError):
         der_terms(model, x, logits, 0.5)
 
 
 def test_only_der_buffers_store_logits(monkeypatch):
-    # ER's buffer holds rows without logits and samples logits None; DER's
-    # samples one stored logits row per sampled row, for every member
+    # ER's buffer holds rows and their targets without logits and samples
+    # logits None; DER's samples one stored logits row per sampled row, for
+    # every member
     made = []
 
     class RecordedBuffer(ReplayBuffer):
@@ -411,8 +421,9 @@ def test_only_der_buffers_store_logits(monkeypatch):
         (buf,) = made
         (((idx,), _),) = buf.plan_epoch([[0, 0]], 1, 4,
                                         [np.random.default_rng(s) for s in (0, 1)])
-        x, y, logits = buf.sample_arrays(idx)
-        assert x.shape == (8, 8) and y.shape == (8,)
+        x, targets, logits = buf.sample_arrays(idx)
+        assert x.shape == (8, 8) and targets.shape == (8, 6)
+        assert np.array_equal(targets.sum(axis=1), np.ones(8))
         assert (buf.logits is not None) == stores
         if stores:
             assert logits.shape == (8, 6)
@@ -488,12 +499,13 @@ def test_lockstep_runs_equal_runs_alone():
             assert _run_bits(*run) == _run_bits(*alone), (strategy, at_mix, refresh)
 
 
-def test_lockstep_rejects_mismatched_runs_before_any_step(monkeypatch):
-    def no_step(*args, **kwargs):
-        raise AssertionError("training started")
+def _no_step(*args, **kwargs):
+    raise AssertionError("training started")
 
-    monkeypatch.setattr(eatcl.strategies, "batch_step", no_step)
-    monkeypatch.setattr(eatcl.strategies, "eat_generate", no_step)
+
+def test_lockstep_rejects_mismatched_runs_before_any_step(monkeypatch):
+    monkeypatch.setattr(eatcl.strategies, "batch_step", _no_step)
+    monkeypatch.setattr(eatcl.strategies, "eat_generate", _no_step)
     base, seeds = _small_stream(1), (1, 2)
     cases = [
         # task sizes, input dim, task count
@@ -509,6 +521,18 @@ def test_lockstep_rejects_mismatched_runs_before_any_step(monkeypatch):
             cases, ("er", "joint_at", "der_eat")):
         with pytest.raises(ValueError):
             _train_group(streams, strategy, _cfg(), run_seeds, tests)
+
+
+def test_negative_class_id_in_a_later_task_fails_before_any_step(monkeypatch):
+    # a library-built stream can hold class ids the head has no row for; its
+    # labels fail train_streams' checks, not the first step of that task
+    monkeypatch.setattr(eatcl.strategies, "sgd_step", _no_step)
+    first, later = _small_stream(22, tasks=2).tasks
+    y = np.where(later.data.y == later.class_set[0], -1, later.data.y)
+    bad = TaskStream([first, Task(1, Dataset(later.data.x, y), (-1, later.class_set[1]))])
+    for strategy in ("er", "joint_at", "der_eat"):
+        with pytest.raises(ValueError, match="out of range"):
+            _train(bad, strategy, _cfg())
 
 
 def test_stored_der_logits_equal_pre_step_forward_pass(monkeypatch):
@@ -529,11 +553,11 @@ def test_stored_der_logits_equal_pre_step_forward_pass(monkeypatch):
             planned.extend(counts)
             return super().plan_epoch(counts, *args)
 
-        def insert(self, writes, x, y, logits):
+        def insert(self, writes, x, targets, logits):
             cuts = np.cumsum(planned.pop(0))[:-1]  # the rows are member-major
             for member, (xe, le) in enumerate(zip(np.split(x, cuts), np.split(logits, cuts))):
                 inserts.append((member, stepped[-1], xe.copy(), le.copy()))
-            super().insert(writes, x, y, logits)
+            super().insert(writes, x, targets, logits)
 
     monkeypatch.setattr(eatcl.strategies, "sgd_step", recording_sgd_step)
     monkeypatch.setattr(eatcl.strategies, "ReplayBuffer", RecordedBuffer)

@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .attacks import AttackConfig, attack, project_linf
 from .datasets import (Dataset, Task, TaskStream, gen_blob_stream, gen_crescent,
                        imbalance_subsample, single_task_stream, split_by_classes)
-from .metrics import (MetricsRecord, boundary_grid, clean_accuracy,
-                      prev_task_rate, robustness)
+from .metrics import MetricsRecord, clean_accuracy, prev_task_rate, robustness
 from .nets import MLPModel, forward, init_model, one_hot, sgd_step
 from .replay import ReplayBuffer
 from .strategies import STRATEGIES, RunLog, TrainConfig, eat_generate, train_streams

@@ -1,5 +1,4 @@
-"""Evaluation metrics: clean accuracy, robustness, cross-task attack rate,
-and decision-boundary grids for 2-D models.
+"""Evaluation metrics: clean accuracy, robustness and cross-task attack rate.
 
 Robustness is accuracy on adversarial examples generated white-box against
 the evaluated model itself; its rng is kept separate from training rngs so
@@ -65,16 +64,3 @@ def prev_task_rate(model: MLPModel, current_task: Task, ae: np.ndarray,
     preds = predict(model, ae)
     return float(np.mean(np.isin(preds, sorted(prev))) * 100.0)
 
-
-def boundary_grid(model: MLPModel, x_range, y_range, resolution: int) -> np.ndarray:
-    """(resolution^2, 3) rows of (x, y, predicted class), row-major, inclusive bounds."""
-    if model.input_dim != 2:
-        raise ValueError(f"boundary grid needs a 2-D model, got input dim {model.input_dim}")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    xs = np.linspace(x_range[0], x_range[1], resolution)
-    ys = np.linspace(y_range[0], y_range[1], resolution)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    preds = predict(model, pts)
-    return np.column_stack([pts, preds.astype(np.float64)])

@@ -185,17 +185,19 @@ def softmax_ce(logits, targets) -> tuple[float, np.ndarray]:
     Returns (loss, dlogits) where dlogits = (softmax - targets) / batch_size,
     i.e. the exact gradient of the mean loss w.r.t. the logits. Stacked
     logits (E, B, classes) take E*B target rows, block e for member e (see
-    check_targets), and give one mean loss per member. A row whose logits
-    differ by more than the largest float64 gets a NaN loss.
+    check_targets), and give one mean loss per member. The label term is
+    taken from the unshifted logits, so a row whose logits differ by more
+    than the largest float64 gets an infinite loss, not a NaN.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim not in (2, 3):
         raise ValueError(f"expected 2-D or stacked 3-D logits, got shape {logits.shape}")
     targets = check_targets(targets, logits.shape)
-    shifted = logits - _row_max(logits)
-    p = np.exp(shifted)
+    row_max = _row_max(logits)
+    p = logits - row_max
+    np.exp(p, out=p)
     total = _ce_grad(p, targets)
-    label = np.add.reduce(shifted * targets, axis=-1)
+    label = np.add.reduce(logits * targets, axis=-1) - row_max[..., 0]
     loss = np.add.reduce(np.log(total[..., 0]) - label, axis=-1) / logits.shape[-2]
     return loss, p
 

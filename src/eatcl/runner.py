@@ -26,7 +26,6 @@ import numpy as np
 from .attacks import AttackConfig
 from .datasets import (TaskStream, gen_blob_stream, gen_crescent, imbalance_subsample,
                        single_task_stream)
-from .metrics import boundary_grid
 from .nets import MLPModel
 from .strategies import STRATEGIES, RunLog, TrainConfig, train_streams
 
@@ -232,45 +231,15 @@ def build_streams(cfg: dict, seed: int) -> tuple[TaskStream, TaskStream]:
     return train, test
 
 
-def save_model_json(model: MLPModel, bounds, path: str) -> None:
+def save_model_json(model: MLPModel, path: str) -> None:
     payload = {
         "layer_sizes": list(model.layer_sizes),
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
-        "bounds": bounds,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
-
-
-def load_model_json(path: str) -> tuple[MLPModel, dict | None]:
-    """The saved model and its stored bounds; ValueError if a weight or bias misfits."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    sizes = tuple(payload["layer_sizes"])
-    weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
-    if (len(sizes) < 2 or [w.shape for w in weights] != list(zip(sizes, sizes[1:]))
-            or [b.shape for b in biases] != [(n,) for n in sizes[1:]]):
-        raise ValueError(f"weights and biases do not fit layer sizes {sizes}")
-    return MLPModel(sizes, weights, biases), payload.get("bounds")
-
-
-def write_grid_csv(model: MLPModel, bounds: dict, resolution: int,
-                   path: str) -> None:
-    grid = boundary_grid(model, tuple(bounds["x"]), tuple(bounds["y"]), resolution)
-    with open(path, "w") as fh:
-        fh.write("x,y,class\n")
-        for row in grid:
-            fh.write(f"{row[0]:.17g},{row[1]:.17g},{int(row[2])}\n")
-
-
-def _data_bounds(stream: TaskStream) -> dict:
-    """The 2-D training data's box, padded by 0.5 on every side."""
-    xs = np.vstack([t.data.x for t in stream.tasks])
-    lo, hi = xs.min(axis=0) - 0.5, xs.max(axis=0) + 0.5
-    return {"x": [float(lo[0]), float(hi[0])], "y": [float(lo[1]), float(hi[1])]}
 
 
 @dataclass
@@ -314,7 +283,7 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False) -> list[RunResu
         trained = train_streams(trains, tests, strat, tcfg, seeds, eval_attack)
         per_run = (time.perf_counter() - started) / len(seeds)
         cells.append([])
-        for seed, train_s, (model, log) in zip(seeds, trains, trained):
+        for seed, (model, log) in zip(seeds, trained):
             run_id = f"{strat}_s{seed}"
             seconds[run_id] = per_run
             cells[-1].append(RunResult(run_id, strat, seed, model, log))
@@ -323,9 +292,8 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False) -> list[RunResu
                 print(f"{run_id}: acc {final.mean_accuracy:.2f} "
                       f"rob {final.mean_robustness:.2f} ({per_run:.1f}s)")
             if cfg["save.models"]:
-                bounds = _data_bounds(train_s) if train_s.input_dim == 2 else None
                 path = os.path.join(out_dir, "models", f"{run_id}.json")
-                save_model_json(model, bounds, path)
+                save_model_json(model, path)
                 artifacts.append(f"models/{run_id}.json")
     results = [row[i] for i in range(len(seeds)) for row in cells]  # seed-major
 

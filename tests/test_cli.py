@@ -1,11 +1,17 @@
 """CLI tests through main(argv): exit codes, identical run/report tables,
-grid generation."""
+and the documented subcommands against the parser."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from eatcl.cli import main
+import eatcl.cli
+from eatcl.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CONF = """
 experiment = cli
@@ -161,70 +167,16 @@ def test_out_env_var(conf_path, tmp_path, monkeypatch):
     assert (tmp_path / "envroot" / "cli" / "metrics.csv").exists()
 
 
-def test_grid_from_model_artifact(conf_path, tmp_path, capsys):
-    out_dir = tmp_path / "g"
-    assert main(["run", str(conf_path), "--out", str(out_dir), "--quiet"]) == 0
-    model_path = out_dir / "models" / "joint_s0.json"
-    grid_out = tmp_path / "custom.csv"
-    assert main(["grid", str(model_path), "--res", "5",
-                 "--out", str(grid_out)]) == 0
-    lines = grid_out.read_text().strip().splitlines()
-    assert lines[0] == "x,y,class"
-    assert len(lines) == 26
-
-
-def test_grid_explicit_bounds(conf_path, tmp_path):
-    out_dir = tmp_path / "g2"
-    assert main(["run", str(conf_path), "--out", str(out_dir), "--quiet"]) == 0
-    model_path = out_dir / "models" / "joint_s0.json"
-    grid_out = tmp_path / "b.csv"
-    assert main(["grid", str(model_path), "--res", "4", "--out", str(grid_out),
-                 "--bounds", "-1", "1", "-1", "1"]) == 0
-    assert grid_out.exists()
-
-
-def test_grid_rejects_resolution_below_two(conf_path, tmp_path, capsys):
-    out_dir = tmp_path / "g3"
-    assert main(["run", str(conf_path), "--out", str(out_dir), "--quiet"]) == 0
-    grid_out = tmp_path / "r.csv"
-    assert main(["grid", str(out_dir / "models" / "joint_s0.json"), "--res", "1",
-                 "--out", str(grid_out)]) == 2
-    err = capsys.readouterr().err
-    assert "--res must be >= 2" in err and len(err.strip().splitlines()) == 1
-    assert not grid_out.exists()
-
-
-def test_grid_rejects_unreadable_model_artifact(tmp_path, capsys):
-    truncated = tmp_path / "cut.json"
-    truncated.write_text('{"layer_sizes": [2, 3, 2], "weights": [[[0.1, ')
-    missing_field = tmp_path / "empty.json"
-    missing_field.write_text("{}")
-    model = {"layer_sizes": [2, 3, 2], "weights": [[[0.1] * 3] * 2, [[0.2] * 2] * 3],
-             "biases": [[0.0] * 3, [0.0] * 2], "bounds": {"x": [-1, 1], "y": [-1, 1]}}
-    malformed = {  # a weight that does not fit the layer sizes, and bad stored bounds
-        "weight.json": {**model, "weights": [[[0.1] * 2] * 2, [[0.2] * 2] * 3]},
-        "no_y.json": {**model, "bounds": {"x": [-1, 1]}},
-        "text.json": {**model, "bounds": {"x": ["a", 1], "y": [-1, 1]}},
-        "nan.json": {**model, "bounds": {"x": [-1, 1], "y": [float("nan"), 1]}},
-    }
-    for name, payload in malformed.items():
-        (tmp_path / name).write_text(json.dumps(payload))
-    for path in (truncated, missing_field, *(tmp_path / name for name in malformed)):
-        assert main(["grid", str(path), "--out", str(tmp_path / "x.csv")]) == 2
-        err = capsys.readouterr().err
-        assert "unreadable model artifact" in err and len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "x.csv").exists()
-    # bounds given on the command line replace bad stored ones
-    for name in ("no_y.json", "text.json", "nan.json"):
-        assert main(["grid", str(tmp_path / name), "--res", "3", "--out",
-                     str(tmp_path / "x.csv"), "--bounds", "-1", "1", "-1", "1"]) == 0
-        assert len((tmp_path / "x.csv").read_text().splitlines()) == 10
-    (tmp_path / "x.csv").unlink()
-    # non-finite bounds on the command line, for a model without stored ones
-    (tmp_path / "unbounded.json").write_text(json.dumps({**model, "bounds": None}))
-    for bad in (["nan", "1", "0", "1"], ["0", "inf", "0", "1"]):
-        assert main(["grid", str(tmp_path / "unbounded.json"), "--res", "3", "--out",
-                     str(tmp_path / "x.csv"), "--bounds", *bad]) == 2
-        err = capsys.readouterr().err
-        assert "--bounds must be finite" in err and len(err.strip().splitlines()) == 1
-        assert not (tmp_path / "x.csv").exists()
+def test_documented_subcommands_match_the_parser():
+    # README's CLI block and the cli module docstring name exactly the
+    # parser's subcommands, so a removed command cannot linger in the docs
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    parsed = set(sub.choices)
+    assert parsed == {"run", "validate", "report"}
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", README.read_text(),
+                      re.S | re.M).group(1)
+    readme = {line.split()[1] for line in block.splitlines() if line.startswith("eatcl ")}
+    docstring = set(re.findall(r"^\* ``(\w+)", eatcl.cli.__doc__, re.M))
+    assert readme == parsed
+    assert docstring == parsed

@@ -1,13 +1,12 @@
 """Metric tests: counting oracles for accuracy, robustness under a null
-attack, the previous-class prediction rate, boundary grids."""
+attack, the previous-class prediction rate."""
 
 import numpy as np
 import pytest
 
 from eatcl.attacks import AttackConfig
 from eatcl.datasets import Dataset, Task
-from eatcl.metrics import (boundary_grid, clean_accuracy, predict,
-                           prev_task_rate, robustness)
+from eatcl.metrics import clean_accuracy, predict, prev_task_rate, robustness
 from eatcl.nets import MLPModel, forward, init_model
 
 
@@ -94,26 +93,3 @@ def test_prev_task_rate_rejects_empty_ae():
     with pytest.raises(ValueError):
         prev_task_rate(model, task1, np.zeros((0, 2)), [(0, 1), (2, 3)])
 
-
-def test_boundary_grid_covers_bounds_row_major():
-    model = init_model((2, 4, 3), seed=9)
-    grid = boundary_grid(model, (-1.0, 1.0), (0.0, 2.0), resolution=5)
-    assert grid.shape == (25, 3)
-    xs = np.unique(grid[:, 0])
-    ys = np.unique(grid[:, 1])
-    np.testing.assert_allclose(xs, np.linspace(-1, 1, 5), atol=1e-12)
-    np.testing.assert_allclose(ys, np.linspace(0, 2, 5), atol=1e-12)
-    # row-major: first five rows share x = -1
-    np.testing.assert_allclose(grid[:5, 0], np.full(5, -1.0), atol=0)
-    # classes agree with predict at the grid points
-    preds = predict(model, grid[:, :2])
-    np.testing.assert_array_equal(grid[:, 2].astype(int), preds)
-
-
-def test_boundary_grid_validation():
-    model_3d = init_model((3, 4, 2), seed=0)
-    with pytest.raises(ValueError):
-        boundary_grid(model_3d, (0, 1), (0, 1), 4)
-    model = init_model((2, 3, 2), seed=0)
-    with pytest.raises(ValueError):
-        boundary_grid(model, (0, 1), (0, 1), 1)

@@ -63,6 +63,12 @@ def test_softmax_ce_against_direct_formula():
     assert loss == pytest.approx(ref, rel=1e-12)
     # gradient rows sum to zero (softmax minus one-hot)
     np.testing.assert_allclose(dlogits.sum(axis=1), np.zeros(16), atol=1e-12)
+    # logits further apart than the largest float64: the label at the
+    # maximum costs nothing and the other one costs inf, never NaN
+    extreme = np.array([[1e308, -1e308]])
+    with np.errstate(over="ignore"):
+        assert softmax_ce(extreme, one_hot(np.array([0]), 2))[0] == 0.0
+        assert softmax_ce(extreme, one_hot(np.array([1]), 2))[0] == np.inf
 
 
 def test_softmax_ce_rejects_bad_labels():

@@ -15,8 +15,8 @@ from eatcl.attacks import AttackConfig
 from eatcl.runner import (ConfigError, RunResult, _write_metrics_csv,
                           _write_rates_csv, build_attack, build_eval_attack,
                           build_streams, build_train_config, default_config,
-                          emit_config, format_summary_table, load_model_json,
-                          parse_config, run_experiment, summarize_results)
+                          emit_config, format_summary_table, parse_config,
+                          run_experiment, summarize_results)
 from eatcl.strategies import TrainConfig, train_streams
 
 TINY = """
@@ -301,19 +301,27 @@ def test_run_experiment_seed_override(tmp_path):
     assert "\nseeds = 1\n" in (tmp_path / "o" / "config.resolved.conf").read_text()
 
 
+def _assert_model_file(path, model):
+    """The file holds exactly the model's sizes, weights and biases."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert set(payload) == {"layer_sizes", "weights", "biases"}
+    assert tuple(payload["layer_sizes"]) == model.layer_sizes
+    for saved, kept in zip(payload["weights"] + payload["biases"],
+                           model.weights + model.biases, strict=True):
+        np.testing.assert_array_equal(np.asarray(saved), kept)
+
+
 def test_model_artifact_round_trip(tmp_path):
     cfg = parse_config(TINY.replace("save.models = false",
                                     "save.models = true"))
     res = run_experiment(cfg, str(tmp_path / "m"), quiet=True)
-    path = tmp_path / "m" / "models" / "er_s0.json"
-    model, bounds = load_model_json(str(path))
-    assert bounds is None  # 5-d inputs: no plot bounds
-    np.testing.assert_allclose(model.weights[0], res[0].model.weights[0],
-                               atol=0)
+    assert res[0].model.input_dim == 5
+    _assert_model_file(tmp_path / "m" / "models" / "er_s0.json", res[0].model)
 
 
 CRESCENTS = """
-experiment = grids
+experiment = crescents
 dataset = crescents
 strategies = joint
 seeds = 0
@@ -329,20 +337,13 @@ attack.iters = 2
 """
 
 
-def test_crescent_run_saves_model_bounds_for_the_grid_command(tmp_path):
-    # a run writes no grids; `eatcl grid` renders one from the saved model
-    run_experiment(parse_config(CRESCENTS), str(tmp_path / "g"), quiet=True)
+def test_crescent_run_saves_weights_only_model_file(tmp_path):
+    res = run_experiment(parse_config(CRESCENTS), str(tmp_path / "g"), quiet=True)
     assert sorted(p.name for p in (tmp_path / "g").iterdir()) == [
         "config.resolved.conf", "manifest.json", "metrics.csv", "models",
         "rates.csv", "summary.json"]
-    model_path = tmp_path / "g" / "models" / "joint_s0.json"
-    _, bounds = load_model_json(str(model_path))
-    assert set(bounds) == {"x", "y"}
-    grid_path = tmp_path / "grid.csv"
-    assert main(["grid", str(model_path), "--res", "8", "--out", str(grid_path)]) == 0
-    lines = grid_path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,class"
-    assert len(lines) == 1 + 8 * 8
+    assert res[0].model.input_dim == 2
+    _assert_model_file(tmp_path / "g" / "models" / "joint_s0.json", res[0].model)
 
 
 def test_models_dir_only_with_save_models(tmp_path):

@@ -4,11 +4,16 @@ Two generators cover the synthetic experiments: a two-band 2-D figure with
 sectioned channel geometry (the toy problem) and Gaussian blob streams (a
 desk-scale stand-in for the split image benchmarks). All generators are
 seed-deterministic.
+
+A Dataset states its class set once, in `classes`, and every label is one of
+them. A task stream is its tasks' Datasets in stream order: task i is
+`tasks[i]`, its class set that Dataset's `classes`, and the class sets are
+pairwise disjoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,16 +40,17 @@ TIP_BLOB_SHARE = 0.16  # fraction of class-1 points placed in the blob
 class Dataset:
     x: np.ndarray  # (n, dim) float64
     y: np.ndarray  # (n,) int labels
-    classes: tuple[int, ...] = field(default=())
+    classes: tuple[int, ...]  # the class set; every label is one of them
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
+        self.y = y.astype(np.int64, copy=False)
         if self.x.ndim != 2 or self.y.shape != (self.x.shape[0],):
             raise ValueError(f"bad dataset shapes x={self.x.shape} y={self.y.shape}")
-        if not self.classes:
-            self.classes = tuple(int(c) for c in np.unique(self.y))
-        elif self.y.size and not set(np.unique(self.y)) <= set(self.classes):
+        if not np.array_equal(self.y, y):
+            raise ValueError("labels must be integers")
+        if not set(np.unique(self.y)) <= set(self.classes):
             raise ValueError("labels outside declared class set")
 
     def __len__(self) -> int:
@@ -52,51 +58,35 @@ class Dataset:
 
 
 @dataclass
-class Task:
-    index: int
-    data: Dataset
-    class_set: tuple[int, ...]
-
-    def __post_init__(self):
-        if not set(self.data.classes) <= set(self.class_set):
-            raise ValueError(
-                f"task {self.index} data classes {self.data.classes} "
-                f"outside class set {self.class_set}"
-            )
-
-
-@dataclass
 class TaskStream:
-    tasks: list[Task]
+    tasks: list[Dataset]  # task i's classes are its class set
 
     def __post_init__(self):
         seen: set[int] = set()
-        for t in self.tasks:
-            if seen & set(t.class_set):
+        for i, t in enumerate(self.tasks):
+            if len(t) == 0:
+                raise ValueError(f"task {i} has no rows")
+            if seen & set(t.classes):
                 raise ValueError("task class sets must be pairwise disjoint")
-            seen |= set(t.class_set)
+            seen |= set(t.classes)
 
     @property
     def input_dim(self) -> int:
-        return self.tasks[0].data.x.shape[1]
+        return self.tasks[0].x.shape[1]
 
     @property
     def all_classes(self) -> tuple[int, ...]:
-        return tuple(sorted(c for t in self.tasks for c in t.class_set))
+        return tuple(sorted(c for t in self.tasks for c in t.classes))
 
     @property
     def class_sets(self) -> list[tuple[int, ...]]:
-        return [t.class_set for t in self.tasks]
+        return [t.classes for t in self.tasks]
 
     def merged(self) -> Dataset:
         """All tasks concatenated in stream order."""
-        x = np.vstack([t.data.x for t in self.tasks])
-        y = np.concatenate([t.data.y for t in self.tasks])
+        x = np.vstack([t.x for t in self.tasks])
+        y = np.concatenate([t.y for t in self.tasks])
         return Dataset(x, y, self.all_classes)
-
-
-def single_task_stream(d: Dataset) -> TaskStream:
-    return TaskStream([Task(0, d, d.classes)])
 
 
 def gen_crescent(n_per_class: int, noise: float = 0.015, seed=0) -> Dataset:
@@ -176,8 +166,7 @@ def split_by_classes(d: Dataset, classes_per_task: int) -> TaskStream:
     for i in range(0, len(classes), classes_per_task):
         group = tuple(classes[i:i + classes_per_task])
         rows = np.flatnonzero(np.isin(d.y, group))
-        tasks.append(Task(i // classes_per_task,
-                          Dataset(d.x[rows], d.y[rows], group), group))
+        tasks.append(Dataset(d.x[rows], d.y[rows], group))
     return TaskStream(tasks)
 
 

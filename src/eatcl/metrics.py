@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackConfig, attack
-from .datasets import Dataset, Task
+from .datasets import Dataset
 from .nets import MLPModel, forward, one_hot
 
 
@@ -45,19 +45,19 @@ def robustness(model: MLPModel, test: Dataset, atk: AttackConfig, rng) -> float:
     return float(np.mean(predict(model, adv) == test.y) * 100.0)
 
 
-def prev_task_rate(model: MLPModel, current_task: Task, ae: np.ndarray,
+def prev_task_rate(model: MLPModel, index: int, ae: np.ndarray,
                    seen_class_sets) -> float:
-    """Share of current-task adversarial examples, the (n, d) rows ae, that
-    the model sends to an earlier task.
+    """Share of the adversarial examples of the task at stream position
+    index, the (n, d) rows ae, that the model sends to an earlier task.
 
-    seen_class_sets lists each task's class set in stream order; sets before
-    current_task.index count as "previous". Returns a percentage; 0 at the
-    first task by definition.
+    seen_class_sets lists each task's class set in stream order; the sets
+    before position index count as "previous". Returns a percentage; 0 at
+    the first task by definition.
     """
     if len(ae) == 0:
         raise ValueError("empty adversarial set")
     prev: set[int] = set()
-    for s in seen_class_sets[:current_task.index]:
+    for s in seen_class_sets[:index]:
         prev |= set(s)
     if not prev:
         return 0.0

@@ -24,8 +24,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .attacks import AttackConfig
-from .datasets import (TaskStream, gen_blob_stream, gen_crescent, imbalance_subsample,
-                       single_task_stream)
+from .datasets import TaskStream, gen_blob_stream, gen_crescent, imbalance_subsample
 from .nets import MLPModel
 from .strategies import STRATEGIES, RunLog, TrainConfig, train_streams
 
@@ -217,7 +216,7 @@ def build_streams(cfg: dict, seed: int) -> tuple[TaskStream, TaskStream]:
                     train, {cfg["crescents.minority_class"]: frac}, seed=[seed, 102])
             test = gen_crescent(cfg["crescents.test_per_class"], cfg["crescents.noise"],
                                 seed=[seed, 101])
-            return single_task_stream(train), single_task_stream(test)
+            return TaskStream([train]), TaskStream([test])
         train = gen_blob_stream(cfg["blobs.tasks"], cfg["blobs.classes_per_task"],
                                 cfg["blobs.dim"], cfg["blobs.per_class"],
                                 cfg["blobs.separation"], cfg["blobs.noise"],

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackConfig, attack
-from .datasets import Task, TaskStream
+from .datasets import TaskStream
 from .metrics import MetricsRecord, clean_accuracy, prev_task_rate, robustness
 from .nets import (MLPModel, add_grads, forward, init_model, loss_and_grads,
                    one_hot, sgd_step, softmax_ce, stack_models, unstack_models)
@@ -323,10 +323,11 @@ def eat_generate(x, targets, layer_sizes, cfg: TrainConfig, seeds, counts: dict
     return list(zip(_split(ext), atk_rngs))
 
 
-def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
+def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConfig,
               members, buffer: ReplayBuffer) -> MLPModel:
     """Train one task of every member for epochs_per_task epochs, replaying
-    from the second task on; tasks[e] is member e's, all with one index and size.
+    from the second task on; tasks[e] is member e's Dataset, all of one size,
+    and index their position in the stream (0 for joint's merged task).
     Each member's task labels become one-hot targets here, once, beside its
     rows, and every batch gathers both with one index.
 
@@ -338,17 +339,16 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
     (640 on the shipped stream) and at full-task batches the calls are no
     longer dispatch-bound, so stacking the members would only add memory.
     """
-    index = tasks[0].index
-    n = len(tasks[0].data)
-    xs = np.stack([task.data.x for task in tasks])
-    ts = np.stack([one_hot(task.data.y, model.num_classes) for task in tasks])
+    n = len(tasks[0])
+    xs = np.stack([task.x for task in tasks])
+    ts = np.stack([one_hot(task.y, model.num_classes) for task in tasks])
     externals = []
     if robust == "eat":
         # EAT never trains joint, so the task index is the stream step
         later = range(1, cfg.epochs_per_task) if cfg.eat_refresh else ()
         seeds = [[_sub(m.seed, 4, index)] + [_sub(m.seed, 4, index, e) for e in later]
                  for m in members]
-        externals = [eat_generate(task.data.x, t, model.layer_sizes, cfg, member_seeds,
+        externals = [eat_generate(task.x, t, model.layer_sizes, cfg, member_seeds,
                                   m.log.attack_counts)
                      for task, t, member_seeds, m in zip(tasks, ts, seeds, members)]
         # the clean rows, then room for the epoch's adversarial copy
@@ -358,7 +358,7 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
         for m, task, t, ext, copy in zip(members, tasks, ts, externals, xs[:, n:]):
             if epoch < len(ext):
                 model_e, rng = ext[epoch]
-                copy[...] = attack(model_e, task.data.x, t[:n], cfg.attack, rng)
+                copy[...] = attack(model_e, task.x, t[:n], cfg.attack, rng)
                 m.log.attack_counts["external"] += n
             m.aes.append(copy)
         rows = xs.shape[1]
@@ -379,10 +379,10 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
             model = batch_step(model, fx[idx], ft[idx], cb, replay, robust, members,
                                buffer, step, cfg)
         if index > 0:
-            for m, task, single in zip(members, tasks, _split(model)):
+            for m, single in zip(members, _split(model)):
                 if m.aes:
                     m.log.attack_rates.append(AttackRatePoint(index, epoch, prev_task_rate(
-                        single, task, np.vstack(m.aes), m.stream.class_sets)))
+                        single, index, np.vstack(m.aes), m.stream.class_sets)))
         for m in members:
             m.aes.clear()
     return model
@@ -390,8 +390,7 @@ def _run_task(model, tasks, replay: str, robust: str, cfg: TrainConfig,
 
 def _snapshot(model, step: int, test: TaskStream, atk: AttackConfig) -> MetricsRecord:
     accs, robs = [], []
-    for t in range(step + 1):
-        data = test.tasks[t].data
+    for t, data in enumerate(test.tasks[:step + 1]):
         accs.append(clean_accuracy(model, data))
         robs.append(robustness(model, data, atk, np.random.default_rng([0, step, t])))
     return MetricsRecord(step, accs, robs, float(np.mean(accs)), float(np.mean(robs)))
@@ -422,7 +421,7 @@ def train_streams(streams, tests, strategy: str, cfg: TrainConfig, seeds,
         if len(test.tasks) != len(stream.tasks):
             raise ValueError("test stream must have the same task structure")
     shapes = {((s.input_dim, *cfg.hidden, max(s.all_classes) + 1),
-               tuple(len(t.data) for t in s.tasks)) for s in streams}
+               tuple(len(t) for t in s.tasks)) for s in streams}
     if len(shapes) != 1:
         raise ValueError(f"runs trained in lockstep need one model shape and one "
                          f"size per task, got (layer sizes, task sizes) {sorted(shapes)}")
@@ -434,12 +433,12 @@ def train_streams(streams, tests, strategy: str, cfg: TrainConfig, seeds,
                for s, test, seed in zip(streams, tests, seeds)]
     buffer = ReplayBuffer(0 if replay == "joint" else cfg.buffer_capacity, len(members))
     last = len(streams[0].tasks) - 1
-    if replay == "joint":  # (step, each member's task)
-        plan = [(last, [Task(0, s.merged(), s.all_classes) for s in streams])]
+    if replay == "joint":  # (step, task index, each member's task)
+        plan = [(last, 0, [s.merged() for s in streams])]
     else:
-        plan = [(i, [s.tasks[i] for s in streams]) for i in range(last + 1)]
-    for step, tasks in plan:
-        model = _run_task(model, tasks, replay, robust, cfg, members, buffer)
+        plan = [(i, i, [s.tasks[i] for s in streams]) for i in range(last + 1)]
+    for step, index, tasks in plan:
+        model = _run_task(model, index, tasks, replay, robust, cfg, members, buffer)
         for m, single in zip(members, _split(model)):
             m.log.records.append(_snapshot(single, step, m.test, eval_attack))
     return [(single, m.log) for single, m in zip(_split(model), members)]

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from eatcl.attacks import AttackConfig, _steps, attack
-from eatcl.datasets import Dataset, Task
 from eatcl.metrics import prev_task_rate
 from eatcl.nets import MLPModel, forward, init_model, loss_and_grads, one_hot, softmax_ce
 from eatcl.replay import ReplayBuffer
@@ -241,13 +240,11 @@ def test_prev_task_rate_contract(shipped_runs):
     forced predictions exactly, and is lower for external generation than
     for on-the-fly adversarial training on the stream's second task."""
     model = _forced_prediction_model()
-    first = Task(0, Dataset(np.array([[2.0]]), np.array([0]), (0,)), (0, 1))
-    assert prev_task_rate(model, first, np.array([[2.0]]), [(0, 1)]) == 0.0
+    assert prev_task_rate(model, 0, np.array([[2.0]]), [(0, 1)]) == 0.0
 
     # 3 of 8 rows land above the hinge -> class 0, an earlier-task class
     x = np.array([[2.0]] * 3 + [[0.5]] * 5)
-    cur = Task(1, Dataset(x, np.full(8, 2), (2,)), (2, 3))
-    rate = prev_task_rate(model, cur, x, [(0, 1), (2, 3)])
+    rate = prev_task_rate(model, 1, x, [(0, 1), (2, 3)])
     assert rate == 37.5
 
     by_strategy = {"er_at": [], "er_eat": []}

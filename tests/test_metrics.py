@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eatcl.attacks import AttackConfig
-from eatcl.datasets import Dataset, Task
+from eatcl.datasets import Dataset
 from eatcl.metrics import clean_accuracy, predict, prev_task_rate, robustness
 from eatcl.nets import MLPModel, forward, init_model
 
@@ -63,8 +63,7 @@ def test_robustness_not_above_clean_for_real_attack():
 def test_prev_task_rate_zero_for_first_task():
     model = init_model((2, 3, 4), seed=0)
     d = Dataset(np.zeros((2, 2)), np.array([0, 1]), (0, 1))
-    task0 = Task(0, d, (0, 1))
-    assert prev_task_rate(model, task0, d.x, [(0, 1)]) == 0.0
+    assert prev_task_rate(model, 0, d.x, [(0, 1)]) == 0.0
 
 
 def test_prev_task_rate_hand_built_half():
@@ -81,15 +80,12 @@ def test_prev_task_rate_hand_built_half():
     w = np.array([[0.0, 1.0, -1.0, 0.0]])
     model = MLPModel((1, 4), [w], [np.zeros(4)])
     ae_x = np.array([[1.0], [-1.0], [2.0], [-2.0]])  # argmax: 1,2,1,2
-    cur = Task(1, Dataset(ae_x, np.array([2, 2, 3, 3]), (2, 3)), (2, 3))
-    rate = prev_task_rate(model, cur, ae_x, [(0, 1), (2, 3)])
+    rate = prev_task_rate(model, 1, ae_x, [(0, 1), (2, 3)])
     assert rate == 50.0
 
 
 def test_prev_task_rate_rejects_empty_ae():
     model = init_model((2, 3, 4), seed=0)
-    d = Dataset(np.zeros((2, 2)), np.array([2, 3]), (2, 3))
-    task1 = Task(1, d, (2, 3))
     with pytest.raises(ValueError):
-        prev_task_rate(model, task1, np.zeros((0, 2)), [(0, 1), (2, 3)])
+        prev_task_rate(model, 1, np.zeros((0, 2)), [(0, 1), (2, 3)])
 

@@ -208,11 +208,11 @@ def test_build_streams_blobs_share_centers():
     train, test = build_streams(cfg, seed=0)
     assert len(train.tasks) == len(test.tasks) == 2
     for t in range(2):
-        for c in train.tasks[t].class_set:
-            mtr = train.tasks[t].data.x[train.tasks[t].data.y == c].mean(axis=0)
-            mte = test.tasks[t].data.x[test.tasks[t].data.y == c].mean(axis=0)
+        for c in train.tasks[t].classes:
+            mtr = train.tasks[t].x[train.tasks[t].y == c].mean(axis=0)
+            mte = test.tasks[t].x[test.tasks[t].y == c].mean(axis=0)
             assert np.linalg.norm(mtr - mte) < 0.1
-    assert not np.array_equal(train.tasks[0].data.x, test.tasks[0].data.x)
+    assert not np.array_equal(train.tasks[0].x, test.tasks[0].x)
 
 
 def test_build_streams_crescent_imbalance_train_only():
@@ -220,8 +220,8 @@ def test_build_streams_crescent_imbalance_train_only():
                        "crescents.test_per_class = 80\n"
                        "crescents.minority_fraction = 0.25\n")
     train, test = build_streams(cfg, seed=1)
-    ytr = train.tasks[0].data.y
-    yte = test.tasks[0].data.y
+    ytr = train.tasks[0].y
+    yte = test.tasks[0].y
     assert int(np.sum(ytr == 0)) == 100 and int(np.sum(ytr == 1)) == 25
     assert int(np.sum(yte == 0)) == 80 and int(np.sum(yte == 1)) == 80
 

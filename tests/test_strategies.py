@@ -9,8 +9,7 @@ import pytest
 
 import eatcl.strategies
 from eatcl.attacks import AttackConfig, attack
-from eatcl.datasets import (Dataset, Task, TaskStream, gen_blob_stream, gen_crescent,
-                            single_task_stream)
+from eatcl.datasets import Dataset, TaskStream, gen_blob_stream, gen_crescent
 from eatcl.nets import (MLPModel, forward, init_model, loss_and_grads, one_hot, sgd_step,
                         softmax_ce, unstack_models)
 from eatcl.replay import ReplayBuffer
@@ -53,7 +52,7 @@ def _train_group(streams, strategy, cfg, seeds, tests=None):
 
 def test_er_equals_joint_on_single_task():
     d = gen_crescent(60, seed=3)
-    stream = single_task_stream(d)
+    stream = TaskStream([d])
     cfg = _cfg(buffer_capacity=30)
     m_er, _ = _train(stream, "er", cfg)
     m_joint, _ = _train(stream, "joint", cfg)
@@ -173,12 +172,12 @@ def test_derpp_terms_adds_weighted_ce():
 
 
 def _targets(task, classes=2):
-    return one_hot(task.data.y, classes)
+    return one_hot(task.y, classes)
 
 
 def _eat_copy(task, external, cfg):
     ext, rng = external
-    return attack(ext, task.data.x, _targets(task, ext.num_classes), cfg.attack, rng)
+    return attack(ext, task.x, _targets(task, ext.num_classes), cfg.attack, rng)
 
 
 def test_eat_generate_ball_and_labels():
@@ -187,14 +186,14 @@ def test_eat_generate_ball_and_labels():
     cfg = _cfg(eat_external_epochs=2,
                attack=AttackConfig(eps=0.07, alpha=0.03, iters=3))
     counts = {"external": 0}
-    externals = eat_generate(task.data.x, _targets(task), (8, 6, 2), cfg,
+    externals = eat_generate(task.x, _targets(task), (8, 6, 2), cfg,
                              [[5, 4, 0], [5, 4, 0, 1]], counts)
     assert len(externals) == 2
-    assert counts == {"external": 2 * 2 * len(task.data)}  # epochs x members x rows
-    ae = Dataset(_eat_copy(task, externals[0], cfg), task.data.y.copy())
-    assert len(ae) == len(task.data)
-    np.testing.assert_array_equal(ae.y, task.data.y)
-    assert np.max(np.abs(ae.x - task.data.x)) <= 0.07 + 1e-12
+    assert counts == {"external": 2 * 2 * len(task)}  # epochs x members x rows
+    ae = Dataset(_eat_copy(task, externals[0], cfg), task.y.copy(), task.classes)
+    assert len(ae) == len(task)
+    np.testing.assert_array_equal(ae.y, task.y)
+    assert np.max(np.abs(ae.x - task.x)) <= 0.07 + 1e-12
     # separate seeds train separate models
     assert not _models_equal(externals[0][0], externals[1][0])
 
@@ -205,9 +204,9 @@ def test_eat_generate_independent_of_target_model():
     stream = _small_stream(6, tasks=1)
     task = stream.tasks[0]
     cfg = _cfg()
-    a = eat_generate(task.data.x, _targets(task), (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
+    a = eat_generate(task.x, _targets(task), (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
     _train(stream, "er", cfg)  # unrelated training in between
-    b = eat_generate(task.data.x, _targets(task), (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
+    b = eat_generate(task.x, _targets(task), (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
     np.testing.assert_array_equal(_eat_copy(task, a[0], cfg), _eat_copy(task, b[0], cfg))
 
 
@@ -217,7 +216,7 @@ def _external_alone(task, layer_sizes, cfg, seed):
     ext = init_model(layer_sizes, [*seed, 0])
     batch_rng = np.random.default_rng([*seed, 1])
     atk_rng = np.random.default_rng([*seed, 2])
-    x, y = task.data.x, _targets(task, layer_sizes[-1])
+    x, y = task.x, _targets(task, layer_sizes[-1])
     for _ in range(cfg.eat_external_epochs):
         perm = batch_rng.permutation(len(x))
         for s in range(0, len(x), cfg.batch_size):
@@ -237,7 +236,7 @@ def test_eat_lockstep_members_equal_members_trained_alone():
                 AttackConfig(kind="fgsm", eps=0.05),
                 AttackConfig(eps=0.2, alpha=0.1, iters=2)):
         cfg = _cfg(eat_external_epochs=2, batch_size=13, attack=atk)
-        lockstep = eat_generate(task.data.x, _targets(task), (8, 5, 4, 2), cfg, seeds,
+        lockstep = eat_generate(task.x, _targets(task), (8, 5, 4, 2), cfg, seeds,
                                 {"external": 0})
         for seed, member in zip(seeds, lockstep):
             ref_model, ref_copy = _external_alone(task, (8, 5, 4, 2), cfg, seed)
@@ -253,7 +252,7 @@ def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
 
     def recording(x, targets, layer_sizes, cfg, seeds, counts):
         # the task a call trains on, by its rows
-        (index,) = [t.index for t in stream.tasks if np.array_equal(t.data.x, x)]
+        (index,) = [i for i, t in enumerate(stream.tasks) if np.array_equal(t.x, x)]
         assert targets.tobytes() == _targets(stream.tasks[index], 6).tobytes()
         calls.append((index, seeds))
         return eat_generate(x, targets, layer_sizes, cfg, seeds, counts)
@@ -293,7 +292,7 @@ def test_audit_counts_eat_only_external():
 def test_audit_counts_at_formula():
     stream = _small_stream(9)
     cfg = _cfg()
-    n_rows = sum(len(t.data) for t in stream.tasks)
+    n_rows = sum(len(t) for t in stream.tasks)
     batches_per_epoch = int(np.ceil(60 / cfg.batch_size))
     attacked_mem = (len(stream.tasks) - 1) * cfg.epochs_per_task * \
         batches_per_epoch * cfg.batch_size
@@ -311,7 +310,7 @@ def test_buffer_holds_only_clean_current_rows(monkeypatch):
     # under EAT the buffer must never contain generated examples
     stream = _small_stream(10, tasks=2)
     cfg = _cfg(buffer_capacity=25)
-    clean_rows = {tuple(row) for t in stream.tasks for row in t.data.x}
+    clean_rows = {tuple(row) for t in stream.tasks for row in t.x}
     made = []
 
     class RecordedBuffer(ReplayBuffer):
@@ -328,13 +327,14 @@ def test_buffer_holds_only_clean_current_rows(monkeypatch):
 
 
 def _record_run_task(monkeypatch):
-    # the tasks handed to _run_task at each step are the data a run touches
+    # the tasks handed to _run_task at each step are the data a run touches,
+    # recorded with the task index it is given
     seen = []
     real_run_task = eatcl.strategies._run_task
 
-    def recording(model, tasks, *args):
-        seen.append(tasks)
-        return real_run_task(model, tasks, *args)
+    def recording(model, index, tasks, *args):
+        seen.append((index, tasks))
+        return real_run_task(model, index, tasks, *args)
 
     monkeypatch.setattr(eatcl.strategies, "_run_task", recording)
     return seen
@@ -349,7 +349,8 @@ def test_data_access_stays_on_current_task(monkeypatch):
         _, log = _train(stream, kind, _cfg())
         assert [rec.step for rec in log.records] == list(range(len(stream.tasks)))
         assert len(seen) == len(stream.tasks), kind
-        for i, tasks in enumerate(seen):
+        for i, (index, tasks) in enumerate(seen):
+            assert index == i, (kind, i)
             assert len(tasks) == 1 and tasks[0] is stream.tasks[i], (kind, i)
 
 
@@ -359,10 +360,23 @@ def test_joint_accesses_everything_at_once(monkeypatch):
     seen = _record_run_task(monkeypatch)
     _, log = _train(stream, "joint", _cfg())
     assert [rec.step for rec in log.records] == [len(stream.tasks) - 1]
-    ((task,),) = seen
+    ((index, (task,)),) = seen
+    assert index == 0
     merged = stream.merged()
-    assert np.array_equal(task.data.x, merged.x)
-    assert np.array_equal(task.data.y, merged.y)
+    assert np.array_equal(task.x, merged.x)
+    assert np.array_equal(task.y, merged.y)
+
+
+def test_joint_is_one_task_at_index_zero():
+    # joint trains the merged stream as its first and only task: no earlier
+    # task, so no attack-rate points, and the model of the one-task stream
+    stream = _small_stream(23)
+    merged = TaskStream([stream.merged()])
+    m_joint, log = _train(stream, "joint_at", _cfg())
+    m_merged, _ = _train(merged, "joint_at", _cfg())
+    assert log.attack_rates == []
+    assert log.attack_counts["current"] > 0
+    assert _models_equal(m_joint, m_merged)
 
 
 def test_single_head_spans_all_classes():
@@ -528,8 +542,8 @@ def test_negative_class_id_in_a_later_task_fails_before_any_step(monkeypatch):
     # labels fail train_streams' checks, not the first step of that task
     monkeypatch.setattr(eatcl.strategies, "sgd_step", _no_step)
     first, later = _small_stream(22, tasks=2).tasks
-    y = np.where(later.data.y == later.class_set[0], -1, later.data.y)
-    bad = TaskStream([first, Task(1, Dataset(later.data.x, y), (-1, later.class_set[1]))])
+    y = np.where(later.y == later.classes[0], -1, later.y)
+    bad = TaskStream([first, Dataset(later.x, y, (-1, later.classes[1]))])
     for strategy in ("er", "joint_at", "der_eat"):
         with pytest.raises(ValueError, match="out of range"):
             _train(bad, strategy, _cfg())

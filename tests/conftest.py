@@ -2,14 +2,16 @@
 configs/*.conf, once.
 
 The end-to-end checks in test_acceptance.py share these runs (and their
-wall-clock numbers) instead of re-running configs per test; everything
-else in the suite is self-contained and ignores this module. When the
-fixture ran, the terminal summary lists each config's wall-clock seconds
-next to its budget, since pytest's durations table charges all of them
-to the first test that uses the fixture, and the sha256 prefixes of its
-metrics.csv and rates.csv, so a log shows whether outputs moved. The
-digests depend on the numeric build, so test_acceptance.py asserts them
-against tests/digests.json only on the build recorded there (build_facts).
+wall-clock numbers) instead of re-running configs per test; nothing else
+in the suite runs a shipped config. When the fixture ran, the terminal
+summary lists each config's wall-clock seconds next to its budget, since
+pytest's durations table charges all of them to the first test that uses
+the fixture, the sha256 prefixes of its metrics.csv and rates.csv, so a
+log shows whether outputs moved, and for each stream config the training
+seconds of its attacked groups, which test_stream_fgsm_orderings_and_cost
+compares. The digests depend on the numeric build, so test_acceptance.py
+asserts them against tests/digests.json only on the build recorded there
+(build_facts).
 Every run's summary also prints the line counts of src/eatcl and of
 strategies.py, the number of config keys, and the number of TrainConfig and
 AttackConfig fields, which counts library-only options too.
@@ -74,6 +76,13 @@ def shipped_runs(tmp_path_factory, pytestconfig) -> dict[str, ConfigRun]:
     return runs
 
 
+def attacked_train_seconds(run: ConfigRun) -> float:
+    """Training seconds of the run's attacked ER groups, er_at plus er_eat,
+    summed over their seeds, from its manifest."""
+    return sum(v for k, v in run.manifest["train_seconds"].items()
+               if k.startswith(("er_at_", "er_eat_")))
+
+
 def output_digests(run: ConfigRun) -> dict[str, str]:
     """sha256 of the run's metrics.csv and rates.csv, "-" for a missing file."""
     out = {}
@@ -116,9 +125,11 @@ def build_facts() -> dict:
 def pytest_terminal_summary(terminalreporter, config):
     """Each shipped config's wall-clock seconds, with the budget that
     test_acceptance.py holds it to: the toy pair 120 s together, each
-    stream config 300 s; and each config's output digests. First, on
-    every run, the line counts of src/eatcl and strategies.py, the number
-    of config keys and the number of TrainConfig + AttackConfig fields."""
+    stream config 300 s; each stream config's attacked-group training
+    seconds, which test_stream_fgsm_orderings_and_cost compares; and each
+    config's output digests. First, on every run, the line counts of
+    src/eatcl and strategies.py, the number of config keys and the number
+    of TrainConfig + AttackConfig fields."""
     lines = {p.name: len(p.read_text().splitlines()) for p in SRC_DIR.glob("*.py")}
     run_fields = sum(len(dataclasses.fields(c)) for c in (TrainConfig, AttackConfig))
     terminalreporter.section("source size")
@@ -138,7 +149,10 @@ def pytest_terminal_summary(terminalreporter, config):
     terminalreporter.section("shipped configs: wall-clock seconds, output digests")
     for name, s in seconds.items():
         budget = f" (budget {budgets[name]:.0f} s)" if name in budgets else ""
-        digests = ""
+        digests = attacked = ""
         if name in runs:
             digests = "".join(f"  {f} {d[:8]}" for f, d in output_digests(runs[name]).items())
-        terminalreporter.write_line(f"{name:<16} {s:7.1f} s{budget:<18}{digests}".rstrip())
+        if name.startswith("stream_"):
+            attacked = f"  er_at+er_eat train {attacked_train_seconds(runs[name]):.1f} s"
+        terminalreporter.write_line(f"{name:<16} {s:7.1f} s{budget:<18}{digests}{attacked}"
+                                    .rstrip())

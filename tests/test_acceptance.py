@@ -23,7 +23,8 @@ from eatcl.metrics import prev_task_rate
 from eatcl.nets import MLPModel, forward, init_model, loss_and_grads, one_hot, softmax_ce
 from eatcl.replay import ReplayBuffer
 
-from conftest import CONFIG_DIR, build_facts, output_digests, run_config
+from conftest import (CONFIG_DIR, attacked_train_seconds, build_facts, output_digests,
+                      run_config)
 
 DIGESTS = Path(__file__).resolve().parent / "digests.json"
 
@@ -215,13 +216,8 @@ def test_stream_fgsm_orderings_and_cost(shipped_runs):
     eat_rob = fg.stat("er_eat", "robustness")["mean"]
     assert eat_acc >= er_acc
     assert eat_rob > at_rob
-
-    def attacked_train_seconds(manifest):
-        return sum(v for k, v in manifest["train_seconds"].items()
-                   if k.startswith(("er_at_", "er_eat_")))
-
-    fg_s = attacked_train_seconds(fg.manifest)
-    pg_s = attacked_train_seconds(pg.manifest)
+    fg_s = attacked_train_seconds(fg)
+    pg_s = attacked_train_seconds(pg)
     assert fg_s < pg_s
     assert fg.seconds <= 300.0
     print(f"PASS fgsm variant: acc {eat_acc:.1f} >= {er_acc:.1f}, "

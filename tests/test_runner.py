@@ -17,7 +17,9 @@ from eatcl.runner import (ConfigError, RunResult, _write_metrics_csv,
                           build_streams, build_train_config, default_config,
                           emit_config, format_summary_table, parse_config,
                           run_experiment, summarize_results)
-from eatcl.strategies import TrainConfig, train_streams
+from eatcl.strategies import TrainConfig, parse_strategy, train_streams
+
+from conftest import CONFIG_DIR, SHIPPED
 
 TINY = """
 experiment = unit
@@ -171,6 +173,18 @@ def test_build_train_config_wires_fields():
         name = key.rpartition(".")[2]
         assert getattr(build_attack(ev), name) != ev[key], key
         assert build_eval_attack(ev) == replace(build_attack(ev), **{name: ev[key]}), key
+
+
+def test_shipped_eat_configs_make_one_external_per_task():
+    # the paper trains EAT's external model once per time step, a task in
+    # class-incremental learning, so no shipped config refreshes it per epoch
+    eat = []
+    for name in SHIPPED:
+        cfg = parse_config((CONFIG_DIR / f"{name}.conf").read_text())
+        if any(parse_strategy(s)[1] == "eat" for s in cfg["strategies"]):
+            eat.append(name)
+            assert not build_train_config(cfg).eat_refresh, name
+    assert {"stream_pgd", "stream_fgsm"} <= set(eat), eat
 
 
 def test_nonpositive_lr_rejected_before_training(tmp_path, monkeypatch):

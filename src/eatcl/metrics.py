@@ -51,16 +51,16 @@ def prev_task_rate(model: MLPModel, index: int, ae: np.ndarray,
     index, the (n, d) rows ae, that the model sends to an earlier task.
 
     seen_class_sets lists each task's class set in stream order; the sets
-    before position index count as "previous". Returns a percentage; 0 at
-    the first task by definition.
+    before position index count as "previous", and ValueError for an id
+    outside the model's head. Returns a percentage; 0 at the first task by
+    definition.
     """
     if len(ae) == 0:
         raise ValueError("empty adversarial set")
-    prev: set[int] = set()
-    for s in seen_class_sets[:index]:
-        prev |= set(s)
+    prev = [c for s in seen_class_sets[:index] for c in s]
     if not prev:
         return 0.0
-    preds = predict(model, ae)
-    return float(np.mean(np.isin(preds, sorted(prev))) * 100.0)
+    # is_prev[c]: class c is previous; one_hot rejects ids outside the head
+    is_prev = one_hot(np.array(prev), model.num_classes).any(axis=0)
+    return float(np.mean(is_prev[predict(model, ae)]) * 100.0)
 

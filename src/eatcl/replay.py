@@ -86,12 +86,14 @@ class ReplayBuffer:
         write_step, at, row = (np.concatenate(a)[::-1] for a in zip(*writes))
         _, last = np.unique(write_step * cap * len(rngs) + at, return_index=True)
         write_step, at, row = write_step[last], at[last], row[last]
-        cuts = np.searchsorted(write_step, np.arange(1, steps))
+        # step t's writes are at[cuts[t]:cuts[t + 1]], and their rows likewise
+        cuts = np.searchsorted(write_step, np.arange(steps + 1)).tolist()
         self.seen_counts = (seen0 + counts.sum(axis=0)).tolist()
         self.sizes = np.minimum(self.seen_counts, cap).tolist()
         batches = iter(sample_idx)
-        return [([next(batches) for _ in range(samples)] if r else [], w) for r, w in
-                zip(replays, zip(counts.sum(axis=1), np.split(at, cuts), np.split(row, cuts)))]
+        return [([next(batches) for _ in range(samples)] if r else [],
+                 (n, at[a:b], row[a:b]))
+                for r, n, a, b in zip(replays, counts.sum(axis=1), cuts, cuts[1:])]
 
     def sample_arrays(self, idx):
         """The planned buffer batch idx of every member, as member-major

@@ -34,12 +34,13 @@ Runs of one strategy under one TrainConfig differ only in their seed, so
 are the members of one model stacked on the leading model axis of the one
 gradient kernel, and every step gathers all members' batches with one
 index and runs one attack, one gradient pass and one SGD step for all of
-them. +EAT's external models never see the target, so each member's
-externals for a task, one per generation, train in lockstep too. The group
-shares one replay buffer, in which each member has its own block of rows.
-Its draws never depend on the model, so each epoch is planned when it starts
-(see replay), and the plan alone says which steps replay; each step samples
-every member with one take and inserts their rows with one write.
+them. +EAT's external models never see the target, so the externals of
+all members for a task, one per member and generation, train in lockstep
+too, as one stacked model. The group shares one replay buffer, in which
+each member has its own block of rows. Its draws never depend on the
+model, so each epoch is planned when it starts (see replay), and the plan
+alone says which steps replay; each step samples every member with one
+take and inserts their rows with one write.
 Each member keeps its own stream, test stream, random generators, buffer
 block, attack counts and log, and gets exactly the bits it would get
 trained alone, as a group of one, whose model is a plain model. All
@@ -292,34 +293,45 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
     return stepped
 
 
-def eat_generate(x, targets, layer_sizes, cfg: TrainConfig, seeds, counts: dict
+def eat_generate(xs, targets, layer_sizes, cfg: TrainConfig, seeds, counts
                  ) -> list[tuple[MLPModel, np.random.Generator]]:
-    """Throwaway external models for a task, one per seed, trained in lockstep.
+    """Throwaway external models for the task of every member of a lockstep
+    group, one per seed, all trained in lockstep.
 
-    Each is a fresh model of the given architecture, adversarially trained
-    from scratch on the task alone, its rows x with their one-hot targets,
-    with its own batch order and attack rng.
-    The members are stacked on one model axis (a plain model for one seed),
-    so each attack and SGD step serves all of them; member e gets the exact
-    bits it would get alone. Returns (model, attack rng) per seed: attacking
-    every task row against the model with that rng gives the seed's
-    adversarial copy of the task. Attacked rows add to counts["external"].
+    xs (E, n, d) and their one-hot targets (E, n, classes) hold member e's
+    task in block e; seeds lists the externals' seeds member-major, the same
+    number per member. Each external is a fresh model of the given
+    architecture, adversarially trained from scratch on its member's task
+    alone, with its own batch order and attack rng; its batches index its
+    member's block of the flat rows, so no row is copied. The externals are
+    stacked on one model axis (a plain model for one seed), so each attack
+    and SGD step serves all of them; each gets the exact bits it would get
+    alone. Returns (model, attack rng) per seed: attacking its member's task
+    rows against the model with that rng gives its adversarial copy. Member
+    e's attacked rows add to counts[e]["external"].
     """
-    if len(x) == 0:
+    members, n = xs.shape[:2]
+    per_member = len(seeds) // members
+    if n == 0:
         raise ValueError("cannot generate adversarial examples for an empty task")
+    if per_member < 1 or per_member * members != len(seeds):
+        raise ValueError(f"{len(seeds)} external seeds for {members} members")
     ext = _lockstep([init_model(layer_sizes, _sub(s, 0)) for s in seeds])
     batch_rngs = [np.random.default_rng(_sub(s, 1)) for s in seeds]
     atk_rngs = [np.random.default_rng(_sub(s, 2)) for s in seeds]
-    n = len(x)
+    # each external's first row in the flat rows: its member's block
+    offsets = np.repeat(np.arange(members) * n, per_member)[:, None]
+    fx, ft = _flat(xs), _flat(targets)
     for _ in range(cfg.eat_external_epochs):
-        perms = np.stack([r.permutation(n) for r in batch_rngs])
+        perms = np.stack([r.permutation(n) for r in batch_rngs]) + offsets
         for s in range(0, n, cfg.batch_size):
-            idx = perms[:, s:s + cfg.batch_size].ravel()  # member-major blocks
-            xb, tb = x[idx], targets[idx]
+            idx = perms[:, s:s + cfg.batch_size].ravel()  # external-major blocks
+            xb, tb = fx[idx], ft[idx]
             adv = attack(ext, xb, tb, cfg.attack, _rng_arg(atk_rngs))
-            counts["external"] += len(idx)
             _, grads = loss_and_grads(ext, adv, lambda z: softmax_ce(z, tb))
             ext = sgd_step(ext, grads, cfg.lr)
+    for c in counts:
+        c["external"] += per_member * cfg.eat_external_epochs * n
     return list(zip(_split(ext), atk_rngs))
 
 
@@ -331,16 +343,16 @@ def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConf
     Each member's task labels become one-hot targets here, once, beside its
     rows, and every batch gathers both with one index.
 
-    +EAT first trains each member's external models, in lockstep: one for
-    the whole task, or one per epoch with eat_refresh. Each epoch's
-    adversarial copies are made when the epoch starts and written over the
-    last ones, so one copy per member is live at a time. Externals train,
-    and copies are made, member by member. The shipped configs make one
-    external per task, so an external step is batch_size rows (32 on the
-    shipped stream) and dispatch-bound, but the externals are a small share
-    of the run: traced on a 2-vCPU host, perfbench's stream_eat grid (2
-    seeds) spent 0.64 s of 4.44 s in eat_generate. So the members'
-    externals are not stacked.
+    +EAT first trains every member's external models, in lockstep, with one
+    eat_generate call: one external per member for the whole task, or one
+    per member and epoch with eat_refresh. Each epoch's adversarial copies
+    are made when the epoch starts and written over the last ones, so one
+    copy per member is live at a time. Copies are made member by member:
+    stacking their attacks too raised perfbench's stream_eat peak_rss_mb
+    from 43.6 to 45.7 MB. At the shipped stream shapes (1,000 rows, 5
+    external epochs, PGD-4) one call took about 40 ms for one external,
+    55 ms for 2, 70-85 ms for 4 and 130-160 ms for 10 on a 2-vCPU host,
+    so stacking the group's externals saves most of a call per member.
     """
     n = len(tasks[0])
     xs = np.stack([task.x for task in tasks])
@@ -348,12 +360,11 @@ def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConf
     externals = []
     if robust == "eat":
         # EAT never trains joint, so the task index is the stream step
-        later = range(1, cfg.epochs_per_task) if cfg.eat_refresh else ()
-        seeds = [[_sub(m.seed, 4, index)] + [_sub(m.seed, 4, index, e) for e in later]
-                 for m in members]
-        externals = [eat_generate(task.x, t, model.layer_sizes, cfg, member_seeds,
-                                  m.log.attack_counts)
-                     for task, t, member_seeds, m in zip(tasks, ts, seeds, members)]
+        gens = [()] + [(e,) for e in range(1, cfg.epochs_per_task) if cfg.eat_refresh]
+        ext = eat_generate(xs, ts, model.layer_sizes, cfg,
+                           [_sub(m.seed, 4, index, *g) for m in members for g in gens],
+                           [m.log.attack_counts for m in members])
+        externals = [ext[i:i + len(gens)] for i in range(0, len(ext), len(gens))]
         # the clean rows, then room for the epoch's adversarial copy
         xs = np.concatenate([xs, np.empty_like(xs)], axis=1)
         ts = np.concatenate([ts, ts], axis=1)

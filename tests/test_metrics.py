@@ -3,6 +3,8 @@ attack, the previous-class prediction rate."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eatcl.attacks import AttackConfig
 from eatcl.datasets import Dataset
@@ -82,6 +84,29 @@ def test_prev_task_rate_hand_built_half():
     ae_x = np.array([[1.0], [-1.0], [2.0], [-2.0]])  # argmax: 1,2,1,2
     rate = prev_task_rate(model, 1, ae_x, [(0, 1), (2, 3)])
     assert rate == 50.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda c: st.tuples(
+    st.just(c),
+    st.lists(st.integers(0, c - 1), min_size=1, max_size=40),
+    st.lists(st.lists(st.integers(0, c - 1), max_size=4), max_size=4))),
+    st.integers(0, 4))
+def test_prev_task_rate_equals_isin_formula(case, index):
+    # an identity model predicts row i's hot column, so preds are chosen
+    c, preds, class_sets = case
+    model = MLPModel((c, c), [np.eye(c)], [np.zeros(c)])
+    ae = np.eye(c)[preds]
+    prev = sorted({k for s in class_sets[:index] for k in s})
+    expected = float(np.mean(np.isin(preds, prev)) * 100.0) if prev else 0.0
+    assert prev_task_rate(model, index, ae, class_sets) == expected
+
+
+def test_prev_task_rate_rejects_class_ids_outside_the_head():
+    model = init_model((2, 3, 4), seed=0)
+    for bad in ((0, 4), (-1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            prev_task_rate(model, 1, np.zeros((2, 2)), [bad, (2, 3)])
 
 
 def test_prev_task_rate_rejects_empty_ae():

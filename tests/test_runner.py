@@ -281,7 +281,7 @@ def test_lockstep_grid_writes_the_csvs_of_cells_run_alone(tmp_path):
     # each strategy's seeds train as one lockstep group; the artifacts must
     # not show it: the CSVs are those of cells trained one by one, in
     # seed-major order, and every run keeps its manifest entries
-    cfg = parse_config(TINY.replace("strategies = er", "strategies = derpp er_at")
+    cfg = parse_config(TINY.replace("strategies = er", "strategies = derpp er_at er_eat")
                        .replace("seeds = 0", "seeds = 0 1 2"))
     out = tmp_path / "grid"
     results = run_experiment(cfg, str(out), quiet=True)
@@ -303,7 +303,7 @@ def test_lockstep_grid_writes_the_csvs_of_cells_run_alone(tmp_path):
     assert manifest["runs"] == run_ids
     assert sorted(manifest["train_seconds"]) == sorted(run_ids)
     one = run_experiment({**cfg, "seeds": (1,)}, str(tmp_path / "one"), quiet=True)
-    assert [r.run_id for r in one] == ["derpp_s1", "er_at_s1"]
+    assert [r.run_id for r in one] == ["derpp_s1", "er_at_s1", "er_eat_s1"]
 
 
 def test_run_experiment_seed_override(tmp_path):

@@ -186,10 +186,10 @@ def test_eat_generate_ball_and_labels():
     cfg = _cfg(eat_external_epochs=2,
                attack=AttackConfig(eps=0.07, alpha=0.03, iters=3))
     counts = {"external": 0}
-    externals = eat_generate(task.x, _targets(task), (8, 6, 2), cfg,
-                             [[5, 4, 0], [5, 4, 0, 1]], counts)
+    externals = eat_generate(task.x[None], _targets(task)[None], (8, 6, 2), cfg,
+                             [[5, 4, 0], [5, 4, 0, 1]], [counts])
     assert len(externals) == 2
-    assert counts == {"external": 2 * 2 * len(task)}  # epochs x members x rows
+    assert counts == {"external": 2 * 2 * len(task)}  # epochs x externals x rows
     ae = Dataset(_eat_copy(task, externals[0], cfg), task.y.copy(), task.classes)
     assert len(ae) == len(task)
     np.testing.assert_array_equal(ae.y, task.y)
@@ -204,9 +204,10 @@ def test_eat_generate_independent_of_target_model():
     stream = _small_stream(6, tasks=1)
     task = stream.tasks[0]
     cfg = _cfg()
-    a = eat_generate(task.x, _targets(task), (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
+    args = task.x[None], _targets(task)[None], (8, 6, 2), cfg, [[1, 4, 0]]
+    a = eat_generate(*args, [{"external": 0}])
     _train(stream, "er", cfg)  # unrelated training in between
-    b = eat_generate(task.x, _targets(task), (8, 6, 2), cfg, [[1, 4, 0]], {"external": 0})
+    b = eat_generate(*args, [{"external": 0}])
     np.testing.assert_array_equal(_eat_copy(task, a[0], cfg), _eat_copy(task, b[0], cfg))
 
 
@@ -236,35 +237,68 @@ def test_eat_lockstep_members_equal_members_trained_alone():
                 AttackConfig(kind="fgsm", eps=0.05),
                 AttackConfig(eps=0.2, alpha=0.1, iters=2)):
         cfg = _cfg(eat_external_epochs=2, batch_size=13, attack=atk)
-        lockstep = eat_generate(task.x, _targets(task), (8, 5, 4, 2), cfg, seeds,
-                                {"external": 0})
+        lockstep = eat_generate(task.x[None], _targets(task)[None], (8, 5, 4, 2), cfg,
+                                seeds, [{"external": 0}])
         for seed, member in zip(seeds, lockstep):
             ref_model, ref_copy = _external_alone(task, (8, 5, 4, 2), cfg, seed)
             assert _models_equal(member[0], ref_model)
             assert _eat_copy(task, member, cfg).tobytes() == ref_copy.tobytes()
 
 
+def test_eat_externals_of_different_members_equal_externals_alone():
+    # one call trains the externals of members with different tasks: each
+    # external, and its copy, must equal one trained alone on its member's rows
+    tasks = [_small_stream(s, tasks=1).tasks[0] for s in (23, 24, 25)]
+    xs = np.stack([t.x for t in tasks])
+    ts = np.stack([_targets(t) for t in tasks])
+    cfg = _cfg(eat_external_epochs=2, batch_size=13)
+    for per_member in (1, 3):  # one external per task, or one per epoch
+        seeds = [[m, 4, 0, g] for m in range(len(tasks)) for g in range(per_member)]
+        counts = [{"external": 0} for _ in tasks]
+        lockstep = eat_generate(xs, ts, (8, 5, 2), cfg, seeds, counts)
+        assert len(lockstep) == len(seeds)
+        for k, (seed, member) in enumerate(zip(seeds, lockstep)):
+            task = tasks[k // per_member]
+            ref_model, ref_copy = _external_alone(task, (8, 5, 2), cfg, seed)
+            assert _models_equal(member[0], ref_model), (per_member, k)
+            assert _eat_copy(task, member, cfg).tobytes() == ref_copy.tobytes()
+        assert counts == [{"external": per_member * 2 * len(tasks[0])}] * len(tasks)
+
+
+def test_eat_generate_rejects_seeds_that_do_not_split_over_members():
+    task = _small_stream(26, tasks=1).tasks[0]
+    xs = np.stack([task.x, task.x])
+    ts = np.stack([_targets(task)] * 2)
+    for seeds in ([[1]], [[1], [2], [3]]):
+        with pytest.raises(ValueError, match="external seeds"):
+            eat_generate(xs, ts, (8, 5, 2), _cfg(), seeds, [{"external": 0}] * 2)
+
+
 def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
-    # one external model per generation: the task's seed for the first
-    # epoch, then one seed per later epoch with eat_refresh
-    stream = _small_stream(21)
+    # one call per task trains the group's externals, one per member and
+    # generation: each member's task seed for the first epoch, then one
+    # seed per later epoch with eat_refresh, member-major
+    streams = [_small_stream(21), _small_stream(22)]
     calls = []
 
-    def recording(x, targets, layer_sizes, cfg, seeds, counts):
-        # the task a call trains on, by its rows
-        (index,) = [i for i, t in enumerate(stream.tasks) if np.array_equal(t.x, x)]
-        assert targets.tobytes() == _targets(stream.tasks[index], 6).tobytes()
+    def recording(xs, targets, layer_sizes, cfg, seeds, counts):
+        # the task a call trains on, by each member's rows
+        (index,) = [i for i, t in enumerate(streams[0].tasks) if np.array_equal(t.x, xs[0])]
+        tasks = [s.tasks[index] for s in streams]
+        assert xs.tobytes() == np.stack([t.x for t in tasks]).tobytes()
+        assert targets.tobytes() == np.stack([_targets(t, 6) for t in tasks]).tobytes()
         calls.append((index, seeds))
-        return eat_generate(x, targets, layer_sizes, cfg, seeds, counts)
+        return eat_generate(xs, targets, layer_sizes, cfg, seeds, counts)
 
     monkeypatch.setattr(eatcl.strategies, "eat_generate", recording)
     for refresh in (False, True):
         calls.clear()
         cfg = _cfg(eat_refresh=refresh)
-        _train(stream, "derpp_eat", cfg)
+        _train_group(streams, "derpp_eat", cfg, (5, 7))
         epochs = range(1, cfg.epochs_per_task) if refresh else []
-        assert calls == [(t, [[5, 4, t]] + [[5, 4, t, e] for e in epochs])
-                         for t in range(len(stream.tasks))], refresh
+        assert calls == [(t, [seed for m in (5, 7)
+                              for seed in [[m, 4, t]] + [[m, 4, t, e] for e in epochs]])
+                         for t in range(len(streams[0].tasks))], refresh
 
 
 def test_audit_counts_er_never_attacks():

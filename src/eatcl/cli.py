@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run <config>`` — execute the experiment grid and write artifacts.
-* ``validate <config>`` — check a config and its first seed's data, no training.
+* ``validate <config>`` — check a config and every seed's data, no training.
 * ``report <out_dir> [<out_dir> ...]`` — reprint the summary tables of
   finished runs, in the order given.
 
@@ -43,7 +43,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _read_config(args.config)
-    runner.build_streams(cfg, cfg["seeds"][0])  # dataset values the generators reject
+    runner.grid_streams(cfg)  # dataset values the generators reject, as run does
     print(f"ok: {cfg['experiment']} "
           f"({len(cfg['strategies'])} strategies x {len(cfg['seeds'])} seeds, "
           f"dataset={cfg['dataset']})")

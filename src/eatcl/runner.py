@@ -116,7 +116,6 @@ _SCHEMA: dict[str, tuple] = {
     "eval.attack.eps": (_optional(_parse_float), None),
     "eval.attack.alpha": (_optional(_parse_float), None),
     "eval.attack.iters": (_optional(int), None),
-    "save.models": (_parse_bool, True),
 }
 
 
@@ -230,15 +229,10 @@ def build_streams(cfg: dict, seed: int) -> tuple[TaskStream, TaskStream]:
     return train, test
 
 
-def save_model_json(model: MLPModel, path: str) -> None:
-    payload = {
-        "layer_sizes": list(model.layer_sizes),
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+def grid_streams(cfg: dict) -> list[tuple[TaskStream, TaskStream]]:
+    """build_streams for every seed of the grid, in the config's order: a
+    dataset value the generators reject for any seed fails here."""
+    return [build_streams(cfg, seed) for seed in cfg["seeds"]]
 
 
 @dataclass
@@ -261,16 +255,12 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False) -> list[RunResu
     a run's train_seconds is its group's time divided by the group's size.
     """
     seeds = cfg["seeds"]
-    streams = [build_streams(cfg, seed) for seed in seeds]
+    streams = grid_streams(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    if cfg["save.models"]:
-        os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
     with open(os.path.join(out_dir, "config.resolved.conf"), "w") as fh:
         fh.write(emit_config(cfg))
 
     eval_attack = build_eval_attack(cfg)
-    artifacts = ["config.resolved.conf", "metrics.csv", "rates.csv",
-                 "summary.json"]
     seconds: dict[str, float] = {}
     tcfg = build_train_config(cfg)
     trains, tests = zip(*streams)  # each seed's (train, test) streams
@@ -290,10 +280,6 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False) -> list[RunResu
                 final = log.records[-1]
                 print(f"{run_id}: acc {final.mean_accuracy:.2f} "
                       f"rob {final.mean_robustness:.2f} ({per_run:.1f}s)")
-            if cfg["save.models"]:
-                path = os.path.join(out_dir, "models", f"{run_id}.json")
-                save_model_json(model, path)
-                artifacts.append(f"models/{run_id}.json")
     results = [row[i] for i in range(len(seeds)) for row in cells]  # seed-major
 
     _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), results)
@@ -304,7 +290,8 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False) -> list[RunResu
         fh.write("\n")
     manifest = {"experiment": cfg["experiment"],
                 "runs": [r.run_id for r in results],
-                "artifacts": sorted(set(artifacts)),
+                "artifacts": ["config.resolved.conf", "metrics.csv", "rates.csv",
+                              "summary.json"],
                 "train_seconds": seconds,
                 "note": "train_seconds varies between reruns; all other "
                         "artifacts are deterministic"}

@@ -7,11 +7,14 @@ in the suite runs a shipped config. When the fixture ran, the terminal
 summary lists each config's wall-clock seconds next to its budget, since
 pytest's durations table charges all of them to the first test that uses
 the fixture, the sha256 prefixes of its metrics.csv and rates.csv, so a
-log shows whether outputs moved, and for each stream config the training
-seconds of its attacked groups, which test_stream_fgsm_orderings_and_cost
-compares. The digests depend on the numeric build, so test_acceptance.py
-asserts them against tests/digests.json only on the build recorded there
-(build_facts).
+log shows whether outputs moved, and its attack gradient passes (calls of
+attacks.ce_input_grad, training and evaluation together), which
+test_stream_fgsm_orderings_and_cost compares. When
+test_robustness_under_stronger_evaluation ran, the summary also prints each
+config's final robustness per strategy under the shipped evaluation attack
+and the two stronger ones. The digests depend on the numeric build, so
+test_acceptance.py asserts them against tests/digests.json only on the
+build recorded there (build_facts).
 Every run's summary also prints the line counts of src/eatcl and of
 strategies.py, the number of config keys, and the number of TrainConfig and
 AttackConfig fields, which counts library-only options too.
@@ -27,8 +30,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eatcl.attacks
 from eatcl.attacks import AttackConfig
-from eatcl.runner import default_config, parse_config, run_experiment
+from eatcl.runner import RunResult, default_config, parse_config, run_experiment
 from eatcl.strategies import TrainConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -37,23 +41,26 @@ SRC_DIR = CONFIG_DIR.parent / "src" / "eatcl"
 # test_shipped_output_digests
 SHIPPED = tuple(sorted(p.stem for p in CONFIG_DIR.glob("*.conf")))
 RUNS = pytest.StashKey[dict]()
+# config name -> strategy -> mean final robustness (shipped, FGSM, PGD-20)
+STRONGER = pytest.StashKey[dict]()
 
 
 class ConfigRun:
-    """One executed config: output directory plus wall-clock seconds."""
+    """One executed config: its parsed config, run_experiment's results,
+    output directory, wall-clock seconds and attack gradient passes."""
 
-    def __init__(self, name: str, out_dir: Path, seconds: float):
+    def __init__(self, name: str, cfg: dict, results: list[RunResult], out_dir: Path,
+                 seconds: float, input_grads: int):
         self.name = name
+        self.cfg = cfg
+        self.results = results
         self.out_dir = out_dir
         self.seconds = seconds
+        self.input_grads = input_grads
 
     @property
     def summary(self) -> dict:
         return json.loads((self.out_dir / "summary.json").read_text())
-
-    @property
-    def manifest(self) -> dict:
-        return json.loads((self.out_dir / "manifest.json").read_text())
 
     def stat(self, strategy: str, metric: str) -> dict:
         """Per-strategy aggregate: {mean, std, values} for acc or rob."""
@@ -61,10 +68,24 @@ class ConfigRun:
 
 
 def run_config(name: str, out_dir: Path) -> ConfigRun:
+    """Run a shipped config, counting the calls of attacks.ce_input_grad,
+    one per attack step, for as long as it runs."""
     cfg = parse_config((CONFIG_DIR / f"{name}.conf").read_text())
+    counted, calls = eatcl.attacks.ce_input_grad, 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return counted(*args)
+
+    eatcl.attacks.ce_input_grad = counting
     started = time.perf_counter()
-    run_experiment(cfg, str(out_dir), quiet=True)
-    return ConfigRun(name, out_dir, time.perf_counter() - started)
+    try:
+        results = run_experiment(cfg, str(out_dir), quiet=True)
+    finally:
+        seconds = time.perf_counter() - started
+        eatcl.attacks.ce_input_grad = counted
+    return ConfigRun(name, cfg, results, out_dir, seconds, calls)
 
 
 @pytest.fixture(scope="session")
@@ -74,13 +95,6 @@ def shipped_runs(tmp_path_factory, pytestconfig) -> dict[str, ConfigRun]:
     for name in SHIPPED:
         runs[name] = run_config(name, root / name)
     return runs
-
-
-def attacked_train_seconds(run: ConfigRun) -> float:
-    """Training seconds of the run's attacked ER groups, er_at plus er_eat,
-    summed over their seeds, from its manifest."""
-    return sum(v for k, v in run.manifest["train_seconds"].items()
-               if k.startswith(("er_at_", "er_eat_")))
 
 
 def output_digests(run: ConfigRun) -> dict[str, str]:
@@ -125,9 +139,9 @@ def build_facts() -> dict:
 def pytest_terminal_summary(terminalreporter, config):
     """Each shipped config's wall-clock seconds, with the budget that
     test_acceptance.py holds it to: the toy pair 120 s together, each
-    stream config 300 s; each stream config's attacked-group training
-    seconds, which test_stream_fgsm_orderings_and_cost compares; and each
-    config's output digests. First, on every run, the line counts of
+    stream config 300 s; each config's output digests and attack gradient
+    passes; and, if measured, each config's robustness under the stronger
+    evaluation attacks. First, on every run, the line counts of
     src/eatcl and strategies.py, the number of config keys and the number
     of TrainConfig + AttackConfig fields."""
     lines = {p.name: len(p.read_text().splitlines()) for p in SRC_DIR.glob("*.py")}
@@ -149,10 +163,17 @@ def pytest_terminal_summary(terminalreporter, config):
     terminalreporter.section("shipped configs: wall-clock seconds, output digests")
     for name, s in seconds.items():
         budget = f" (budget {budgets[name]:.0f} s)" if name in budgets else ""
-        digests = attacked = ""
+        digests = passes = ""
         if name in runs:
             digests = "".join(f"  {f} {d[:8]}" for f, d in output_digests(runs[name]).items())
-        if name.startswith("stream_"):
-            attacked = f"  er_at+er_eat train {attacked_train_seconds(runs[name]):.1f} s"
-        terminalreporter.write_line(f"{name:<16} {s:7.1f} s{budget:<18}{digests}{attacked}"
+            passes = f"  {runs[name].input_grads} attack gradient passes"
+        terminalreporter.write_line(f"{name:<16} {s:7.1f} s{budget:<18}{digests}{passes}"
                                     .rstrip())
+    stronger = config.stash.get(STRONGER, {})
+    if stronger:
+        terminalreporter.section("final robustness: shipped evaluation, FGSM at eps, "
+                                 "PGD-20 at eps/10")
+    for name, by_strategy in stronger.items():
+        for strategy, (shipped, fgsm, pgd20) in by_strategy.items():
+            terminalreporter.write_line(f"{name:<16} {strategy:<10} {shipped:6.2f} "
+                                        f"{fgsm:6.2f} {pgd20:6.2f}")

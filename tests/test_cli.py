@@ -55,6 +55,10 @@ def test_validate_bad_config(tmp_path, capsys):
     ("crescents.per_class = 25", "crescents.per_class = 0"),
     ("crescents.test_per_class = 20", "crescents.test_per_class = 0"),
     ("dataset = crescents", "dataset = blobs\nblobs.per_class = 0"),
+    # blob centers that fit for seed 2 but not for seed 0, the second seed
+    ("dataset = crescents\nstrategies = joint\nseeds = 0 1",
+     "dataset = blobs\nstrategies = joint\nseeds = 2 0\nblobs.tasks = 5\n"
+     "blobs.classes_per_task = 1\nblobs.dim = 2"),
     # non-finite floats
     ("attack.eps = 0.1", "attack.eps = nan"),
     ("attack.eps = 0.1", "attack.eps = inf"),

@@ -40,7 +40,6 @@ train.hidden = 6
 attack.eps = 0.05
 attack.alpha = 0.02
 attack.iters = 2
-save.models = false
 """
 
 
@@ -65,7 +64,7 @@ def test_unknown_key_reports_line():
 def test_removed_keys_are_unknown():
     for line in ("save.grids = false", "grid.resolution = 8", "attack.clip = 0 1",
                  "attack.random_start = true", "eval.attack.random_start = true",
-                 "eval.seed = 0"):
+                 "eval.seed = 0", "save.models = false"):
         key = line.partition(" ")[0]
         with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
             parse_config(f"experiment = x\n{line}\n")
@@ -315,25 +314,6 @@ def test_run_experiment_seed_override(tmp_path):
     assert "\nseeds = 1\n" in (tmp_path / "o" / "config.resolved.conf").read_text()
 
 
-def _assert_model_file(path, model):
-    """The file holds exactly the model's sizes, weights and biases."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    assert set(payload) == {"layer_sizes", "weights", "biases"}
-    assert tuple(payload["layer_sizes"]) == model.layer_sizes
-    for saved, kept in zip(payload["weights"] + payload["biases"],
-                           model.weights + model.biases, strict=True):
-        np.testing.assert_array_equal(np.asarray(saved), kept)
-
-
-def test_model_artifact_round_trip(tmp_path):
-    cfg = parse_config(TINY.replace("save.models = false",
-                                    "save.models = true"))
-    res = run_experiment(cfg, str(tmp_path / "m"), quiet=True)
-    assert res[0].model.input_dim == 5
-    _assert_model_file(tmp_path / "m" / "models" / "er_s0.json", res[0].model)
-
-
 CRESCENTS = """
 experiment = crescents
 dataset = crescents
@@ -351,19 +331,16 @@ attack.iters = 2
 """
 
 
-def test_crescent_run_saves_weights_only_model_file(tmp_path):
+def test_crescent_run_writes_exactly_the_five_artifacts(tmp_path):
     res = run_experiment(parse_config(CRESCENTS), str(tmp_path / "g"), quiet=True)
     assert sorted(p.name for p in (tmp_path / "g").iterdir()) == [
-        "config.resolved.conf", "manifest.json", "metrics.csv", "models",
-        "rates.csv", "summary.json"]
-    assert res[0].model.input_dim == 2
-    _assert_model_file(tmp_path / "g" / "models" / "joint_s0.json", res[0].model)
-
-
-def test_models_dir_only_with_save_models(tmp_path):
-    cfg = parse_config(CRESCENTS + "save.models = false\n")
-    run_experiment(cfg, str(tmp_path / "n"), quiet=True)
-    assert not (tmp_path / "n" / "models").exists()
+        "config.resolved.conf", "manifest.json", "metrics.csv", "rates.csv",
+        "summary.json"]
+    manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["config.resolved.conf", "metrics.csv",
+                                     "rates.csv", "summary.json"]
+    # the trained model stays in memory
+    assert res[0].model.layer_sizes == (2, 3, 2)
 
 
 def test_summary_math():

@@ -26,17 +26,18 @@ examples replace their clean sources; `at_mix="union"` trains both), while
 +EAT always unions the generated set with the clean task data. DER's
 distillation batch always stays clean, since stored logits pair with clean
 inputs, and only clean current-task rows ever enter the buffer. Labels become
-one-hot targets (nets.one_hot) once per task, and every attack, loss and buffer
-row takes those.
+one-hot targets (nets.one_hot) once per task for the target, and once for
++EAT's externals, and every attack, loss and buffer row takes those.
 
 Runs of one strategy under one TrainConfig differ only in their seed, so
 ``train_streams`` trains them together, in lockstep: their target models
 are the members of one model stacked on the leading model axis of the one
 gradient kernel, and every step gathers all members' batches with one
 index and runs one attack, one gradient pass and one SGD step for all of
-them. +EAT's external models never see the target, so the externals of
-all members for a task, one per member and generation, train in lockstep
-too, as one stacked model. The group shares one replay buffer, in which
+them. +EAT's external models never see the target, so every external of
+the group, one per task, member and generation, trains before the first
+task, in lockstep too: one stacked model per distinct task size (one for
+every shipped stream). The group shares one replay buffer, in which
 each member has its own block of rows. Its draws never depend on the
 model, so each epoch is planned when it starts (see replay), and the plan
 alone says which steps replay; each step samples every member with one
@@ -295,32 +296,32 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
 
 def eat_generate(xs, targets, layer_sizes, cfg: TrainConfig, seeds, counts
                  ) -> list[tuple[MLPModel, np.random.Generator]]:
-    """Throwaway external models for the task of every member of a lockstep
-    group, one per seed, all trained in lockstep.
+    """Throwaway external models for K tasks of one size, one per seed, all
+    trained in lockstep.
 
-    xs (E, n, d) and their one-hot targets (E, n, classes) hold member e's
-    task in block e; seeds lists the externals' seeds member-major, the same
-    number per member. Each external is a fresh model of the given
-    architecture, adversarially trained from scratch on its member's task
-    alone, with its own batch order and attack rng; its batches index its
-    member's block of the flat rows, so no row is copied. The externals are
-    stacked on one model axis (a plain model for one seed), so each attack
-    and SGD step serves all of them; each gets the exact bits it would get
-    alone. Returns (model, attack rng) per seed: attacking its member's task
-    rows against the model with that rng gives its adversarial copy. Member
-    e's attacked rows add to counts[e]["external"].
+    xs (K, n, d) and their one-hot targets (K, n, classes) hold task k in
+    block k; seeds lists the externals' seeds block-major, the same number
+    per block. Each external is a fresh model of the given architecture,
+    adversarially trained from scratch on its block's task alone, with its
+    own batch order and attack rng; its batches index its block of the flat
+    rows, so no row is copied. The externals are stacked on one model axis
+    (a plain model for one seed), so each attack and SGD step serves all of
+    them; each gets the exact bits it would get alone. Returns (model,
+    attack rng) per seed: attacking its block's task rows against the model
+    with that rng gives its adversarial copy. Block k's attacked rows add to
+    counts[k]["external"].
     """
-    members, n = xs.shape[:2]
-    per_member = len(seeds) // members
+    blocks, n = xs.shape[:2]
+    per_block = len(seeds) // blocks
     if n == 0:
         raise ValueError("cannot generate adversarial examples for an empty task")
-    if per_member < 1 or per_member * members != len(seeds):
-        raise ValueError(f"{len(seeds)} external seeds for {members} members")
+    if per_block < 1 or per_block * blocks != len(seeds):
+        raise ValueError(f"{len(seeds)} external seeds for {blocks} tasks")
     ext = _lockstep([init_model(layer_sizes, _sub(s, 0)) for s in seeds])
     batch_rngs = [np.random.default_rng(_sub(s, 1)) for s in seeds]
     atk_rngs = [np.random.default_rng(_sub(s, 2)) for s in seeds]
-    # each external's first row in the flat rows: its member's block
-    offsets = np.repeat(np.arange(members) * n, per_member)[:, None]
+    # each external's first row in the flat rows: its task's block
+    offsets = np.repeat(np.arange(blocks) * n, per_block)[:, None]
     fx, ft = _flat(xs), _flat(targets)
     for _ in range(cfg.eat_external_epochs):
         perms = np.stack([r.permutation(n) for r in batch_rngs]) + offsets
@@ -331,41 +332,57 @@ def eat_generate(xs, targets, layer_sizes, cfg: TrainConfig, seeds, counts
             _, grads = loss_and_grads(ext, adv, lambda z: softmax_ce(z, tb))
             ext = sgd_step(ext, grads, cfg.lr)
     for c in counts:
-        c["external"] += per_member * cfg.eat_external_epochs * n
+        c["external"] += per_block * cfg.eat_external_epochs * n
     return list(zip(_split(ext), atk_rngs))
 
 
+def _eat_externals(plan, layer_sizes, cfg: TrainConfig, members) -> dict:
+    """Every external model of a lockstep group, by task index: for each
+    task, member e's list of (model, attack rng), one per generation of its
+    adversarial copy (one per task, or one per epoch with eat_refresh).
+
+    One eat_generate call per distinct task size trains all of that size's
+    externals, seeded (member seed, 4, task, *generation) in task-major,
+    member, generation order. Its stacked rows and targets live only in
+    this call, so they are freed before the target trains.
+    """
+    gens = [()] + [(e,) for e in range(1, cfg.epochs_per_task) if cfg.eat_refresh]
+    by_size = {}
+    for _, index, tasks in plan:
+        by_size.setdefault(len(tasks[0]), []).append((index, tasks))
+    externals = {}
+    for group in by_size.values():
+        datasets = [task for _, tasks in group for task in tasks]
+        ext = iter(eat_generate(np.stack([d.x for d in datasets]),
+                                np.stack([one_hot(d.y, layer_sizes[-1]) for d in datasets]),
+                                layer_sizes, cfg,
+                                [_sub(m.seed, 4, index, *g)
+                                 for index, _ in group for m in members for g in gens],
+                                [m.log.attack_counts for _ in group for m in members]))
+        for index, _ in group:
+            externals[index] = [[next(ext) for _ in gens] for _ in members]
+    return externals
+
+
 def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConfig,
-              members, buffer: ReplayBuffer) -> MLPModel:
+              members, buffer: ReplayBuffer, externals) -> MLPModel:
     """Train one task of every member for epochs_per_task epochs, replaying
     from the second task on; tasks[e] is member e's Dataset, all of one size,
     and index their position in the stream (0 for joint's merged task).
     Each member's task labels become one-hot targets here, once, beside its
     rows, and every batch gathers both with one index.
 
-    +EAT first trains every member's external models, in lockstep, with one
-    eat_generate call: one external per member for the whole task, or one
-    per member and epoch with eat_refresh. Each epoch's adversarial copies
-    are made when the epoch starts and written over the last ones, so one
-    copy per member is live at a time. Copies are made member by member:
-    stacking their attacks too raised perfbench's stream_eat peak_rss_mb
-    from 43.6 to 45.7 MB. At the shipped stream shapes (1,000 rows, 5
-    external epochs, PGD-4) one call took about 40 ms for one external,
-    55 ms for 2, 70-85 ms for 4 and 130-160 ms for 10 on a 2-vCPU host,
-    so stacking the group's externals saves most of a call per member.
+    +EAT takes the task's externals, already trained (_eat_externals):
+    externals[e] lists member e's (model, attack rng), one per generation.
+    Each epoch's adversarial copies are made when the epoch starts and
+    written over the last ones, so one copy per member is live at a time.
+    Copies are made member by member: stacking their attacks too raised
+    perfbench's stream_eat peak_rss_mb from 43.6 to 45.7 MB.
     """
     n = len(tasks[0])
     xs = np.stack([task.x for task in tasks])
     ts = np.stack([one_hot(task.y, model.num_classes) for task in tasks])
-    externals = []
-    if robust == "eat":
-        # EAT never trains joint, so the task index is the stream step
-        gens = [()] + [(e,) for e in range(1, cfg.epochs_per_task) if cfg.eat_refresh]
-        ext = eat_generate(xs, ts, model.layer_sizes, cfg,
-                           [_sub(m.seed, 4, index, *g) for m in members for g in gens],
-                           [m.log.attack_counts for m in members])
-        externals = [ext[i:i + len(gens)] for i in range(0, len(ext), len(gens))]
-        # the clean rows, then room for the epoch's adversarial copy
+    if externals:  # the clean rows, then room for the epoch's adversarial copy
         xs = np.concatenate([xs, np.empty_like(xs)], axis=1)
         ts = np.concatenate([ts, ts], axis=1)
     for epoch in range(cfg.epochs_per_task):
@@ -451,8 +468,11 @@ def train_streams(streams, tests, strategy: str, cfg: TrainConfig, seeds,
         plan = [(last, 0, [s.merged() for s in streams])]
     else:
         plan = [(i, i, [s.tasks[i] for s in streams]) for i in range(last + 1)]
+    # EAT never trains joint, so a task's index is its stream step
+    externals = _eat_externals(plan, layer_sizes, cfg, members) if robust == "eat" else {}
     for step, index, tasks in plan:
-        model = _run_task(model, index, tasks, replay, robust, cfg, members, buffer)
+        model = _run_task(model, index, tasks, replay, robust, cfg, members, buffer,
+                          externals.pop(index, ()))
         for m, single in zip(members, _split(model)):
             m.log.records.append(_snapshot(single, step, m.test, eval_attack))
     return [(single, m.log) for single, m in zip(_split(model), members)]

@@ -7,9 +7,11 @@ in the suite runs a shipped config. When the fixture ran, the terminal
 summary lists each config's wall-clock seconds next to its budget, since
 pytest's durations table charges all of them to the first test that uses
 the fixture, the sha256 prefixes of its metrics.csv and rates.csv, so a
-log shows whether outputs moved, and its attack gradient passes (calls of
+log shows whether outputs moved, its attack gradient passes (calls of
 attacks.ce_input_grad, training and evaluation together), which
-test_stream_fgsm_orderings_and_cost compares. When
+test_stream_fgsm_orderings_and_cost compares, and its calls of
+strategies.eat_generate, which test_stream_eat_one_external_call_per_group
+pins. When
 test_robustness_under_stronger_evaluation ran, the summary also prints each
 config's final robustness per strategy under the shipped evaluation attack
 and the two stronger ones. The digests depend on the numeric build, so
@@ -20,6 +22,7 @@ strategies.py, the number of config keys, and the number of TrainConfig and
 AttackConfig fields, which counts library-only options too.
 """
 
+import contextlib
 import ctypes
 import dataclasses
 import hashlib
@@ -31,6 +34,7 @@ import numpy as np
 import pytest
 
 import eatcl.attacks
+import eatcl.strategies
 from eatcl.attacks import AttackConfig
 from eatcl.runner import RunResult, default_config, parse_config, run_experiment
 from eatcl.strategies import TrainConfig
@@ -47,16 +51,18 @@ STRONGER = pytest.StashKey[dict]()
 
 class ConfigRun:
     """One executed config: its parsed config, run_experiment's results,
-    output directory, wall-clock seconds and attack gradient passes."""
+    output directory, wall-clock seconds, attack gradient passes and
+    eat_generate calls."""
 
     def __init__(self, name: str, cfg: dict, results: list[RunResult], out_dir: Path,
-                 seconds: float, input_grads: int):
+                 seconds: float, input_grads: int, eat_generates: int):
         self.name = name
         self.cfg = cfg
         self.results = results
         self.out_dir = out_dir
         self.seconds = seconds
         self.input_grads = input_grads
+        self.eat_generates = eat_generates
 
     @property
     def summary(self) -> dict:
@@ -67,25 +73,36 @@ class ConfigRun:
         return self.summary["strategies"][strategy][metric]
 
 
-def run_config(name: str, out_dir: Path) -> ConfigRun:
-    """Run a shipped config, counting the calls of attacks.ce_input_grad,
-    one per attack step, for as long as it runs."""
-    cfg = parse_config((CONFIG_DIR / f"{name}.conf").read_text())
-    counted, calls = eatcl.attacks.ce_input_grad, 0
+@contextlib.contextmanager
+def _counting(module, name: str, calls: dict):
+    """Count the calls of module.name into calls[name] while inside, then
+    restore the binding."""
+    counted = getattr(module, name)
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
+        calls[name] += 1
         return counted(*args)
 
-    eatcl.attacks.ce_input_grad = counting
-    started = time.perf_counter()
+    setattr(module, name, counting)
     try:
-        results = run_experiment(cfg, str(out_dir), quiet=True)
+        yield
     finally:
+        setattr(module, name, counted)
+
+
+def run_config(name: str, out_dir: Path) -> ConfigRun:
+    """Run a shipped config, counting the calls of attacks.ce_input_grad,
+    one per attack step, and of strategies.eat_generate for as long as it
+    runs."""
+    cfg = parse_config((CONFIG_DIR / f"{name}.conf").read_text())
+    calls = {"ce_input_grad": 0, "eat_generate": 0}
+    with (_counting(eatcl.attacks, "ce_input_grad", calls),
+          _counting(eatcl.strategies, "eat_generate", calls)):
+        started = time.perf_counter()
+        results = run_experiment(cfg, str(out_dir), quiet=True)
         seconds = time.perf_counter() - started
-        eatcl.attacks.ce_input_grad = counted
-    return ConfigRun(name, cfg, results, out_dir, seconds, calls)
+    return ConfigRun(name, cfg, results, out_dir, seconds, calls["ce_input_grad"],
+                     calls["eat_generate"])
 
 
 @pytest.fixture(scope="session")
@@ -139,11 +156,11 @@ def build_facts() -> dict:
 def pytest_terminal_summary(terminalreporter, config):
     """Each shipped config's wall-clock seconds, with the budget that
     test_acceptance.py holds it to: the toy pair 120 s together, each
-    stream config 300 s; each config's output digests and attack gradient
-    passes; and, if measured, each config's robustness under the stronger
-    evaluation attacks. First, on every run, the line counts of
-    src/eatcl and strategies.py, the number of config keys and the number
-    of TrainConfig + AttackConfig fields."""
+    stream config 300 s; each config's output digests, attack gradient
+    passes and eat_generate calls; and, if measured, each config's
+    robustness under the stronger evaluation attacks. First, on every run,
+    the line counts of src/eatcl and strategies.py, the number of config
+    keys and the number of TrainConfig + AttackConfig fields."""
     lines = {p.name: len(p.read_text().splitlines()) for p in SRC_DIR.glob("*.py")}
     run_fields = sum(len(dataclasses.fields(c)) for c in (TrainConfig, AttackConfig))
     terminalreporter.section("source size")
@@ -166,7 +183,8 @@ def pytest_terminal_summary(terminalreporter, config):
         digests = passes = ""
         if name in runs:
             digests = "".join(f"  {f} {d[:8]}" for f, d in output_digests(runs[name]).items())
-            passes = f"  {runs[name].input_grads} attack gradient passes"
+            passes = (f"  {runs[name].input_grads} attack gradient passes, "
+                      f"{runs[name].eat_generates} eat_generate calls")
         terminalreporter.write_line(f"{name:<16} {s:7.1f} s{budget:<18}{digests}{passes}"
                                     .rstrip())
     stronger = config.stash.get(STRONGER, {})

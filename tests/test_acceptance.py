@@ -225,6 +225,17 @@ def test_stream_fgsm_orderings_and_cost(shipped_runs):
           f"{fg.input_grads} < {pg.input_grads}")
 
 
+def test_stream_eat_one_external_call_per_group(shipped_runs):
+    """Each _eat strategy's lockstep group trains all of its external models
+    with one eat_generate call, since every task of a shipped stream has
+    one size."""
+    for name in ("stream_pgd", "stream_fgsm"):
+        run = shipped_runs[name]
+        groups = sum(s.endswith("_eat") for s in run.cfg["strategies"])
+        assert groups >= 1 and run.eat_generates == groups, name
+    print("PASS one eat_generate call per _eat group")
+
+
 def _final_robustness(run, atk: AttackConfig) -> dict[str, float]:
     """Each strategy's mean final robustness under atk, over its seeds'
     final models and every task of their test streams, as the last

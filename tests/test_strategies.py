@@ -275,19 +275,19 @@ def test_eat_generate_rejects_seeds_that_do_not_split_over_members():
 
 
 def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
-    # one call per task trains the group's externals, one per member and
-    # generation: each member's task seed for the first epoch, then one
-    # seed per later epoch with eat_refresh, member-major
+    # one call, before the first task, trains every external of the group,
+    # one per task, member and generation: each member's task seed for the
+    # first epoch, then one seed per later epoch with eat_refresh, in
+    # task-major, member, generation order
     streams = [_small_stream(21), _small_stream(22)]
+    steps = len(streams[0].tasks)
+    tasks = [s.tasks[t] for t in range(steps) for s in streams]  # task-major
     calls = []
 
     def recording(xs, targets, layer_sizes, cfg, seeds, counts):
-        # the task a call trains on, by each member's rows
-        (index,) = [i for i, t in enumerate(streams[0].tasks) if np.array_equal(t.x, xs[0])]
-        tasks = [s.tasks[index] for s in streams]
         assert xs.tobytes() == np.stack([t.x for t in tasks]).tobytes()
         assert targets.tobytes() == np.stack([_targets(t, 6) for t in tasks]).tobytes()
-        calls.append((index, seeds))
+        calls.append(seeds)
         return eat_generate(xs, targets, layer_sizes, cfg, seeds, counts)
 
     monkeypatch.setattr(eatcl.strategies, "eat_generate", recording)
@@ -296,9 +296,55 @@ def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
         cfg = _cfg(eat_refresh=refresh)
         _train_group(streams, "derpp_eat", cfg, (5, 7))
         epochs = range(1, cfg.epochs_per_task) if refresh else []
-        assert calls == [(t, [seed for m in (5, 7)
-                              for seed in [[m, 4, t]] + [[m, 4, t, e] for e in epochs]])
-                         for t in range(len(streams[0].tasks))], refresh
+        assert calls == [[seed for t in range(steps) for m in (5, 7)
+                          for seed in [[m, 4, t]] + [[m, 4, t, e] for e in epochs]]], refresh
+
+
+def _sized_stream(seed, sizes, dim=4):
+    """A stream of two-class tasks with the given row counts."""
+    rng = np.random.default_rng(seed)
+    tasks = []
+    for t, n in enumerate(sizes):
+        y = 2 * t + np.arange(n) % 2
+        tasks.append(Dataset(rng.normal(size=(n, dim)) + y[:, None], y, (2 * t, 2 * t + 1)))
+    return TaskStream(tasks)
+
+
+def test_eat_group_with_tasks_of_two_sizes(monkeypatch):
+    # one eat_generate call per task size: every external, and the copy the
+    # target trains on, equals one trained alone on its own task, and each
+    # member of the group equals that member trained alone
+    streams = [_sized_stream(s, (20, 12, 20)) for s in (50, 51)]
+    seeds = (5, 7)
+    cfg = _cfg(eat_external_epochs=2, batch_size=8)
+    calls, refs = [], {}  # refs: id of an external -> (external, its task, its copy)
+    real_attack = eatcl.strategies.attack
+
+    def recording(xs, targets, layer_sizes, cfg, ext_seeds, counts):
+        externals = eat_generate(xs, targets, layer_sizes, cfg, ext_seeds, counts)
+        for seed, (ext, _) in zip(ext_seeds, externals):
+            task = streams[seeds.index(seed[0])].tasks[seed[2]]
+            ref_model, ref_copy = _external_alone(task, layer_sizes, cfg, seed)
+            assert _models_equal(ext, ref_model), seed
+            refs[id(ext)] = ext, task, ref_copy
+        calls.append([seed[2] for seed in ext_seeds])
+        return externals
+
+    def recording_attack(model, x, *args):
+        adv = real_attack(model, x, *args)
+        if id(model) in refs:  # an external making its copy
+            _, task, ref_copy = refs.pop(id(model))
+            assert x is task.x and adv.tobytes() == ref_copy.tobytes()
+        return adv
+
+    monkeypatch.setattr(eatcl.strategies, "eat_generate", recording)
+    monkeypatch.setattr(eatcl.strategies, "attack", recording_attack)
+    group = _train_group(streams, "er_eat", cfg, seeds)
+    assert calls == [[0, 0, 2, 2], [1, 1]]
+    assert not refs  # every external made its copy
+    monkeypatch.undo()
+    for run, stream, seed in zip(group, streams, seeds):
+        assert _run_bits(*run) == _run_bits(*_train(stream, "er_eat", cfg, seed))
 
 
 def test_audit_counts_er_never_attacks():

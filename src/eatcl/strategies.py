@@ -16,10 +16,9 @@ clean training and:
   replayed samples train clean.
 * +EAT — one fresh external model (same architecture) per generation of
   the task's adversarial copy: once per task, or once per epoch with
-  ``eat_refresh``. Each is adversarially trained from scratch on the
-  current task alone, used once to generate its copy, then discarded. The
-  target model trains on task-plus-adversarial data with no on-the-fly
-  attack.
+  ``eat_refresh``. Each is a ``joint_at`` run from scratch on the current
+  task alone, used once to generate its copy, then discarded. The target
+  model trains on task-plus-adversarial data with no on-the-fly attack.
 
 Batch composition follows the pure-AT convention for +AT/+CAT (adversarial
 examples replace their clean sources; `at_mix="union"` trains both), while
@@ -27,21 +26,22 @@ examples replace their clean sources; `at_mix="union"` trains both), while
 distillation batch always stays clean, since stored logits pair with clean
 inputs, and only clean current-task rows ever enter the buffer. Labels become
 one-hot targets (nets.one_hot) once per task for the target, and once for
-+EAT's externals, and every attack, loss and buffer row takes those.
+each +EAT external, and every attack, loss and buffer row takes those.
 
 Runs of one strategy under one TrainConfig differ only in their seed, so
 ``train_streams`` trains them together, in lockstep: their target models
 are the members of one model stacked on the leading model axis of the one
 gradient kernel, and every step gathers all members' batches with one
 index and runs one attack, one gradient pass and one SGD step for all of
-them. +EAT's external models never see the target, so every external of
-the group, one per task, member and generation, trains before the first
+them; one loop, ``_run_task`` over ``batch_step``, trains every model.
++EAT's external models never see the target, so every external of the
+group, one per task, member and generation, trains before the first
 task, in lockstep too: one stacked model per distinct task size (one for
-every shipped stream). The group shares one replay buffer, in which
-each member has its own block of rows. Its draws never depend on the
-model, so each epoch is planned when it starts (see replay), and the plan
-alone says which steps replay; each step samples every member with one
-take and inserts their rows with one write.
+every shipped stream). The group shares one replay buffer, in which each
+member has its own block of rows. Its draws never depend on the model,
+so each epoch is planned when it starts (see replay), and the plan alone
+says which steps replay; each step samples every member with one take
+and inserts their rows with one write.
 Each member keeps its own stream, test stream, random generators, buffer
 block, attack counts and log, and gets exactly the bits it would get
 trained alone, as a group of one, whose model is a plain model. All
@@ -53,7 +53,7 @@ seeded by (0, step, task) alone and never disturbs training.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -149,15 +149,12 @@ class _Rngs:
 @dataclass
 class _Member:
     """One run of a lockstep group: everything but the stacked target model
-    and the group's replay buffer is its own."""
-    stream: TaskStream
-    test: TaskStream  # held out, for the metrics snapshots
+    and the group's replay buffer is its own. An external has no streams."""
+    stream: TaskStream | None
+    test: TaskStream | None  # held out, for the metrics snapshots
     seed: int
     rngs: _Rngs
     log: RunLog = field(default_factory=RunLog)
-    # this epoch's current-task adversarial rows for its attack rate,
-    # cleared when the epoch ends
-    aes: list[np.ndarray] = field(default_factory=list)
 
 
 def _lockstep(models) -> MLPModel:
@@ -169,11 +166,6 @@ def _lockstep(models) -> MLPModel:
 def _split(model: MLPModel) -> list[MLPModel]:
     """The members of a _lockstep model, as single models."""
     return [model] if model.members is None else unstack_models(model)
-
-
-def _rng_arg(rngs):
-    """What attack takes as rng for the _lockstep model of len(rngs) members."""
-    return rngs[0] if len(rngs) == 1 else rngs
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -216,9 +208,10 @@ def derpp_label_terms(model, buf_x, buf_targets, beta: float):
 
 
 def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
-               buffer: ReplayBuffer, step, cfg: TrainConfig) -> MLPModel:
+               buffer: ReplayBuffer, step, cfg: TrainConfig):
     """One SGD update of every member on its current batch, after which the
     batch's clean rows enter each member's block of the group's buffer.
+    Returns the stepped model and the current rows' adversarial ones, or None.
 
     xb (E, rows, d) and its one-hot targets tb (E, rows, classes) hold member
     e's batch in block e, cb marks its clean task rows (None: all are), and
@@ -234,7 +227,8 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
     batches, writes = step
     if batches and len(batches) != _BUFFER_BATCHES[replay]:
         raise ValueError(f"replay plan for {replay}: {len(batches)} buffer batches planned")
-    atk_rng = _rng_arg([m.rngs.attack for m in members])
+    # attack takes one rng for a plain model, one per member for a stacked one
+    atk_rng = members[0].rngs.attack if len(members) == 1 else [m.rngs.attack for m in members]
     b = xb.shape[1]
     x, t = xb, tb
     if batches and replay == "er":
@@ -245,10 +239,9 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
     if n_atk:
         src, ts = x[:, :n_atk], t[:, :n_atk]
         adv = attack(model, _flat(src), _flat(ts), cfg.attack, atk_rng).reshape(src.shape)
-        for m, a in zip(members, adv):
+        for m in members:
             m.log.attack_counts["current"] += b
             m.log.attack_counts["memory"] += n_atk - b
-            m.aes.append(a[:b])
         if cfg.at_mix == "union":  # the attacked rows, then their AEs
             x = np.concatenate([src, adv, x[:, n_atk:]], axis=1)
             t = np.concatenate([ts, ts, t[:, n_atk:]], axis=1)
@@ -276,8 +269,9 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
             _, label_grads = derpp_label_terms(model, bx2, bt2, cfg.derpp_beta)
             grads = add_grads(grads, label_grads)
     stepped = sgd_step(model, grads, cfg.lr)
+    current_adv = adv[:, :b] if n_atk else None
     if writes is None:
-        return stepped
+        return stepped, current_adv
     # DER stores the pre-step model's logits of the rows it inserts. Clean,
     # the cross-entropy batch is exactly xb, so they are that pass's logits;
     # otherwise a forward pass over each member's clean rows gives them.
@@ -291,49 +285,34 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
             ins_logits = np.concatenate([forward(single, xe)
                                          for single, xe in zip(_split(model), rows)])
     buffer.insert(writes, cx, ct, ins_logits)
-    return stepped
+    return stepped, current_adv
 
 
-def eat_generate(xs, targets, layer_sizes, cfg: TrainConfig, seeds, counts
+def eat_generate(tasks, layer_sizes, cfg: TrainConfig, seeds, counts
                  ) -> list[tuple[MLPModel, np.random.Generator]]:
-    """Throwaway external models for K tasks of one size, one per seed, all
-    trained in lockstep.
+    """Throwaway external models, one per seed, trained in lockstep.
 
-    xs (K, n, d) and their one-hot targets (K, n, classes) hold task k in
-    block k; seeds lists the externals' seeds block-major, the same number
-    per block. Each external is a fresh model of the given architecture,
-    adversarially trained from scratch on its block's task alone, with its
-    own batch order and attack rng; its batches index its block of the flat
-    rows, so no row is copied. The externals are stacked on one model axis
-    (a plain model for one seed), so each attack and SGD step serves all of
-    them; each gets the exact bits it would get alone. Returns (model,
-    attack rng) per seed: attacking its block's task rows against the model
-    with that rng gives its adversarial copy. Block k's attacked rows add to
-    counts[k]["external"].
+    Seed k's external trains from scratch on tasks[k] alone (all tasks of
+    one size) as a joint_at run: eat_external_epochs epochs with at_mix
+    "replace", whatever the target's, with model, batch order and attack
+    rng seeded (seed, 0), (seed, 1) and (seed, 2). Returns (model, attack
+    rng) per seed; attacking its task's rows with them gives its
+    adversarial copy. External k's attacked rows add to counts[k]["external"].
     """
-    blocks, n = xs.shape[:2]
-    per_block = len(seeds) // blocks
-    if n == 0:
-        raise ValueError("cannot generate adversarial examples for an empty task")
-    if per_block < 1 or per_block * blocks != len(seeds):
-        raise ValueError(f"{len(seeds)} external seeds for {blocks} tasks")
-    ext = _lockstep([init_model(layer_sizes, _sub(s, 0)) for s in seeds])
-    batch_rngs = [np.random.default_rng(_sub(s, 1)) for s in seeds]
-    atk_rngs = [np.random.default_rng(_sub(s, 2)) for s in seeds]
-    # each external's first row in the flat rows: its task's block
-    offsets = np.repeat(np.arange(blocks) * n, per_block)[:, None]
-    fx, ft = _flat(xs), _flat(targets)
-    for _ in range(cfg.eat_external_epochs):
-        perms = np.stack([r.permutation(n) for r in batch_rngs]) + offsets
-        for s in range(0, n, cfg.batch_size):
-            idx = perms[:, s:s + cfg.batch_size].ravel()  # external-major blocks
-            xb, tb = fx[idx], ft[idx]
-            adv = attack(ext, xb, tb, cfg.attack, _rng_arg(atk_rngs))
-            _, grads = loss_and_grads(ext, adv, lambda z: softmax_ce(z, tb))
-            ext = sgd_step(ext, grads, cfg.lr)
-    for c in counts:
-        c["external"] += per_block * cfg.eat_external_epochs * n
-    return list(zip(_split(ext), atk_rngs))
+    if not tasks or len(seeds) != len(tasks):
+        raise ValueError(f"{len(seeds)} external seeds for {len(tasks)} tasks")
+    sizes = sorted({len(task) for task in tasks})
+    if len(sizes) > 1 or sizes[0] == 0:
+        raise ValueError(f"external tasks need one size > 0, got sizes {sizes}")
+    members = [_Member(None, None, s, _Rngs(np.random.default_rng(_sub(s, 1)), None,
+                                            np.random.default_rng(_sub(s, 2))))
+               for s in seeds]  # no buffer, so no buffer rng
+    ext_cfg = replace(cfg, epochs_per_task=cfg.eat_external_epochs, at_mix="replace")
+    ext = _run_task(_lockstep([init_model(layer_sizes, _sub(s, 0)) for s in seeds]), 0, tasks,
+                    "joint", "at", ext_cfg, members, ReplayBuffer(0, len(members)), ())
+    for c, m in zip(counts, members, strict=True):
+        c["external"] += m.log.attack_counts["current"]
+    return [(single, m.rngs.attack) for single, m in zip(_split(ext), members)]
 
 
 def _eat_externals(plan, layer_sizes, cfg: TrainConfig, members) -> dict:
@@ -343,8 +322,7 @@ def _eat_externals(plan, layer_sizes, cfg: TrainConfig, members) -> dict:
 
     One eat_generate call per distinct task size trains all of that size's
     externals, seeded (member seed, 4, task, *generation) in task-major,
-    member, generation order. Its stacked rows and targets live only in
-    this call, so they are freed before the target trains.
+    member, generation order, each on its member's task.
     """
     gens = [()] + [(e,) for e in range(1, cfg.epochs_per_task) if cfg.eat_refresh]
     by_size = {}
@@ -352,13 +330,12 @@ def _eat_externals(plan, layer_sizes, cfg: TrainConfig, members) -> dict:
         by_size.setdefault(len(tasks[0]), []).append((index, tasks))
     externals = {}
     for group in by_size.values():
-        datasets = [task for _, tasks in group for task in tasks]
-        ext = iter(eat_generate(np.stack([d.x for d in datasets]),
-                                np.stack([one_hot(d.y, layer_sizes[-1]) for d in datasets]),
+        ext = iter(eat_generate([task for _, tasks in group for task in tasks for _ in gens],
                                 layer_sizes, cfg,
                                 [_sub(m.seed, 4, index, *g)
                                  for index, _ in group for m in members for g in gens],
-                                [m.log.attack_counts for _ in group for m in members]))
+                                [m.log.attack_counts
+                                 for _ in group for m in members for _ in gens]))
         for index, _ in group:
             externals[index] = [[next(ext) for _ in gens] for _ in members]
     return externals
@@ -370,7 +347,10 @@ def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConf
     from the second task on; tasks[e] is member e's Dataset, all of one size,
     and index their position in the stream (0 for joint's merged task).
     Each member's task labels become one-hot targets here, once, beside its
-    rows, and every batch gathers both with one index.
+    rows, and every batch gathers both with one index. From the second task
+    on, each epoch ends with each member's attack rate on the epoch's
+    adversarial current rows, if any. eat_generate trains +EAT's externals
+    here too, at index 0.
 
     +EAT takes the task's externals, already trained (_eat_externals):
     externals[e] lists member e's (model, attack rng), one per generation.
@@ -391,7 +371,7 @@ def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConf
                 model_e, rng = ext[epoch]
                 copy[...] = attack(model_e, task.x, t[:n], cfg.attack, rng)
                 m.log.attack_counts["external"] += n
-            m.aes.append(copy)
+        aes = [xs[:, n:]] if externals and index > 0 else []  # for the attack rate
         rows = xs.shape[1]
         perms = np.stack([m.rngs.batch.permutation(rows) for m in members])
         clean = perms < n  # every row, unless +EAT adds its copy
@@ -407,15 +387,14 @@ def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConf
         for s, step in zip(starts, plan, strict=True):
             idx = perms[:, s:s + cfg.batch_size]
             cb = clean[:, s:s + cfg.batch_size] if externals else None
-            model = batch_step(model, fx[idx], ft[idx], cb, replay, robust, members,
-                               buffer, step, cfg)
-        if index > 0:
-            for m, single in zip(members, _split(model)):
-                if m.aes:
-                    m.log.attack_rates.append(AttackRatePoint(index, epoch, prev_task_rate(
-                        single, index, np.vstack(m.aes), m.stream.class_sets)))
-        for m in members:
-            m.aes.clear()
+            model, adv = batch_step(model, fx[idx], ft[idx], cb, replay, robust, members,
+                                    buffer, step, cfg)
+            if adv is not None and index > 0:
+                aes.append(adv)
+        if aes:
+            for e, (m, single) in enumerate(zip(members, _split(model))):
+                m.log.attack_rates.append(AttackRatePoint(index, epoch, prev_task_rate(
+                    single, index, np.concatenate([a[e] for a in aes]), m.stream.class_sets)))
     return model
 
 

@@ -1,5 +1,6 @@
 """Every public function and method in src/eatcl has a caller in src/eatcl,
-and every module but eatcl/__init__.py uses each name it imports.
+every module but eatcl/__init__.py uses each name it imports, and one
+training loop steps every model.
 
 A name counts as used when it occurs anywhere in the package as a name, an
 attribute or an import alias; being re-exported by eatcl/__init__.py counts,
@@ -79,3 +80,22 @@ def test_every_import_is_used_in_its_module():
         if names:
             unused[path.stem] = names
     assert unused == {}, f"imports never used in their module: {unused}"
+
+
+def _call_sites(name: str) -> list[str]:
+    """module.name of every call of `name` in src/eatcl, named by the
+    top-level function or class it is in."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                    sites.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return sites
+
+
+def test_one_training_loop():
+    # every model, the target and +EAT's externals alike, steps in one place
+    assert _call_sites("sgd_step") == ["strategies.batch_step"]

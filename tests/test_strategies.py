@@ -186,8 +186,8 @@ def test_eat_generate_ball_and_labels():
     cfg = _cfg(eat_external_epochs=2,
                attack=AttackConfig(eps=0.07, alpha=0.03, iters=3))
     counts = {"external": 0}
-    externals = eat_generate(task.x[None], _targets(task)[None], (8, 6, 2), cfg,
-                             [[5, 4, 0], [5, 4, 0, 1]], [counts])
+    externals = eat_generate([task, task], (8, 6, 2), cfg,
+                             [[5, 4, 0], [5, 4, 0, 1]], [counts, counts])
     assert len(externals) == 2
     assert counts == {"external": 2 * 2 * len(task)}  # epochs x externals x rows
     ae = Dataset(_eat_copy(task, externals[0], cfg), task.y.copy(), task.classes)
@@ -204,7 +204,7 @@ def test_eat_generate_independent_of_target_model():
     stream = _small_stream(6, tasks=1)
     task = stream.tasks[0]
     cfg = _cfg()
-    args = task.x[None], _targets(task)[None], (8, 6, 2), cfg, [[1, 4, 0]]
+    args = [task], (8, 6, 2), cfg, [[1, 4, 0]]
     a = eat_generate(*args, [{"external": 0}])
     _train(stream, "er", cfg)  # unrelated training in between
     b = eat_generate(*args, [{"external": 0}])
@@ -237,8 +237,8 @@ def test_eat_lockstep_members_equal_members_trained_alone():
                 AttackConfig(kind="fgsm", eps=0.05),
                 AttackConfig(eps=0.2, alpha=0.1, iters=2)):
         cfg = _cfg(eat_external_epochs=2, batch_size=13, attack=atk)
-        lockstep = eat_generate(task.x[None], _targets(task)[None], (8, 5, 4, 2), cfg,
-                                seeds, [{"external": 0}])
+        lockstep = eat_generate([task] * len(seeds), (8, 5, 4, 2), cfg,
+                                seeds, [{"external": 0}] * len(seeds))
         for seed, member in zip(seeds, lockstep):
             ref_model, ref_copy = _external_alone(task, (8, 5, 4, 2), cfg, seed)
             assert _models_equal(member[0], ref_model)
@@ -247,31 +247,42 @@ def test_eat_lockstep_members_equal_members_trained_alone():
 
 def test_eat_externals_of_different_members_equal_externals_alone():
     # one call trains the externals of members with different tasks: each
-    # external, and its copy, must equal one trained alone on its member's rows
+    # external, and its copy, must equal one trained alone on its member's
+    # rows, whatever the target's at_mix and epochs_per_task
     tasks = [_small_stream(s, tasks=1).tasks[0] for s in (23, 24, 25)]
-    xs = np.stack([t.x for t in tasks])
-    ts = np.stack([_targets(t) for t in tasks])
-    cfg = _cfg(eat_external_epochs=2, batch_size=13)
-    for per_member in (1, 3):  # one external per task, or one per epoch
+    for cfg, per_member in itertools.product(
+            (_cfg(eat_external_epochs=2, batch_size=13),
+             _cfg(eat_external_epochs=1, epochs_per_task=2, batch_size=13, at_mix="union")),
+            (1, 3)):  # one external per task, or one per epoch
         seeds = [[m, 4, 0, g] for m in range(len(tasks)) for g in range(per_member)]
         counts = [{"external": 0} for _ in tasks]
-        lockstep = eat_generate(xs, ts, (8, 5, 2), cfg, seeds, counts)
+        lockstep = eat_generate([tasks[k // per_member] for k in range(len(seeds))],
+                                (8, 5, 2), cfg, seeds,
+                                [counts[k // per_member] for k in range(len(seeds))])
         assert len(lockstep) == len(seeds)
         for k, (seed, member) in enumerate(zip(seeds, lockstep)):
             task = tasks[k // per_member]
             ref_model, ref_copy = _external_alone(task, (8, 5, 2), cfg, seed)
-            assert _models_equal(member[0], ref_model), (per_member, k)
+            assert _models_equal(member[0], ref_model), (cfg.at_mix, per_member, k)
             assert _eat_copy(task, member, cfg).tobytes() == ref_copy.tobytes()
-        assert counts == [{"external": per_member * 2 * len(tasks[0])}] * len(tasks)
+        assert counts == [{"external": per_member * cfg.eat_external_epochs
+                           * len(tasks[0])}] * len(tasks)
 
 
-def test_eat_generate_rejects_seeds_that_do_not_split_over_members():
+def test_eat_generate_rejects_bad_tasks_and_seeds_before_any_step(monkeypatch):
+    # an empty task (which TaskStream never lets through), tasks of unequal
+    # size, and a seed count other than the task count
+    monkeypatch.setattr(eatcl.strategies, "batch_step", _no_step)
     task = _small_stream(26, tasks=1).tasks[0]
-    xs = np.stack([task.x, task.x])
-    ts = np.stack([_targets(task)] * 2)
-    for seeds in ([[1]], [[1], [2], [3]]):
-        with pytest.raises(ValueError, match="external seeds"):
-            eat_generate(xs, ts, (8, 5, 2), _cfg(), seeds, [{"external": 0}] * 2)
+    empty = Dataset(np.zeros((0, 8)), np.zeros(0, dtype=int), task.classes)
+    short = Dataset(task.x[:-1], task.y[:-1], task.classes)
+    cases = [([empty], [[1]], r"sizes \[0\]"),
+             ([task, short], [[1], [2]], rf"sizes \[{len(short)}, {len(task)}\]"),
+             ([task, task], [[1]], "external seeds"),
+             ([task, task], [[1], [2], [3]], "external seeds")]
+    for tasks, seeds, match in cases:
+        with pytest.raises(ValueError, match=match):
+            eat_generate(tasks, (8, 5, 2), _cfg(), seeds, [{"external": 0}] * len(seeds))
 
 
 def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
@@ -281,14 +292,11 @@ def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
     # task-major, member, generation order
     streams = [_small_stream(21), _small_stream(22)]
     steps = len(streams[0].tasks)
-    tasks = [s.tasks[t] for t in range(steps) for s in streams]  # task-major
     calls = []
 
-    def recording(xs, targets, layer_sizes, cfg, seeds, counts):
-        assert xs.tobytes() == np.stack([t.x for t in tasks]).tobytes()
-        assert targets.tobytes() == np.stack([_targets(t, 6) for t in tasks]).tobytes()
-        calls.append(seeds)
-        return eat_generate(xs, targets, layer_sizes, cfg, seeds, counts)
+    def recording(tasks, layer_sizes, cfg, seeds, counts):
+        calls.append((tasks, seeds))
+        return eat_generate(tasks, layer_sizes, cfg, seeds, counts)
 
     monkeypatch.setattr(eatcl.strategies, "eat_generate", recording)
     for refresh in (False, True):
@@ -296,8 +304,13 @@ def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
         cfg = _cfg(eat_refresh=refresh)
         _train_group(streams, "derpp_eat", cfg, (5, 7))
         epochs = range(1, cfg.epochs_per_task) if refresh else []
-        assert calls == [[seed for t in range(steps) for m in (5, 7)
-                          for seed in [[m, 4, t]] + [[m, 4, t, e] for e in epochs]]], refresh
+        ((tasks, seeds),) = calls
+        assert seeds == [seed for t in range(steps) for m in (5, 7)
+                         for seed in [[m, 4, t]] + [[m, 4, t, e] for e in epochs]], refresh
+        # each external trains on its member's task, in the same order
+        assert [id(task) for task in tasks] == [
+            id(s.tasks[t]) for t in range(steps) for s in streams
+            for _ in range(1 + len(epochs))], refresh
 
 
 def _sized_stream(seed, sizes, dim=4):
@@ -320,8 +333,8 @@ def test_eat_group_with_tasks_of_two_sizes(monkeypatch):
     calls, refs = [], {}  # refs: id of an external -> (external, its task, its copy)
     real_attack = eatcl.strategies.attack
 
-    def recording(xs, targets, layer_sizes, cfg, ext_seeds, counts):
-        externals = eat_generate(xs, targets, layer_sizes, cfg, ext_seeds, counts)
+    def recording(tasks, layer_sizes, cfg, ext_seeds, counts):
+        externals = eat_generate(tasks, layer_sizes, cfg, ext_seeds, counts)
         for seed, (ext, _) in zip(ext_seeds, externals):
             task = streams[seeds.index(seed[0])].tasks[seed[2]]
             ref_model, ref_copy = _external_alone(task, layer_sizes, cfg, seed)
@@ -400,7 +413,7 @@ def test_buffer_holds_only_clean_current_rows(monkeypatch):
 
     monkeypatch.setattr(eatcl.strategies, "ReplayBuffer", RecordedBuffer)
     _train(stream, "er_eat", cfg)
-    (buf,) = made
+    (buf,) = [b for b in made if b.capacity]  # the target's: the externals' holds no rows
     assert buf.sizes == [cfg.buffer_capacity]
     for row in buf.x[0]:
         assert tuple(row) in clean_rows
@@ -408,15 +421,26 @@ def test_buffer_holds_only_clean_current_rows(monkeypatch):
 
 def _record_run_task(monkeypatch):
     # the tasks handed to _run_task at each step are the data a run touches,
-    # recorded with the task index it is given
-    seen = []
+    # recorded with the task index it is given; the +EAT externals' own
+    # training, inside eat_generate, is not a step of the run
+    seen, generating = [], []
     real_run_task = eatcl.strategies._run_task
+    real_eat_generate = eatcl.strategies.eat_generate
 
     def recording(model, index, tasks, *args):
-        seen.append((index, tasks))
+        if not generating:
+            seen.append((index, tasks))
         return real_run_task(model, index, tasks, *args)
 
+    def flagged(*args):
+        generating.append(True)
+        try:
+            return real_eat_generate(*args)
+        finally:
+            generating.pop()
+
     monkeypatch.setattr(eatcl.strategies, "_run_task", recording)
+    monkeypatch.setattr(eatcl.strategies, "eat_generate", flagged)
     return seen
 
 

@@ -106,8 +106,6 @@ _SCHEMA: dict[str, tuple] = {
     "train.at_mix": (str,),
     "train.eat_external_epochs": (int,),
     "train.eat_refresh": (_parse_bool,),
-    "train.der_alpha": (_parse_float,),
-    "train.derpp_beta": (_parse_float,),
     "attack.kind": (str,),
     "attack.eps": (_parse_float,),
     "attack.alpha": (_parse_float,),
@@ -167,8 +165,9 @@ def _validate(cfg: dict) -> None:
     for s in cfg["strategies"]:
         if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}; pick from {sorted(STRATEGIES)}")
-    if len(set(cfg["seeds"])) != len(cfg["seeds"]):
-        raise ConfigError("seeds must be distinct")
+    for key in ("strategies", "seeds"):
+        if len(set(cfg[key])) != len(cfg[key]):
+            raise ConfigError(f"{key} must be distinct")
     if min(cfg["seeds"]) < 0:
         raise ConfigError("seeds must be >= 0")
     if not (0.0 < cfg["crescents.minority_fraction"] <= 1.0):

@@ -6,9 +6,9 @@ names. The replay schemes are joint training (``joint``: all tasks merged
 into one, no buffer), experience replay (``er``: a batch drawn from a
 reservoir buffer is appended to every current batch), and dark experience
 replay (``der``, Buzzega et al., 2020: a distillation term on the logits
-stored with a buffer batch; ``derpp`` also adds a beta-weighted
-cross-entropy term on a second buffer batch). The robustness schemes are
-clean training and:
+stored with a buffer batch, weighted DER_ALPHA = 0.5; ``derpp`` also adds
+a cross-entropy term on a second buffer batch, weighted DERPP_BETA = 0.5).
+The robustness schemes are clean training and:
 
 * +AT — on-the-fly adversarial training against the target model; attacks
   every label-supervised batch (current task and replayed samples).
@@ -66,6 +66,8 @@ from .replay import ReplayBuffer
 
 STRATEGIES = ("joint", "joint_at", "er", "er_at", "er_cat", "er_eat",
               "der", "der_at", "der_eat", "derpp", "derpp_at", "derpp_eat")
+DER_ALPHA = 0.5  # DER's distillation weight
+DERPP_BETA = 0.5  # DER++'s label weight
 # the buffer batches a replaying step samples
 _BUFFER_BATCHES = {"er": 1, "der": 1, "derpp": 2}
 
@@ -87,8 +89,6 @@ class TrainConfig:
     buffer_capacity: int = 200
     attack: AttackConfig = field(default_factory=AttackConfig)
     eat_external_epochs: int = 10
-    der_alpha: float = 0.5
-    derpp_beta: float = 0.5
     hidden: tuple[int, ...] = (32,)  # hidden layer widths
     replay_batch_size: int | None = None  # None -> batch_size
     at_mix: str = "replace"  # "replace" | "union"
@@ -105,8 +105,6 @@ class TrainConfig:
             raise ValueError("buffer_capacity must be >= 0")
         if self.eat_external_epochs < 1:
             raise ValueError("eat_external_epochs must be >= 1")
-        if not all(w >= 0 and math.isfinite(w) for w in (self.der_alpha, self.derpp_beta)):
-            raise ValueError("loss weights must be finite and >= 0")
         if self.at_mix not in ("replace", "union"):
             raise ValueError(f"at_mix must be 'replace' or 'union', got {self.at_mix!r}")
         if not all(h >= 1 for h in self.hidden):
@@ -258,7 +256,7 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
     _, grads = loss_and_grads(model, _flat(x), ce)
     if batches and replay in ("der", "derpp"):
         bx, _, blogits = buffer.sample_arrays(batches[0])
-        _, der_grads = der_terms(model, bx, blogits, cfg.der_alpha)
+        _, der_grads = der_terms(model, bx, blogits, DER_ALPHA)
         grads = add_grads(grads, der_grads)
         if replay == "derpp":
             bx2, bt2, _ = buffer.sample_arrays(batches[1])
@@ -266,7 +264,7 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
                 bx2 = attack(model, bx2, bt2, cfg.attack, atk_rng)
                 for m in members:
                     m.log.attack_counts["memory"] += len(bx2) // len(members)
-            _, label_grads = derpp_label_terms(model, bx2, bt2, cfg.derpp_beta)
+            _, label_grads = derpp_label_terms(model, bx2, bt2, DERPP_BETA)
             grads = add_grads(grads, label_grads)
     stepped = sgd_step(model, grads, cfg.lr)
     current_adv = adv[:, :b] if n_atk else None

@@ -1,6 +1,7 @@
 """Every public function and method in src/eatcl has a caller in src/eatcl,
-every module but eatcl/__init__.py uses each name it imports, and one
-training loop steps every model.
+every module but eatcl/__init__.py uses each name it imports, one
+training loop steps every model, and a shipped config sets every config
+key but one.
 
 A name counts as used when it occurs anywhere in the package as a name, an
 attribute or an import alias; being re-exported by eatcl/__init__.py counts,
@@ -9,6 +10,10 @@ the tests (see reference.py)."""
 
 import ast
 from pathlib import Path
+
+from eatcl.runner import _SCHEMA
+
+from conftest import CONFIG_DIR
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eatcl"
 
@@ -99,3 +104,10 @@ def _call_sites(name: str) -> list[str]:
 def test_one_training_loop():
     # every model, the target and +EAT's externals alike, steps in one place
     assert _call_sites("sgd_step") == ["strategies.batch_step"]
+
+
+def test_every_config_key_is_set_by_a_shipped_config():
+    set_keys = {line.split("#", 1)[0].partition("=")[0].strip()
+                for path in CONFIG_DIR.glob("*.conf") for line in path.read_text().splitlines()}
+    # train.eat_refresh goes with ROADMAP item 1: perfbench/workloads.py reads it
+    assert set(_SCHEMA) - set_keys == {"train.eat_refresh"}

@@ -52,6 +52,7 @@ def test_validate_bad_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("old, new", [
     ("seeds = 0 1", "seeds = 0 -1"),
+    ("strategies = joint", "strategies = joint joint"),
     ("crescents.per_class = 25", "crescents.per_class = 0"),
     ("crescents.test_per_class = 20", "crescents.test_per_class = 0"),
     ("dataset = crescents", "dataset = blobs\nblobs.per_class = 0"),
@@ -64,7 +65,7 @@ def test_validate_bad_config(tmp_path, capsys):
     ("attack.eps = 0.1", "attack.eps = inf"),
     ("attack.iters = 2", "attack.iters = 2\neval.attack.eps = nan"),
     ("train.hidden = 3", "train.hidden = 3\ntrain.lr = inf"),
-    ("train.hidden = 3", "train.hidden = 3\ntrain.der_alpha = nan"),
+    ("attack.alpha = 0.1", "attack.alpha = nan"),
     ("dataset = crescents", "dataset = blobs\nblobs.noise = nan"),
     ("crescents.per_class = 25", "crescents.per_class = 25\ncrescents.noise = nan"),
     # an eps ball too wide for the random start to draw from

@@ -64,7 +64,8 @@ def test_unknown_key_reports_line():
 def test_removed_keys_are_unknown():
     for line in ("save.grids = false", "grid.resolution = 8", "attack.clip = 0 1",
                  "attack.random_start = true", "eval.attack.random_start = true",
-                 "eval.seed = 0", "save.models = false"):
+                 "eval.seed = 0", "save.models = false", "train.der_alpha = 0.5",
+                 "train.derpp_beta = 0.5"):
         key = line.partition(" ")[0]
         with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
             parse_config(f"experiment = x\n{line}\n")
@@ -83,7 +84,7 @@ def test_bad_value_reports_key_and_line():
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_float_reports_key_and_line(value):
     floats = [k for k, v in default_config().items() if isinstance(v, float)]
-    assert len(floats) == 9
+    assert len(floats) == 7
     for key in floats + ["eval.attack.eps", "eval.attack.alpha"]:
         with pytest.raises(ConfigError,
                            match=f"line 2: bad value for '{key}': not a finite number"):
@@ -105,8 +106,10 @@ def test_validation_errors():
         parse_config("strategies = er teleport\n")
     with pytest.raises(ConfigError, match="dataset"):
         parse_config("dataset = mnist\n")
-    with pytest.raises(ConfigError, match="distinct"):
+    with pytest.raises(ConfigError, match="seeds must be distinct"):
         parse_config("seeds = 1 1\n")
+    with pytest.raises(ConfigError, match="strategies must be distinct"):
+        parse_config("strategies = er er\nseeds = 0 1\n")
     with pytest.raises(ConfigError, match="seeds must be >= 0"):
         parse_config("seeds = 0 -1\n")
     with pytest.raises(ConfigError):
@@ -145,8 +148,6 @@ train.replay_batch_size = 9
 train.at_mix = union
 train.eat_external_epochs = 2
 train.eat_refresh = true
-train.der_alpha = 0.3
-train.derpp_beta = 0.2
 attack.kind = fgsm
 attack.eps = 0.1
 attack.alpha = 0.05

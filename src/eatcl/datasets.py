@@ -62,6 +62,8 @@ class TaskStream:
     tasks: list[Dataset]  # task i's classes are its class set
 
     def __post_init__(self):
+        if not self.tasks:
+            raise ValueError("a stream needs at least one task")
         seen: set[int] = set()
         for i, t in enumerate(self.tasks):
             if len(t) == 0:

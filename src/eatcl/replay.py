@@ -26,16 +26,16 @@ import numpy as np
 
 
 class ReplayBuffer:
-    """Reservoir buffers of E members, each with its own seen count and size
-    of every row planned so far. Single-writer; the training loop owns it.
-    The arrays are made at the first insert: a capacity-0 buffer has none."""
+    """Reservoir buffers of E members, each with its own count of every row
+    planned so far; a member holds min(seen count, capacity) rows.
+    Single-writer; the training loop owns it. The arrays are made at the
+    first insert: a capacity-0 buffer has none."""
 
     def __init__(self, capacity: int, members: int = 1):
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self.seen_counts = [0] * members
-        self.sizes = [0] * members
         self.x = self.targets = self.logits = None
         self._flat = ()  # (E * capacity, ...) views of x, targets and logits
 
@@ -52,7 +52,7 @@ class ReplayBuffer:
         of a step draw one slot, the later one stays. Each member's draws
         come from one call.
         """
-        counts = np.asarray(counts, dtype=np.int64).reshape(-1, len(self.sizes))
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1, len(self.seen_counts))
         cap, steps = self.capacity, len(counts)
         seen0 = np.asarray(self.seen_counts)
         seen = seen0 + np.cumsum(counts, axis=0)  # each member's, after each step
@@ -89,7 +89,6 @@ class ReplayBuffer:
         # step t's writes are at[cuts[t]:cuts[t + 1]], and their rows likewise
         cuts = np.searchsorted(write_step, np.arange(steps + 1)).tolist()
         self.seen_counts = (seen0 + counts.sum(axis=0)).tolist()
-        self.sizes = np.minimum(self.seen_counts, cap).tolist()
         batches = iter(sample_idx)
         return [([next(batches) for _ in range(samples)] if r else [],
                  (n, at[a:b], row[a:b]))
@@ -108,7 +107,7 @@ class ReplayBuffer:
         if len(x) != n:
             raise ValueError(f"the plan offers {n} rows at this step, got {len(x)}")
         if self.x is None and self.capacity and len(x):
-            shape = (len(self.sizes), self.capacity)
+            shape = (len(self.seen_counts), self.capacity)
             self.x, self.targets, self.logits = (
                 None if a is None else np.empty(shape + a.shape[1:], dtype=a.dtype)
                 for a in offered)

@@ -1,13 +1,14 @@
 """Training strategies over a task stream.
 
-A strategy is one replay scheme combined with one robustness scheme, named
-``<replay>`` or ``<replay>_<robust>``; ``STRATEGIES`` lists the accepted
-names. The replay schemes are joint training (``joint``: all tasks merged
-into one, no buffer), experience replay (``er``: a batch drawn from a
-reservoir buffer is appended to every current batch), and dark experience
-replay (``der``, Buzzega et al., 2020: a distillation term on the logits
-stored with a buffer batch, weighted DER_ALPHA = 0.5; ``derpp`` also adds
-a cross-entropy term on a second buffer batch, weighted DERPP_BETA = 0.5).
+A strategy is one replay scheme combined with one robustness scheme,
+named ``<replay>`` or ``<replay>_<robust>``; ``STRATEGIES`` lists the
+accepted names, and configs/smoke.conf runs each of them. The replay
+schemes are joint training (``joint``: all tasks merged into one, no
+buffer), experience replay (``er``: a batch drawn from a reservoir buffer
+is appended to every current batch), and dark experience replay (``der``,
+Buzzega et al., 2020: a distillation term on the logits stored with a
+buffer batch, weighted DER_ALPHA = 0.5; ``derpp`` also adds a
+cross-entropy term on a second buffer batch, weighted DERPP_BETA = 0.5).
 The robustness schemes are clean training and:
 
 * +AT — on-the-fly adversarial training against the target model; attacks
@@ -36,8 +37,8 @@ index and runs one attack, one gradient pass and one SGD step for all of
 them; one loop, ``_run_task`` over ``batch_step``, trains every model.
 +EAT's external models never see the target, so every external of the
 group, one per task, member and generation, trains before the first
-task, in lockstep too: one stacked model per distinct task size (one for
-every shipped stream). The group shares one replay buffer, in which each
+task, in lockstep too: one stacked model, so +EAT takes tasks of one
+size. The group shares one replay buffer, in which each
 member has its own block of rows. Its draws never depend on the model,
 so each epoch is planned when it starts (see replay), and the plan alone
 says which steps replay; each step samples every member with one take
@@ -318,25 +319,19 @@ def _eat_externals(plan, layer_sizes, cfg: TrainConfig, members) -> dict:
     task, member e's list of (model, attack rng), one per generation of its
     adversarial copy (one per task, or one per epoch with eat_refresh).
 
-    One eat_generate call per distinct task size trains all of that size's
-    externals, seeded (member seed, 4, task, *generation) in task-major,
-    member, generation order, each on its member's task.
+    One eat_generate call trains them all, seeded (member seed, 4, task,
+    *generation) in task-major, member, generation order, each on its
+    member's task. So every task must have one size: if not, that call
+    raises ValueError before any external trains.
     """
     gens = [()] + [(e,) for e in range(1, cfg.epochs_per_task) if cfg.eat_refresh]
-    by_size = {}
-    for _, index, tasks in plan:
-        by_size.setdefault(len(tasks[0]), []).append((index, tasks))
-    externals = {}
-    for group in by_size.values():
-        ext = iter(eat_generate([task for _, tasks in group for task in tasks for _ in gens],
-                                layer_sizes, cfg,
-                                [_sub(m.seed, 4, index, *g)
-                                 for index, _ in group for m in members for g in gens],
-                                [m.log.attack_counts
-                                 for _ in group for m in members for _ in gens]))
-        for index, _ in group:
-            externals[index] = [[next(ext) for _ in gens] for _ in members]
-    return externals
+    ext = iter(eat_generate([task for _, _, tasks in plan for task in tasks for _ in gens],
+                            layer_sizes, cfg,
+                            [_sub(m.seed, 4, index, *g)
+                             for _, index, _ in plan for m in members for g in gens],
+                            [m.log.attack_counts
+                             for _ in plan for m in members for _ in gens]))
+    return {index: [[next(ext) for _ in gens] for _ in members] for _, index, _ in plan}
 
 
 def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConfig,
@@ -418,9 +413,10 @@ def train_streams(streams, tests, strategy: str, cfg: TrainConfig, seeds,
     is one merged task with an empty buffer, trained and snapshotted at the
     last step.
 
-    The streams must give one model shape and one size per task; otherwise
-    ValueError, before any training. One diverging run raises for all of
-    them.
+    The streams must give one model shape and one size per task, +EAT's
+    tasks one size, and each test stream the task count and input dim of
+    its stream and classes the head holds; otherwise ValueError, before any
+    training. One diverging run raises for all of them.
     """
     replay, robust = parse_strategy(strategy)
     if not streams or not len(streams) == len(tests) == len(seeds):
@@ -434,7 +430,9 @@ def train_streams(streams, tests, strategy: str, cfg: TrainConfig, seeds,
         raise ValueError(f"runs trained in lockstep need one model shape and one "
                          f"size per task, got (layer sizes, task sizes) {sorted(shapes)}")
     ((layer_sizes, _),) = shapes
-    for s in streams:  # every label is one of its stream's classes: check them now
+    for s in [*streams, *tests]:  # every label is one of its stream's classes
+        if s.input_dim != layer_sizes[0]:
+            raise ValueError(f"input dim {s.input_dim} != model input {layer_sizes[0]}")
         one_hot(np.array(s.all_classes), layer_sizes[-1])
     model = _lockstep([init_model(layer_sizes, _sub(seed, 0)) for seed in seeds])
     members = [_Member(s, test, seed, _Rngs.for_seed(seed))

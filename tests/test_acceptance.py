@@ -226,14 +226,15 @@ def test_stream_fgsm_orderings_and_cost(shipped_runs):
 
 
 def test_stream_eat_one_external_call_per_group(shipped_runs):
-    """Each _eat strategy's lockstep group trains all of its external models
-    with one eat_generate call, since every task of a shipped stream has
-    one size."""
-    for name in ("stream_pgd", "stream_fgsm"):
-        run = shipped_runs[name]
-        groups = sum(s.endswith("_eat") for s in run.cfg["strategies"])
-        assert groups >= 1 and run.eat_generates == groups, name
-    print("PASS one eat_generate call per _eat group")
+    """In every shipped config, each _eat strategy's lockstep group trains
+    all of its external models with one eat_generate call, and no other
+    group makes one; smoke runs three _eat groups."""
+    groups = {}
+    for name, run in shipped_runs.items():
+        groups[name] = sum(s.endswith("_eat") for s in run.cfg["strategies"])
+        assert run.eat_generates == groups[name], name
+    assert groups["smoke"] == 3 and groups["stream_pgd"] >= 1 and groups["stream_fgsm"] >= 1
+    print(f"PASS one eat_generate call per _eat group: {groups}")
 
 
 def _final_robustness(run, atk: AttackConfig) -> dict[str, float]:

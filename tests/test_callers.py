@@ -1,7 +1,8 @@
 """Every public function and method in src/eatcl has a caller in src/eatcl,
 every module but eatcl/__init__.py uses each name it imports, one
-training loop steps every model, and a shipped config sets every config
-key but one.
+training loop steps every model, a shipped config sets every config key
+but one, smoke.conf runs every strategy, and every mutant in mutants.py
+still applies to the source.
 
 A name counts as used when it occurs anywhere in the package as a name, an
 attribute or an import alias; being re-exported by eatcl/__init__.py counts,
@@ -11,9 +12,11 @@ the tests (see reference.py)."""
 import ast
 from pathlib import Path
 
-from eatcl.runner import _SCHEMA
+from eatcl.runner import _SCHEMA, parse_config
+from eatcl.strategies import STRATEGIES
 
 from conftest import CONFIG_DIR
+from mutants import MUTANTS, ROOT
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eatcl"
 
@@ -111,3 +114,18 @@ def test_every_config_key_is_set_by_a_shipped_config():
                 for path in CONFIG_DIR.glob("*.conf") for line in path.read_text().splitlines()}
     # train.eat_refresh goes with ROADMAP item 1: perfbench/workloads.py reads it
     assert set(_SCHEMA) - set_keys == {"train.eat_refresh"}
+
+
+def test_smoke_runs_every_strategy():
+    # so the smoke digests pin every strategy's training path
+    smoke = parse_config((CONFIG_DIR / "smoke.conf").read_text())
+    assert sorted(smoke["strategies"]) == sorted(STRATEGIES)  # parse_config rejects repeats
+
+
+def test_every_mutant_applies_once():
+    # running mutants.py is slow; this keeps its list in step with the code
+    for name, old, _, test_ids in MUTANTS:
+        assert (SRC / name).read_text().count(old) == 1, (name, old)
+        for test_id in test_ids:
+            path, _, func = test_id.partition("::")
+            assert f"\ndef {func}(" in (ROOT / path).read_text(), test_id

@@ -87,6 +87,12 @@ def test_task_stream_rejects_overlapping_class_sets():
         TaskStream([t0, t1])
 
 
+def test_task_stream_rejects_no_tasks():
+    # train_streams would fail at its first look at the stream's input dim
+    with pytest.raises(ValueError, match="at least one task"):
+        TaskStream([])
+
+
 def test_task_stream_rejects_a_task_with_no_rows():
     # a stream whose later task is empty would train the earlier tasks and
     # only then fail; the stream is rejected when it is built

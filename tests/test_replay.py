@@ -21,12 +21,17 @@ def _rows(ids, dim=3, with_logits=False):
     return x, one_hot(ids.astype(np.int64) % 5, 5), logits
 
 
+def _sizes(buf):
+    """The rows each member holds: all it has seen, up to capacity."""
+    return [min(seen, buf.capacity) for seen in buf.seen_counts]
+
+
 def _insert(buf, ids, rng, member=0, with_logits=False):
     """One planned step in which member offers the rows of ids and every
     other member none."""
-    counts = [0] * len(buf.sizes)
+    counts = [0] * len(buf.seen_counts)
     counts[member] = len(ids)
-    ((batches, writes),) = buf.plan_epoch([counts], 0, 1, [rng] * len(buf.sizes))
+    ((batches, writes),) = buf.plan_epoch([counts], 0, 1, [rng] * len(counts))
     assert batches == []
     buf.insert(writes, *_rows(ids, with_logits=with_logits))
 
@@ -46,7 +51,7 @@ def _sample(buf, batch_size, rngs):
 
 def _kept(buf, member=0):
     """The stream items member's block holds, slot by slot."""
-    size = buf.sizes[member]
+    size = _sizes(buf)[member]
     return [] if size == 0 else buf.x[member, :size, 0].astype(int).tolist()
 
 
@@ -85,7 +90,7 @@ def _run_against_reference(capacity, epochs, samples, batch_size, seed, with_log
                         assert getattr(buf, name)[e, :len(rows)].tobytes() == \
                             np.stack([r[k] for r in rows]).tobytes()
         assert buf.seen_counts == ref.seen_counts
-        assert buf.sizes == ref.sizes
+        assert _sizes(buf) == ref.sizes
     assert (buf.logits is None) == (not with_logits or not any(ref.sizes))
     for rb, rr in zip(rngs_buf, rngs_ref):
         assert rb.bit_generator.state == rr.bit_generator.state
@@ -158,7 +163,7 @@ def test_fill_phase_keeps_everything():
     rng = np.random.default_rng(0)
     for i in range(10):
         _insert(buf, [i], rng)
-    assert buf.sizes == [10]
+    assert _sizes(buf) == [10]
     assert buf.seen_counts == [10]
     assert sorted(_kept(buf)) == list(range(10))
 
@@ -168,9 +173,9 @@ def test_capacity_bound_and_seen_count():
     rng = np.random.default_rng(1)
     for i in range(100):
         _insert(buf, [i], rng)
-        assert buf.sizes[0] <= 5
+        assert _sizes(buf)[0] <= 5
     assert buf.seen_counts == [100]
-    assert buf.sizes == [5]
+    assert _sizes(buf) == [5]
 
 
 def test_capacity_zero_accepts_nothing():
@@ -178,7 +183,7 @@ def test_capacity_zero_accepts_nothing():
     rng = np.random.default_rng(2)
     for i in range(10):
         _insert(buf, [i], rng)
-    assert buf.sizes == [0]
+    assert _sizes(buf) == [0]
     assert buf.seen_counts == [10]
     assert buf.x is None  # allocates nothing
     assert _sample_plan(buf, 1, [rng]) == []  # and never replays
@@ -305,14 +310,14 @@ def test_members_equal_one_member_buffers(capacity, calls, seed):
             alone[e].insert(plans[e][t][1], *(a[lo:lo + n] for a in rows))
         start += sum(counts)
     assert group.seen_counts == [b.seen_counts[0] for b in alone]
-    assert group.sizes == [b.sizes[0] for b in alone]
+    assert _sizes(group) == [_sizes(b)[0] for b in alone]
     for e, b in enumerate(alone):
-        size = b.sizes[0]
+        size = _sizes(b)[0]
         for name in ("x", "targets", "logits"):
             if size:
                 assert getattr(group, name)[e, :size].tobytes() == \
                     getattr(b, name)[0, :size].tobytes()
-    if all(group.sizes):
+    if all(_sizes(group)):
         got = _sample(group, 7, rngs_group)
         want = [_sample(b, 7, [r]) for b, r in zip(alone, rngs_alone)]
         for k in range(3):
@@ -334,7 +339,7 @@ def test_sampling_an_empty_member_raises():
     buf = ReplayBuffer(4, 2)
     rng = np.random.default_rng(12)
     _insert(buf, [0, 1, 2], rng, member=0)
-    assert buf.sizes == [3, 0]
+    assert _sizes(buf) == [3, 0]
     # while a member is empty, the planned step holds no buffer batch
     assert _sample_plan(buf, 2, [rng, rng]) == []
 
@@ -357,7 +362,7 @@ def test_invariants_hold_for_any_stream(n, capacity, seed):
     rng = np.random.default_rng(seed)
     for i in range(n):
         _insert(buf, [i], rng)
-    assert buf.sizes == [min(n, capacity)]
+    assert _sizes(buf) == [min(n, capacity)]
     assert buf.seen_counts == [n]
 
 

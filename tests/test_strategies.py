@@ -323,11 +323,11 @@ def _sized_stream(seed, sizes, dim=4):
     return TaskStream(tasks)
 
 
-def test_eat_group_with_tasks_of_two_sizes(monkeypatch):
-    # one eat_generate call per task size: every external, and the copy the
+def test_eat_group_externals_and_copies_equal_each_trained_alone(monkeypatch):
+    # one eat_generate call for the group: every external, and the copy the
     # target trains on, equals one trained alone on its own task, and each
     # member of the group equals that member trained alone
-    streams = [_sized_stream(s, (20, 12, 20)) for s in (50, 51)]
+    streams = [_sized_stream(s, (20, 20, 20)) for s in (50, 51)]
     seeds = (5, 7)
     cfg = _cfg(eat_external_epochs=2, batch_size=8)
     calls, refs = [], {}  # refs: id of an external -> (external, its task, its copy)
@@ -353,7 +353,7 @@ def test_eat_group_with_tasks_of_two_sizes(monkeypatch):
     monkeypatch.setattr(eatcl.strategies, "eat_generate", recording)
     monkeypatch.setattr(eatcl.strategies, "attack", recording_attack)
     group = _train_group(streams, "er_eat", cfg, seeds)
-    assert calls == [[0, 0, 2, 2], [1, 1]]
+    assert calls == [[0, 0, 1, 1, 2, 2]]
     assert not refs  # every external made its copy
     monkeypatch.undo()
     for run, stream, seed in zip(group, streams, seeds):
@@ -414,7 +414,7 @@ def test_buffer_holds_only_clean_current_rows(monkeypatch):
     monkeypatch.setattr(eatcl.strategies, "ReplayBuffer", RecordedBuffer)
     _train(stream, "er_eat", cfg)
     (buf,) = [b for b in made if b.capacity]  # the target's: the externals' holds no rows
-    assert buf.sizes == [cfg.buffer_capacity]
+    assert min(buf.seen_counts[0], buf.capacity) == cfg.buffer_capacity  # full
     for row in buf.x[0]:
         assert tuple(row) in clean_rows
 
@@ -623,8 +623,14 @@ def _no_step(*args, **kwargs):
 
 def test_lockstep_rejects_mismatched_runs_before_any_step(monkeypatch):
     monkeypatch.setattr(eatcl.strategies, "batch_step", _no_step)
-    monkeypatch.setattr(eatcl.strategies, "eat_generate", _no_step)
     base, seeds = _small_stream(1), (1, 2)
+    # +EAT trains every external of the group in one eat_generate call,
+    # which rejects tasks of two sizes; plain ER trains on them (below)
+    two_sizes = [_sized_stream(s, (20, 12, 20)) for s in (50, 51)]
+    for streams, run_seeds in ((two_sizes, seeds), (two_sizes[:1], seeds[:1])):
+        with pytest.raises(ValueError, match=r"sizes \[12, 20\]"):
+            _train_group(streams, "er_eat", _cfg(), run_seeds)
+    monkeypatch.setattr(eatcl.strategies, "eat_generate", _no_step)
     cases = [
         # task sizes, input dim, task count
         ([base, gen_blob_stream(3, 2, 8, 31, 1.5, 0.3, seed=2)], seeds, None),
@@ -634,11 +640,16 @@ def test_lockstep_rejects_mismatched_runs_before_any_step(monkeypatch):
         ([base, _small_stream(2)], (1,), None),
         ([base, _small_stream(2)], seeds, [base]),
         ([], (), None),
+        # a test stream of another input dim, or with a class the head lacks
+        ([base], seeds[:1], [gen_blob_stream(3, 2, 7, 30, 1.5, 0.3, seed=2)]),
+        ([base], seeds[:1], [gen_blob_stream(3, 3, 8, 30, 1.5, 0.3, seed=2)]),
     ]
     for (streams, run_seeds, tests), strategy in itertools.product(
             cases, ("er", "joint_at", "der_eat")):
         with pytest.raises(ValueError):
             _train_group(streams, strategy, _cfg(), run_seeds, tests)
+    monkeypatch.undo()
+    assert len(_train_group(two_sizes, "er", _cfg(), seeds)) == 2
 
 
 def test_negative_class_id_in_a_later_task_fails_before_any_step(monkeypatch):
@@ -664,7 +675,9 @@ def test_stored_der_logits_equal_pre_step_forward_pass(monkeypatch):
         stepped.append(model)
         return real_sgd_step(model, grads, lr)
 
-    planned = []  # each planned step's rows per member
+    # each planned step's rows per member; the externals' capacity-0 buffer
+    # plans no step and takes no insert, so every insert comes with logits
+    planned = []
 
     class RecordedBuffer(ReplayBuffer):
         def plan_epoch(self, counts, *args):

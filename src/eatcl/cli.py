@@ -94,8 +94,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a path that is missing or not of the kind needed
+        reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"{reason}: {exc.filename}", file=sys.stderr)
         return 1
 
 

@@ -3,7 +3,8 @@
 Two generators cover the synthetic experiments: a two-band 2-D figure with
 sectioned channel geometry (the toy problem) and Gaussian blob streams (a
 desk-scale stand-in for the split image benchmarks). All generators are
-seed-deterministic.
+seed-deterministic, and the runner builds every config's data at their
+default noise and separation.
 
 A Dataset states its class set once, in `classes`, and every label is one of
 them. A task stream is its tasks' Datasets in stream order: task i is
@@ -34,6 +35,7 @@ TIP_BLOB_X = (1.3, 1.55)
 TIP_BLOB_Y = -0.13
 TIP_BLOB_JITTER = 7.0 / 3.0  # multiple of `noise`
 TIP_BLOB_SHARE = 0.16  # fraction of class-1 points placed in the blob
+CRESCENT_TEST_PER_CLASS = 1000  # the toy's balanced test set, per class
 
 
 @dataclass
@@ -173,7 +175,7 @@ def split_by_classes(d: Dataset, classes_per_task: int) -> TaskStream:
 
 
 def gen_blob_stream(num_tasks: int, classes_per_task: int, dim: int,
-                    n_per_class: int, separation: float, noise: float,
+                    n_per_class: int, separation: float = 0.09, noise: float = 0.05,
                     seed=0, sample_seed=None) -> TaskStream:
     """Gaussian clusters at seeded random centers, streamed in ascending class order.
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .attacks import AttackConfig
-from .datasets import TaskStream, gen_blob_stream, gen_crescent, imbalance_subsample
+from .datasets import (CRESCENT_TEST_PER_CLASS, TaskStream, gen_blob_stream, gen_crescent,
+                       imbalance_subsample)
 from .nets import MLPModel
 from .strategies import STRATEGIES, RunLog, TrainConfig, train_streams
 
@@ -86,20 +87,14 @@ _SCHEMA: dict[str, tuple] = {
     "strategies": (_parse_str_list, ("er",)),
     "seeds": (_parse_int_list, (0,)),
     "crescents.per_class": (int, 1000),
-    "crescents.noise": (_parse_float, 0.015),
-    "crescents.minority_class": (int, 1),
     "crescents.minority_fraction": (_parse_float, 1.0),
-    "crescents.test_per_class": (int, 1000),
     "blobs.tasks": (int, 5),
     "blobs.classes_per_task": (int, 2),
     "blobs.dim": (int, 16),
     "blobs.per_class": (int, 500),
     "blobs.test_per_class": (int, 200),
-    "blobs.separation": (_parse_float, 0.09),
-    "blobs.noise": (_parse_float, 0.05),
     "train.epochs_per_task": (int,),
     "train.batch_size": (int,),
-    "train.lr": (_parse_float,),
     "train.buffer_capacity": (int,),
     "train.hidden": (_parse_int_list,),
     "train.replay_batch_size": (_optional(int),),
@@ -160,6 +155,10 @@ def emit_config(cfg: dict) -> str:
 
 
 def _validate(cfg: dict) -> None:
+    name = cfg["experiment"]  # the run directory under the output root
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ConfigError(f"experiment must be one path component other than "
+                          f"'.' and '..', got {name!r}")
     if cfg["dataset"] not in ("crescents", "blobs"):
         raise ConfigError(f"dataset must be 'crescents' or 'blobs', got {cfg['dataset']!r}")
     for s in cfg["strategies"]:
@@ -203,25 +202,21 @@ def build_train_config(cfg: dict) -> TrainConfig:
 def build_streams(cfg: dict, seed: int) -> tuple[TaskStream, TaskStream]:
     """Train and test streams for one run seed. Test data is always
     balanced and freshly sampled; blob tasks share centers across the
-    two streams. A dataset value the generators reject is a ConfigError."""
+    two streams, and every generator keeps its default geometry. A dataset
+    value the generators reject is a ConfigError."""
     try:
         if cfg["dataset"] == "crescents":
-            train = gen_crescent(cfg["crescents.per_class"], cfg["crescents.noise"],
-                                 seed=[seed, 100])
+            train = gen_crescent(cfg["crescents.per_class"], seed=[seed, 100])
             frac = cfg["crescents.minority_fraction"]
-            if frac < 1.0:
-                train = imbalance_subsample(
-                    train, {cfg["crescents.minority_class"]: frac}, seed=[seed, 102])
-            test = gen_crescent(cfg["crescents.test_per_class"], cfg["crescents.noise"],
-                                seed=[seed, 101])
+            if frac < 1.0:  # class 1, the upper band, is the minority
+                train = imbalance_subsample(train, {1: frac}, seed=[seed, 102])
+            test = gen_crescent(CRESCENT_TEST_PER_CLASS, seed=[seed, 101])
             return TaskStream([train]), TaskStream([test])
         train = gen_blob_stream(cfg["blobs.tasks"], cfg["blobs.classes_per_task"],
                                 cfg["blobs.dim"], cfg["blobs.per_class"],
-                                cfg["blobs.separation"], cfg["blobs.noise"],
                                 seed=[seed, 100], sample_seed=[seed, 101])
         test = gen_blob_stream(cfg["blobs.tasks"], cfg["blobs.classes_per_task"],
                                cfg["blobs.dim"], cfg["blobs.test_per_class"],
-                               cfg["blobs.separation"], cfg["blobs.noise"],
                                seed=[seed, 100], sample_seed=[seed, 102])
     except ValueError as exc:
         raise ConfigError(f"{cfg['dataset']}: {exc}") from exc

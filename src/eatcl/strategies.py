@@ -9,6 +9,7 @@ is appended to every current batch), and dark experience replay (``der``,
 Buzzega et al., 2020: a distillation term on the logits stored with a
 buffer batch, weighted DER_ALPHA = 0.5; ``derpp`` also adds a
 cross-entropy term on a second buffer batch, weighted DERPP_BETA = 0.5).
+Every model, target and external alike, takes SGD steps at LR = 0.1.
 The robustness schemes are clean training and:
 
 * +AT — on-the-fly adversarial training against the target model; attacks
@@ -53,7 +54,6 @@ seeded by (0, step, task) alone and never disturbs training.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,6 +67,7 @@ from .replay import ReplayBuffer
 
 STRATEGIES = ("joint", "joint_at", "er", "er_at", "er_cat", "er_eat",
               "der", "der_at", "der_eat", "derpp", "derpp_at", "derpp_eat")
+LR = 0.1  # every model's SGD learning rate
 DER_ALPHA = 0.5  # DER's distillation weight
 DERPP_BETA = 0.5  # DER++'s label weight
 # the buffer batches a replaying step samples
@@ -86,7 +87,6 @@ def parse_strategy(name: str) -> tuple[str, str]:
 class TrainConfig:
     epochs_per_task: int = 50
     batch_size: int = 32
-    lr: float = 0.1
     buffer_capacity: int = 200
     attack: AttackConfig = field(default_factory=AttackConfig)
     eat_external_epochs: int = 10
@@ -96,8 +96,6 @@ class TrainConfig:
     eat_refresh: bool = False  # regenerate the adversarial task copy every epoch
 
     def __post_init__(self):
-        if not (self.lr > 0 and math.isfinite(self.lr)):
-            raise ValueError(f"lr must be > 0 and finite, got {self.lr}")
         if self.epochs_per_task < 1 or self.batch_size < 1:
             raise ValueError("epochs_per_task and batch_size must be >= 1")
         if self.replay_batch_size is not None and self.replay_batch_size < 1:
@@ -267,7 +265,7 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
                     m.log.attack_counts["memory"] += len(bx2) // len(members)
             _, label_grads = derpp_label_terms(model, bx2, bt2, DERPP_BETA)
             grads = add_grads(grads, label_grads)
-    stepped = sgd_step(model, grads, cfg.lr)
+    stepped = sgd_step(model, grads, LR)
     current_adv = adv[:, :b] if n_atk else None
     if writes is None:
         return stepped, current_adv

@@ -1,8 +1,8 @@
 """Every public function and method in src/eatcl has a caller in src/eatcl,
 every module but eatcl/__init__.py uses each name it imports, one
-training loop steps every model, a shipped config sets every config key
-but one, smoke.conf runs every strategy, and every mutant in mutants.py
-still applies to the source.
+training loop steps every model, every config key but three takes two
+values across the shipped configs, smoke.conf runs every strategy, and
+every mutant in mutants.py still applies to the source.
 
 A name counts as used when it occurs anywhere in the package as a name, an
 attribute or an import alias; being re-exported by eatcl/__init__.py counts,
@@ -109,11 +109,17 @@ def test_one_training_loop():
     assert _call_sites("sgd_step") == ["strategies.batch_step"]
 
 
-def test_every_config_key_is_set_by_a_shipped_config():
-    set_keys = {line.split("#", 1)[0].partition("=")[0].strip()
-                for path in CONFIG_DIR.glob("*.conf") for line in path.read_text().splitlines()}
-    # train.eat_refresh goes with ROADMAP item 1: perfbench/workloads.py reads it
-    assert set(_SCHEMA) - set_keys == {"train.eat_refresh"}
+def test_every_config_key_takes_two_values_in_the_shipped_configs():
+    # a setting with one value in use is a constant, not a key; a crescents.*
+    # or blobs.* key counts only in the configs of its dataset
+    configs = [parse_config(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.conf"))]
+    values = {key: {repr(cfg[key]) for cfg in configs
+                    if key.partition(".")[0] not in ("crescents", "blobs")
+                    or key.startswith(cfg["dataset"] + ".")}
+              for key in _SCHEMA}
+    # perfbench/workloads.py reads these three, so they go with ROADMAP item 1
+    assert {key for key, seen in values.items() if len(seen) < 2} == {
+        "crescents.per_class", "blobs.classes_per_task", "train.eat_refresh"}
 
 
 def test_smoke_runs_every_strategy():

@@ -19,7 +19,6 @@ dataset = crescents
 strategies = joint
 seeds = 0 1
 crescents.per_class = 25
-crescents.test_per_class = 20
 train.epochs_per_task = 2
 train.batch_size = 16
 train.buffer_capacity = 0
@@ -54,7 +53,6 @@ def test_validate_bad_config(tmp_path, capsys):
     ("seeds = 0 1", "seeds = 0 -1"),
     ("strategies = joint", "strategies = joint joint"),
     ("crescents.per_class = 25", "crescents.per_class = 0"),
-    ("crescents.test_per_class = 20", "crescents.test_per_class = 0"),
     ("dataset = crescents", "dataset = blobs\nblobs.per_class = 0"),
     # blob centers that fit for seed 2 but not for seed 0, the second seed
     ("dataset = crescents\nstrategies = joint\nseeds = 0 1",
@@ -64,10 +62,16 @@ def test_validate_bad_config(tmp_path, capsys):
     ("attack.eps = 0.1", "attack.eps = nan"),
     ("attack.eps = 0.1", "attack.eps = inf"),
     ("attack.iters = 2", "attack.iters = 2\neval.attack.eps = nan"),
-    ("train.hidden = 3", "train.hidden = 3\ntrain.lr = inf"),
+    ("train.hidden = 3", "train.hidden = 3\neval.attack.alpha = inf"),
     ("attack.alpha = 0.1", "attack.alpha = nan"),
-    ("dataset = crescents", "dataset = blobs\nblobs.noise = nan"),
-    ("crescents.per_class = 25", "crescents.per_class = 25\ncrescents.noise = nan"),
+    ("crescents.per_class = 25",
+     "crescents.per_class = 25\ncrescents.minority_fraction = nan"),
+    # an experiment name that is not one directory under the output root
+    ("experiment = cli", "experiment = .."),
+    ("experiment = cli", "experiment = ."),
+    ("experiment = cli", "experiment ="),
+    ("experiment = cli", "experiment = a/b"),
+    ("experiment = cli", "experiment = /tmp"),
     # an eps ball too wide for the random start to draw from
     ("attack.eps = 0.1", "attack.eps = 1e308"),
     ("attack.iters = 2", "attack.iters = 2\neval.attack.eps = 1e308"),
@@ -88,6 +92,24 @@ def test_bad_seed_or_dataset_value_fails_before_any_file(old, new, tmp_path, cap
 def test_missing_file_exit_code(capsys):
     assert main(["validate", "/nonexistent/x.conf"]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line", [
+    (["run", "{conf}", "--out", "{file}", "--quiet"], "File exists: {file}"),
+    (["report", "{file}"], "Not a directory: {file}/summary.json"),
+])
+def test_path_of_the_wrong_kind_is_one_line_not_a_traceback(command, line, conf_path,
+                                                           tmp_path, capsys):
+    # --out naming a file, or report given a file, exits 1 with one line
+    # naming the error and the path, and leaves the file alone
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    names = {"conf": conf_path, "file": a_file}
+    assert main([arg.format(**names) for arg in command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [line.format(**names)]
+    assert a_file.read_text() == ""
 
 
 def test_run_then_report_same_table(conf_path, tmp_path, capsys):

@@ -27,7 +27,6 @@ LAYERS = ("datasets", "nets", "attacks", "replay", "strategies", "metrics", "run
 SHRUNK = {
     "train.epochs_per_task": "2",
     "crescents.per_class": "12",
-    "crescents.test_per_class": "4",
     "blobs.per_class": "12",
     "blobs.test_per_class": "4",
     "blobs.tasks": "2",

@@ -14,7 +14,7 @@ from eatcl.nets import (MLPModel, forward, init_model, loss_and_grads, one_hot, 
                         softmax_ce, unstack_models)
 from eatcl.replay import ReplayBuffer
 from eatcl.runner import ConfigError, parse_config
-from eatcl.strategies import (STRATEGIES, TrainConfig, der_terms, derpp_label_terms,
+from eatcl.strategies import (LR, STRATEGIES, TrainConfig, der_terms, derpp_label_terms,
                               eat_generate, parse_strategy, train_streams)
 from reference import backward
 
@@ -224,7 +224,7 @@ def _external_alone(task, layer_sizes, cfg, seed):
             idx = perm[s:s + cfg.batch_size]
             adv = attack(ext, x[idx], y[idx], cfg.attack, atk_rng)
             grads = loss_and_grads(ext, adv, lambda z: softmax_ce(z, y[idx]))[1]
-            ext = sgd_step(ext, grads, cfg.lr)
+            ext = sgd_step(ext, grads, LR)
     return ext, attack(ext, x, y, cfg.attack, atk_rng)
 
 

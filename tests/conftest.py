@@ -17,9 +17,10 @@ config's final robustness per strategy under the shipped evaluation attack
 and the two stronger ones. The digests depend on the numeric build, so
 test_acceptance.py asserts them against tests/digests.json only on the
 build recorded there (build_facts).
-Every run's summary also prints the line counts of src/eatcl and of
-strategies.py, the number of config keys, and the number of TrainConfig and
-AttackConfig fields, which counts library-only options too.
+Every run's summary also prints the line counts of src/eatcl, of
+strategies.py and of tests/, the number of config keys, the number of
+TrainConfig and AttackConfig fields, which counts library-only options too,
+and the number of monkeypatch.setattr calls on eatcl.strategies in tests/.
 """
 
 import contextlib
@@ -27,6 +28,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -51,17 +53,17 @@ STRONGER = pytest.StashKey[dict]()
 
 class ConfigRun:
     """One executed config: its parsed config, run_experiment's results,
-    output directory, wall-clock seconds, attack gradient passes and
-    eat_generate calls."""
+    output directory, wall-clock seconds, attack gradient passes (calls of
+    attacks.ce_input_grad, one per attack step) and eat_generate calls."""
 
     def __init__(self, name: str, cfg: dict, results: list[RunResult], out_dir: Path,
-                 seconds: float, input_grads: int, eat_generates: int):
+                 seconds: float, attack_passes: int, eat_generates: int):
         self.name = name
         self.cfg = cfg
         self.results = results
         self.out_dir = out_dir
         self.seconds = seconds
-        self.input_grads = input_grads
+        self.attack_passes = attack_passes
         self.eat_generates = eat_generates
 
     @property
@@ -160,14 +162,20 @@ def pytest_terminal_summary(terminalreporter, config):
     passes and eat_generate calls; and, if measured, each config's
     robustness under the stronger evaluation attacks. First, on every run,
     the line counts of src/eatcl and strategies.py, the number of config
-    keys and the number of TrainConfig + AttackConfig fields."""
+    keys, the number of TrainConfig + AttackConfig fields, the line count
+    of tests/ and its monkeypatch.setattr calls on eatcl.strategies."""
     lines = {p.name: len(p.read_text().splitlines()) for p in SRC_DIR.glob("*.py")}
+    tests = [p.read_text() for p in Path(__file__).parent.glob("*.py")]
+    patches = sum(len(re.findall(r"monkeypatch\.setattr\(eatcl\.strategies\b", t))
+                  for t in tests)
     run_fields = sum(len(dataclasses.fields(c)) for c in (TrainConfig, AttackConfig))
     terminalreporter.section("source size")
     terminalreporter.write_line(f"src/eatcl {sum(lines.values())} lines, "
                                 f"{lines['strategies.py']} of them in strategies.py; "
                                 f"{len(default_config())} config keys, "
-                                f"{run_fields} TrainConfig + AttackConfig fields")
+                                f"{run_fields} TrainConfig + AttackConfig fields; tests/ "
+                                f"{sum(len(t.splitlines()) for t in tests)} lines, "
+                                f"{patches} monkeypatch.setattr calls on eatcl.strategies")
     runs = config.stash.get(RUNS, {})
     if not runs:
         return
@@ -183,7 +191,7 @@ def pytest_terminal_summary(terminalreporter, config):
         digests = passes = ""
         if name in runs:
             digests = "".join(f"  {f} {d[:8]}" for f, d in output_digests(runs[name]).items())
-            passes = (f"  {runs[name].input_grads} attack gradient passes, "
+            passes = (f"  {runs[name].attack_passes} attack gradient passes, "
                       f"{runs[name].eat_generates} eat_generate calls")
         terminalreporter.write_line(f"{name:<16} {s:7.1f} s{budget:<18}{digests}{passes}"
                                     .rstrip())

@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 _STRAT = "tests/test_strategies.py::"
 _REPLAY = "tests/test_replay.py::"
+_ORACLE = _STRAT + "test_train_streams_equals_reference_trainer"
 
 MUTANTS = [
     # +EAT: external seeds in generation-major order
@@ -38,13 +39,12 @@ MUTANTS = [
     ("strategies.py",
      "for _, index, _ in plan for m in members for g in gens]",
      "for m in members for _, index, _ in plan for g in gens]",
-     [_STRAT + "test_eat_external_seeds_per_task_and_epoch",
-      _STRAT + "test_eat_group_externals_and_copies_equal_each_trained_alone"]),
+     [_STRAT + "test_eat_external_seeds_per_task_and_epoch", _ORACLE]),
     # +EAT: a task's externals handed to the next task
     ("strategies.py",
      "externals.pop(index, ())",
      "externals.get(max(index - 1, 0), ())",
-     [_STRAT + "test_eat_group_externals_and_copies_equal_each_trained_alone"]),
+     [_ORACLE]),
     # +EAT: external attack counts credited to member 0 only
     ("strategies.py",
      "[m.log.attack_counts\n",
@@ -80,6 +80,21 @@ MUTANTS = [
      "if batches and len(batches) != _BUFFER_BATCHES[replay]:",
      "if False:",
      [_STRAT + "test_a_step_schedule_off_the_plan_raises"]),
+    # evaluation: another seed for its attack starts
+    ("strategies.py",
+     "np.random.default_rng([0, step, t])",
+     "np.random.default_rng([1, step, t])",
+     [_ORACLE]),
+    # DER: another distillation weight
+    ("strategies.py",
+     "DER_ALPHA = 0.5  # DER's distillation weight",
+     "DER_ALPHA = 0.4  # DER's distillation weight",
+     [_ORACLE]),
+    # DER++: another label weight
+    ("strategies.py",
+     "DERPP_BETA = 0.5  # DER++'s label weight",
+     "DERPP_BETA = 0.4  # DER++'s label weight",
+     [_ORACLE]),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Reference math that the tests check the production kernels against.
+"""Reference math and training that the tests check production against.
 
 Plain versions, written for clarity rather than speed: ``softmax``
 normalises logits row by row, ``label_softmax_ce`` is the softmax
@@ -8,17 +8,31 @@ activations of a batch and backpropagates a logit gradient to every weight,
 bias and to the input; both take single models. ``pgd_every_step`` takes
 every PGD step with no early exit, for single and stacked models.
 ``PerCallReservoir`` inserts one row and samples one member at a time, with
-one generator call per draw or batch. Nothing in ``eatcl`` calls them;
+one generator call per draw or batch.
+
+``train_alone`` trains one run of a strategy the straight way: one plain
+model, batch by batch, from its own generators; ``train_external`` trains one
++EAT external by the same loop. On purpose they share nothing with
+``eatcl.strategies`` or ``eatcl.replay``: no stacked lockstep group, no epoch
+plan of buffer draws, no PGD early exit, no one-hot training targets, and
+their own learning rate, DER weights, attack counts, attack rates and
+metrics. From ``eatcl`` they take only model init, the forward pass,
+``one_hot`` for attack targets, the input checks and ``ce_input_grad``
+inside ``pgd_every_step``, ``_row_max`` inside ``label_softmax_ce``, and the
+data and record types. Nothing in ``eatcl`` calls this module;
 production training, attacks and replay run ``nets.softmax_ce``,
 ``nets.loss_and_grads``, ``nets.ce_input_grad``, ``attacks.attack`` and the
 epoch plan of ``replay.ReplayBuffer``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from eatcl.attacks import AttackConfig
+from eatcl.metrics import MetricsRecord
 from eatcl.nets import (GradBundle, MLPModel, _row_max, ce_input_grad, check_input,
-                        check_targets)
+                        check_targets, forward, init_model, one_hot)
 
 
 def _as_batch(x) -> np.ndarray:
@@ -146,3 +160,148 @@ class PerCallReservoir:
         if not rows:
             raise ValueError("cannot sample from an empty buffer")
         return [rows[j] for j in rng.integers(0, len(rows), size=batch_size)]
+
+
+LR = 0.1  # every model's SGD learning rate
+DER_ALPHA = DERPP_BETA = 0.5  # DER's distillation and DER++'s label weights
+_BUFFER_BATCHES = {"er": 1, "der": 1, "derpp": 2}
+
+
+def _attack(model: MLPModel, x, y, cfg: AttackConfig, rng) -> np.ndarray:
+    """cfg's attack on rows x with integer labels y: PGD takes every step;
+    FGSM is one step of size eps from x, drawing nothing."""
+    if cfg.kind == "fgsm":
+        cfg, rng = replace(cfg, alpha=cfg.eps, iters=1), None
+    return pgd_every_step(model, x, one_hot(y, model.num_classes), cfg, rng)
+
+
+def _ce_grads(model: MLPModel, x, y, weight=1.0) -> list[np.ndarray]:
+    """weight times the mean cross-entropy's gradients, weights then biases."""
+    grads = backward(model, x, weight * label_softmax_ce(forward(model, x), y)[1])
+    return grads.weight_grads + grads.bias_grads
+
+
+def _accuracy(model: MLPModel, x, y) -> float:
+    return float(np.mean(np.argmax(forward(model, x), axis=1) == y) * 100.0)
+
+
+class _Run:
+    """One model and its own generators, buffer, attack counts and attack
+    rates, trained by one straight loop: step by step, sampling the buffer
+    and then inserting each clean current row, and one SGD step per batch."""
+
+    def __init__(self, strategy: str, cfg, model: MLPModel, batch_rng, buffer_rng, atk_rng):
+        self.replay, _, robust = strategy.partition("_")
+        self.robust = robust or "clean"
+        self.cfg, self.model = cfg, model
+        self.batch_rng, self.buffer_rng, self.atk_rng = batch_rng, buffer_rng, atk_rng
+        self.buffer = PerCallReservoir(0 if self.replay == "joint" else cfg.buffer_capacity)
+        self.counts = {"current": 0, "memory": 0, "external": 0}
+        self.rates = []  # (task, epoch, rate)
+
+    def fit(self, task, index: int, prev_classes=(), copy=None) -> None:
+        """epochs_per_task epochs on task, then on its adversarial copy too
+        if given; from task index 1 on, each epoch ends with the share of
+        the epoch's adversarial current rows predicted as prev_classes."""
+        n, x, y = len(task), task.x, task.y
+        if copy is not None:
+            x, y = np.concatenate([x, copy]), np.concatenate([y, y])
+        for epoch in range(self.cfg.epochs_per_task):
+            perm = self.batch_rng.permutation(len(x))
+            aes = [] if copy is None else [copy]
+            for s in range(0, len(x), self.cfg.batch_size):
+                idx = perm[s:s + self.cfg.batch_size]
+                aes += self.step(x[idx], y[idx], idx < n, index)
+            if aes and index > 0:
+                pred = np.argmax(forward(self.model, np.concatenate(aes)), axis=1)
+                self.rates.append((index, epoch,
+                                   float(np.mean(np.isin(pred, prev_classes)) * 100.0)))
+
+    def step(self, x, y, clean, index: int) -> list:
+        """One SGD step on the current batch (x, y), whose clean rows then
+        enter the buffer; returns [its adversarial rows], or []."""
+        cfg, model, b = self.cfg, self.model, len(x)
+        size = cfg.replay_batch_size or cfg.batch_size
+        batches = []  # each as arrays (rows, labels, stored logits)
+        if index > 0 and self.buffer.sizes[0]:
+            batches = [[np.array(a) for a in zip(*self.buffer.sample(0, size, self.buffer_rng))]
+                       for _ in range(_BUFFER_BATCHES[self.replay])]
+        ax, ay = x, y
+        if batches and self.replay == "er":
+            ax, ay = np.concatenate([x, batches[0][0]]), np.concatenate([y, batches[0][1]])
+        n_atk = {"at": len(ax), "cat": b}.get(self.robust, 0)
+        adv = None
+        if n_atk:
+            adv = _attack(model, ax[:n_atk], ay[:n_atk], cfg.attack, self.atk_rng)
+            self.counts["current"] += b
+            self.counts["memory"] += n_atk - b
+            if cfg.at_mix == "union":
+                ax = np.concatenate([ax[:n_atk], adv, ax[n_atk:]])
+                ay = np.concatenate([ay[:n_atk], ay[:n_atk], ay[n_atk:]])
+            else:
+                ax = np.concatenate([adv, ax[n_atk:]])
+        grads = _ce_grads(model, ax, ay)
+        if batches and self.replay in ("der", "derpp"):
+            bx, _, blogits = batches[0]
+            diff = forward(model, bx) - blogits
+            der = backward(model, bx, (2.0 * DER_ALPHA / diff.size) * diff)
+            grads = [g + d for g, d in zip(grads, der.weight_grads + der.bias_grads)]
+        if batches and self.replay == "derpp":
+            bx, by, _ = batches[1]
+            if self.robust == "at":
+                bx = _attack(model, bx, by, cfg.attack, self.atk_rng)
+                self.counts["memory"] += len(bx)
+            grads = [g + d for g, d in zip(grads, _ce_grads(model, bx, by, DERPP_BETA))]
+        cx, cy = x[clean], y[clean]  # DER stores the pre-step model's logits
+        logits = forward(model, cx) if self.replay in ("der", "derpp") else [None] * len(cx)
+        for row in zip(cx, cy, logits):
+            self.buffer.insert(0, row, self.buffer_rng)
+        layers = len(model.weights)
+        params = [p - LR * g for p, g in zip(model.weights + model.biases, grads)]
+        self.model = MLPModel(model.layer_sizes, params[:layers], params[layers:])
+        return [] if adv is None else [adv[:b]]
+
+
+def train_external(task, layer_sizes, cfg, seed) -> tuple[MLPModel, np.ndarray, int]:
+    """+EAT's external model for task, trained alone from seed as a joint_at
+    run of cfg.eat_external_epochs epochs with at_mix "replace": model, batch
+    order and attack rng seeded (*seed, 0), (*seed, 1) and (*seed, 2). Returns
+    it, its adversarial copy of task and the rows it attacked, copy included."""
+    run = _Run("joint_at", replace(cfg, epochs_per_task=cfg.eat_external_epochs,
+                                   at_mix="replace"),
+               init_model(layer_sizes, [*seed, 0]), np.random.default_rng([*seed, 1]), None,
+               np.random.default_rng([*seed, 2]))
+    run.fit(task, 0)
+    copy = _attack(run.model, task.x, task.y, cfg.attack, run.atk_rng)
+    return run.model, copy, run.counts["current"] + len(task)
+
+
+def train_alone(stream, test, strategy: str, cfg, seed: int, eval_attack: AttackConfig):
+    """One run of strategy over stream from seed, trained alone: returns its
+    model, MetricsRecords, attack rates as (task, epoch, rate) and attack
+    counts. The model, batch order, buffer and attack rngs are seeded
+    (seed, 0) to (seed, 3); task i's +EAT external trains from (seed, 4, i).
+    After each task, every task seen so far is evaluated on test under
+    eval_attack, with the rng seeded (0, step, task). Joint trains once, on
+    the merged stream, as task 0 of the last step."""
+    sizes = (stream.input_dim, *cfg.hidden, max(stream.all_classes) + 1)
+    run = _Run(strategy, cfg, init_model(sizes, [seed, 0]),
+               *(np.random.default_rng([seed, k]) for k in (1, 2, 3)))
+    last = len(stream.tasks) - 1
+    plan = ([(last, 0, stream.merged())] if run.replay == "joint"
+            else [(i, i, task) for i, task in enumerate(stream.tasks)])
+    records = []
+    for step, index, task in plan:
+        copy = None
+        if run.robust == "eat":
+            _, copy, attacked = train_external(task, sizes, cfg, [seed, 4, index])
+            run.counts["external"] += attacked
+        run.fit(task, index, [c for t in stream.tasks[:index] for c in t.classes], copy)
+        seen = test.tasks[:step + 1]
+        accs = [_accuracy(run.model, t.x, t.y) for t in seen]
+        robs = [_accuracy(run.model, _attack(run.model, t.x, t.y, eval_attack,
+                                             np.random.default_rng([0, step, k])), t.y)
+                for k, t in enumerate(seen)]
+        records.append(MetricsRecord(step, accs, robs, float(np.mean(accs)),
+                                     float(np.mean(robs))))
+    return run.model, records, run.rates, run.counts

@@ -2,8 +2,8 @@
 
 Config files are line-oriented ``key = value`` pairs; ``#`` starts a
 comment and blank lines are ignored. Dotted keys group related settings
-(``train.*``, ``attack.*``, ``eval.*``). Unknown keys are rejected with
-the offending line number so typos fail before any training starts.
+(``train.*``, ``attack.*``). Unknown keys are rejected with the offending
+line number so typos fail before any training starts.
 
 An experiment is a grid of strategies x seeds over one dataset family. The
 seeds of one strategy train in lockstep, as the members of one stacked
@@ -80,7 +80,6 @@ def _fmt(value) -> str:
 
 # key -> (parser, default); a train.<name> or attack.<name> key is (parser,):
 # it sets the TrainConfig or AttackConfig field <name> and takes its default.
-# An eval.attack.* key left None inherits attack.* (see build_eval_attack).
 _SCHEMA: dict[str, tuple] = {
     "experiment": (str, "experiment"),
     "dataset": (str, "blobs"),
@@ -105,10 +104,6 @@ _SCHEMA: dict[str, tuple] = {
     "attack.eps": (_parse_float,),
     "attack.alpha": (_parse_float,),
     "attack.iters": (int,),
-    "eval.attack.kind": (_optional(str.strip), None),
-    "eval.attack.eps": (_optional(_parse_float), None),
-    "eval.attack.alpha": (_optional(_parse_float), None),
-    "eval.attack.iters": (_optional(int), None),
 }
 
 
@@ -175,7 +170,6 @@ def _validate(cfg: dict) -> None:
     # so the CLI and the library reject identical configs for identical reasons.
     try:
         build_train_config(cfg)
-        build_eval_attack(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -190,9 +184,9 @@ def build_attack(cfg: dict) -> AttackConfig:
 
 
 def build_eval_attack(cfg: dict) -> AttackConfig:
-    """The training attack with every eval.attack.* value that is set."""
-    over = {k: v for k, v in _under(cfg, "eval.attack").items() if v is not None}
-    return replace(build_attack(cfg), **over)
+    """Robustness is measured by PGD at the training attack's eps, alpha and
+    iters; an FGSM config's alpha and iters serve only its evaluation."""
+    return replace(build_attack(cfg), kind="pgd")
 
 
 def build_train_config(cfg: dict) -> TrainConfig:

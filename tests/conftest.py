@@ -18,9 +18,10 @@ and the two stronger ones. The digests depend on the numeric build, so
 test_acceptance.py asserts them against tests/digests.json only on the
 build recorded there (build_facts).
 Every run's summary also prints the line counts of src/eatcl, of
-strategies.py and of tests/, the number of config keys, the number of
-TrainConfig and AttackConfig fields, which counts library-only options too,
-and the number of monkeypatch.setattr calls on eatcl.strategies in tests/.
+strategies.py, of tests/ and of configs/*.conf, the number of config keys,
+the number of TrainConfig and AttackConfig fields, which counts
+library-only options too, and the number of monkeypatch.setattr calls on
+eatcl.strategies in tests/.
 """
 
 import contextlib
@@ -162,9 +163,11 @@ def pytest_terminal_summary(terminalreporter, config):
     passes and eat_generate calls; and, if measured, each config's
     robustness under the stronger evaluation attacks. First, on every run,
     the line counts of src/eatcl and strategies.py, the number of config
-    keys, the number of TrainConfig + AttackConfig fields, the line count
-    of tests/ and its monkeypatch.setattr calls on eatcl.strategies."""
+    keys, the line count of configs/*.conf, the number of TrainConfig +
+    AttackConfig fields, the line count of tests/ and its
+    monkeypatch.setattr calls on eatcl.strategies."""
     lines = {p.name: len(p.read_text().splitlines()) for p in SRC_DIR.glob("*.py")}
+    conf_lines = sum(len(p.read_text().splitlines()) for p in CONFIG_DIR.glob("*.conf"))
     tests = [p.read_text() for p in Path(__file__).parent.glob("*.py")]
     patches = sum(len(re.findall(r"monkeypatch\.setattr\(eatcl\.strategies\b", t))
                   for t in tests)
@@ -173,6 +176,7 @@ def pytest_terminal_summary(terminalreporter, config):
     terminalreporter.write_line(f"src/eatcl {sum(lines.values())} lines, "
                                 f"{lines['strategies.py']} of them in strategies.py; "
                                 f"{len(default_config())} config keys, "
+                                f"configs/*.conf {conf_lines} lines, "
                                 f"{run_fields} TrainConfig + AttackConfig fields; tests/ "
                                 f"{sum(len(t.splitlines()) for t in tests)} lines, "
                                 f"{patches} monkeypatch.setattr calls on eatcl.strategies")

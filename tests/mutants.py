@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 _STRAT = "tests/test_strategies.py::"
 _REPLAY = "tests/test_replay.py::"
 _ORACLE = _STRAT + "test_train_streams_equals_reference_trainer"
+_RUNNER = "tests/test_runner.py::"
 
 MUTANTS = [
     # +EAT: external seeds in generation-major order
@@ -95,6 +96,11 @@ MUTANTS = [
      "DERPP_BETA = 0.5  # DER++'s label weight",
      "DERPP_BETA = 0.4  # DER++'s label weight",
      [_ORACLE]),
+    # evaluation: one FGSM step at eps instead of PGD
+    ("runner.py",
+     'replace(build_attack(cfg), kind="pgd")',
+     'replace(build_attack(cfg), kind="fgsm")',
+     [_RUNNER + "test_eval_attack_is_pgd_of_the_training_attack"]),
 ]
 
 

@@ -49,34 +49,41 @@ def test_validate_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new", [
-    ("seeds = 0 1", "seeds = 0 -1"),
-    ("strategies = joint", "strategies = joint joint"),
-    ("crescents.per_class = 25", "crescents.per_class = 0"),
-    ("dataset = crescents", "dataset = blobs\nblobs.per_class = 0"),
+# (old text of CONF, its replacement, a fragment of the one stderr line)
+BAD_CONFIGS = [
+    ("seeds = 0 1", "seeds = 0 -1", "seeds must be >= 0"),
+    ("strategies = joint", "strategies = joint joint", "strategies must be distinct"),
+    ("crescents.per_class = 25", "crescents.per_class = 0", "n_per_class must be >= 1"),
+    ("dataset = crescents", "dataset = blobs\nblobs.per_class = 0",
+     "all counts must be >= 1"),
     # blob centers that fit for seed 2 but not for seed 0, the second seed
     ("dataset = crescents\nstrategies = joint\nseeds = 0 1",
      "dataset = blobs\nstrategies = joint\nseeds = 2 0\nblobs.tasks = 5\n"
-     "blobs.classes_per_task = 1\nblobs.dim = 2"),
+     "blobs.classes_per_task = 1\nblobs.dim = 2", "could not place 5 centers"),
     # non-finite floats
-    ("attack.eps = 0.1", "attack.eps = nan"),
-    ("attack.eps = 0.1", "attack.eps = inf"),
-    ("attack.iters = 2", "attack.iters = 2\neval.attack.eps = nan"),
-    ("train.hidden = 3", "train.hidden = 3\neval.attack.alpha = inf"),
-    ("attack.alpha = 0.1", "attack.alpha = nan"),
+    ("attack.eps = 0.1", "attack.eps = nan", "'attack.eps': not a finite number"),
+    ("attack.eps = 0.1", "attack.eps = inf", "'attack.eps': not a finite number"),
+    ("attack.alpha = 0.1", "attack.alpha = nan", "'attack.alpha': not a finite number"),
     ("crescents.per_class = 25",
-     "crescents.per_class = 25\ncrescents.minority_fraction = nan"),
+     "crescents.per_class = 25\ncrescents.minority_fraction = nan",
+     "'crescents.minority_fraction': not a finite number"),
     # an experiment name that is not one directory under the output root
-    ("experiment = cli", "experiment = .."),
-    ("experiment = cli", "experiment = ."),
-    ("experiment = cli", "experiment ="),
-    ("experiment = cli", "experiment = a/b"),
-    ("experiment = cli", "experiment = /tmp"),
+    ("experiment = cli", "experiment = ..", "experiment must be one path component"),
+    ("experiment = cli", "experiment = .", "experiment must be one path component"),
+    ("experiment = cli", "experiment =", "experiment must be one path component"),
+    ("experiment = cli", "experiment = a/b", "experiment must be one path component"),
+    ("experiment = cli", "experiment = /tmp", "experiment must be one path component"),
     # an eps ball too wide for the random start to draw from
-    ("attack.eps = 0.1", "attack.eps = 1e308"),
-    ("attack.iters = 2", "attack.iters = 2\neval.attack.eps = 1e308"),
-])
-def test_bad_seed_or_dataset_value_fails_before_any_file(old, new, tmp_path, capsys):
+    ("attack.eps = 0.1", "attack.eps = 1e308", "eps must be >= 0 with 2 * eps finite"),
+    # evaluation is PGD under the training attack, so no key sets it
+    ("seeds = 0 1", "seeds = 0 1\neval.attack.iters = 4",
+     "line 6: unknown key 'eval.attack.iters'"),
+]
+
+
+@pytest.mark.parametrize("old, new, error", BAD_CONFIGS,
+                         ids=[f"{old}-{new}" for old, new, _ in BAD_CONFIGS])
+def test_bad_seed_or_dataset_value_fails_before_any_file(old, new, error, tmp_path, capsys):
     p = tmp_path / "bad.conf"
     p.write_text(CONF.replace(old, new))
     out_dir = tmp_path / "out"
@@ -85,6 +92,7 @@ def test_bad_seed_or_dataset_value_fails_before_any_file(old, new, tmp_path, cap
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error"), err
+        assert error in err[0], err
         assert captured.out == ""
     assert not out_dir.exists()
 

@@ -65,7 +65,9 @@ def test_removed_keys_are_unknown():
                  "eval.seed = 0", "save.models = false", "train.der_alpha = 0.5",
                  "train.derpp_beta = 0.5", "blobs.separation = 0.09", "blobs.noise = 0.05",
                  "crescents.noise = 0.015", "crescents.minority_class = 1",
-                 "crescents.test_per_class = 1000", "train.lr = 0.1"):
+                 "crescents.test_per_class = 1000", "train.lr = 0.1",
+                 "eval.attack.kind = pgd", "eval.attack.eps = 0.0314",
+                 "eval.attack.alpha = 0.0078", "eval.attack.iters = 4"):
         key = line.partition(" ")[0]
         with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
             parse_config(f"experiment = x\n{line}\n")
@@ -85,7 +87,7 @@ def test_bad_value_reports_key_and_line():
 def test_non_finite_float_reports_key_and_line(value):
     floats = [k for k, v in default_config().items() if isinstance(v, float)]
     assert len(floats) == 3
-    for key in floats + ["eval.attack.eps", "eval.attack.alpha"]:
+    for key in floats:
         with pytest.raises(ConfigError,
                            match=f"line 2: bad value for '{key}': not a finite number"):
             parse_config(f"experiment = x\n{key} = {value}\n")
@@ -120,20 +122,24 @@ def test_validation_errors():
     for name in ("..", ".", "", "a/b", "/abs", "a/"):
         with pytest.raises(ConfigError, match="experiment must be one path component"):
             parse_config(f"experiment = {name}\n")
-    for key in ("attack.kind", "eval.attack.kind"):
-        with pytest.raises(ConfigError, match="attack kind must be one of"):
-            parse_config(f"{key} = cw\n")
+    with pytest.raises(ConfigError, match="attack kind must be one of"):
+        parse_config("attack.kind = cw\n")
 
 
-def test_eval_attack_inherits_then_overrides():
-    cfg = parse_config("attack.eps = 0.2\nattack.iters = 7\n")
-    ev = build_eval_attack(cfg)
-    assert ev.eps == 0.2 and ev.iters == 7
-    cfg2 = parse_config("attack.eps = 0.2\neval.attack.eps = 0.3\n"
-                        "eval.attack.iters = 1\n")
-    ev2 = build_eval_attack(cfg2)
-    assert ev2.eps == 0.3 and ev2.iters == 1
-    assert ev2.alpha == cfg2["attack.alpha"]
+def test_eval_attack_is_pgd_of_the_training_attack():
+    for kind in ("fgsm", "pgd"):
+        cfg = parse_config(f"attack.kind = {kind}\nattack.eps = 0.2\n"
+                           "attack.alpha = 0.05\nattack.iters = 7\n")
+        assert build_eval_attack(cfg) == replace(build_attack(cfg), kind="pgd"), kind
+    # each shipped config keeps the evaluation attack its eval.attack.* keys set
+    stream = AttackConfig("pgd", 0.0314, 0.0078, 4)
+    toy = AttackConfig("pgd", 0.1, 0.1, 10)
+    shipped = {"smoke": stream, "stream_fgsm": stream, "stream_pgd": stream,
+               "toy_balanced": toy, "toy_imbalanced": toy}
+    assert sorted(shipped) == sorted(SHIPPED)
+    for name, expected in shipped.items():
+        cfg = parse_config((CONFIG_DIR / f"{name}.conf").read_text())
+        assert build_eval_attack(cfg) == expected, name
 
 
 def test_cli_and_library_defaults_agree():
@@ -168,14 +174,6 @@ def test_build_train_config_wires_fields():
         assert cfg[key] != default[key], key
         assert getattr(t if prefix == "train" else t.attack, name) == cfg[key], key
     assert t.attack == build_attack(cfg)
-    # each eval.attack.* key overrides its own field of the training attack only
-    for line in ("eval.attack.kind = pgd", "eval.attack.eps = 0.2",
-                 "eval.attack.alpha = 0.01", "eval.attack.iters = 9"):
-        key = line.split(" = ")[0]
-        ev = parse_config(OFF_DEFAULT + line + "\n")
-        name = key.rpartition(".")[2]
-        assert getattr(build_attack(ev), name) != ev[key], key
-        assert build_eval_attack(ev) == replace(build_attack(ev), **{name: ev[key]}), key
 
 
 def test_shipped_eat_configs_make_one_external_per_task():

@@ -3,8 +3,8 @@
 Two generators cover the synthetic experiments: a two-band 2-D figure with
 sectioned channel geometry (the toy problem) and Gaussian blob streams (a
 desk-scale stand-in for the split image benchmarks). All generators are
-seed-deterministic, and the runner builds every config's data at their
-default noise and separation.
+seed-deterministic. Their geometry is fixed: CRESCENT_NOISE scales the
+toy's jitter, and BLOB_SEPARATION and BLOB_NOISE shape the blob streams.
 
 A Dataset states its class set once, in `classes`, and every label is one of
 them. A task stream is its tasks' Datasets in stream order: task i is
@@ -27,15 +27,19 @@ import numpy as np
 # boundary, with the class-1 side jittered too wide to defend fully.
 CRESCENT_EDGES = (-1.1, -0.44, 0.22, 1.1)
 CRESCENT_LINES = ((-0.22, 0.22), (-0.055, 0.055), (-0.15, 0.15))
-# jitter per section and class, as multiples of `noise`
+CRESCENT_NOISE = 0.015  # the scale of every jitter width below
+# jitter per section and class, as multiples of CRESCENT_NOISE
 CRESCENT_JITTER = ((1.0, 1.0), (2.0 / 3.0, 2.0 / 3.0), (1.0, 7.0))
 # share of each class's band mass per section
 CRESCENT_SHARES = ((0.27, 0.09, 0.64), (0.16, 0.38, 0.46))
 TIP_BLOB_X = (1.3, 1.55)
 TIP_BLOB_Y = -0.13
-TIP_BLOB_JITTER = 7.0 / 3.0  # multiple of `noise`
+TIP_BLOB_JITTER = 7.0 / 3.0  # multiple of CRESCENT_NOISE
 TIP_BLOB_SHARE = 0.16  # fraction of class-1 points placed in the blob
 CRESCENT_TEST_PER_CLASS = 1000  # the toy's balanced test set, per class
+BLOB_SEPARATION = 0.09  # least distance between blob centers; their cube's half-width
+BLOB_NOISE = 0.05  # standard deviation of blob points around their center
+PLACE_TRIES = 500  # center draws allowed per blob center
 
 
 @dataclass
@@ -93,19 +97,17 @@ class TaskStream:
         return Dataset(x, y, self.all_classes)
 
 
-def gen_crescent(n_per_class: int, noise: float = 0.015, seed=0) -> Dataset:
+def gen_crescent(n_per_class: int, seed) -> Dataset:
     """Two interleaved 2-D point bands with a sectioned channel between them.
 
     Class 0 runs along the lower band lines and class 1 along the upper
     ones across the three x-sections of CRESCENT_EDGES; a detached class-1
-    blob sits beyond the right tip. `noise` scales every jitter width, so
-    noise=0 collapses each band onto its section line and the blob onto
-    its center height.
+    blob sits beyond the right tip. Each point is jittered vertically by
+    CRESCENT_NOISE times its section's and class's CRESCENT_JITTER (the
+    blob's, TIP_BLOB_JITTER) times a standard normal draw.
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
     rng = np.random.default_rng(seed)
     edges = np.asarray(CRESCENT_EDGES)
     lens = np.diff(edges)
@@ -116,12 +118,12 @@ def gen_crescent(n_per_class: int, noise: float = 0.015, seed=0) -> Dataset:
         sec = rng.choice(3, size=m, p=CRESCENT_SHARES[cls])
         x = edges[sec] + rng.uniform(0.0, 1.0, size=m) * lens[sec]
         line = np.choose(sec, [CRESCENT_LINES[s][cls] for s in range(3)])
-        sig = noise * np.choose(sec, [CRESCENT_JITTER[s][cls] for s in range(3)])
+        sig = CRESCENT_NOISE * np.choose(sec, [CRESCENT_JITTER[s][cls] for s in range(3)])
         band = np.column_stack([x, line + rng.normal(0.0, 1.0, size=m) * sig])
         if n_blob:
             bx = rng.uniform(TIP_BLOB_X[0], TIP_BLOB_X[1], size=n_blob)
             by = TIP_BLOB_Y + rng.normal(0.0, 1.0, size=n_blob) * (
-                noise * TIP_BLOB_JITTER)
+                CRESCENT_NOISE * TIP_BLOB_JITTER)
             band = np.vstack([band, np.column_stack([bx, by])])
         pts.append(band)
     y = np.concatenate([np.zeros(n_per_class, dtype=np.int64),
@@ -129,32 +131,20 @@ def gen_crescent(n_per_class: int, noise: float = 0.015, seed=0) -> Dataset:
     return Dataset(np.vstack(pts), y, (0, 1))
 
 
-def imbalance_subsample(d: Dataset, keep_fraction_per_class: dict, seed=0) -> Dataset:
-    """Per-class uniform subsample without replacement.
-
-    keep_fraction_per_class maps class id -> fraction in (0, 1]; classes not
-    in the map keep everything. Resulting class sizes are
-    round(fraction * original size); an empty class, or a key that is not
-    one of d.classes, is an error.
+def imbalance_subsample(d: Dataset, fraction: float, seed) -> Dataset:
+    """d with class 1, the minority, subsampled uniformly without
+    replacement to round(fraction * its size) rows, kept in order; every
+    other row stays. fraction must be in (0, 1] and leave class 1 a row.
     """
-    for c, f in keep_fraction_per_class.items():
-        if c not in d.classes:
-            raise ValueError(f"class {c} is not one of the data's classes {sorted(d.classes)}")
-        if not 0 < f <= 1:
-            raise ValueError(f"fraction for class {c} must be in (0, 1], got {f}")
-    rng = np.random.default_rng(seed)
-    keep_rows = []
-    for c in d.classes:
-        idx = np.flatnonzero(d.y == c)
-        frac = keep_fraction_per_class.get(c, 1.0)
-        m = int(round(frac * idx.size))
-        if m < 1:
-            raise ValueError(f"class {c} would be empty (fraction {frac})")
-        if m < idx.size:
-            idx = np.sort(rng.choice(idx, size=m, replace=False))
-        keep_rows.append(idx)
-    rows = np.concatenate(keep_rows)
-    return Dataset(d.x[rows], d.y[rows], d.classes)
+    if not 0 < fraction <= 1:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    minority = np.flatnonzero(d.y == 1)
+    m = int(round(fraction * minority.size))
+    if m < 1:
+        raise ValueError(f"class 1 would be empty (fraction {fraction})")
+    keep = d.y != 1
+    keep[np.random.default_rng(seed).choice(minority, size=m, replace=False)] = True
+    return Dataset(d.x[keep], d.y[keep], d.classes)
 
 
 def split_by_classes(d: Dataset, classes_per_task: int) -> TaskStream:
@@ -175,27 +165,24 @@ def split_by_classes(d: Dataset, classes_per_task: int) -> TaskStream:
 
 
 def gen_blob_stream(num_tasks: int, classes_per_task: int, dim: int,
-                    n_per_class: int, separation: float = 0.09, noise: float = 0.05,
-                    seed=0, sample_seed=None) -> TaskStream:
+                    n_per_class: int, seed, sample_seed) -> TaskStream:
     """Gaussian clusters at seeded random centers, streamed in ascending class order.
 
-    Centers are drawn uniformly in a cube of half-width `separation` and
-    re-drawn until all pairwise distances reach `separation` (bounded
-    retries), so the separation floor doubles as the geometry scale. `seed`
-    fixes the centers; `sample_seed` (defaulting to seed) fixes the point
-    noise, so train/test splits of the same geometry use equal seed and
-    different sample_seed.
+    Centers are drawn uniformly in a cube of half-width BLOB_SEPARATION and
+    re-drawn until all pairwise distances reach BLOB_SEPARATION (bounded
+    retries), so the separation floor doubles as the geometry scale; points
+    scatter around them with standard deviation BLOB_NOISE. `seed` fixes the
+    centers and `sample_seed` the points, so train/test splits of the same
+    geometry use equal seed and different sample_seed.
     """
     if min(num_tasks, classes_per_task, dim, n_per_class) < 1:
         raise ValueError("all counts must be >= 1")
     n_classes = num_tasks * classes_per_task
-    center_rng = np.random.default_rng([_seed_int(seed), 0])
-    centers = _place_centers(center_rng, n_classes, dim, separation)
-    point_rng = np.random.default_rng(
-        [_seed_int(seed if sample_seed is None else sample_seed), 1])
+    centers = _place_centers(np.random.default_rng([_seed_int(seed), 0]), n_classes, dim)
+    point_rng = np.random.default_rng([_seed_int(sample_seed), 1])
     xs, ys = [], []
     for c in range(n_classes):
-        xs.append(centers[c] + point_rng.normal(0.0, noise, size=(n_per_class, dim)))
+        xs.append(centers[c] + point_rng.normal(0.0, BLOB_NOISE, size=(n_per_class, dim)))
         ys.append(np.full(n_per_class, c, dtype=np.int64))
     full = Dataset(np.vstack(xs), np.concatenate(ys), tuple(range(n_classes)))
     return split_by_classes(full, classes_per_task)
@@ -211,20 +198,17 @@ def _seed_int(seed) -> int:
     return int(seed)
 
 
-def _place_centers(rng, n: int, dim: int, separation: float, tries: int = 500):
-    # the sampling cube scales with the separation floor, so `separation`
-    # sets the overall geometry scale rather than just a rarely-active bound
-    half = separation if separation > 0 else 1.0
+def _place_centers(rng, n: int, dim: int):
     centers = np.empty((n, dim))
     placed = 0
-    for _ in range(tries * n):
-        cand = rng.uniform(-half, half, size=dim)
+    for _ in range(PLACE_TRIES * n):
+        cand = rng.uniform(-BLOB_SEPARATION, BLOB_SEPARATION, size=dim)
         if placed == 0 or np.min(
-                np.linalg.norm(centers[:placed] - cand, axis=1)) >= separation:
+                np.linalg.norm(centers[:placed] - cand, axis=1)) >= BLOB_SEPARATION:
             centers[placed] = cand
             placed += 1
             if placed == n:
                 return centers
     raise ValueError(
-        f"could not place {n} centers with separation {separation} in dim {dim}"
+        f"could not place {n} centers with separation {BLOB_SEPARATION} in dim {dim}"
     )

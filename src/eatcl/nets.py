@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+LR = 0.1  # every model's SGD learning rate
+
 
 @dataclass
 class MLPModel:
@@ -211,13 +213,13 @@ def add_grads(a: GradBundle, b: GradBundle) -> GradBundle:
     )
 
 
-def sgd_step(model: MLPModel, grads: GradBundle, lr: float) -> MLPModel:
-    """One SGD update, theta <- theta - lr * grad. Returns a new model."""
+def sgd_step(model: MLPModel, grads: GradBundle) -> MLPModel:
+    """One SGD update, theta <- theta - LR * grad. Returns a new model."""
     for w, gw in zip(model.weights, grads.weight_grads):
         if w.shape != gw.shape:
             raise ValueError(f"weight grad shape {gw.shape} != {w.shape}")
-    weights = [w - lr * g for w, g in zip(model.weights, grads.weight_grads)]
-    biases = [b - lr * g for b, g in zip(model.biases, grads.bias_grads)]
+    weights = [w - LR * g for w, g in zip(model.weights, grads.weight_grads)]
+    biases = [b - LR * g for b, g in zip(model.biases, grads.bias_grads)]
     return MLPModel(model.layer_sizes, weights, biases)
 
 

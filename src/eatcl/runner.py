@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -183,27 +183,20 @@ def build_attack(cfg: dict) -> AttackConfig:
     return AttackConfig(**_under(cfg, "attack"))
 
 
-def build_eval_attack(cfg: dict) -> AttackConfig:
-    """Robustness is measured by PGD at the training attack's eps, alpha and
-    iters; an FGSM config's alpha and iters serve only its evaluation."""
-    return replace(build_attack(cfg), kind="pgd")
-
-
 def build_train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(attack=build_attack(cfg), **_under(cfg, "train"))
 
 
 def build_streams(cfg: dict, seed: int) -> tuple[TaskStream, TaskStream]:
     """Train and test streams for one run seed. Test data is always
-    balanced and freshly sampled; blob tasks share centers across the
-    two streams, and every generator keeps its default geometry. A dataset
-    value the generators reject is a ConfigError."""
+    balanced and freshly sampled, and blob tasks share centers across the
+    two streams. A dataset value the generators reject is a ConfigError."""
     try:
         if cfg["dataset"] == "crescents":
             train = gen_crescent(cfg["crescents.per_class"], seed=[seed, 100])
             frac = cfg["crescents.minority_fraction"]
             if frac < 1.0:  # class 1, the upper band, is the minority
-                train = imbalance_subsample(train, {1: frac}, seed=[seed, 102])
+                train = imbalance_subsample(train, frac, seed=[seed, 102])
             test = gen_crescent(CRESCENT_TEST_PER_CLASS, seed=[seed, 101])
             return TaskStream([train]), TaskStream([test])
         train = gen_blob_stream(cfg["blobs.tasks"], cfg["blobs.classes_per_task"],
@@ -248,7 +241,6 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False) -> list[RunResu
     with open(os.path.join(out_dir, "config.resolved.conf"), "w") as fh:
         fh.write(emit_config(cfg))
 
-    eval_attack = build_eval_attack(cfg)
     seconds: dict[str, float] = {}
     tcfg = build_train_config(cfg)
     trains, tests = zip(*streams)  # each seed's (train, test) streams
@@ -257,7 +249,7 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False) -> list[RunResu
     cells: list[list[RunResult]] = []
     for strat in cfg["strategies"]:
         started = time.perf_counter()
-        trained = train_streams(trains, tests, strat, tcfg, seeds, eval_attack)
+        trained = train_streams(trains, tests, strat, tcfg, seeds)
         per_run = (time.perf_counter() - started) / len(seeds)
         cells.append([])
         for seed, (model, log) in zip(seeds, trained):

@@ -9,7 +9,7 @@ is appended to every current batch), and dark experience replay (``der``,
 Buzzega et al., 2020: a distillation term on the logits stored with a
 buffer batch, weighted DER_ALPHA = 0.5; ``derpp`` also adds a
 cross-entropy term on a second buffer batch, weighted DERPP_BETA = 0.5).
-Every model, target and external alike, takes SGD steps at LR = 0.1.
+Every model, target and external alike, takes SGD steps at nets.LR = 0.1.
 The robustness schemes are clean training and:
 
 * +AT — on-the-fly adversarial training against the target model; attacks
@@ -48,8 +48,9 @@ Each member keeps its own stream, test stream, random generators, buffer
 block, attack counts and log, and gets exactly the bits it would get
 trained alone, as a group of one, whose model is a plain model. All
 randomness flows through per-purpose numpy Generators derived from the run
-seed, so runs are bit-reproducible; evaluation draws from generators
-seeded by (0, step, task) alone and never disturbs training.
+seed, so runs are bit-reproducible; evaluation, PGD at the training
+attack's eps, alpha and iters, draws from generators seeded by (0, step,
+task) alone and never disturbs training.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .replay import ReplayBuffer
 
 STRATEGIES = ("joint", "joint_at", "er", "er_at", "er_cat", "er_eat",
               "der", "der_at", "der_eat", "derpp", "derpp_at", "derpp_eat")
-LR = 0.1  # every model's SGD learning rate
 DER_ALPHA = 0.5  # DER's distillation weight
 DERPP_BETA = 0.5  # DER++'s label weight
 # the buffer batches a replaying step samples
@@ -171,13 +171,13 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, *a.shape[2:])
 
 
-def der_terms(model, buf_x, stored_logits, alpha: float):
-    """Distillation term: alpha * MSE(model logits on buffer x, stored logits).
+def der_terms(model, buf_x, stored_logits):
+    """Distillation term: DER_ALPHA * MSE(model logits on buffer x, stored logits).
 
     stored_logits holds one row per row of buf_x, in order: (rows, classes),
     or member-major (E, rows / E, classes) for a stacked model, whose mean,
-    and so whose gradient's 2 * alpha / size, is taken over each member's
-    own logits.
+    and so whose gradient's 2 * DER_ALPHA / size, is taken over each
+    member's own logits.
     """
     if stored_logits is None:
         raise ValueError("DER replay needs a buffer that stores logits with its rows")
@@ -190,16 +190,16 @@ def der_terms(model, buf_x, stored_logits, alpha: float):
         diff = logits - stored_logits.reshape(logits.shape)
         size = diff.shape[-2] * diff.shape[-1]  # one member's
         squares = (diff * diff).reshape(*diff.shape[:-2], size)
-        return alpha * np.mean(squares, axis=-1), (2.0 * alpha / size) * diff
+        return DER_ALPHA * np.mean(squares, axis=-1), (2.0 * DER_ALPHA / size) * diff
 
     return loss_and_grads(model, buf_x, mse)
 
 
-def derpp_label_terms(model, buf_x, buf_targets, beta: float):
-    """DER++ label term: beta * cross-entropy on a second buffer batch."""
+def derpp_label_terms(model, buf_x, buf_targets):
+    """DER++ label term: DERPP_BETA * cross-entropy on a second buffer batch."""
     def weighted_ce(logits):
         ce, dlogits = softmax_ce(logits, buf_targets)
-        return beta * ce, beta * dlogits
+        return DERPP_BETA * ce, DERPP_BETA * dlogits
 
     return loss_and_grads(model, buf_x, weighted_ce)
 
@@ -255,7 +255,7 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
     _, grads = loss_and_grads(model, _flat(x), ce)
     if batches and replay in ("der", "derpp"):
         bx, _, blogits = buffer.sample_arrays(batches[0])
-        _, der_grads = der_terms(model, bx, blogits, DER_ALPHA)
+        _, der_grads = der_terms(model, bx, blogits)
         grads = add_grads(grads, der_grads)
         if replay == "derpp":
             bx2, bt2, _ = buffer.sample_arrays(batches[1])
@@ -263,9 +263,9 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
                 bx2 = attack(model, bx2, bt2, cfg.attack, atk_rng)
                 for m in members:
                     m.log.attack_counts["memory"] += len(bx2) // len(members)
-            _, label_grads = derpp_label_terms(model, bx2, bt2, DERPP_BETA)
+            _, label_grads = derpp_label_terms(model, bx2, bt2)
             grads = add_grads(grads, label_grads)
-    stepped = sgd_step(model, grads, LR)
+    stepped = sgd_step(model, grads)
     current_adv = adv[:, :b] if n_atk else None
     if writes is None:
         return stepped, current_adv
@@ -397,8 +397,8 @@ def _snapshot(model, step: int, test: TaskStream, atk: AttackConfig) -> MetricsR
     return MetricsRecord(step, accs, robs, float(np.mean(accs)), float(np.mean(robs)))
 
 
-def train_streams(streams, tests, strategy: str, cfg: TrainConfig, seeds,
-                  eval_attack: AttackConfig) -> list[tuple[MLPModel, RunLog]]:
+def train_streams(streams, tests, strategy: str, cfg: TrainConfig,
+                  seeds) -> list[tuple[MLPModel, RunLog]]:
     """Run one strategy over each stream from its run seed, the runs trained
     together in lockstep: run e is (streams[e], tests[e], seeds[e]), and
     position e of the result holds its trained target model and a log of
@@ -407,9 +407,9 @@ def train_streams(streams, tests, strategy: str, cfg: TrainConfig, seeds,
 
     The classifier head spans every class in the stream (single-head, no
     task ids). Metrics snapshots are taken after each task over all tasks
-    seen so far, on the run's test stream under eval_attack. Joint training
-    is one merged task with an empty buffer, trained and snapshotted at the
-    last step.
+    seen so far, on the run's test stream under PGD at cfg.attack's eps,
+    alpha and iters, whatever its kind. Joint training is one merged task
+    with an empty buffer, trained and snapshotted at the last step.
 
     The streams must give one model shape and one size per task, +EAT's
     tasks one size, and each test stream the task count and input dim of
@@ -443,6 +443,7 @@ def train_streams(streams, tests, strategy: str, cfg: TrainConfig, seeds,
         plan = [(i, i, [s.tasks[i] for s in streams]) for i in range(last + 1)]
     # EAT never trains joint, so a task's index is its stream step
     externals = _eat_externals(plan, layer_sizes, cfg, members) if robust == "eat" else {}
+    eval_attack = replace(cfg.attack, kind="pgd")
     for step, index, tasks in plan:
         model = _run_task(model, index, tasks, replay, robust, cfg, members, buffer,
                           externals.pop(index, ()))

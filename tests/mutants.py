@@ -97,9 +97,9 @@ MUTANTS = [
      "DERPP_BETA = 0.4  # DER++'s label weight",
      [_ORACLE]),
     # evaluation: one FGSM step at eps instead of PGD
-    ("runner.py",
-     'replace(build_attack(cfg), kind="pgd")',
-     'replace(build_attack(cfg), kind="fgsm")',
+    ("strategies.py",
+     'replace(cfg.attack, kind="pgd")',
+     'replace(cfg.attack, kind="fgsm")',
      [_RUNNER + "test_eval_attack_is_pgd_of_the_training_attack"]),
 ]
 

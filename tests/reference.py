@@ -276,17 +276,19 @@ def train_external(task, layer_sizes, cfg, seed) -> tuple[MLPModel, np.ndarray, 
     return run.model, copy, run.counts["current"] + len(task)
 
 
-def train_alone(stream, test, strategy: str, cfg, seed: int, eval_attack: AttackConfig):
+def train_alone(stream, test, strategy: str, cfg, seed: int):
     """One run of strategy over stream from seed, trained alone: returns its
     model, MetricsRecords, attack rates as (task, epoch, rate) and attack
     counts. The model, batch order, buffer and attack rngs are seeded
     (seed, 0) to (seed, 3); task i's +EAT external trains from (seed, 4, i).
-    After each task, every task seen so far is evaluated on test under
-    eval_attack, with the rng seeded (0, step, task). Joint trains once, on
-    the merged stream, as task 0 of the last step."""
+    After each task, every task seen so far is evaluated on test under PGD
+    with cfg.attack's eps, alpha and iters, with the rng seeded (0, step,
+    task). Joint trains once, on the merged stream, as task 0 of the last
+    step."""
     sizes = (stream.input_dim, *cfg.hidden, max(stream.all_classes) + 1)
     run = _Run(strategy, cfg, init_model(sizes, [seed, 0]),
                *(np.random.default_rng([seed, k]) for k in (1, 2, 3)))
+    eval_attack = AttackConfig("pgd", cfg.attack.eps, cfg.attack.alpha, cfg.attack.iters)
     last = len(stream.tasks) - 1
     plan = ([(last, 0, stream.merged())] if run.replay == "joint"
             else [(i, i, task) for i, task in enumerate(stream.tasks)])

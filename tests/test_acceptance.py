@@ -23,7 +23,7 @@ from eatcl.attacks import AttackConfig, _steps, attack
 from eatcl.metrics import prev_task_rate, robustness
 from eatcl.nets import MLPModel, forward, init_model, loss_and_grads, one_hot, softmax_ce
 from eatcl.replay import ReplayBuffer
-from eatcl.runner import build_eval_attack, build_streams
+from eatcl.runner import build_streams
 
 from conftest import STRONGER, build_facts, output_digests, run_config
 
@@ -258,7 +258,7 @@ def test_robustness_under_stronger_evaluation(shipped_runs, pytestconfig):
     rest next to the shipped robustness."""
     table = pytestconfig.stash[STRONGER] = {}
     for name, run in shipped_runs.items():
-        eps = build_eval_attack(run.cfg).eps
+        eps = run.cfg["attack.eps"]
         fgsm = _final_robustness(run, AttackConfig("fgsm", eps, eps, 1))
         pgd20 = _final_robustness(run, AttackConfig("pgd", eps, eps / 10, 20))
         table[name] = {s: (run.stat(s, "robustness")["mean"], fgsm[s], pgd20[s])

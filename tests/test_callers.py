@@ -1,8 +1,8 @@
 """Every public function and method in src/eatcl has a caller in src/eatcl,
-every module but eatcl/__init__.py uses each name it imports, one
-training loop steps every model, every config key but three takes two
-values across the shipped configs, smoke.conf runs every strategy, and
-every mutant in mutants.py still applies to the source.
+every module but eatcl/__init__.py, and every test module, uses each name
+it imports, one training loop steps every model, every config key but
+three takes two values across the shipped configs, smoke.conf runs every
+strategy, and every mutant in mutants.py still applies to the source.
 
 A name counts as used when it occurs anywhere in the package as a name, an
 attribute or an import alias; being re-exported by eatcl/__init__.py counts,
@@ -18,21 +18,35 @@ from eatcl.strategies import STRATEGIES
 from conftest import CONFIG_DIR
 from mutants import MUTANTS, ROOT
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "eatcl"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "eatcl"
 
 
 def _public_functions(tree: ast.Module):
-    """(qualified name, name) of the module's public functions and the
-    public methods of its classes."""
+    """(qualified name, definition) of the module's public functions and
+    the public methods of its classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if not node.name.startswith("_"):
-                yield node.name, node.name
+                yield node.name, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not item.name.startswith("_")):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item
+
+
+def public_parameters() -> tuple[int, int]:
+    """The parameters of src/eatcl's public functions and methods, self not
+    counted, and how many of them have defaults."""
+    params = defaults = 0
+    for path in SRC.glob("*.py"):
+        for _, fn in _public_functions(ast.parse(path.read_text(), str(path))):
+            a = fn.args
+            named = a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v]
+            params += sum(arg.arg != "self" for arg in named)
+            defaults += len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+    return params, defaults
 
 
 def _used_names(tree: ast.Module) -> set[str]:
@@ -55,7 +69,7 @@ def test_every_public_function_has_a_caller_in_src():
     assert "nets" in trees and "strategies" in trees
     used = set().union(*(_used_names(tree) for tree in trees.values()))
     unused = [f"{module}.{qualified}" for module, tree in trees.items()
-              for qualified, name in _public_functions(tree) if name not in used]
+              for qualified, fn in _public_functions(tree) if fn.name not in used]
     assert unused == [], f"public functions with no caller in src/eatcl: {unused}"
 
 
@@ -80,13 +94,14 @@ def _unused_imports(tree: ast.Module, lines: list[str]) -> list[str]:
 
 def test_every_import_is_used_in_its_module():
     paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
-    assert any(path.stem == "strategies" for path in paths)
+    paths += sorted(TESTS.glob("*.py"))
+    assert {"strategies", "test_callers"} <= {path.stem for path in paths}
     unused = {}
     for path in paths:
         source = path.read_text()
         names = _unused_imports(ast.parse(source, str(path)), source.splitlines())
         if names:
-            unused[path.stem] = names
+            unused[f"{path.parent.name}/{path.name}"] = names
     assert unused == {}, f"imports never used in their module: {unused}"
 
 

@@ -8,48 +8,42 @@ from eatcl.datasets import (Dataset, TaskStream, gen_blob_stream, gen_crescent,
                             imbalance_subsample, split_by_classes)
 
 
-def test_crescent_noise_zero_lies_on_section_lines():
-    d = gen_crescent(50, noise=0.0, seed=0)
-    assert len(d) == 100
+def test_crescent_points_sit_on_section_lines():
+    # each band point sits on its section's line and each blob point at the
+    # blob's center height, offset by CRESCENT_NOISE times its jitter
+    # multiple times a standard normal draw
+    d = gen_crescent(500, seed=0)
+    assert len(d) == 1000
     edges = np.asarray(D.CRESCENT_EDGES)
-    for cls in (0, 1):
-        pts = d.x[d.y == cls]
-        on_band = pts[pts[:, 0] <= edges[-1]]
-        sec = np.searchsorted(edges[1:-1], on_band[:, 0])
-        lines = np.asarray([D.CRESCENT_LINES[s][cls] for s in sec])
-        np.testing.assert_allclose(on_band[:, 1], lines, atol=1e-12)
-    # everything past the band tip is the class-1 blob at its center height
-    blob = d.x[d.x[:, 0] > edges[-1]]
-    n_blob = int(round(50 * D.TIP_BLOB_SHARE))
-    assert blob.shape[0] == n_blob
-    assert np.all(d.y[d.x[:, 0] > edges[-1]] == 1)
-    np.testing.assert_allclose(blob[:, 1], D.TIP_BLOB_Y, atol=1e-12)
+    band = d.x[:, 0] <= edges[-1]
+    sec = np.searchsorted(edges[1:-1], d.x[band, 0])
+    lines = np.asarray([D.CRESCENT_LINES[s][c] for s, c in zip(sec, d.y[band])])
+    jitter = np.asarray([D.CRESCENT_JITTER[s][c] for s, c in zip(sec, d.y[band])])
+    z = np.concatenate([(d.x[band, 1] - lines) / (D.CRESCENT_NOISE * jitter),
+                        (d.x[~band, 1] - D.TIP_BLOB_Y) / (D.CRESCENT_NOISE * D.TIP_BLOB_JITTER)])
+    assert np.max(np.abs(z)) < 5
+    assert abs(np.std(z) - 1) < 0.1
+    # everything past the band tip is the class-1 blob
+    blob = d.x[~band]
+    assert blob.shape[0] == int(round(500 * D.TIP_BLOB_SHARE))
+    assert np.all(d.y[~band] == 1)
     assert np.all((blob[:, 0] >= D.TIP_BLOB_X[0]) & (blob[:, 0] <= D.TIP_BLOB_X[1]))
 
 
-def test_crescent_deterministic_and_jitter_scale():
-    a = gen_crescent(200, noise=0.1, seed=5)
-    b = gen_crescent(200, noise=0.1, seed=5)
-    np.testing.assert_array_equal(a.x, b.x)
-    clean = gen_crescent(200, noise=0.0, seed=5)
-    dev = a.x - clean.x
-    assert np.all(dev[:, 0] == 0)  # jitter is vertical only
-    assert np.std(dev[:, 1]) > 0
-    # same seed draws the same unit jitter, so deviation scales linearly
-    double = gen_crescent(200, noise=0.2, seed=5)
-    np.testing.assert_allclose(double.x - clean.x, 2.0 * dev, atol=1e-12)
+def test_crescent_deterministic():
+    a = gen_crescent(200, seed=5)
+    np.testing.assert_array_equal(a.x, gen_crescent(200, seed=5).x)
+    assert not np.array_equal(a.x, gen_crescent(200, seed=6).x)
 
 
 def test_crescent_rejects_bad_args():
     with pytest.raises(ValueError):
-        gen_crescent(0)
-    with pytest.raises(ValueError):
-        gen_crescent(10, noise=-0.1)
+        gen_crescent(0, seed=0)
 
 
 def test_imbalance_subsample_counts():
     d = gen_crescent(100, seed=1)
-    sub = imbalance_subsample(d, {1: 0.25}, seed=2)
+    sub = imbalance_subsample(d, 0.25, seed=2)
     assert int(np.sum(sub.y == 0)) == 100
     assert int(np.sum(sub.y == 1)) == 25
     # subsample rows come from the original
@@ -60,14 +54,11 @@ def test_imbalance_subsample_counts():
 def test_imbalance_subsample_validation():
     d = gen_crescent(10, seed=1)
     with pytest.raises(ValueError):
-        imbalance_subsample(d, {1: 0.0})
+        imbalance_subsample(d, 0.0, seed=0)
     with pytest.raises(ValueError):
-        imbalance_subsample(d, {1: 1.5})
+        imbalance_subsample(d, 1.5, seed=0)
     with pytest.raises(ValueError):
-        imbalance_subsample(d, {1: 0.01})  # would round to zero rows
-    for unknown in ({5: 0.5}, {1: 0.5, -1: 0.5}):
-        with pytest.raises(ValueError, match="not one of the data's classes"):
-            imbalance_subsample(d, unknown)
+        imbalance_subsample(d, 0.01, seed=0)  # would round to zero rows
 
 
 def test_split_by_classes_ascending_and_disjoint():
@@ -105,7 +96,7 @@ def test_task_stream_rejects_a_task_with_no_rows():
 
 
 def test_blob_stream_structure_and_separation():
-    stream = gen_blob_stream(3, 2, 8, 30, separation=1.5, noise=0.2, seed=4)
+    stream = gen_blob_stream(3, 2, 8, 30, seed=4, sample_seed=4)
     assert len(stream.tasks) == 3
     assert stream.all_classes == (0, 1, 2, 3, 4, 5)
     assert stream.input_dim == 8
@@ -113,36 +104,39 @@ def test_blob_stream_structure_and_separation():
              for t in range(3) for c in stream.tasks[t].classes]
     for i in range(6):
         for j in range(i + 1, 6):
-            # class means approximate the centers, which were placed >= 1.5 apart
-            assert np.linalg.norm(means[i] - means[j]) > 1.0
+            # class means approximate the centers, which were placed at
+            # least BLOB_SEPARATION apart
+            assert np.linalg.norm(means[i] - means[j]) > 2 / 3 * D.BLOB_SEPARATION
 
 
 def test_blob_stream_shares_centers_across_sample_seeds():
-    a = gen_blob_stream(2, 2, 6, 200, 1.5, 0.1, seed=7, sample_seed=1)
-    b = gen_blob_stream(2, 2, 6, 200, 1.5, 0.1, seed=7, sample_seed=2)
+    a = gen_blob_stream(2, 2, 6, 200, seed=7, sample_seed=1)
+    b = gen_blob_stream(2, 2, 6, 200, seed=7, sample_seed=2)
     assert not np.array_equal(a.tasks[0].x, b.tasks[0].x)
     for t in range(2):
         for c in a.tasks[t].classes:
             ma = a.tasks[t].x[a.tasks[t].y == c].mean(axis=0)
             mb = b.tasks[t].x[b.tasks[t].y == c].mean(axis=0)
-            assert np.linalg.norm(ma - mb) < 0.1
+            assert np.linalg.norm(ma - mb) < D.BLOB_NOISE
 
 
 def test_blob_stream_deterministic():
-    a = gen_blob_stream(2, 2, 4, 20, 1.0, 0.2, seed=9)
-    b = gen_blob_stream(2, 2, 4, 20, 1.0, 0.2, seed=9)
+    a = gen_blob_stream(2, 2, 4, 20, seed=9, sample_seed=9)
+    b = gen_blob_stream(2, 2, 4, 20, seed=9, sample_seed=9)
     for ta, tb in zip(a.tasks, b.tasks):
         np.testing.assert_array_equal(ta.x, tb.x)
         np.testing.assert_array_equal(ta.y, tb.y)
 
 
 def test_blob_stream_infeasible_separation():
-    with pytest.raises(ValueError):
-        gen_blob_stream(5, 2, 2, 5, separation=10.0, noise=0.1, seed=0)
+    # an interval of width 2 * BLOB_SEPARATION holds at most 3 centers
+    # BLOB_SEPARATION apart
+    with pytest.raises(ValueError, match="could not place 4 centers"):
+        gen_blob_stream(2, 2, 1, 5, seed=0, sample_seed=0)
 
 
 def test_merged_preserves_order_and_classes():
-    stream = gen_blob_stream(2, 2, 4, 10, 1.0, 0.2, seed=3)
+    stream = gen_blob_stream(2, 2, 4, 10, seed=3, sample_seed=3)
     merged = stream.merged()
     assert len(merged) == 2 * 2 * 10
     np.testing.assert_array_equal(merged.x[:20], stream.tasks[0].x)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eatcl.nets import (GradBundle, MLPModel, add_grads, ce_input_grad, check_input,
-                        forward, init_model, loss_and_grads, one_hot, sgd_step,
-                        softmax_ce, stack_models, unstack_models)
+from eatcl.nets import (LR, MLPModel, add_grads, ce_input_grad, check_input, forward,
+                        init_model, loss_and_grads, one_hot, sgd_step, softmax_ce,
+                        stack_models, unstack_models)
 from eatcl.strategies import TrainConfig
 from reference import backward, label_softmax_ce
 
@@ -187,12 +187,11 @@ def test_sgd_step_is_pure_and_exact():
     y = one_hot(np.array([0, 1]), 2)
     _, g = loss_and_grads(model, x, lambda z: softmax_ce(z, y))
     before = [w.copy() for w in model.weights]
-    lr = 0.05
-    stepped = sgd_step(model, g, lr)
+    stepped = sgd_step(model, g)
     for w, w0 in zip(model.weights, before):
         np.testing.assert_array_equal(w, w0)  # input untouched
     for wn, w0, gw in zip(stepped.weights, before, g.weight_grads):
-        np.testing.assert_allclose(wn, w0 - lr * gw, atol=0)
+        np.testing.assert_allclose(wn, w0 - LR * gw, atol=0)
 
 
 def test_sgd_step_rejects_mismatched_grads():
@@ -202,7 +201,7 @@ def test_sgd_step_rejects_mismatched_grads():
     y = one_hot(np.array([0]), 2)
     _, g = loss_and_grads(other, x, lambda z: softmax_ce(z, y))
     with pytest.raises(ValueError):
-        sgd_step(model, g, 0.1)
+        sgd_step(model, g)
 
 
 def test_add_grads_sums_terms():
@@ -256,7 +255,6 @@ def test_stacked_loss_and_sgd_step_equal_members_alone_bitwise():
     # E models in lockstep must give every member the exact bits it gets
     # alone: the loss, every gradient, and the stepped parameters
     rng = np.random.default_rng(31)
-    lr = 0.07
     for sizes in [(2, 3, 2), (16, 32, 10), (5, 4, 6, 3), (3, 1)]:
         for e in (1, 3):
             members = [_rand_model(rng, sizes) for _ in range(e)]
@@ -266,7 +264,7 @@ def test_stacked_loss_and_sgd_step_equal_members_alone_bitwise():
             stacked = stack_models(members)
             x, y = np.vstack(xs), np.vstack(ys)
             loss, grads = loss_and_grads(stacked, x, lambda z: softmax_ce(z, y))
-            stepped = unstack_models(sgd_step(stacked, grads, lr))
+            stepped = unstack_models(sgd_step(stacked, grads))
             x3 = check_input(stacked, x)
             only_x = ce_input_grad(stacked, x3, y.reshape(*x3.shape[:-1], sizes[-1]))
             assert loss.shape == (e,)
@@ -281,7 +279,7 @@ def test_stacked_loss_and_sgd_step_equal_members_alone_bitwise():
                 assert np.array_equal(grads.input_grads[i * b:(i + 1) * b],
                                       ref.input_grads)
                 assert np.array_equal(only_x[i], ref.input_grads)
-                alone = sgd_step(m, ref, lr)
+                alone = sgd_step(m, ref)
                 for got, want in zip(stepped[i].weights + stepped[i].biases,
                                      alone.weights + alone.biases):
                     assert got.shape == want.shape and np.array_equal(got, want)

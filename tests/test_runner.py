@@ -3,7 +3,6 @@ artifact determinism, summary math."""
 
 import csv
 import json
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +11,12 @@ import pytest
 import eatcl.runner
 from eatcl.cli import main
 from eatcl.attacks import AttackConfig
+from eatcl.metrics import robustness
 from eatcl.runner import (ConfigError, RunResult, _write_metrics_csv,
-                          _write_rates_csv, build_attack, build_eval_attack,
-                          build_streams, build_train_config, default_config,
-                          emit_config, format_summary_table, parse_config,
-                          run_experiment, summarize_results)
+                          _write_rates_csv, build_attack, build_streams,
+                          build_train_config, default_config, emit_config,
+                          format_summary_table, parse_config, run_experiment,
+                          summarize_results)
 from eatcl.strategies import TrainConfig, parse_strategy, train_streams
 
 from conftest import CONFIG_DIR, SHIPPED
@@ -127,11 +127,10 @@ def test_validation_errors():
 
 
 def test_eval_attack_is_pgd_of_the_training_attack():
-    for kind in ("fgsm", "pgd"):
-        cfg = parse_config(f"attack.kind = {kind}\nattack.eps = 0.2\n"
-                           "attack.alpha = 0.05\nattack.iters = 7\n")
-        assert build_eval_attack(cfg) == replace(build_attack(cfg), kind="pgd"), kind
-    # each shipped config keeps the evaluation attack its eval.attack.* keys set
+    # train_streams measures robustness under PGD at the training attack's
+    # eps, alpha and iters, whatever its kind: on each shipped config's
+    # streams, a joint run's robustness is its final model's under that
+    # config's evaluation attack, hard-coded here, with the evaluation rngs
     stream = AttackConfig("pgd", 0.0314, 0.0078, 4)
     toy = AttackConfig("pgd", 0.1, 0.1, 10)
     shipped = {"smoke": stream, "stream_fgsm": stream, "stream_pgd": stream,
@@ -139,7 +138,15 @@ def test_eval_attack_is_pgd_of_the_training_attack():
     assert sorted(shipped) == sorted(SHIPPED)
     for name, expected in shipped.items():
         cfg = parse_config((CONFIG_DIR / f"{name}.conf").read_text())
-        assert build_eval_attack(cfg) == expected, name
+        train_s, test_s = build_streams(cfg, 0)
+        tcfg = build_train_config(cfg)
+        (model, log), = train_streams([train_s], [test_s], "joint", tcfg, [0])
+        last = len(test_s.tasks) - 1
+        rob = {atk.kind: [robustness(model, data, atk, np.random.default_rng([0, last, t]))
+                          for t, data in enumerate(test_s.tasks)]
+               for atk in (expected, replace(expected, kind="fgsm"))}
+        assert log.records[-1].per_task_robustness == rob["pgd"], name
+        assert rob["pgd"] != rob["fgsm"], name  # so an FGSM evaluation would show
 
 
 def test_cli_and_library_defaults_agree():
@@ -261,7 +268,7 @@ def test_lockstep_grid_writes_the_csvs_of_cells_run_alone(tmp_path):
         train_s, test_s = build_streams(cfg, seed)
         for strat in cfg["strategies"]:
             (model, log), = train_streams([train_s], [test_s], strat, build_train_config(cfg),
-                                          [seed], build_eval_attack(cfg))
+                                          [seed])
             alone.append(RunResult(f"{strat}_s{seed}", strat, seed, model, log))
     _write_metrics_csv(str(tmp_path / "metrics.csv"), alone)
     _write_rates_csv(str(tmp_path / "rates.csv"), alone)

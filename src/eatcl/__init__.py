@@ -9,8 +9,7 @@ including external adversarial training).
 __version__ = "0.1.0"
 
 from .attacks import AttackConfig, attack, project_linf
-from .datasets import (Dataset, TaskStream, gen_blob_stream, gen_crescent,
-                       imbalance_subsample, split_by_classes)
+from .datasets import Dataset, TaskStream, gen_blob_stream, gen_crescent, imbalance_subsample
 from .metrics import MetricsRecord, clean_accuracy, prev_task_rate, robustness
 from .nets import MLPModel, forward, init_model, one_hot, sgd_step
 from .replay import ReplayBuffer

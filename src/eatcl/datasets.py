@@ -70,10 +70,13 @@ class TaskStream:
     def __post_init__(self):
         if not self.tasks:
             raise ValueError("a stream needs at least one task")
+        dim = self.tasks[0].x.shape[1]
         seen: set[int] = set()
         for i, t in enumerate(self.tasks):
             if len(t) == 0:
                 raise ValueError(f"task {i} has no rows")
+            if t.x.shape[1] != dim:
+                raise ValueError(f"task {i} has input dim {t.x.shape[1]}, task 0 {dim}")
             if seen & set(t.classes):
                 raise ValueError("task class sets must be pairwise disjoint")
             seen |= set(t.classes)
@@ -147,23 +150,6 @@ def imbalance_subsample(d: Dataset, fraction: float, seed) -> Dataset:
     return Dataset(d.x[keep], d.y[keep], d.classes)
 
 
-def split_by_classes(d: Dataset, classes_per_task: int) -> TaskStream:
-    """Form tasks by ascending class id, classes_per_task classes each."""
-    if classes_per_task < 1:
-        raise ValueError("classes_per_task must be >= 1")
-    classes = sorted(d.classes)
-    if len(classes) % classes_per_task != 0:
-        raise ValueError(
-            f"{len(classes)} classes not divisible by classes_per_task={classes_per_task}"
-        )
-    tasks = []
-    for i in range(0, len(classes), classes_per_task):
-        group = tuple(classes[i:i + classes_per_task])
-        rows = np.flatnonzero(np.isin(d.y, group))
-        tasks.append(Dataset(d.x[rows], d.y[rows], group))
-    return TaskStream(tasks)
-
-
 def gen_blob_stream(num_tasks: int, classes_per_task: int, dim: int,
                     n_per_class: int, seed, sample_seed) -> TaskStream:
     """Gaussian clusters at seeded random centers, streamed in ascending class order.
@@ -173,19 +159,23 @@ def gen_blob_stream(num_tasks: int, classes_per_task: int, dim: int,
     retries), so the separation floor doubles as the geometry scale; points
     scatter around them with standard deviation BLOB_NOISE. `seed` fixes the
     centers and `sample_seed` the points, so train/test splits of the same
-    geometry use equal seed and different sample_seed.
+    geometry use equal seed and different sample_seed. Task i is built from
+    its classes' points alone, classes i * classes_per_task onward, each
+    class's n_per_class rows a block in class order; points are drawn class
+    by class across the stream.
     """
     if min(num_tasks, classes_per_task, dim, n_per_class) < 1:
         raise ValueError("all counts must be >= 1")
     n_classes = num_tasks * classes_per_task
     centers = _place_centers(np.random.default_rng([_seed_int(seed), 0]), n_classes, dim)
     point_rng = np.random.default_rng([_seed_int(sample_seed), 1])
-    xs, ys = [], []
-    for c in range(n_classes):
-        xs.append(centers[c] + point_rng.normal(0.0, BLOB_NOISE, size=(n_per_class, dim)))
-        ys.append(np.full(n_per_class, c, dtype=np.int64))
-    full = Dataset(np.vstack(xs), np.concatenate(ys), tuple(range(n_classes)))
-    return split_by_classes(full, classes_per_task)
+    tasks = []
+    for first in range(0, n_classes, classes_per_task):
+        group = tuple(range(first, first + classes_per_task))
+        x = np.vstack([centers[c] + point_rng.normal(0.0, BLOB_NOISE, size=(n_per_class, dim))
+                       for c in group])
+        tasks.append(Dataset(x, np.repeat(group, n_per_class), group))
+    return TaskStream(tasks)
 
 
 def _seed_int(seed) -> int:

@@ -285,16 +285,17 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
     return stepped, current_adv
 
 
-def eat_generate(tasks, layer_sizes, cfg: TrainConfig, seeds, counts
-                 ) -> list[tuple[MLPModel, np.random.Generator]]:
+def eat_generate(tasks, layer_sizes, cfg: TrainConfig, seeds
+                 ) -> list[tuple[MLPModel, np.random.Generator, int]]:
     """Throwaway external models, one per seed, trained in lockstep.
 
     Seed k's external trains from scratch on tasks[k] alone (all tasks of
     one size) as a joint_at run: eat_external_epochs epochs with at_mix
     "replace", whatever the target's, with model, batch order and attack
     rng seeded (seed, 0), (seed, 1) and (seed, 2). Returns (model, attack
-    rng) per seed; attacking its task's rows with them gives its
-    adversarial copy. External k's attacked rows add to counts[k]["external"].
+    rng, attacked rows) per seed: attacking its task's rows with the model
+    and rng gives its adversarial copy, and _run_task adds the rows attacked
+    in training it to the "external" count of the member that uses it.
     """
     if not tasks or len(seeds) != len(tasks):
         raise ValueError(f"{len(seeds)} external seeds for {len(tasks)} tasks")
@@ -307,15 +308,15 @@ def eat_generate(tasks, layer_sizes, cfg: TrainConfig, seeds, counts
     ext_cfg = replace(cfg, epochs_per_task=cfg.eat_external_epochs, at_mix="replace")
     ext = _run_task(_lockstep([init_model(layer_sizes, _sub(s, 0)) for s in seeds]), 0, tasks,
                     "joint", "at", ext_cfg, members, ReplayBuffer(0, len(members)), ())
-    for c, m in zip(counts, members, strict=True):
-        c["external"] += m.log.attack_counts["current"]
-    return [(single, m.rngs.attack) for single, m in zip(_split(ext), members)]
+    return [(single, m.rngs.attack, m.log.attack_counts["current"])
+            for single, m in zip(_split(ext), members)]
 
 
 def _eat_externals(plan, layer_sizes, cfg: TrainConfig, members) -> dict:
     """Every external model of a lockstep group, by task index: for each
-    task, member e's list of (model, attack rng), one per generation of its
-    adversarial copy (one per task, or one per epoch with eat_refresh).
+    task, member e's list of eat_generate's (model, attack rng, attacked
+    rows), one per generation of its adversarial copy (one per task, or one
+    per epoch with eat_refresh).
 
     One eat_generate call trains them all, seeded (member seed, 4, task,
     *generation) in task-major, member, generation order, each on its
@@ -326,9 +327,7 @@ def _eat_externals(plan, layer_sizes, cfg: TrainConfig, members) -> dict:
     ext = iter(eat_generate([task for _, _, tasks in plan for task in tasks for _ in gens],
                             layer_sizes, cfg,
                             [_sub(m.seed, 4, index, *g)
-                             for _, index, _ in plan for m in members for g in gens],
-                            [m.log.attack_counts
-                             for _ in plan for m in members for _ in gens]))
+                             for _, index, _ in plan for m in members for g in gens]))
     return {index: [[next(ext) for _ in gens] for _ in members] for _, index, _ in plan}
 
 
@@ -344,9 +343,11 @@ def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConf
     here too, at index 0.
 
     +EAT takes the task's externals, already trained (_eat_externals):
-    externals[e] lists member e's (model, attack rng), one per generation.
-    Each epoch's adversarial copies are made when the epoch starts and
-    written over the last ones, so one copy per member is live at a time.
+    externals[e] lists member e's (model, attack rng, attacked rows), one
+    per generation. Each epoch's adversarial copies are made when the epoch
+    starts and written over the last ones, so one copy per member is live at
+    a time; each copy adds its n rows and its external's attacked rows to
+    the member's "external" count.
     Copies are made member by member: stacking their attacks too raised
     perfbench's stream_eat peak_rss_mb from 43.6 to 45.7 MB.
     """
@@ -359,9 +360,9 @@ def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConf
     for epoch in range(cfg.epochs_per_task):
         for m, task, t, ext, copy in zip(members, tasks, ts, externals, xs[:, n:]):
             if epoch < len(ext):
-                model_e, rng = ext[epoch]
+                model_e, rng, attacked = ext[epoch]
                 copy[...] = attack(model_e, task.x, t[:n], cfg.attack, rng)
-                m.log.attack_counts["external"] += n
+                m.log.attack_counts["external"] += attacked + n
         aes = [xs[:, n:]] if externals and index > 0 else []  # for the attack rate
         rows = xs.shape[1]
         perms = np.stack([m.rngs.batch.permutation(rows) for m in members])

@@ -18,11 +18,11 @@ and the two stronger ones. The digests depend on the numeric build, so
 test_acceptance.py asserts them against tests/digests.json only on the
 build recorded there (build_facts).
 Every run's summary also prints the line counts of src/eatcl, of
-strategies.py, of tests/ and of configs/*.conf, the number of parameters
-of src/eatcl's public functions and how many have defaults, the number of
-config keys, the number of TrainConfig and AttackConfig fields, which
-counts library-only options too, and the number of monkeypatch.setattr
-calls on eatcl.strategies in tests/.
+strategies.py, of tests/ and of configs/*.conf, the number of src/eatcl's
+public functions and methods, of their parameters and of those with
+defaults, the number of config keys, the number of TrainConfig and
+AttackConfig fields, which counts library-only options too, and the
+number of monkeypatch.setattr calls on eatcl.strategies in tests/.
 """
 
 import contextlib
@@ -163,14 +163,15 @@ def pytest_terminal_summary(terminalreporter, config):
     stream config 300 s; each config's output digests, attack gradient
     passes and eat_generate calls; and, if measured, each config's
     robustness under the stronger evaluation attacks. First, on every run,
-    the line counts of src/eatcl and strategies.py, the parameters of
-    src/eatcl's public functions and those with defaults, the number of
-    config keys, the line count of configs/*.conf, the number of
-    TrainConfig + AttackConfig fields, the line count of tests/ and its
-    monkeypatch.setattr calls on eatcl.strategies."""
+    the line counts of src/eatcl and strategies.py, the number of
+    src/eatcl's public functions and methods, their parameters and those
+    with defaults, the number of config keys, the line count of
+    configs/*.conf, the number of TrainConfig + AttackConfig fields, the
+    line count of tests/ and its monkeypatch.setattr calls on
+    eatcl.strategies."""
     from test_callers import public_parameters  # test_callers imports this module
 
-    params, defaults = public_parameters()
+    functions, params, defaults = public_parameters()
     lines = {p.name: len(p.read_text().splitlines()) for p in SRC_DIR.glob("*.py")}
     conf_lines = sum(len(p.read_text().splitlines()) for p in CONFIG_DIR.glob("*.conf"))
     tests = [p.read_text() for p in Path(__file__).parent.glob("*.py")]
@@ -180,6 +181,7 @@ def pytest_terminal_summary(terminalreporter, config):
     terminalreporter.section("source size")
     terminalreporter.write_line(f"src/eatcl {sum(lines.values())} lines, "
                                 f"{lines['strategies.py']} of them in strategies.py, "
+                                f"{functions} public functions and methods, "
                                 f"{params} public-function parameters, {defaults} with "
                                 "defaults; "
                                 f"{len(default_config())} config keys, "

@@ -48,9 +48,14 @@ MUTANTS = [
      [_ORACLE]),
     # +EAT: external attack counts credited to member 0 only
     ("strategies.py",
-     "[m.log.attack_counts\n",
-     "[members[0].log.attack_counts\n",
-     [_STRAT + "test_lockstep_runs_equal_runs_alone"]),
+     'm.log.attack_counts["external"] += attacked + n',
+     'members[0].log.attack_counts["external"] += attacked + n',
+     [_ORACLE]),
+    # +EAT: the rows attacked in training an external not counted
+    ("strategies.py",
+     'm.log.attack_counts["external"] += attacked + n',
+     'm.log.attack_counts["external"] += n',
+     [_ORACLE]),
     # +EAT: the externals train with the target's at_mix
     ("strategies.py",
      'replace(cfg, epochs_per_task=cfg.eat_external_epochs, at_mix="replace")',
@@ -66,6 +71,11 @@ MUTANTS = [
      "(np.concatenate(a)[::-1] for a in zip(*writes))",
      "(np.concatenate(a) for a in zip(*writes))",
      [_REPLAY + "test_slot_drawn_twice_keeps_the_later_row"]),
+    # streams: a task of another input dim let through
+    ("datasets.py",
+     "if t.x.shape[1] != dim:",
+     "if False:",
+     ["tests/test_datasets.py::test_task_stream_rejects_tasks_of_two_input_dims"]),
     # buffer: a step's samples drawn after its inserts
     ("replay.py",
      "np.concatenate([sample_step, row_step[drawing]])",

@@ -36,17 +36,18 @@ def _public_functions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def public_parameters() -> tuple[int, int]:
-    """The parameters of src/eatcl's public functions and methods, self not
-    counted, and how many of them have defaults."""
-    params = defaults = 0
+def public_parameters() -> tuple[int, int, int]:
+    """The number of src/eatcl's public functions and methods, their
+    parameters, self not counted, and how many of those have defaults."""
+    functions = params = defaults = 0
     for path in SRC.glob("*.py"):
         for _, fn in _public_functions(ast.parse(path.read_text(), str(path))):
+            functions += 1
             a = fn.args
             named = a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v]
             params += sum(arg.arg != "self" for arg in named)
             defaults += len(a.defaults) + sum(d is not None for d in a.kw_defaults)
-    return params, defaults
+    return functions, params, defaults
 
 
 def _used_names(tree: ast.Module) -> set[str]:

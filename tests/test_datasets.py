@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import eatcl.datasets as D
-from eatcl.datasets import (Dataset, TaskStream, gen_blob_stream, gen_crescent,
-                            imbalance_subsample, split_by_classes)
+from eatcl.datasets import Dataset, TaskStream, gen_blob_stream, gen_crescent, imbalance_subsample
 
 
 def test_crescent_points_sit_on_section_lines():
@@ -61,16 +60,6 @@ def test_imbalance_subsample_validation():
         imbalance_subsample(d, 0.01, seed=0)  # would round to zero rows
 
 
-def test_split_by_classes_ascending_and_disjoint():
-    x = np.arange(12, dtype=float).reshape(6, 2)
-    y = np.array([3, 0, 2, 1, 0, 2])
-    stream = split_by_classes(Dataset(x, y, (0, 1, 2, 3)), classes_per_task=2)
-    assert [t.classes for t in stream.tasks] == [(0, 1), (2, 3)]
-    assert sorted(stream.tasks[0].y.tolist()) == [0, 0, 1]
-    with pytest.raises(ValueError):
-        split_by_classes(Dataset(x, y, (0, 1, 2, 3)), classes_per_task=3)
-
-
 def test_task_stream_rejects_overlapping_class_sets():
     t0 = Dataset(np.zeros((2, 2)), np.array([0, 1]), (0, 1))
     t1 = Dataset(np.zeros((2, 2)), np.array([1, 1]), (1, 2))
@@ -88,11 +77,49 @@ def test_task_stream_rejects_a_task_with_no_rows():
     # a stream whose later task is empty would train the earlier tasks and
     # only then fail; the stream is rejected when it is built
     x = np.arange(8, dtype=float).reshape(4, 2)
-    with pytest.raises(ValueError, match="task 1 has no rows"):
-        split_by_classes(Dataset(x, np.array([0, 1, 1, 0]), (0, 1, 2, 3)), 2)
     first = Dataset(x, np.array([0, 1, 1, 0]), (0, 1))
     with pytest.raises(ValueError, match="task 1 has no rows"):
         TaskStream([first, Dataset(np.zeros((0, 2)), np.zeros(0, int), (2, 3))])
+
+
+def test_task_stream_rejects_tasks_of_two_input_dims():
+    # such a stream would train its first task and only then fail, when a
+    # batch of the second met the first's rows
+    first = Dataset(np.zeros((4, 4)), np.array([0, 1, 1, 0]), (0, 1))
+    second = Dataset(np.zeros((4, 5)), np.array([2, 3, 3, 2]), (2, 3))
+    with pytest.raises(ValueError, match="task 1 has input dim 5, task 0 4"):
+        TaskStream([first, second])
+
+
+def _blob_stream_stacked(num_tasks, classes_per_task, dim, n_per_class, seed, sample_seed):
+    """gen_blob_stream's stream built another way: every class's points
+    stacked into one array, then each task's rows taken from it by label."""
+    n_classes = num_tasks * classes_per_task
+    centers = D._place_centers(np.random.default_rng([D._seed_int(seed), 0]), n_classes, dim)
+    point_rng = np.random.default_rng([D._seed_int(sample_seed), 1])
+    x = np.vstack([centers[c] + point_rng.normal(0.0, D.BLOB_NOISE, size=(n_per_class, dim))
+                   for c in range(n_classes)])
+    y = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
+    tasks = []
+    for first in range(0, n_classes, classes_per_task):
+        group = tuple(range(first, first + classes_per_task))
+        rows = np.flatnonzero(np.isin(y, group))
+        tasks.append((x[rows], y[rows], group))
+    return tasks
+
+
+def test_blob_stream_equals_the_stacked_split():
+    # each task is its classes' rows, class by class, bit for bit; shapes
+    # are (tasks, classes per task, dim, points per class)
+    for i, shape in enumerate([(5, 2, 16, 500), (3, 2, 4, 60), (5, 2, 16, 200), (2, 3, 5, 7),
+                               (4, 1, 3, 9)]):
+        stream = gen_blob_stream(*shape, seed=i, sample_seed=[i, 1])
+        expected = _blob_stream_stacked(*shape, seed=i, sample_seed=[i, 1])
+        assert len(stream.tasks) == len(expected), shape
+        for task, (x, y, classes) in zip(stream.tasks, expected):
+            assert task.x.tobytes() == x.tobytes() and task.x.shape == x.shape, shape
+            assert task.y.dtype == y.dtype and task.y.tobytes() == y.tobytes(), shape
+            assert task.classes == classes, shape
 
 
 def test_blob_stream_structure_and_separation():

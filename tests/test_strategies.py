@@ -153,19 +153,21 @@ def test_derpp_terms_adds_weighted_ce():
 
 
 def _eat_copy(task, external, cfg):
-    ext, rng = external
+    ext, rng, _ = external
     return attack(ext, task.x, one_hot(task.y, ext.num_classes), cfg.attack, rng)
 
 
 def _externals_alone(tasks, layer_sizes, cfg, seeds, externals):
-    """Assert that each of eat_generate's externals, and the copy of its
-    task that its rng makes, equal reference.train_external's; return the
-    copies."""
+    """Assert that each of eat_generate's externals, the copy of its task
+    that its rng makes, and its attacked rows, with the copy's, equal
+    reference.train_external's; return the copies."""
     copies = [_eat_copy(task, ext, cfg) for task, ext in zip(tasks, externals, strict=True)]
-    for task, seed, (ext, _), copy in zip(tasks, seeds, externals, copies, strict=True):
-        ref_model, ref_copy, _ = train_external(task, layer_sizes, cfg, seed)
+    for task, seed, (ext, _, attacked), copy in zip(tasks, seeds, externals, copies,
+                                                   strict=True):
+        ref_model, ref_copy, ref_attacked = train_external(task, layer_sizes, cfg, seed)
         assert _params(ext) == _params(ref_model), (cfg, seed)
         assert copy.tobytes() == ref_copy.tobytes(), (cfg, seed)
+        assert attacked + len(task) == ref_attacked, (cfg, seed)
     return copies
 
 
@@ -173,10 +175,10 @@ def test_eat_generate_ball_and_labels():
     task = _small_stream(5, tasks=1).tasks[0]
     cfg = _cfg(eat_external_epochs=2,
                attack=AttackConfig(eps=0.07, alpha=0.03, iters=3))
-    counts = {"external": 0}
     seeds = [[5, 4, 0], [5, 4, 0, 1]]
-    externals = eat_generate([task, task], (8, 6, 2), cfg, seeds, [counts, counts])
-    assert counts == {"external": 2 * 2 * len(task)}  # epochs x externals x rows
+    externals = eat_generate([task, task], (8, 6, 2), cfg, seeds)
+    # epochs x externals x rows
+    assert sum(attacked for *_, attacked in externals) == 2 * 2 * len(task)
     copy = _externals_alone([task, task], (8, 6, 2), cfg, seeds, externals)[0]
     # a row's copy stays in its eps-ball, so it pairs with the row's label
     assert copy.shape == task.x.shape
@@ -192,9 +194,9 @@ def test_eat_generate_independent_of_target_model():
     task = stream.tasks[0]
     cfg = _cfg()
     args = [task], (8, 6, 2), cfg, [[1, 4, 0]]
-    a = eat_generate(*args, [{"external": 0}])
+    a = eat_generate(*args)
     _train(stream, "er", cfg)  # unrelated training in between
-    b = eat_generate(*args, [{"external": 0}])
+    b = eat_generate(*args)
     np.testing.assert_array_equal(_eat_copy(task, a[0], cfg), _eat_copy(task, b[0], cfg))
 
 
@@ -207,8 +209,7 @@ def test_eat_lockstep_members_equal_members_trained_alone():
                 AttackConfig(kind="fgsm", eps=0.05),
                 AttackConfig(eps=0.2, alpha=0.1, iters=2)):
         cfg = _cfg(eat_external_epochs=2, batch_size=13, attack=atk)
-        lockstep = eat_generate([task] * len(seeds), (8, 5, 4, 2), cfg,
-                                seeds, [{"external": 0}] * len(seeds))
+        lockstep = eat_generate([task] * len(seeds), (8, 5, 4, 2), cfg, seeds)
         _externals_alone([task] * len(seeds), (8, 5, 4, 2), cfg, seeds, lockstep)
 
 
@@ -222,13 +223,12 @@ def test_eat_externals_of_different_members_equal_externals_alone():
              _cfg(eat_external_epochs=1, epochs_per_task=2, batch_size=13, at_mix="union")),
             (1, 3)):  # one external per task, or one per epoch
         seeds = [[m, 4, 0, g] for m in range(len(tasks)) for g in range(per_member)]
-        counts = [{"external": 0} for _ in tasks]
         member_tasks = [tasks[k // per_member] for k in range(len(seeds))]
-        lockstep = eat_generate(member_tasks, (8, 5, 2), cfg, seeds,
-                                [counts[k // per_member] for k in range(len(seeds))])
+        lockstep = eat_generate(member_tasks, (8, 5, 2), cfg, seeds)
         _externals_alone(member_tasks, (8, 5, 2), cfg, seeds, lockstep)
-        assert counts == [{"external": per_member * cfg.eat_external_epochs
-                           * len(tasks[0])}] * len(tasks)
+        attacked = [sum(a for *_, a in lockstep[m * per_member:(m + 1) * per_member])
+                    for m in range(len(tasks))]
+        assert attacked == [per_member * cfg.eat_external_epochs * len(tasks[0])] * len(tasks)
 
 
 def test_eat_generate_rejects_bad_tasks_and_seeds_before_any_step(monkeypatch):
@@ -244,7 +244,7 @@ def test_eat_generate_rejects_bad_tasks_and_seeds_before_any_step(monkeypatch):
              ([task, task], [[1], [2], [3]], "external seeds")]
     for tasks, seeds, match in cases:
         with pytest.raises(ValueError, match=match):
-            eat_generate(tasks, (8, 5, 2), _cfg(), seeds, [{"external": 0}] * len(seeds))
+            eat_generate(tasks, (8, 5, 2), _cfg(), seeds)
 
 
 def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
@@ -256,9 +256,9 @@ def test_eat_external_seeds_per_task_and_epoch(monkeypatch):
     steps = len(streams[0].tasks)
     calls = []
 
-    def recording(tasks, layer_sizes, cfg, seeds, counts):
+    def recording(tasks, layer_sizes, cfg, seeds):
         calls.append((tasks, seeds))
-        return eat_generate(tasks, layer_sizes, cfg, seeds, counts)
+        return eat_generate(tasks, layer_sizes, cfg, seeds)
 
     monkeypatch.setattr(eatcl.strategies, "eat_generate", recording)
     for refresh in (False, True):

@@ -169,9 +169,9 @@ def pytest_terminal_summary(terminalreporter, config):
     configs/*.conf, the number of TrainConfig + AttackConfig fields, the
     line count of tests/ and its monkeypatch.setattr calls on
     eatcl.strategies."""
-    from test_callers import public_parameters  # test_callers imports this module
+    from test_callers import public_signatures  # test_callers imports this module
 
-    functions, params, defaults = public_parameters()
+    functions, params, defaults = public_signatures()
     lines = {p.name: len(p.read_text().splitlines()) for p in SRC_DIR.glob("*.py")}
     conf_lines = sum(len(p.read_text().splitlines()) for p in CONFIG_DIR.glob("*.conf"))
     tests = [p.read_text() for p in Path(__file__).parent.glob("*.py")]

@@ -36,7 +36,7 @@ def _public_functions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def public_parameters() -> tuple[int, int, int]:
+def public_signatures() -> tuple[int, int, int]:
     """The number of src/eatcl's public functions and methods, their
     parameters, self not counted, and how many of those have defaults."""
     functions = params = defaults = 0

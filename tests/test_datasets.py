@@ -115,8 +115,7 @@ def test_blob_stream_equals_the_stacked_split():
                                (4, 1, 3, 9)]):
         stream = gen_blob_stream(*shape, seed=i, sample_seed=[i, 1])
         expected = _blob_stream_stacked(*shape, seed=i, sample_seed=[i, 1])
-        assert len(stream.tasks) == len(expected), shape
-        for task, (x, y, classes) in zip(stream.tasks, expected):
+        for task, (x, y, classes) in zip(stream.tasks, expected, strict=True):
             assert task.x.tobytes() == x.tobytes() and task.x.shape == x.shape, shape
             assert task.y.dtype == y.dtype and task.y.tobytes() == y.tobytes(), shape
             assert task.classes == classes, shape

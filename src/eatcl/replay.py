@@ -3,10 +3,11 @@
 Every streamed item ends up retained with probability capacity / seen_count,
 so the buffer's class composition tracks the stream composition — that bias
 is the point, not a bug to correct. The rows live in arrays with one block
-per member of a lockstep group: x (E, capacity, d), the rows' one-hot
-targets (E, capacity, classes) and, when the rows come with the model's
-logits at insertion time (for distillation-style replay), logits
-(E, capacity, classes).
+of capacity rows per member of a lockstep group, member e's from row
+e * capacity: x (E * capacity, d), the rows' one-hot targets
+(E * capacity, classes) and, when the rows come with the model's logits at
+insertion time (for distillation-style replay), logits (E * capacity,
+classes).
 
 A member's buffer draws never depend on the model: they are set by how many
 rows it offers at each step and how many buffer batches each step samples.
@@ -37,7 +38,6 @@ class ReplayBuffer:
         self.capacity = capacity
         self.seen_counts = [0] * members
         self.x = self.targets = self.logits = None
-        self._flat = ()  # (E * capacity, ...) views of x, targets and logits
 
     def plan_epoch(self, counts, samples: int, batch_size: int, rngs) -> list:
         """Plan the draws of an epoch of steps, with rngs[e] for member e:
@@ -79,7 +79,7 @@ class ReplayBuffer:
             slot[drawing] = drawn[len(sample_step):]
             kept = slot < cap
             writes.append((row_step[kept], slot[kept] + e * cap, row[kept]))
-        # each (step, batch)'s member-major rows of the flat arrays
+        # each (step, batch)'s member-major rows of the arrays
         sample_idx = (np.stack(draws).reshape(len(rngs), -1, batch_size).swapaxes(0, 1)
                       .reshape(-1, len(rngs) * batch_size))
         # of a step's rows that land in one slot, the last one stays
@@ -97,7 +97,8 @@ class ReplayBuffer:
     def sample_arrays(self, idx):
         """The planned buffer batch idx of every member, as member-major
         arrays x, targets and stored logits, or None when the rows have none."""
-        return tuple(None if a is None else a.take(idx, axis=0) for a in self._flat)
+        return tuple(None if a is None else a.take(idx, axis=0)
+                     for a in (self.x, self.targets, self.logits))
 
     def insert(self, writes, x, targets, logits) -> None:
         """Write one step's offered rows (x, targets, logits-or-None), member-major,
@@ -107,15 +108,13 @@ class ReplayBuffer:
         if len(x) != n:
             raise ValueError(f"the plan offers {n} rows at this step, got {len(x)}")
         if self.x is None and self.capacity and len(x):
-            shape = (len(self.seen_counts), self.capacity)
+            size = len(self.seen_counts) * self.capacity
             self.x, self.targets, self.logits = (
-                None if a is None else np.empty(shape + a.shape[1:], dtype=a.dtype)
+                None if a is None else np.empty((size, *a.shape[1:]), dtype=a.dtype)
                 for a in offered)
-            self._flat = tuple(None if a is None else a.reshape(-1, *a.shape[2:])
-                               for a in (self.x, self.targets, self.logits))
         if self.x is not None and (logits is None) != (self.logits is None):
             raise ValueError("insert logits with every row or with none")
         if len(at):
-            for flat, a in zip(self._flat, offered):
-                if flat is not None:
-                    flat[at] = a[rows]
+            for stored, a in zip((self.x, self.targets, self.logits), offered):
+                if stored is not None:
+                    stored[at] = a[rows]

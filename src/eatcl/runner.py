@@ -7,8 +7,9 @@ line number so typos fail before any training starts.
 
 An experiment is a grid of strategies x seeds over one dataset family. The
 seeds of one strategy train in lockstep, as the members of one stacked
-model, so a grid runs one training loop per strategy; every cell still gets
-exactly the bits it would get alone and keeps its own artifacts. Every
+model, and the strategies of one robustness scheme form a family that
+trains its first task once (strategies.train_streams); every cell still
+gets exactly the bits it would get alone and keeps its own artifacts. Every
 artifact except manifest.json is byte-deterministic for a given
 config: rerunning into a fresh directory reproduces metrics.csv and
 rates.csv exactly. Wall-clock timings live only in the manifest.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -230,10 +230,11 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False) -> list[RunResu
 
     Every seed's streams are built before anything is written, so a
     dataset value the generators reject fails as a ConfigError with no
-    output directory. Each strategy's seeds train together as one lockstep
-    group (strategies.train_streams); results, CSV rows and the manifest's
-    run list keep the seed-major order (for each seed, each strategy), and
-    a run's train_seconds is its group's time divided by the group's size.
+    output directory. One strategies.train_streams call trains the grid,
+    family by family, each strategy's seeds in lockstep; results, CSV rows
+    and the manifest's run list keep the seed-major order (for each seed,
+    each strategy). A run's train_seconds is its branch's time plus an
+    equal share of its family's first task, divided over the seeds.
     """
     seeds = cfg["seeds"]
     streams = grid_streams(cfg)
@@ -241,26 +242,17 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False) -> list[RunResu
     with open(os.path.join(out_dir, "config.resolved.conf"), "w") as fh:
         fh.write(emit_config(cfg))
 
-    seconds: dict[str, float] = {}
-    tcfg = build_train_config(cfg)
     trains, tests = zip(*streams)  # each seed's (train, test) streams
-    # cells[j][i]: strategy j, seed i; each strategy's seeds train as one
-    # lockstep group
-    cells: list[list[RunResult]] = []
-    for strat in cfg["strategies"]:
-        started = time.perf_counter()
-        trained = train_streams(trains, tests, strat, tcfg, seeds)
-        per_run = (time.perf_counter() - started) / len(seeds)
-        cells.append([])
-        for seed, (model, log) in zip(seeds, trained):
-            run_id = f"{strat}_s{seed}"
-            seconds[run_id] = per_run
-            cells[-1].append(RunResult(run_id, strat, seed, model, log))
-            if not quiet:
-                final = log.records[-1]
-                print(f"{run_id}: acc {final.mean_accuracy:.2f} "
-                      f"rob {final.mean_robustness:.2f} ({per_run:.1f}s)")
-    results = [row[i] for i in range(len(seeds)) for row in cells]  # seed-major
+    # trained[j][i]: strategy j, seed i
+    trained = train_streams(trains, tests, cfg["strategies"], build_train_config(cfg), seeds)
+    results = [RunResult(f"{strat}_s{seed}", strat, seed, *runs[i])  # seed-major
+               for i, seed in enumerate(seeds)
+               for strat, runs in zip(cfg["strategies"], trained)]
+    if not quiet:
+        for r in results:
+            final = r.log.records[-1]
+            print(f"{r.run_id}: acc {final.mean_accuracy:.2f} "
+                  f"rob {final.mean_robustness:.2f} ({r.log.train_seconds:.1f}s)")
 
     _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), results)
     _write_rates_csv(os.path.join(out_dir, "rates.csv"), results)
@@ -272,7 +264,7 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False) -> list[RunResu
                 "runs": [r.run_id for r in results],
                 "artifacts": ["config.resolved.conf", "metrics.csv", "rates.csv",
                               "summary.json"],
-                "train_seconds": seconds,
+                "train_seconds": {r.run_id: r.log.train_seconds for r in results},
                 "note": "train_seconds varies between reruns; all other "
                         "artifacts are deterministic"}
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:

@@ -51,10 +51,24 @@ randomness flows through per-purpose numpy Generators derived from the run
 seed, so runs are bit-reproducible; evaluation, PGD at the training
 attack's eps, alpha and iters, draws from generators seeded by (0, step,
 task) alone and never disturbs training.
+
+A grid trains family by family. The strategies of one robustness scheme
+form a family (clean, +AT, +CAT and +EAT each one), and each joint
+strategy is a family of its own. Nothing is replayed before the second
+task, so every replay scheme of a family trains the first task bit for bit
+alike: the family builds one model, member set, buffer and plan, makes
+one eat_generate call for +EAT, and trains and snapshots its first task
+once, its buffer storing DER logits if a DER scheme reads them. Each
+strategy then goes on from a copy of that state (_branch): its own
+members' rngs and logs, buffer arrays and counts, ER's without the stored
+logits, and remaining externals' attack rngs; the model and the streams
+are shared, never copied. A family of one runs the same lines.
 """
 
 from __future__ import annotations
 
+import time
+from copy import deepcopy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -123,6 +137,7 @@ class RunLog:
     attack_rates: list[AttackRatePoint] = field(default_factory=list)
     attack_counts: dict[str, int] = field(
         default_factory=lambda: {"current": 0, "memory": 0, "external": 0})
+    train_seconds: float = 0.0  # wall-clock, so it reaches only manifest.json
 
 
 def _sub(seed, *parts) -> list[int]:
@@ -398,26 +413,93 @@ def _snapshot(model, step: int, test: TaskStream, atk: AttackConfig) -> MetricsR
     return MetricsRecord(step, accs, robs, float(np.mean(accs)), float(np.mean(robs)))
 
 
-def train_streams(streams, tests, strategy: str, cfg: TrainConfig,
-                  seeds) -> list[tuple[MLPModel, RunLog]]:
-    """Run one strategy over each stream from its run seed, the runs trained
-    together in lockstep: run e is (streams[e], tests[e], seeds[e]), and
-    position e of the result holds its trained target model and a log of
-    per-step metrics, per-epoch attack rates and attack counts, bit for bit
-    what it gets trained alone, as a group of one.
+def _train_tasks(model, plan, replay: str, robust: str, cfg: TrainConfig, members,
+                 buffer: ReplayBuffer, externals: dict) -> MLPModel:
+    """Train every (step, task index, each member's task) of plan in turn,
+    each followed by a metrics snapshot of every member, on its test stream
+    under PGD at cfg.attack's eps, alpha and iters, whatever its kind."""
+    eval_attack = replace(cfg.attack, kind="pgd")
+    for step, index, tasks in plan:
+        model = _run_task(model, index, tasks, replay, robust, cfg, members, buffer,
+                          externals.pop(index, ()))
+        for m, single in zip(members, _split(model)):
+            m.log.records.append(_snapshot(single, step, m.test, eval_attack))
+    return model
 
+
+def _branch(replay: str, members, buffer: ReplayBuffer, externals: dict):
+    """A family's state after its first task, for one replay scheme to go on
+    from: copies of each member's rngs and log, of the buffer's arrays and
+    seen counts, without the stored DER logits for ER, and of the remaining
+    externals' attack rngs. The streams and the models are shared."""
+    branch = deepcopy(buffer)
+    if replay == "er":
+        branch.logits = None
+    return ([replace(m, rngs=deepcopy(m.rngs), log=deepcopy(m.log)) for m in members],
+            branch,
+            {index: [[(ext, deepcopy(rng), rows) for ext, rng, rows in gens] for gens in ext_lists]
+             for index, ext_lists in externals.items()})
+
+
+def _train_family(streams, tests, replays, robust: str, cfg: TrainConfig, seeds,
+                  layer_sizes) -> list[list[tuple[MLPModel, RunLog]]]:
+    """Each replay scheme of replays under one robustness scheme, over the
+    runs (streams[e], tests[e], seeds[e]) in lockstep, one list of runs per
+    scheme. The first task replays nothing, so it trains once, with DER
+    logits stored if a scheme reads them, and each scheme trains the
+    remaining tasks from a _branch of that state. Each run's log records
+    its branch's seconds plus an equal share of the first task's, per seed."""
+    started = time.perf_counter()
+    model = _lockstep([init_model(layer_sizes, _sub(seed, 0)) for seed in seeds])
+    members = [_Member(s, test, seed, _Rngs.for_seed(seed))
+               for s, test, seed in zip(streams, tests, seeds)]
+    first = next((r for r in replays if r in ("der", "derpp")), replays[0])
+    buffer = ReplayBuffer(0 if first == "joint" else cfg.buffer_capacity, len(members))
+    last = len(streams[0].tasks) - 1
+    if first == "joint":  # (step, task index, each member's task)
+        plan = [(last, 0, [s.merged() for s in streams])]
+    else:
+        plan = [(i, i, [s.tasks[i] for s in streams]) for i in range(last + 1)]
+    # EAT never trains joint, so a task's index is its stream step
+    externals = _eat_externals(plan, layer_sizes, cfg, members) if robust == "eat" else {}
+    model = _train_tasks(model, plan[:1], first, robust, cfg, members, buffer, externals)
+    shared = (time.perf_counter() - started) / len(replays)
+    runs = []
+    for replay in replays:
+        started = time.perf_counter()
+        own, own_buffer, own_externals = _branch(replay, members, buffer, externals)
+        trained = _train_tasks(model, plan[1:], replay, robust, cfg, own, own_buffer,
+                               own_externals)
+        seconds = (shared + time.perf_counter() - started) / len(seeds)
+        for m in own:
+            m.log.train_seconds = seconds
+        runs.append([(single, m.log) for single, m in zip(_split(trained), own)])
+    return runs
+
+
+def train_streams(streams, tests, strategies, cfg: TrainConfig,
+                  seeds) -> list[list[tuple[MLPModel, RunLog]]]:
+    """Run each strategy over each stream from its run seed, the runs of a
+    strategy trained together in lockstep: run e is (streams[e], tests[e],
+    seeds[e]), and position e of strategy j's list holds its trained target
+    model and a log of per-step metrics, per-epoch attack rates and attack
+    counts, bit for bit what it gets trained alone, as a group of one.
+
+    Strategies of one robustness scheme form a family, and every joint
+    strategy is a family of its own; each family's first task trains once
+    for all of them (_train_family).
     The classifier head spans every class in the stream (single-head, no
     task ids). Metrics snapshots are taken after each task over all tasks
-    seen so far, on the run's test stream under PGD at cfg.attack's eps,
-    alpha and iters, whatever its kind. Joint training is one merged task
+    seen so far, on the run's test stream. Joint training is one merged task
     with an empty buffer, trained and snapshotted at the last step.
 
-    The streams must give one model shape and one size per task, +EAT's
-    tasks one size, and each test stream the task count and input dim of
-    its stream and classes the head holds; otherwise ValueError, before any
-    training. One diverging run raises for all of them.
+    The strategies must be accepted names, the streams must give one model
+    shape and one size per task, +EAT's tasks one size, and each test stream
+    the task count and input dim of its stream and classes the head holds;
+    otherwise ValueError, before any training. One diverging run raises for
+    all of them.
     """
-    replay, robust = parse_strategy(strategy)
+    names = [parse_strategy(s) for s in strategies]
     if not streams or not len(streams) == len(tests) == len(seeds):
         raise ValueError("need one test stream and one seed per stream")
     for stream, test in zip(streams, tests):
@@ -433,21 +515,12 @@ def train_streams(streams, tests, strategy: str, cfg: TrainConfig,
         if s.input_dim != layer_sizes[0]:
             raise ValueError(f"input dim {s.input_dim} != model input {layer_sizes[0]}")
         one_hot(np.array(s.all_classes), layer_sizes[-1])
-    model = _lockstep([init_model(layer_sizes, _sub(seed, 0)) for seed in seeds])
-    members = [_Member(s, test, seed, _Rngs.for_seed(seed))
-               for s, test, seed in zip(streams, tests, seeds)]
-    buffer = ReplayBuffer(0 if replay == "joint" else cfg.buffer_capacity, len(members))
-    last = len(streams[0].tasks) - 1
-    if replay == "joint":  # (step, task index, each member's task)
-        plan = [(last, 0, [s.merged() for s in streams])]
-    else:
-        plan = [(i, i, [s.tasks[i] for s in streams]) for i in range(last + 1)]
-    # EAT never trains joint, so a task's index is its stream step
-    externals = _eat_externals(plan, layer_sizes, cfg, members) if robust == "eat" else {}
-    eval_attack = replace(cfg.attack, kind="pgd")
-    for step, index, tasks in plan:
-        model = _run_task(model, index, tasks, replay, robust, cfg, members, buffer,
-                          externals.pop(index, ()))
-        for m, single in zip(members, _split(model)):
-            m.log.records.append(_snapshot(single, step, m.test, eval_attack))
-    return [(single, m.log) for single, m in zip(_split(model), members)]
+    families: dict[str, list[int]] = {}  # each family's strategies, by position
+    for j, (name, (replay, robust)) in enumerate(zip(strategies, names)):
+        families.setdefault(name if replay == "joint" else robust, []).append(j)
+    runs = {}
+    for positions in families.values():
+        runs.update(zip(positions, _train_family(
+            streams, tests, [names[j][0] for j in positions], names[positions[0]][1], cfg,
+            seeds, layer_sizes)))
+    return [runs[j] for j in range(len(names))]

@@ -41,6 +41,26 @@ MUTANTS = [
      "for _, index, _ in plan for m in members for g in gens]",
      "for m in members for _, index, _ in plan for g in gens]",
      [_STRAT + "test_eat_external_seeds_per_task_and_epoch", _ORACLE]),
+    # families: a branch shares the first task's member rngs
+    ("strategies.py",
+     "replace(m, rngs=deepcopy(m.rngs), log=deepcopy(m.log))",
+     "replace(m, rngs=m.rngs, log=deepcopy(m.log))",
+     [_ORACLE]),
+    # families: a branch shares the remaining externals' attack rngs
+    ("strategies.py",
+     "(ext, deepcopy(rng), rows)",
+     "(ext, rng, rows)",
+     [_ORACLE]),
+    # families: the ER branch keeps the stored DER logits
+    ("strategies.py",
+     "branch.logits = None",
+     "branch.logits = branch.logits",
+     [_ORACLE]),
+    # families: the first task stores no DER logits when ER comes first
+    ("strategies.py",
+     'first = next((r for r in replays if r in ("der", "derpp")), replays[0])',
+     "first = replays[0]",
+     [_ORACLE]),
     # +EAT: a task's externals handed to the next task
     ("strategies.py",
      "externals.pop(index, ())",

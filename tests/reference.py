@@ -169,10 +169,13 @@ _BUFFER_BATCHES = {"er": 1, "der": 1, "derpp": 2}
 
 def _attack(model: MLPModel, x, y, cfg: AttackConfig, rng) -> np.ndarray:
     """cfg's attack on rows x with integer labels y: PGD takes every step;
-    FGSM is one step of size eps from x, drawing nothing."""
+    FGSM is one signed-gradient step of size eps from x, clipped into the
+    eps-ball, drawing nothing, at eps 0 too."""
+    targets = one_hot(y, model.num_classes)
     if cfg.kind == "fgsm":
-        cfg, rng = replace(cfg, alpha=cfg.eps, iters=1), None
-    return pgd_every_step(model, x, one_hot(y, model.num_classes), cfg, rng)
+        step = x + cfg.eps * np.sign(ce_input_grad(model, x, targets))
+        return np.clip(step, x - cfg.eps, x + cfg.eps)
+    return pgd_every_step(model, x, targets, cfg, rng)
 
 
 def _ce_grads(model: MLPModel, x, y, weight=1.0) -> list[np.ndarray]:

@@ -178,7 +178,7 @@ def test_reservoir_retention_uniformity():
         plan = buf.plan_epoch([[len(xs[s:s + 32])] for s in starts], 0, 1, [rng])
         for s, (_, writes) in zip(starts, plan, strict=True):
             buf.insert(writes, xs[s:s + 32], targets[s:s + 32], None)
-        counts[buf.x[0, :, 0].astype(np.int64)] += 1  # the items kept, each once
+        counts[buf.x[:, 0].astype(np.int64)] += 1  # the items kept, each once
     freq = counts / trials
     dev = np.abs(freq - 0.05)
     assert dev.max() <= 0.01
@@ -226,15 +226,16 @@ def test_stream_fgsm_orderings_and_cost(shipped_runs):
 
 
 def test_stream_eat_one_external_call_per_group(shipped_runs):
-    """In every shipped config, each _eat strategy's lockstep group trains
-    all of its external models with one eat_generate call, and no other
-    group makes one; smoke runs three _eat groups."""
-    groups = {}
+    """In every shipped config, the _eat strategies form one family, which
+    trains all of their external models with one eat_generate call, and no
+    other family makes one; smoke runs three _eat strategies."""
+    calls, eat = {}, {}
     for name, run in shipped_runs.items():
-        groups[name] = sum(s.endswith("_eat") for s in run.cfg["strategies"])
-        assert run.eat_generates == groups[name], name
-    assert groups["smoke"] == 3 and groups["stream_pgd"] >= 1 and groups["stream_fgsm"] >= 1
-    print(f"PASS one eat_generate call per _eat group: {groups}")
+        eat[name] = sum(s.endswith("_eat") for s in run.cfg["strategies"])
+        calls[name] = run.eat_generates
+        assert calls[name] == min(eat[name], 1), name
+    assert eat["smoke"] == 3 and eat["stream_pgd"] >= 1 and eat["stream_fgsm"] >= 1
+    print(f"PASS one eat_generate call per config with _eat strategies: {calls}")
 
 
 def _final_robustness(run, atk: AttackConfig) -> dict[str, float]:

@@ -49,10 +49,16 @@ def _sample(buf, batch_size, rngs):
     return buf.sample_arrays(idx)
 
 
+def _held(buf, name, member=0):
+    """The rows member's block of the buffer array name holds, slot by slot."""
+    start = member * buf.capacity
+    return getattr(buf, name)[start:start + _sizes(buf)[member]]
+
+
 def _kept(buf, member=0):
     """The stream items member's block holds, slot by slot."""
     size = _sizes(buf)[member]
-    return [] if size == 0 else buf.x[member, :size, 0].astype(int).tolist()
+    return [] if size == 0 else _held(buf, "x", member)[:, 0].astype(int).tolist()
 
 
 def _run_against_reference(capacity, epochs, samples, batch_size, seed, with_logits=True):
@@ -87,7 +93,7 @@ def _run_against_reference(capacity, epochs, samples, batch_size, seed, with_log
             for e, rows in enumerate(ref.rows):
                 for k, name in enumerate(("x", "targets", "logits")[:2 + with_logits]):
                     if rows:
-                        assert getattr(buf, name)[e, :len(rows)].tobytes() == \
+                        assert getattr(buf, name)[e * buf.capacity:][:len(rows)].tobytes() == \
                             np.stack([r[k] for r in rows]).tobytes()
         assert buf.seen_counts == ref.seen_counts
         assert _sizes(buf) == ref.sizes
@@ -315,8 +321,7 @@ def test_members_equal_one_member_buffers(capacity, calls, seed):
         size = _sizes(b)[0]
         for name in ("x", "targets", "logits"):
             if size:
-                assert getattr(group, name)[e, :size].tobytes() == \
-                    getattr(b, name)[0, :size].tobytes()
+                assert _held(group, name, e).tobytes() == _held(b, name).tobytes()
     if all(_sizes(group)):
         got = _sample(group, 7, rngs_group)
         want = [_sample(b, 7, [r]) for b, r in zip(alone, rngs_alone)]

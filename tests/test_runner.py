@@ -140,7 +140,7 @@ def test_eval_attack_is_pgd_of_the_training_attack():
         cfg = parse_config((CONFIG_DIR / f"{name}.conf").read_text())
         train_s, test_s = build_streams(cfg, 0)
         tcfg = build_train_config(cfg)
-        (model, log), = train_streams([train_s], [test_s], "joint", tcfg, [0])
+        ((model, log),), = train_streams([train_s], [test_s], ["joint"], tcfg, [0])
         last = len(test_s.tasks) - 1
         rob = {atk.kind: [robustness(model, data, atk, np.random.default_rng([0, last, t]))
                           for t, data in enumerate(test_s.tasks)]
@@ -256,10 +256,12 @@ def test_run_experiment_artifacts_and_determinism(tmp_path):
 
 
 def test_lockstep_grid_writes_the_csvs_of_cells_run_alone(tmp_path):
-    # each strategy's seeds train as one lockstep group; the artifacts must
-    # not show it: the CSVs are those of cells trained one by one, in
-    # seed-major order, and every run keeps its manifest entries
-    cfg = parse_config(TINY.replace("strategies = er", "strategies = derpp er_at er_eat")
+    # each strategy's seeds train as one lockstep group, and the strategies
+    # of a family (clean, +AT, +EAT here) share their first task; the
+    # artifacts must not show it: the CSVs are those of cells trained one by
+    # one, in seed-major order, and every run keeps its manifest entries
+    grid = "der derpp er_at der_at er_eat derpp_eat"
+    cfg = parse_config(TINY.replace("strategies = er", f"strategies = {grid}")
                        .replace("seeds = 0", "seeds = 0 1 2"))
     out = tmp_path / "grid"
     results = run_experiment(cfg, str(out), quiet=True)
@@ -267,8 +269,8 @@ def test_lockstep_grid_writes_the_csvs_of_cells_run_alone(tmp_path):
     for seed in cfg["seeds"]:
         train_s, test_s = build_streams(cfg, seed)
         for strat in cfg["strategies"]:
-            (model, log), = train_streams([train_s], [test_s], strat, build_train_config(cfg),
-                                          [seed])
+            ((model, log),), = train_streams([train_s], [test_s], [strat],
+                                             build_train_config(cfg), [seed])
             alone.append(RunResult(f"{strat}_s{seed}", strat, seed, model, log))
     _write_metrics_csv(str(tmp_path / "metrics.csv"), alone)
     _write_rates_csv(str(tmp_path / "rates.csv"), alone)
@@ -281,7 +283,7 @@ def test_lockstep_grid_writes_the_csvs_of_cells_run_alone(tmp_path):
     assert manifest["runs"] == run_ids
     assert sorted(manifest["train_seconds"]) == sorted(run_ids)
     one = run_experiment({**cfg, "seeds": (1,)}, str(tmp_path / "one"), quiet=True)
-    assert [r.run_id for r in one] == ["derpp_s1", "er_at_s1", "er_eat_s1"]
+    assert [r.run_id for r in one] == [f"{s}_s1" for s in grid.split()]
 
 
 def test_run_experiment_seed_override(tmp_path):

@@ -18,6 +18,7 @@ from eatcl.runner import ConfigError, parse_config
 from eatcl.strategies import (DER_ALPHA, DERPP_BETA, STRATEGIES, TrainConfig, der_terms,
                               derpp_label_terms, eat_generate, parse_strategy,
                               train_streams)
+from conftest import _counting
 from reference import backward, train_alone, train_external
 
 
@@ -40,15 +41,16 @@ def _cfg(**kw):
 def _train(stream, strategy, cfg, seed=5, test=None):
     """One run from seed as a group of one, evaluated on test, by default on
     the training stream."""
-    return train_streams([stream], [stream if test is None else test], strategy, cfg,
-                         [seed])[0]
+    return train_streams([stream], [stream if test is None else test], [strategy], cfg,
+                         [seed])[0][0]
 
 
 def _train_group(streams, strategy, cfg, seeds, tests=None):
-    """train_streams, each run evaluated on its training stream unless tests
-    are given."""
-    return train_streams(streams, streams if tests is None else tests, strategy, cfg,
-                         seeds)
+    """One strategy's runs from train_streams, each evaluated on its
+    training stream unless tests are given."""
+    (runs,) = train_streams(streams, streams if tests is None else tests, [strategy], cfg,
+                            seeds)
+    return runs
 
 
 def test_er_equals_joint_on_single_task():
@@ -410,21 +412,26 @@ def _run_bits(model, log):
 
 
 def test_train_streams_equals_reference_trainer():
-    # replay x robustness end to end: each strategy's two seeds, trained as
-    # one lockstep group, get the bits that reference.train_alone gives each
-    # seed, from one plain model trained batch by batch by reference kernels
+    # replay x robustness end to end: every strategy, trained in one call
+    # whose families share their first task, and each strategy's two seeds
+    # in lockstep, get the bits that reference.train_alone gives each seed,
+    # from one plain model trained batch by batch by reference kernels; FGSM
+    # at eps 0 leaves every row as it is
     seeds = (5, 6)
     streams = [_small_stream(s) for s in seeds]
     tests = [gen_blob_stream(3, 2, 8, 30, seed=s, sample_seed=[s, 2]) for s in seeds]
-    for strategy, at_mix, atk in itertools.product(
-            STRATEGIES, ("replace", "union"),
-            (AttackConfig(eps=0.05, alpha=0.02, iters=3), AttackConfig(kind="fgsm", eps=0.05))):
+    cases = [*itertools.product(
+        ("replace", "union"),
+        (AttackConfig(eps=0.05, alpha=0.02, iters=3), AttackConfig(kind="fgsm", eps=0.05))),
+        ("replace", AttackConfig(kind="fgsm", eps=0.0))]
+    for at_mix, atk in cases:
         cfg = _cfg(epochs_per_task=2, batch_size=13, replay_batch_size=7, buffer_capacity=20,
                    eat_external_epochs=2, at_mix=at_mix, attack=atk)
-        runs = train_streams(streams, tests, strategy, cfg, seeds)
-        for run, stream, test, seed in zip(runs, streams, tests, seeds, strict=True):
-            ref, *log = train_alone(stream, test, strategy, cfg, seed)
-            assert _run_bits(*run) == (_params(ref), *log), (strategy, at_mix, atk.kind, seed)
+        grid = train_streams(streams, tests, STRATEGIES, cfg, seeds)
+        for strategy, runs in zip(STRATEGIES, grid, strict=True):
+            for run, stream, test, seed in zip(runs, streams, tests, seeds, strict=True):
+                ref, *log = train_alone(stream, test, strategy, cfg, seed)
+                assert _run_bits(*run) == (_params(ref), *log), (strategy, at_mix, atk, seed)
 
 
 def test_lockstep_runs_equal_runs_alone():
@@ -437,7 +444,7 @@ def test_lockstep_runs_equal_runs_alone():
     cfg = _cfg(epochs_per_task=2, batch_size=13, replay_batch_size=7,
                eat_external_epochs=1, eat_refresh=True)
     for strategy in ("er_eat", "der_eat", "derpp_eat"):
-        lockstep = train_streams(streams, tests, strategy, cfg, seeds)
+        lockstep = _train_group(streams, strategy, cfg, seeds, tests)
         assert len(lockstep) == len(seeds)
         for run, stream, seed, test in zip(lockstep, streams, seeds, tests):
             alone = _train(stream, strategy, cfg, seed, test)
@@ -493,24 +500,25 @@ def test_negative_class_id_in_a_later_task_fails_before_any_step(monkeypatch):
 
 def test_buffer_draws_one_integers_call_per_member_and_epoch(monkeypatch):
     # each member's buffer generator makes one integers call per epoch that
-    # draws: every sample and insert draw of the epoch comes from that call
-    calls = []
+    # draws: every sample and insert draw of the epoch comes from that call,
+    # whether it draws before or after the branch copies the generator
+    calls = {}  # each member's draws per call, by member seed
 
     class Counting:
-        def __init__(self, rng):
-            self.rng, self.calls = rng, []
-            calls.append(self.calls)
+        def __init__(self, rng, seed):
+            self.rng, self.seed = rng, seed
+            calls[seed] = []
 
         def integers(self, *args, **kwargs):
             out = self.rng.integers(*args, **kwargs)
-            self.calls.append(out.size)
+            calls[self.seed].append(out.size)
             return out
 
     real_for_seed = eatcl.strategies._Rngs.for_seed
 
     def counted_for_seed(seed):
         rngs = real_for_seed(seed)
-        rngs.buffer = Counting(rngs.buffer)
+        rngs.buffer = Counting(rngs.buffer, seed)
         return rngs
 
     monkeypatch.setattr(eatcl.strategies._Rngs, "for_seed", staticmethod(counted_for_seed))
@@ -522,8 +530,22 @@ def test_buffer_draws_one_integers_call_per_member_and_epoch(monkeypatch):
         _train_group([stream, stream], strategy, cfg, (5, 6))
         epochs = len(stream.tasks) * cfg.epochs_per_task
         assert len(calls) == 2
-        for member in calls:  # the draws of each call
+        for member in calls.values():  # the draws of each call
             assert len(member) == epochs and all(member), strategy
+
+
+def test_a_family_trains_its_first_task_once():
+    # er, der and derpp replay nothing in the first task, so one call trains
+    # it once for all three: one SGD step per step of the family's first
+    # task, and one per step of each strategy's later tasks
+    stream = _small_stream(10)
+    cfg = _cfg()
+    calls = {"sgd_step": 0}
+    with _counting(eatcl.strategies, "sgd_step", calls):
+        grid = train_streams([stream] * 2, [stream] * 2, ["er", "der", "derpp"], cfg, (5, 6))
+    steps = [cfg.epochs_per_task * -(-len(task) // cfg.batch_size) for task in stream.tasks]
+    assert calls["sgd_step"] == steps[0] + 3 * sum(steps[1:])
+    assert [len(runs) for runs in grid] == [2, 2, 2]
 
 
 def test_a_step_schedule_off_the_plan_raises(monkeypatch):

@@ -19,8 +19,9 @@ The robustness schemes are clean training and:
 * +EAT — one fresh external model (same architecture) per generation of
   the task's adversarial copy: once per task, or once per epoch with
   ``eat_refresh``. Each is a ``joint_at`` run from scratch on the current
-  task alone, used once to generate its copy, then discarded. The target
-  model trains on task-plus-adversarial data with no on-the-fly attack.
+  task alone, which eat_generate uses once to make its copy and then
+  discards, returning only the copy. The target model trains on
+  task-plus-adversarial data with no on-the-fly attack.
 
 Batch composition follows the pure-AT convention for +AT/+CAT (adversarial
 examples replace their clean sources; `at_mix="union"` trains both), while
@@ -39,7 +40,8 @@ them; one loop, ``_run_task`` over ``batch_step``, trains every model.
 +EAT's external models never see the target, so every external of the
 group, one per task, member and generation, trains before the first
 task, in lockstep too: one stacked model, so +EAT takes tasks of one
-size. The group shares one replay buffer, in which each
+size. Each then makes its copy, and every copy is ready before the first
+task. The group shares one replay buffer, in which each
 member has its own block of rows. Its draws never depend on the model,
 so each epoch is planned when it starts (see replay), and the plan alone
 says which steps replay; each step samples every member with one take
@@ -57,12 +59,12 @@ form a family (clean, +AT, +CAT and +EAT each one), and each joint
 strategy is a family of its own. Nothing is replayed before the second
 task, so every replay scheme of a family trains the first task bit for bit
 alike: the family builds one model, member set, buffer and plan, makes
-one eat_generate call for +EAT, and trains and snapshots its first task
-once, its buffer storing DER logits if a DER scheme reads them. Each
-strategy then goes on from a copy of that state (_branch): its own
-members' rngs and logs, buffer arrays and counts, ER's without the stored
-logits, and remaining externals' attack rngs; the model and the streams
-are shared, never copied. A family of one runs the same lines.
+each +EAT copy once, in one eat_generate call, and trains and snapshots
+its first task once, its buffer storing DER logits if a DER scheme reads
+them. Each strategy then goes on from a copy of that state (_branch): its
+own members' rngs and logs, buffer arrays and counts, ER's without the
+stored logits; the model, the streams and the +EAT copies are shared,
+never copied. A family of one runs the same lines.
 """
 
 from __future__ import annotations
@@ -300,17 +302,18 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
     return stepped, current_adv
 
 
-def eat_generate(tasks, layer_sizes, cfg: TrainConfig, seeds
-                 ) -> list[tuple[MLPModel, np.random.Generator, int]]:
-    """Throwaway external models, one per seed, trained in lockstep.
+def eat_generate(tasks, layer_sizes, cfg: TrainConfig, seeds) -> list[tuple[np.ndarray, int]]:
+    """Each seed's adversarial copy of its task, from a throwaway external
+    model; the externals train in lockstep.
 
     Seed k's external trains from scratch on tasks[k] alone (all tasks of
     one size) as a joint_at run: eat_external_epochs epochs with at_mix
     "replace", whatever the target's, with model, batch order and attack
-    rng seeded (seed, 0), (seed, 1) and (seed, 2). Returns (model, attack
-    rng, attacked rows) per seed: attacking its task's rows with the model
-    and rng gives its adversarial copy, and _run_task adds the rows attacked
-    in training it to the "external" count of the member that uses it.
+    rng seeded (seed, 0), (seed, 1) and (seed, 2). Then it attacks its
+    task's rows with that rng, and is discarded. Returns (copy, rows) per
+    seed, rows counting the rows attacked in training and the copy's.
+    The copies are made one external at a time: stacking their attacks
+    raised perfbench's stream_eat peak_rss_mb from 43.6 to 45.7 MB.
     """
     if not tasks or len(seeds) != len(tasks):
         raise ValueError(f"{len(seeds)} external seeds for {len(tasks)} tasks")
@@ -323,31 +326,33 @@ def eat_generate(tasks, layer_sizes, cfg: TrainConfig, seeds
     ext_cfg = replace(cfg, epochs_per_task=cfg.eat_external_epochs, at_mix="replace")
     ext = _run_task(_lockstep([init_model(layer_sizes, _sub(s, 0)) for s in seeds]), 0, tasks,
                     "joint", "at", ext_cfg, members, ReplayBuffer(0, len(members)), ())
-    return [(single, m.rngs.attack, m.log.attack_counts["current"])
-            for single, m in zip(_split(ext), members)]
+    return [(attack(single, task.x, one_hot(task.y, single.num_classes), cfg.attack,
+                    m.rngs.attack),
+             m.log.attack_counts["current"] + len(task))
+            for single, m, task in zip(_split(ext), members, tasks)]
 
 
-def _eat_externals(plan, layer_sizes, cfg: TrainConfig, members) -> dict:
-    """Every external model of a lockstep group, by task index: for each
-    task, member e's list of eat_generate's (model, attack rng, attacked
-    rows), one per generation of its adversarial copy (one per task, or one
-    per epoch with eat_refresh).
+def _eat_copies(plan, layer_sizes, cfg: TrainConfig, members) -> dict:
+    """Every adversarial copy of a lockstep group, by task index: for each
+    task, member e's list of eat_generate's (copy, rows), one per
+    generation (one per task, or one per epoch with eat_refresh). Every
+    branch of a family reads these same arrays and never writes them.
 
-    One eat_generate call trains them all, seeded (member seed, 4, task,
-    *generation) in task-major, member, generation order, each on its
+    One eat_generate call makes them all, seeded (member seed, 4, task,
+    *generation) in task-major, member, generation order, each from its
     member's task. So every task must have one size: if not, that call
     raises ValueError before any external trains.
     """
     gens = [()] + [(e,) for e in range(1, cfg.epochs_per_task) if cfg.eat_refresh]
-    ext = iter(eat_generate([task for _, _, tasks in plan for task in tasks for _ in gens],
-                            layer_sizes, cfg,
-                            [_sub(m.seed, 4, index, *g)
-                             for _, index, _ in plan for m in members for g in gens]))
-    return {index: [[next(ext) for _ in gens] for _ in members] for _, index, _ in plan}
+    copies = iter(eat_generate([task for _, _, tasks in plan for task in tasks for _ in gens],
+                               layer_sizes, cfg,
+                               [_sub(m.seed, 4, index, *g)
+                                for _, index, _ in plan for m in members for g in gens]))
+    return {index: [[next(copies) for _ in gens] for _ in members] for _, index, _ in plan}
 
 
 def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConfig,
-              members, buffer: ReplayBuffer, externals) -> MLPModel:
+              members, buffer: ReplayBuffer, copies) -> MLPModel:
     """Train one task of every member for epochs_per_task epochs, replaying
     from the second task on; tasks[e] is member e's Dataset, all of one size,
     and index their position in the stream (0 for joint's merged task).
@@ -357,28 +362,24 @@ def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConf
     adversarial current rows, if any. eat_generate trains +EAT's externals
     here too, at index 0.
 
-    +EAT takes the task's externals, already trained (_eat_externals):
-    externals[e] lists member e's (model, attack rng, attacked rows), one
-    per generation. Each epoch's adversarial copies are made when the epoch
-    starts and written over the last ones, so one copy per member is live at
-    a time; each copy adds its n rows and its external's attacked rows to
-    the member's "external" count.
-    Copies are made member by member: stacking their attacks too raised
-    perfbench's stream_eat peak_rss_mb from 43.6 to 45.7 MB.
+    +EAT takes the task's adversarial copies, already made (_eat_copies):
+    copies[e] lists member e's (copy, rows), one per generation. When epoch
+    g starts, generation g's copy is written over the last one in the rows
+    that follow the clean ones, and its rows are added to the member's
+    "external" count.
     """
     n = len(tasks[0])
     xs = np.stack([task.x for task in tasks])
     ts = np.stack([one_hot(task.y, model.num_classes) for task in tasks])
-    if externals:  # the clean rows, then room for the epoch's adversarial copy
+    if copies:  # the clean rows, then room for the epoch's adversarial copy
         xs = np.concatenate([xs, np.empty_like(xs)], axis=1)
         ts = np.concatenate([ts, ts], axis=1)
     for epoch in range(cfg.epochs_per_task):
-        for m, task, t, ext, copy in zip(members, tasks, ts, externals, xs[:, n:]):
-            if epoch < len(ext):
-                model_e, rng, attacked = ext[epoch]
-                copy[...] = attack(model_e, task.x, t[:n], cfg.attack, rng)
-                m.log.attack_counts["external"] += attacked + n
-        aes = [xs[:, n:]] if externals and index > 0 else []  # for the attack rate
+        for m, gens, slot in zip(members, copies, xs[:, n:]):
+            if epoch < len(gens):
+                slot[...], attacked = gens[epoch]
+                m.log.attack_counts["external"] += attacked
+        aes = [xs[:, n:]] if copies and index > 0 else []  # for the attack rate
         rows = xs.shape[1]
         perms = np.stack([m.rngs.batch.permutation(rows) for m in members])
         clean = perms < n  # every row, unless +EAT adds its copy
@@ -393,7 +394,7 @@ def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConf
                                      [m.rngs.buffer for m in members])
         for s, step in zip(starts, plan, strict=True):
             idx = perms[:, s:s + cfg.batch_size]
-            cb = clean[:, s:s + cfg.batch_size] if externals else None
+            cb = clean[:, s:s + cfg.batch_size] if copies else None
             model, adv = batch_step(model, fx[idx], ft[idx], cb, replay, robust, members,
                                     buffer, step, cfg)
             if adv is not None and index > 0:
@@ -414,31 +415,28 @@ def _snapshot(model, step: int, test: TaskStream, atk: AttackConfig) -> MetricsR
 
 
 def _train_tasks(model, plan, replay: str, robust: str, cfg: TrainConfig, members,
-                 buffer: ReplayBuffer, externals: dict) -> MLPModel:
+                 buffer: ReplayBuffer, copies: dict) -> MLPModel:
     """Train every (step, task index, each member's task) of plan in turn,
     each followed by a metrics snapshot of every member, on its test stream
     under PGD at cfg.attack's eps, alpha and iters, whatever its kind."""
     eval_attack = replace(cfg.attack, kind="pgd")
     for step, index, tasks in plan:
         model = _run_task(model, index, tasks, replay, robust, cfg, members, buffer,
-                          externals.pop(index, ()))
+                          copies.get(index, ()))
         for m, single in zip(members, _split(model)):
             m.log.records.append(_snapshot(single, step, m.test, eval_attack))
     return model
 
 
-def _branch(replay: str, members, buffer: ReplayBuffer, externals: dict):
+def _branch(replay: str, members, buffer: ReplayBuffer):
     """A family's state after its first task, for one replay scheme to go on
-    from: copies of each member's rngs and log, of the buffer's arrays and
-    seen counts, without the stored DER logits for ER, and of the remaining
-    externals' attack rngs. The streams and the models are shared."""
+    from: copies of each member's rngs and log, and of the buffer's arrays
+    and seen counts, without the stored DER logits for ER. The streams, the
+    +EAT copies and the models are shared."""
     branch = deepcopy(buffer)
     if replay == "er":
         branch.logits = None
-    return ([replace(m, rngs=deepcopy(m.rngs), log=deepcopy(m.log)) for m in members],
-            branch,
-            {index: [[(ext, deepcopy(rng), rows) for ext, rng, rows in gens] for gens in ext_lists]
-             for index, ext_lists in externals.items()})
+    return [replace(m, rngs=deepcopy(m.rngs), log=deepcopy(m.log)) for m in members], branch
 
 
 def _train_family(streams, tests, replays, robust: str, cfg: TrainConfig, seeds,
@@ -461,15 +459,14 @@ def _train_family(streams, tests, replays, robust: str, cfg: TrainConfig, seeds,
     else:
         plan = [(i, i, [s.tasks[i] for s in streams]) for i in range(last + 1)]
     # EAT never trains joint, so a task's index is its stream step
-    externals = _eat_externals(plan, layer_sizes, cfg, members) if robust == "eat" else {}
-    model = _train_tasks(model, plan[:1], first, robust, cfg, members, buffer, externals)
+    copies = _eat_copies(plan, layer_sizes, cfg, members) if robust == "eat" else {}
+    model = _train_tasks(model, plan[:1], first, robust, cfg, members, buffer, copies)
     shared = (time.perf_counter() - started) / len(replays)
     runs = []
     for replay in replays:
         started = time.perf_counter()
-        own, own_buffer, own_externals = _branch(replay, members, buffer, externals)
-        trained = _train_tasks(model, plan[1:], replay, robust, cfg, own, own_buffer,
-                               own_externals)
+        own, own_buffer = _branch(replay, members, buffer)
+        trained = _train_tasks(model, plan[1:], replay, robust, cfg, own, own_buffer, copies)
         seconds = (shared + time.perf_counter() - started) / len(seeds)
         for m in own:
             m.log.train_seconds = seconds

@@ -46,11 +46,6 @@ MUTANTS = [
      "replace(m, rngs=deepcopy(m.rngs), log=deepcopy(m.log))",
      "replace(m, rngs=m.rngs, log=deepcopy(m.log))",
      [_ORACLE]),
-    # families: a branch shares the remaining externals' attack rngs
-    ("strategies.py",
-     "(ext, deepcopy(rng), rows)",
-     "(ext, rng, rows)",
-     [_ORACLE]),
     # families: the ER branch keeps the stored DER logits
     ("strategies.py",
      "branch.logits = None",
@@ -61,20 +56,31 @@ MUTANTS = [
      'first = next((r for r in replays if r in ("der", "derpp")), replays[0])',
      "first = replays[0]",
      [_ORACLE]),
-    # +EAT: a task's externals handed to the next task
+    # +EAT: a task's copies handed to the next task
     ("strategies.py",
-     "externals.pop(index, ())",
-     "externals.get(max(index - 1, 0), ())",
+     "copies.get(index, ())",
+     "copies.get(max(index - 1, 0), ())",
      [_ORACLE]),
     # +EAT: external attack counts credited to member 0 only
     ("strategies.py",
-     'm.log.attack_counts["external"] += attacked + n',
-     'members[0].log.attack_counts["external"] += attacked + n',
+     'm.log.attack_counts["external"] += attacked',
+     'members[0].log.attack_counts["external"] += attacked',
      [_ORACLE]),
     # +EAT: the rows attacked in training an external not counted
     ("strategies.py",
-     'm.log.attack_counts["external"] += attacked + n',
-     'm.log.attack_counts["external"] += n',
+     'm.log.attack_counts["current"] + len(task))',
+     "len(task))",
+     [_ORACLE]),
+    # +EAT: the copy's own rows not counted
+    ("strategies.py",
+     'm.log.attack_counts["current"] + len(task))',
+     'm.log.attack_counts["current"])',
+     [_ORACLE]),
+    # +EAT: the copy is the clean rows
+    ("strategies.py",
+     """(attack(single, task.x, one_hot(task.y, single.num_classes), cfg.attack,
+                    m.rngs.attack),""",
+     "(task.x,",
      [_ORACLE]),
     # +EAT: the externals train with the target's at_mix
     ("strategies.py",

@@ -265,18 +265,19 @@ class _Run:
         return [] if adv is None else [adv[:b]]
 
 
-def train_external(task, layer_sizes, cfg, seed) -> tuple[MLPModel, np.ndarray, int]:
-    """+EAT's external model for task, trained alone from seed as a joint_at
-    run of cfg.eat_external_epochs epochs with at_mix "replace": model, batch
-    order and attack rng seeded (*seed, 0), (*seed, 1) and (*seed, 2). Returns
-    it, its adversarial copy of task and the rows it attacked, copy included."""
+def train_external(task, layer_sizes, cfg, seed) -> tuple[np.ndarray, int]:
+    """+EAT's adversarial copy of task, by an external model trained alone
+    from seed as a joint_at run of cfg.eat_external_epochs epochs with at_mix
+    "replace": model, batch order and attack rng seeded (*seed, 0), (*seed,
+    1) and (*seed, 2). Returns the copy and the rows the external attacked,
+    copy included."""
     run = _Run("joint_at", replace(cfg, epochs_per_task=cfg.eat_external_epochs,
                                    at_mix="replace"),
                init_model(layer_sizes, [*seed, 0]), np.random.default_rng([*seed, 1]), None,
                np.random.default_rng([*seed, 2]))
     run.fit(task, 0)
     copy = _attack(run.model, task.x, task.y, cfg.attack, run.atk_rng)
-    return run.model, copy, run.counts["current"] + len(task)
+    return copy, run.counts["current"] + len(task)
 
 
 def train_alone(stream, test, strategy: str, cfg, seed: int):
@@ -299,7 +300,7 @@ def train_alone(stream, test, strategy: str, cfg, seed: int):
     for step, index, task in plan:
         copy = None
         if run.robust == "eat":
-            _, copy, attacked = train_external(task, sizes, cfg, [seed, 4, index])
+            copy, attacked = train_external(task, sizes, cfg, [seed, 4, index])
             run.counts["external"] += attacked
         run.fit(task, index, [c for t in stream.tasks[:index] for c in t.classes], copy)
         seen = test.tasks[:step + 1]

@@ -1,6 +1,6 @@
 """Strategy engine tests: every strategy's lockstep runs equal to
 reference.train_alone bit for bit, equivalences between strategies, +EAT's
-externals equal to reference.train_external, loss-term gradients against
+copies equal to reference.train_external's, loss-term gradients against
 finite differences, errors raised before any step, and the cost and memory
 properties that equal bits cannot show."""
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import eatcl.strategies
-from eatcl.attacks import AttackConfig, attack
+from eatcl.attacks import AttackConfig
 from eatcl.datasets import Dataset, TaskStream, gen_blob_stream, gen_crescent
 from eatcl.nets import MLPModel, forward, init_model, one_hot, softmax_ce
 from eatcl.replay import ReplayBuffer
@@ -154,23 +154,15 @@ def test_derpp_terms_adds_weighted_ce():
         assert np.array_equal(a, b)
 
 
-def _eat_copy(task, external, cfg):
-    ext, rng, _ = external
-    return attack(ext, task.x, one_hot(task.y, ext.num_classes), cfg.attack, rng)
-
-
-def _externals_alone(tasks, layer_sizes, cfg, seeds, externals):
-    """Assert that each of eat_generate's externals, the copy of its task
-    that its rng makes, and its attacked rows, with the copy's, equal
-    reference.train_external's; return the copies."""
-    copies = [_eat_copy(task, ext, cfg) for task, ext in zip(tasks, externals, strict=True)]
-    for task, seed, (ext, _, attacked), copy in zip(tasks, seeds, externals, copies,
-                                                   strict=True):
-        ref_model, ref_copy, ref_attacked = train_external(task, layer_sizes, cfg, seed)
-        assert _params(ext) == _params(ref_model), (cfg, seed)
-        assert copy.tobytes() == ref_copy.tobytes(), (cfg, seed)
-        assert attacked + len(task) == ref_attacked, (cfg, seed)
-    return copies
+def _externals_alone(tasks, layer_sizes, cfg, seeds, copies):
+    """Assert that each of eat_generate's copies and its rows, the copy's
+    included, equal reference.train_external's copy of that task and count;
+    return the copies."""
+    for task, seed, (copy, rows) in zip(tasks, seeds, copies, strict=True):
+        ref_copy, ref_rows = train_external(task, layer_sizes, cfg, seed)
+        assert (copy.shape, copy.tobytes()) == (ref_copy.shape, ref_copy.tobytes()), (cfg, seed)
+        assert rows == ref_rows, (cfg, seed)
+    return [copy for copy, _ in copies]
 
 
 def test_eat_generate_ball_and_labels():
@@ -178,15 +170,15 @@ def test_eat_generate_ball_and_labels():
     cfg = _cfg(eat_external_epochs=2,
                attack=AttackConfig(eps=0.07, alpha=0.03, iters=3))
     seeds = [[5, 4, 0], [5, 4, 0, 1]]
-    externals = eat_generate([task, task], (8, 6, 2), cfg, seeds)
-    # epochs x externals x rows
-    assert sum(attacked for *_, attacked in externals) == 2 * 2 * len(task)
-    copy = _externals_alone([task, task], (8, 6, 2), cfg, seeds, externals)[0]
+    generated = eat_generate([task, task], (8, 6, 2), cfg, seeds)
+    # externals x (epochs + the copy) x rows
+    assert sum(rows for _, rows in generated) == 2 * (2 + 1) * len(task)
+    copies = _externals_alone([task, task], (8, 6, 2), cfg, seeds, generated)
     # a row's copy stays in its eps-ball, so it pairs with the row's label
-    assert copy.shape == task.x.shape
-    assert np.max(np.abs(copy - task.x)) <= 0.07 + 1e-12
-    # separate seeds train separate models
-    assert not _models_equal(externals[0][0], externals[1][0])
+    assert copies[0].shape == task.x.shape
+    assert np.max(np.abs(copies[0] - task.x)) <= 0.07 + 1e-12
+    # separate seeds train separate models, so make separate copies
+    assert not np.array_equal(copies[0], copies[1])
 
 
 def test_eat_generate_independent_of_target_model():
@@ -196,15 +188,16 @@ def test_eat_generate_independent_of_target_model():
     task = stream.tasks[0]
     cfg = _cfg()
     args = [task], (8, 6, 2), cfg, [[1, 4, 0]]
-    a = eat_generate(*args)
+    ((a, a_rows),) = eat_generate(*args)
     _train(stream, "er", cfg)  # unrelated training in between
-    b = eat_generate(*args)
-    np.testing.assert_array_equal(_eat_copy(task, a[0], cfg), _eat_copy(task, b[0], cfg))
+    ((b, b_rows),) = eat_generate(*args)
+    np.testing.assert_array_equal(a, b)
+    assert a_rows == b_rows
 
 
 def test_eat_lockstep_members_equal_members_trained_alone():
     # training a task's external models together must not change a bit of
-    # any member or of its adversarial copy
+    # any member's adversarial copy
     task = _small_stream(20, tasks=1).tasks[0]
     seeds = [[3, 4, 0], [3, 4, 0, 1], [3, 4, 0, 2]]
     for atk in (AttackConfig(eps=0.05, alpha=0.02, iters=3),
@@ -217,7 +210,7 @@ def test_eat_lockstep_members_equal_members_trained_alone():
 
 def test_eat_externals_of_different_members_equal_externals_alone():
     # one call trains the externals of members with different tasks: each
-    # external, and its copy, must equal one trained alone on its member's
+    # copy must equal one made by an external trained alone on its member's
     # rows, whatever the target's at_mix and epochs_per_task
     tasks = [_small_stream(s, tasks=1).tasks[0] for s in (23, 24, 25)]
     for cfg, per_member in itertools.product(
@@ -228,9 +221,9 @@ def test_eat_externals_of_different_members_equal_externals_alone():
         member_tasks = [tasks[k // per_member] for k in range(len(seeds))]
         lockstep = eat_generate(member_tasks, (8, 5, 2), cfg, seeds)
         _externals_alone(member_tasks, (8, 5, 2), cfg, seeds, lockstep)
-        attacked = [sum(a for *_, a in lockstep[m * per_member:(m + 1) * per_member])
-                    for m in range(len(tasks))]
-        assert attacked == [per_member * cfg.eat_external_epochs * len(tasks[0])] * len(tasks)
+        rows = [sum(r for _, r in lockstep[m * per_member:(m + 1) * per_member])
+                for m in range(len(tasks))]
+        assert rows == [per_member * (cfg.eat_external_epochs + 1) * len(tasks[0])] * len(tasks)
 
 
 def test_eat_generate_rejects_bad_tasks_and_seeds_before_any_step(monkeypatch):
@@ -358,14 +351,17 @@ def test_only_der_buffers_store_logits(monkeypatch):
 
 
 def test_eval_spec_uses_held_out_stream():
+    # held-out accuracy differs from train accuracy in general; it shows
+    # at every snapshot once the epochs and width let the model learn the
+    # blobs, as the first task's training accuracy says it does
     train_s = _small_stream(16)
     test_s = gen_blob_stream(3, 2, 8, 30, seed=16, sample_seed=[16, 2])
-    _, log_a = _train(train_s, "er", _cfg(), test=test_s)
-    _, log_b = _train(train_s, "er", _cfg())
-    # held-out accuracy differs from train accuracy in general; at the
-    # blobs' fixed geometry these few steps leave the last snapshot's model
-    # predicting one class on both streams, so the first snapshot shows it
-    assert log_a.records[0].mean_accuracy != log_b.records[0].mean_accuracy
+    cfg = _cfg(epochs_per_task=50, hidden=(16,))
+    _, log_a = _train(train_s, "er", cfg, test=test_s)
+    _, log_b = _train(train_s, "er", cfg)
+    assert log_b.records[0].mean_accuracy >= 90
+    for held_out, trained in zip(log_a.records, log_b.records, strict=True):
+        assert held_out.mean_accuracy != trained.mean_accuracy, held_out.step
 
 
 def test_eval_does_not_disturb_training():
@@ -546,6 +542,23 @@ def test_a_family_trains_its_first_task_once():
     steps = [cfg.epochs_per_task * -(-len(task) // cfg.batch_size) for task in stream.tasks]
     assert calls["sgd_step"] == steps[0] + 3 * sum(steps[1:])
     assert [len(runs) for runs in grid] == [2, 2, 2]
+
+
+def test_an_eat_family_makes_each_copy_once():
+    # eat_generate makes every adversarial copy of the family before its
+    # first task, and the branches share them: der_eat and derpp_eat add no
+    # attack to er_eat's, which trains the externals (one attack per step)
+    # and makes one copy per task and member
+    stream = _small_stream(12)
+    cfg = _cfg(eat_external_epochs=2)
+    counts = []
+    for strategies in (["er_eat"], ["er_eat", "der_eat", "derpp_eat"]):
+        calls = {"attack": 0}
+        with _counting(eatcl.strategies, "attack", calls):
+            train_streams([stream] * 2, [stream] * 2, strategies, cfg, (5, 6))
+        counts.append(calls["attack"])
+    external_steps = cfg.eat_external_epochs * -(-len(stream.tasks[0]) // cfg.batch_size)
+    assert counts == [external_steps + 2 * len(stream.tasks)] * 2
 
 
 def test_a_step_schedule_off_the_plan_raises(monkeypatch):

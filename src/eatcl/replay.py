@@ -10,7 +10,8 @@ insertion time (for distillation-style replay), logits (E * capacity,
 classes).
 
 A member's buffer draws never depend on the model: they are set by how many
-rows it offers at each step and how many buffer batches each step samples.
+rows it offers at each step and how many buffer batches it samples at each
+replaying step, which members of one group may differ in.
 So the training loop plans each epoch when it starts (``plan_epoch``), and
 the buffer draws each member's whole epoch with one generator call over the
 bounds that the per-step calls would use, in their order. One
@@ -39,30 +40,31 @@ class ReplayBuffer:
         self.seen_counts = [0] * members
         self.x = self.targets = self.logits = None
 
-    def plan_epoch(self, counts, samples: int, batch_size: int, rngs) -> list:
+    def plan_epoch(self, counts, samples, batch_size: int, rngs) -> list:
         """Plan the draws of an epoch of steps, with rngs[e] for member e:
         one (batches, writes) per step, for sample_arrays and insert.
 
         Member e offers counts[t][e] rows at step t. Step t first samples
-        `samples` buffer batches of batch_size rows per member, drawn
+        samples[e] buffer batches of batch_size rows for member e, drawn
         uniformly with replacement, if every member holds rows (else batches
-        is empty); then each member's rows enter its block by Algorithm R,
+        is empty); batch k holds the rows of the members with samples[e] > k,
+        member-major. Then each member's rows enter its block by Algorithm R,
         in order: fill, then row k goes to slot integers(0, seen_k) if that
         is below capacity, where seen_k is its running count. When two rows
         of a step draw one slot, the later one stays. Each member's draws
-        come from one call.
+        come from one call, so they are what it draws alone.
         """
         counts = np.asarray(counts, dtype=np.int64).reshape(-1, len(self.seen_counts))
         cap, steps = self.capacity, len(counts)
         seen0 = np.asarray(self.seen_counts)
         seen = seen0 + np.cumsum(counts, axis=0)  # each member's, after each step
         before = np.minimum(seen - counts, cap)  # each member's size at each step
-        replays = (before > 0).all(axis=1) & (samples > 0)
-        sample_step = np.repeat(np.arange(steps), replays * samples * batch_size)
+        replays = (before > 0).all(axis=1) & (max(samples) > 0)
         # a step's rows are member-major: member e's start at first[t, e]
         first = np.cumsum(counts, axis=1) - counts
         draws, writes = [], []
-        for e, rng in enumerate(rngs):
+        for e, (rng, s) in enumerate(zip(rngs, samples, strict=True)):
+            sample_step = np.repeat(np.arange(steps), replays * s * batch_size)
             row_step = np.repeat(np.arange(steps), counts[:, e])
             seen_k = np.arange(seen0[e] + 1, seen0[e] + 1 + len(row_step))
             earlier = seen[:, e] - counts[:, e] - seen0[e]  # its rows in earlier steps
@@ -74,14 +76,15 @@ class ReplayBuffer:
             drawn = np.empty_like(bounds)
             if len(bounds):
                 drawn[order] = rng.integers(0, bounds[order])
-            draws.append(drawn[:len(sample_step)] + e * cap)
+            drawn[:len(sample_step)] += e * cap  # rows of the arrays, by replaying step
+            draws.append(drawn[:len(sample_step)].reshape(replays.sum(), s, batch_size))
             slot = seen_k - 1
             slot[drawing] = drawn[len(sample_step):]
             kept = slot < cap
             writes.append((row_step[kept], slot[kept] + e * cap, row[kept]))
-        # each (step, batch)'s member-major rows of the arrays
-        sample_idx = (np.stack(draws).reshape(len(rngs), -1, batch_size).swapaxes(0, 1)
-                      .reshape(-1, len(rngs) * batch_size))
+        # batch k of each replaying step: its sampling members' rows, member-major
+        batches = zip(*(np.concatenate([d[:, k] for d in draws if d.shape[1] > k], axis=1)
+                        for k in range(max(samples))))
         # of a step's rows that land in one slot, the last one stays
         write_step, at, row = (np.concatenate(a)[::-1] for a in zip(*writes))
         _, last = np.unique(write_step * cap * len(rngs) + at, return_index=True)
@@ -89,9 +92,7 @@ class ReplayBuffer:
         # step t's writes are at[cuts[t]:cuts[t + 1]], and their rows likewise
         cuts = np.searchsorted(write_step, np.arange(steps + 1)).tolist()
         self.seen_counts = (seen0 + counts.sum(axis=0)).tolist()
-        batches = iter(sample_idx)
-        return [([next(batches) for _ in range(samples)] if r else [],
-                 (n, at[a:b], row[a:b]))
+        return [(list(next(batches)) if r else [], (n, at[a:b], row[a:b]))
                 for r, n, a, b in zip(replays, counts.sum(axis=1), cuts, cuts[1:])]
 
     def sample_arrays(self, idx):

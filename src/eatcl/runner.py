@@ -233,8 +233,8 @@ def run_experiment(cfg: dict, out_dir: str, quiet: bool = False) -> list[RunResu
     output directory. One strategies.train_streams call trains the grid,
     family by family, each strategy's seeds in lockstep; results, CSV rows
     and the manifest's run list keep the seed-major order (for each seed,
-    each strategy). A run's train_seconds is its branch's time plus an
-    equal share of its family's first task, divided over the seeds.
+    each strategy). A run's train_seconds is its group's time per scheme
+    plus an equal share of its family's first task, divided over the seeds.
     """
     seeds = cfg["seeds"]
     streams = grid_streams(cfg)

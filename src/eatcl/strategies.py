@@ -61,10 +61,12 @@ task, so every replay scheme of a family trains the first task bit for bit
 alike: the family builds one model, member set, buffer and plan, makes
 each +EAT copy once, in one eat_generate call, and trains and snapshots
 its first task once, its buffer storing DER logits if a DER scheme reads
-them. Each strategy then goes on from a copy of that state (_branch): its
+them. The schemes then go on from copies of that state (_branch): their
 own members' rngs and logs, buffer arrays and counts, ER's without the
-stored logits; the model, the streams and the +EAT copies are shared,
-never copied. A family of one runs the same lines.
+stored logits; the streams and the +EAT copies are shared, never copied.
+ER goes on alone; der and derpp, whose steps take alike shaped passes, as
+one lockstep group, der's members then derpp's, which alone take DER++'s
+label term and its +AT attack. A family of one runs the same lines.
 """
 
 from __future__ import annotations
@@ -139,7 +141,9 @@ class RunLog:
     attack_rates: list[AttackRatePoint] = field(default_factory=list)
     attack_counts: dict[str, int] = field(
         default_factory=lambda: {"current": 0, "memory": 0, "external": 0})
-    train_seconds: float = 0.0  # wall-clock, so it reaches only manifest.json
+    # wall-clock, for manifest.json only: its group's seconds split equally over
+    # the group's schemes (der and derpp share one), then over seeds (_train_family)
+    train_seconds: float = 0.0
 
 
 def _sub(seed, *parts) -> list[int]:
@@ -167,6 +171,7 @@ class _Member:
     stream: TaskStream | None
     test: TaskStream | None  # held out, for the metrics snapshots
     seed: int
+    replay: str  # its replay scheme, "joint" for an external
     rngs: _Rngs
     log: RunLog = field(default_factory=RunLog)
 
@@ -180,6 +185,15 @@ def _lockstep(models) -> MLPModel:
 def _split(model: MLPModel) -> list[MLPModel]:
     """The members of a _lockstep model, as single models."""
     return [model] if model.members is None else unstack_models(model)
+
+
+def _tail(model: MLPModel, members, k: int):
+    """The last k members of a lockstep group: their _lockstep model, as
+    views of model's parameters, and their attack rngs as attack takes them."""
+    if k == 1:
+        return _split(model)[-1], members[-1].rngs.attack
+    return (MLPModel(model.layer_sizes, [w[-k:] for w in model.weights],
+                     [b[-k:] for b in model.biases]), [m.rngs.attack for m in members[-k:]])
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -221,26 +235,32 @@ def derpp_label_terms(model, buf_x, buf_targets):
     return loss_and_grads(model, buf_x, weighted_ce)
 
 
-def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
-               buffer: ReplayBuffer, step, cfg: TrainConfig):
+def batch_step(model, xb, tb, cb, robust: str, members, buffer: ReplayBuffer, step,
+               cfg: TrainConfig):
     """One SGD update of every member on its current batch, after which the
     batch's clean rows enter each member's block of the group's buffer.
     Returns the stepped model and the current rows' adversarial ones, or None.
 
     xb (E, rows, d) and its one-hot targets tb (E, rows, classes) hold member
     e's batch in block e, cb marks its clean task rows (None: all are), and
-    model is the _lockstep model of the E members. step is its (batches, writes)
-    entry of the buffer's epoch plan, writes None with no buffer. With planned
-    batches, as many as the scheme takes (else ValueError), the step replays: ER
-    appends a memory batch, DER adds its distillation term on a clean buffer
-    batch, and DER++ also its label term on a second one, which +AT attacks in
-    place. +AT attacks every row of the cross-entropy batch, +CAT only the
-    current rows, which lead it; the adversarial rows replace them or, with
-    at_mix "union", follow them. Each member uses its own block and rngs.
+    model is the _lockstep model of the E members, of one replay scheme or
+    der's then derpp's. step is its (batches, writes) entry of the buffer's
+    epoch plan, writes None with no buffer. With planned batches, one per
+    member and a second per derpp member (else ValueError), the step replays:
+    ER appends a memory batch, DER adds its distillation term on a clean
+    buffer batch, and the derpp members, into their slice of the gradients,
+    their label term on the second one, which +AT attacks in place. +AT
+    attacks every row of the cross-entropy batch, +CAT only the current
+    rows, which lead it; the adversarial rows replace them or, with at_mix
+    "union", follow them. Each member uses its own block and rngs.
     """
     batches, writes = step
-    if batches and len(batches) != _BUFFER_BATCHES[replay]:
-        raise ValueError(f"replay plan for {replay}: {len(batches)} buffer batches planned")
+    replay = members[0].replay
+    derpp = sum(m.replay == "derpp" for m in members)  # the trailing members
+    size = cfg.replay_batch_size or cfg.batch_size
+    planned = [len(b) for b in batches]  # each buffer batch's rows
+    if planned and planned != [size * k for k in (len(members), derpp) if k]:
+        raise ValueError(f"replay plan for {replay}: buffer batches of {planned} rows planned")
     # attack takes one rng for a plain model, one per member for a stacked one
     atk_rng = members[0].rngs.attack if len(members) == 1 else [m.rngs.attack for m in members]
     b = xb.shape[1]
@@ -274,14 +294,18 @@ def batch_step(model, xb, tb, cb, replay: str, robust: str, members,
         bx, _, blogits = buffer.sample_arrays(batches[0])
         _, der_grads = der_terms(model, bx, blogits)
         grads = add_grads(grads, der_grads)
-        if replay == "derpp":
-            bx2, bt2, _ = buffer.sample_arrays(batches[1])
-            if robust == "at":
-                bx2 = attack(model, bx2, bt2, cfg.attack, atk_rng)
-                for m in members:
-                    m.log.attack_counts["memory"] += len(bx2) // len(members)
-            _, label_grads = derpp_label_terms(model, bx2, bt2)
-            grads = add_grads(grads, label_grads)
+    if batches and derpp:
+        bx2, bt2, _ = buffer.sample_arrays(batches[1])
+        labelled, labelled_rng = _tail(model, members, derpp)
+        if robust == "at":
+            bx2 = attack(labelled, bx2, bt2, cfg.attack, labelled_rng)
+            for m in members[-derpp:]:
+                m.log.attack_counts["memory"] += size
+        _, label_grads = derpp_label_terms(labelled, bx2, bt2)
+        part = slice(None) if model.members is None else slice(-derpp, None)
+        for g, lg in zip(grads.weight_grads + grads.bias_grads,
+                         label_grads.weight_grads + label_grads.bias_grads):
+            g[part] += lg.reshape(g[part].shape)
     stepped = sgd_step(model, grads)
     current_adv = adv[:, :b] if n_atk else None
     if writes is None:
@@ -320,12 +344,12 @@ def eat_generate(tasks, layer_sizes, cfg: TrainConfig, seeds) -> list[tuple[np.n
     sizes = sorted({len(task) for task in tasks})
     if len(sizes) > 1 or sizes[0] == 0:
         raise ValueError(f"external tasks need one size > 0, got sizes {sizes}")
-    members = [_Member(None, None, s, _Rngs(np.random.default_rng(_sub(s, 1)), None,
-                                            np.random.default_rng(_sub(s, 2))))
+    members = [_Member(None, None, s, "joint", _Rngs(np.random.default_rng(_sub(s, 1)), None,
+                                                     np.random.default_rng(_sub(s, 2))))
                for s in seeds]  # no buffer, so no buffer rng
     ext_cfg = replace(cfg, epochs_per_task=cfg.eat_external_epochs, at_mix="replace")
     ext = _run_task(_lockstep([init_model(layer_sizes, _sub(s, 0)) for s in seeds]), 0, tasks,
-                    "joint", "at", ext_cfg, members, ReplayBuffer(0, len(members)), ())
+                    "at", ext_cfg, members, ReplayBuffer(0, len(members)), ())
     return [(attack(single, task.x, one_hot(task.y, single.num_classes), cfg.attack,
                     m.rngs.attack),
              m.log.attack_counts["current"] + len(task))
@@ -351,10 +375,11 @@ def _eat_copies(plan, layer_sizes, cfg: TrainConfig, members) -> dict:
     return {index: [[next(copies) for _ in gens] for _ in members] for _, index, _ in plan}
 
 
-def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConfig,
-              members, buffer: ReplayBuffer, copies) -> MLPModel:
+def _run_task(model, index: int, tasks, robust: str, cfg: TrainConfig, members,
+              buffer: ReplayBuffer, copies) -> MLPModel:
     """Train one task of every member for epochs_per_task epochs, replaying
-    from the second task on; tasks[e] is member e's Dataset, all of one size,
+    from the second task on, each member as many buffer batches per step as
+    its replay scheme samples; tasks[e] is member e's Dataset, all of one size,
     and index their position in the stream (0 for joint's merged task).
     Each member's task labels become one-hot targets here, once, beside its
     rows, and every batch gathers both with one index. From the second task
@@ -389,14 +414,15 @@ def _run_task(model, index: int, tasks, replay: str, robust: str, cfg: TrainConf
         plan = [([], None)] * len(starts)  # no buffer: no batches, no writes
         if buffer.capacity:  # each member offers the buffer its clean rows
             plan = buffer.plan_epoch(np.add.reduceat(clean, starts, axis=1, dtype=np.int64).T,
-                                     _BUFFER_BATCHES[replay] if index > 0 else 0,
+                                     [_BUFFER_BATCHES[m.replay] if index > 0 else 0
+                                      for m in members],
                                      cfg.replay_batch_size or cfg.batch_size,
                                      [m.rngs.buffer for m in members])
         for s, step in zip(starts, plan, strict=True):
             idx = perms[:, s:s + cfg.batch_size]
             cb = clean[:, s:s + cfg.batch_size] if copies else None
-            model, adv = batch_step(model, fx[idx], ft[idx], cb, replay, robust, members,
-                                    buffer, step, cfg)
+            model, adv = batch_step(model, fx[idx], ft[idx], cb, robust, members, buffer,
+                                    step, cfg)
             if adv is not None and index > 0:
                 aes.append(adv)
         if aes:
@@ -414,29 +440,34 @@ def _snapshot(model, step: int, test: TaskStream, atk: AttackConfig) -> MetricsR
     return MetricsRecord(step, accs, robs, float(np.mean(accs)), float(np.mean(robs)))
 
 
-def _train_tasks(model, plan, replay: str, robust: str, cfg: TrainConfig, members,
+def _train_tasks(model, plan, robust: str, cfg: TrainConfig, members,
                  buffer: ReplayBuffer, copies: dict) -> MLPModel:
     """Train every (step, task index, each member's task) of plan in turn,
     each followed by a metrics snapshot of every member, on its test stream
     under PGD at cfg.attack's eps, alpha and iters, whatever its kind."""
     eval_attack = replace(cfg.attack, kind="pgd")
     for step, index, tasks in plan:
-        model = _run_task(model, index, tasks, replay, robust, cfg, members, buffer,
+        model = _run_task(model, index, tasks, robust, cfg, members, buffer,
                           copies.get(index, ()))
         for m, single in zip(members, _split(model)):
             m.log.records.append(_snapshot(single, step, m.test, eval_attack))
     return model
 
 
-def _branch(replay: str, members, buffer: ReplayBuffer):
-    """A family's state after its first task, for one replay scheme to go on
-    from: copies of each member's rngs and log, and of the buffer's arrays
-    and seen counts, without the stored DER logits for ER. The streams, the
-    +EAT copies and the models are shared."""
-    branch = deepcopy(buffer)
-    if replay == "er":
+def _branch(group, members, buffer: ReplayBuffer):
+    """A family's state after its first task, for group's replay schemes to
+    go on from in lockstep: per scheme, copies of each member's rngs and log,
+    and of the buffer's blocks and seen counts, without the stored DER logits
+    for ER. The streams, the +EAT copies and the models are shared."""
+    branch = ReplayBuffer(buffer.capacity, len(group) * len(members))
+    branch.seen_counts = buffer.seen_counts * len(group)
+    branch.x, branch.targets, branch.logits = (
+        None if a is None else np.concatenate([a] * len(group))
+        for a in (buffer.x, buffer.targets, buffer.logits))
+    if "er" in group:
         branch.logits = None
-    return [replace(m, rngs=deepcopy(m.rngs), log=deepcopy(m.log)) for m in members], branch
+    return [replace(m, replay=r, rngs=deepcopy(m.rngs), log=deepcopy(m.log))
+            for r in group for m in members], branch
 
 
 def _train_family(streams, tests, replays, robust: str, cfg: TrainConfig, seeds,
@@ -444,14 +475,16 @@ def _train_family(streams, tests, replays, robust: str, cfg: TrainConfig, seeds,
     """Each replay scheme of replays under one robustness scheme, over the
     runs (streams[e], tests[e], seeds[e]) in lockstep, one list of runs per
     scheme. The first task replays nothing, so it trains once, with DER
-    logits stored if a scheme reads them, and each scheme trains the
-    remaining tasks from a _branch of that state. Each run's log records
-    its branch's seconds plus an equal share of the first task's, per seed."""
+    logits stored if a scheme reads them, and each group of schemes trains
+    the remaining tasks from a _branch of that state: der and derpp as one,
+    whose steps take alike shaped passes, every other scheme alone. Each
+    run's log records its group's seconds split equally over the group's
+    schemes, plus an equal share of the first task's, per seed."""
     started = time.perf_counter()
     model = _lockstep([init_model(layer_sizes, _sub(seed, 0)) for seed in seeds])
-    members = [_Member(s, test, seed, _Rngs.for_seed(seed))
-               for s, test, seed in zip(streams, tests, seeds)]
     first = next((r for r in replays if r in ("der", "derpp")), replays[0])
+    members = [_Member(s, test, seed, first, _Rngs.for_seed(seed))
+               for s, test, seed in zip(streams, tests, seeds)]
     buffer = ReplayBuffer(0 if first == "joint" else cfg.buffer_capacity, len(members))
     last = len(streams[0].tasks) - 1
     if first == "joint":  # (step, task index, each member's task)
@@ -460,18 +493,23 @@ def _train_family(streams, tests, replays, robust: str, cfg: TrainConfig, seeds,
         plan = [(i, i, [s.tasks[i] for s in streams]) for i in range(last + 1)]
     # EAT never trains joint, so a task's index is its stream step
     copies = _eat_copies(plan, layer_sizes, cfg, members) if robust == "eat" else {}
-    model = _train_tasks(model, plan[:1], first, robust, cfg, members, buffer, copies)
+    model = _train_tasks(model, plan[:1], robust, cfg, members, buffer, copies)
     shared = (time.perf_counter() - started) / len(replays)
-    runs = []
-    for replay in replays:
+    der = [r for r in ("der", "derpp") if r in replays]
+    runs = {}
+    for group in [[r] for r in replays if r not in der] + ([der] if der else []):
         started = time.perf_counter()
-        own, own_buffer = _branch(replay, members, buffer)
-        trained = _train_tasks(model, plan[1:], replay, robust, cfg, own, own_buffer, copies)
-        seconds = (shared + time.perf_counter() - started) / len(seeds)
-        for m in own:
+        own, own_buffer = _branch(group, members, buffer)
+        g = len(group)  # the group's members are g copies of the family's
+        trained = _train_tasks(_lockstep(_split(model) * g),
+                               [(step, index, tasks * g) for step, index, tasks in plan[1:]],
+                               robust, cfg, own, own_buffer,
+                               {index: c * g for index, c in copies.items()})
+        seconds = (shared + (time.perf_counter() - started) / g) / len(seeds)
+        for e, (single, m) in enumerate(zip(_split(trained), own)):
             m.log.train_seconds = seconds
-        runs.append([(single, m.log) for single, m in zip(_split(trained), own)])
-    return runs
+            runs.setdefault(group[e // len(seeds)], []).append((single, m.log))
+    return [runs[r] for r in replays]
 
 
 def train_streams(streams, tests, strategies, cfg: TrainConfig,
@@ -490,13 +528,15 @@ def train_streams(streams, tests, strategies, cfg: TrainConfig,
     seen so far, on the run's test stream. Joint training is one merged task
     with an empty buffer, trained and snapshotted at the last step.
 
-    The strategies must be accepted names, the streams must give one model
+    The strategies must be distinct accepted names, the streams must give one model
     shape and one size per task, +EAT's tasks one size, and each test stream
     the task count and input dim of its stream and classes the head holds;
     otherwise ValueError, before any training. One diverging run raises for
     all of them.
     """
     names = [parse_strategy(s) for s in strategies]
+    if len(set(strategies)) != len(names):
+        raise ValueError(f"strategies must be distinct, got {list(strategies)}")
     if not streams or not len(streams) == len(tests) == len(seeds):
         raise ValueError("need one test stream and one seed per stream")
     for stream, test in zip(streams, tests):

@@ -9,9 +9,10 @@ pytest's durations table charges all of them to the first test that uses
 the fixture, the sha256 prefixes of its metrics.csv and rates.csv, so a
 log shows whether outputs moved, its attack gradient passes (calls of
 attacks.ce_input_grad, training and evaluation together), which
-test_stream_fgsm_orderings_and_cost compares, and its calls of
+test_stream_fgsm_orderings_and_cost compares, its calls of
 strategies.eat_generate, which test_stream_eat_one_external_call_per_group
-pins. When
+pins, and its SGD steps (calls of strategies.sgd_step), all lockstep
+groups' together. When
 test_robustness_under_stronger_evaluation ran, the summary also prints each
 config's final robustness per strategy under the shipped evaluation attack
 and the two stronger ones. The digests depend on the numeric build, so
@@ -56,10 +57,11 @@ STRONGER = pytest.StashKey[dict]()
 class ConfigRun:
     """One executed config: its parsed config, run_experiment's results,
     output directory, wall-clock seconds, attack gradient passes (calls of
-    attacks.ce_input_grad, one per attack step) and eat_generate calls."""
+    attacks.ce_input_grad, one per attack step), eat_generate calls and SGD
+    steps (calls of strategies.sgd_step, one per lockstep group's step)."""
 
     def __init__(self, name: str, cfg: dict, results: list[RunResult], out_dir: Path,
-                 seconds: float, attack_passes: int, eat_generates: int):
+                 seconds: float, attack_passes: int, eat_generates: int, sgd_steps: int):
         self.name = name
         self.cfg = cfg
         self.results = results
@@ -67,6 +69,7 @@ class ConfigRun:
         self.seconds = seconds
         self.attack_passes = attack_passes
         self.eat_generates = eat_generates
+        self.sgd_steps = sgd_steps
 
     @property
     def summary(self) -> dict:
@@ -96,17 +99,18 @@ def _counting(module, name: str, calls: dict):
 
 def run_config(name: str, out_dir: Path) -> ConfigRun:
     """Run a shipped config, counting the calls of attacks.ce_input_grad,
-    one per attack step, and of strategies.eat_generate for as long as it
-    runs."""
+    one per attack step, of strategies.eat_generate and of
+    strategies.sgd_step for as long as it runs."""
     cfg = parse_config((CONFIG_DIR / f"{name}.conf").read_text())
-    calls = {"ce_input_grad": 0, "eat_generate": 0}
+    calls = {"ce_input_grad": 0, "eat_generate": 0, "sgd_step": 0}
     with (_counting(eatcl.attacks, "ce_input_grad", calls),
-          _counting(eatcl.strategies, "eat_generate", calls)):
+          _counting(eatcl.strategies, "eat_generate", calls),
+          _counting(eatcl.strategies, "sgd_step", calls)):
         started = time.perf_counter()
         results = run_experiment(cfg, str(out_dir), quiet=True)
         seconds = time.perf_counter() - started
     return ConfigRun(name, cfg, results, out_dir, seconds, calls["ce_input_grad"],
-                     calls["eat_generate"])
+                     calls["eat_generate"], calls["sgd_step"])
 
 
 @pytest.fixture(scope="session")
@@ -161,7 +165,7 @@ def pytest_terminal_summary(terminalreporter, config):
     """Each shipped config's wall-clock seconds, with the budget that
     test_acceptance.py holds it to: the toy pair 120 s together, each
     stream config 300 s; each config's output digests, attack gradient
-    passes and eat_generate calls; and, if measured, each config's
+    passes, eat_generate calls and SGD steps; and, if measured, each config's
     robustness under the stronger evaluation attacks. First, on every run,
     the line counts of src/eatcl and strategies.py, the number of
     src/eatcl's public functions and methods, their parameters and those
@@ -205,7 +209,8 @@ def pytest_terminal_summary(terminalreporter, config):
         if name in runs:
             digests = "".join(f"  {f} {d[:8]}" for f, d in output_digests(runs[name]).items())
             passes = (f"  {runs[name].attack_passes} attack gradient passes, "
-                      f"{runs[name].eat_generates} eat_generate calls")
+                      f"{runs[name].eat_generates} eat_generate calls, "
+                      f"{runs[name].sgd_steps} SGD steps")
         terminalreporter.write_line(f"{name:<16} {s:7.1f} s{budget:<18}{digests}{passes}"
                                     .rstrip())
     stronger = config.stash.get(STRONGER, {})

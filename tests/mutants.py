@@ -43,8 +43,23 @@ MUTANTS = [
      [_STRAT + "test_eat_external_seeds_per_task_and_epoch", _ORACLE]),
     # families: a branch shares the first task's member rngs
     ("strategies.py",
-     "replace(m, rngs=deepcopy(m.rngs), log=deepcopy(m.log))",
-     "replace(m, rngs=m.rngs, log=deepcopy(m.log))",
+     "replace(m, replay=r, rngs=deepcopy(m.rngs), log=deepcopy(m.log))",
+     "replace(m, replay=r, rngs=m.rngs, log=deepcopy(m.log))",
+     [_ORACLE]),
+    # DER group: the label term on every member, der's too
+    ("strategies.py",
+     'derpp = sum(m.replay == "derpp" for m in members)',
+     'derpp = len(members) * any(m.replay == "derpp" for m in members)',
+     [_ORACLE]),
+    # DER group: the label term's gradients added into the der members' slice
+    ("strategies.py",
+     "slice(-derpp, None)",
+     "slice(0, derpp)",
+     [_ORACLE]),
+    # DER group: der members draw a second buffer batch
+    ("strategies.py",
+     '_BUFFER_BATCHES = {"er": 1, "der": 1, "derpp": 2}',
+     '_BUFFER_BATCHES = {"er": 1, "der": 2, "derpp": 2}',
      [_ORACLE]),
     # families: the ER branch keeps the stored DER logits
     ("strategies.py",
@@ -112,9 +127,9 @@ MUTANTS = [
      "if len(x) != n:",
      "if False:",
      [_REPLAY + "test_plan_must_be_consumed_exactly"]),
-    # buffer: batch_step's batch-count check dropped
+    # buffer: batch_step's check of the planned batches dropped
     ("strategies.py",
-     "if batches and len(batches) != _BUFFER_BATCHES[replay]:",
+     "if planned and planned != [size * k for k in (len(members), derpp) if k]:",
      "if False:",
      [_STRAT + "test_a_step_schedule_off_the_plan_raises"]),
     # evaluation: another seed for its attack starts

@@ -175,7 +175,7 @@ def test_reservoir_retention_uniformity():
     for _ in range(trials):
         buf = ReplayBuffer(50)
         # as training inserts: an epoch of 32-row steps, planned at once
-        plan = buf.plan_epoch([[len(xs[s:s + 32])] for s in starts], 0, 1, [rng])
+        plan = buf.plan_epoch([[len(xs[s:s + 32])] for s in starts], [0], 1, [rng])
         for s, (_, writes) in zip(starts, plan, strict=True):
             buf.insert(writes, xs[s:s + 32], targets[s:s + 32], None)
         counts[buf.x[:, 0].astype(np.int64)] += 1  # the items kept, each once

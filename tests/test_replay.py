@@ -31,7 +31,7 @@ def _insert(buf, ids, rng, member=0, with_logits=False):
     other member none."""
     counts = [0] * len(buf.seen_counts)
     counts[member] = len(ids)
-    ((batches, writes),) = buf.plan_epoch([counts], 0, 1, [rng] * len(counts))
+    ((batches, writes),) = buf.plan_epoch([counts], [0] * len(counts), 1, [rng] * len(counts))
     assert batches == []
     buf.insert(writes, *_rows(ids, with_logits=with_logits))
 
@@ -39,7 +39,7 @@ def _insert(buf, ids, rng, member=0, with_logits=False):
 def _sample_plan(buf, batch_size, rngs):
     """The batches of one planned step that samples one buffer batch and
     offers no rows: none while a member is empty."""
-    ((batches, _),) = buf.plan_epoch([[0] * len(rngs)], 1, batch_size, rngs)
+    ((batches, _),) = buf.plan_epoch([[0] * len(rngs)], [1] * len(rngs), batch_size, rngs)
     return batches
 
 
@@ -73,7 +73,7 @@ def _run_against_reference(capacity, epochs, samples, batch_size, seed, with_log
     rngs_ref = [np.random.default_rng([seed, e]) for e in range(members)]
     start = 0
     for epoch in epochs:
-        plan = buf.plan_epoch(epoch, samples, batch_size, rngs_buf)
+        plan = buf.plan_epoch(epoch, [samples] * members, batch_size, rngs_buf)
         for counts, (batches, writes) in zip(epoch, plan, strict=True):
             assert len(batches) == (samples if min(ref.sizes) > 0 else 0)
             for idx in batches:
@@ -156,7 +156,7 @@ def test_plan_must_be_consumed_exactly():
     rngs = [np.random.default_rng(0)]
     buf = ReplayBuffer(4)
     _insert(buf, range(6), rngs[0])
-    ((_, writes), _) = buf.plan_epoch([[2], [2]], 1, 3, rngs)
+    ((_, writes), _) = buf.plan_epoch([[2], [2]], [1], 3, rngs)
     # a step offered other rows than planned
     for ids in ([10], [10, 11, 12]):
         with pytest.raises(ValueError):
@@ -205,7 +205,7 @@ def test_retention_frequency_matches_reservoir_statistics():
     for trial in range(trials):
         rng = np.random.default_rng([3, trial])
         buf = ReplayBuffer(capacity)
-        plan = buf.plan_epoch([[min(32, stream - s)] for s in starts], 0, 1, [rng])
+        plan = buf.plan_epoch([[min(32, stream - s)] for s in starts], [0], 1, [rng])
         for s, (_, writes) in zip(starts, plan, strict=True):
             buf.insert(writes, *_rows(range(s, min(s + 32, stream))))
         hits[_kept(buf)] += 1
@@ -297,19 +297,33 @@ def test_slot_drawn_twice_keeps_the_later_row():
 @given(st.integers(1, 12),
        st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30)),
                 min_size=1, max_size=5),
+       st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
        st.integers(0, 2 ** 31 - 1))
-def test_members_equal_one_member_buffers(capacity, calls, seed):
-    # an E = 3 buffer fed different row counts per member per step holds,
-    # draws and samples exactly what three one-member buffers would
+def test_members_equal_one_member_buffers(capacity, calls, samples, seed):
+    # an E = 3 buffer fed different row counts per member per step, whose
+    # members sample different numbers of buffer batches, holds, draws and
+    # samples exactly what three one-member buffers would, each planned with
+    # its own count; the first step gives every member rows, so from the
+    # second on the group replays exactly when each member alone does
+    calls = [(1, 1, 1), *calls]
     group, alone = ReplayBuffer(capacity, 3), [ReplayBuffer(capacity) for _ in range(3)]
     rngs_group = [np.random.default_rng([seed, e]) for e in range(3)]
     rngs_alone = [np.random.default_rng([seed, e]) for e in range(3)]
-    plan = group.plan_epoch(calls, 0, 1, rngs_group)
-    plans = [b.plan_epoch([[n] for n in counts], 0, 1, [r])
-             for b, counts, r in zip(alone, zip(*calls), rngs_alone)]
+    plan = group.plan_epoch(calls, samples, 2, rngs_group)
+    plans = [b.plan_epoch([[n] for n in counts], [s], 2, [r])
+             for b, counts, s, r in zip(alone, zip(*calls), samples, rngs_alone)]
     start = 0
     for t, counts in enumerate(calls):
         rows = _rows(range(start, start + sum(counts)), with_logits=True)
+        # batch k of the step holds the rows of the members that sample k
+        batches = plan[t][0]
+        assert len(batches) == (max(samples) if t else 0)
+        for k, idx in enumerate(batches):
+            got = group.sample_arrays(idx)
+            want = [b.sample_arrays(p[t][0][k]) for b, p, s in zip(alone, plans, samples)
+                    if s > k]
+            for a in range(3):
+                assert got[a].tobytes() == np.concatenate([w[a] for w in want]).tobytes()
         group.insert(plan[t][1], *rows)
         for e, n in enumerate(counts):
             lo = sum(counts[:e])  # member-major rows
@@ -322,11 +336,10 @@ def test_members_equal_one_member_buffers(capacity, calls, seed):
         for name in ("x", "targets", "logits"):
             if size:
                 assert _held(group, name, e).tobytes() == _held(b, name).tobytes()
-    if all(_sizes(group)):
-        got = _sample(group, 7, rngs_group)
-        want = [_sample(b, 7, [r]) for b, r in zip(alone, rngs_alone)]
-        for k in range(3):
-            assert got[k].tobytes() == np.concatenate([w[k] for w in want]).tobytes()
+    got = _sample(group, 7, rngs_group)
+    want = [_sample(b, 7, [r]) for b, r in zip(alone, rngs_alone)]
+    for k in range(3):
+        assert got[k].tobytes() == np.concatenate([w[k] for w in want]).tobytes()
     for rg, ra in zip(rngs_group, rngs_alone):
         assert rg.random() == ra.random()
 

@@ -8,6 +8,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import eatcl.strategies
 from eatcl.attacks import AttackConfig
@@ -315,7 +317,7 @@ def test_single_head_spans_all_classes():
 def test_der_without_stored_logits_fails_cleanly():
     model = init_model((4, 3, 2), seed=0)
     buf = ReplayBuffer(4)
-    (_, writes), ((idx,), _) = buf.plan_epoch([[1], [0]], 1, 2, [np.random.default_rng(0)])
+    (_, writes), ((idx,), _) = buf.plan_epoch([[1], [0]], [1], 2, [np.random.default_rng(0)])
     buf.insert(writes, np.zeros((1, 4)), np.zeros((1, 2)), None)
     x, _, logits = buf.sample_arrays(idx)
     with pytest.raises(ValueError):
@@ -323,9 +325,9 @@ def test_der_without_stored_logits_fails_cleanly():
 
 
 def test_only_der_buffers_store_logits(monkeypatch):
-    # ER's buffer holds rows and their targets without logits and samples
-    # logits None; DER's samples one stored logits row per sampled row, for
-    # every member
+    # ER's buffers, the family's and its branch's, hold rows and their
+    # targets without logits and sample logits None; DER's sample one stored
+    # logits row per sampled row, for every member
     made = []
 
     class RecordedBuffer(ReplayBuffer):
@@ -337,17 +339,18 @@ def test_only_der_buffers_store_logits(monkeypatch):
     for strategy, stores in (("er", False), ("der", True)):
         made.clear()
         _train_group([_small_stream(s) for s in (5, 6)], strategy, _cfg(), (5, 6))
-        (buf,) = made
-        (((idx,), _),) = buf.plan_epoch([[0, 0]], 1, 4,
-                                        [np.random.default_rng(s) for s in (0, 1)])
-        x, targets, logits = buf.sample_arrays(idx)
-        assert x.shape == (8, 8) and targets.shape == (8, 6)
-        assert np.array_equal(targets.sum(axis=1), np.ones(8))
-        assert (buf.logits is not None) == stores
-        if stores:
-            assert logits.shape == (8, 6)
-        else:
-            assert logits is None
+        assert len(made) == 2
+        for buf in made:
+            (((idx,), _),) = buf.plan_epoch([[0, 0]], [1, 1], 4,
+                                            [np.random.default_rng(s) for s in (0, 1)])
+            x, targets, logits = buf.sample_arrays(idx)
+            assert x.shape == (8, 8) and targets.shape == (8, 6)
+            assert np.array_equal(targets.sum(axis=1), np.ones(8))
+            assert (buf.logits is not None) == stores
+            if stores:
+                assert logits.shape == (8, 6)
+            else:
+                assert logits is None
 
 
 def test_eval_spec_uses_held_out_stream():
@@ -428,6 +431,49 @@ def test_train_streams_equals_reference_trainer():
             for run, stream, test, seed in zip(runs, streams, tests, seeds, strict=True):
                 ref, *log = train_alone(stream, test, strategy, cfg, seed)
                 assert _run_bits(*run) == (_params(ref), *log), (strategy, at_mix, atk, seed)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(st.data())
+def test_train_streams_equals_reference_trainer_on_drawn_configs(data):
+    # the oracle over drawn configurations (differential testing): a family
+    # of er, der and derpp under one robustness scheme, so that DER groups
+    # of 1-3 seeds train with and without er, beside up to two other
+    # strategies, in drawn order, over drawn stream shapes, training and
+    # attack settings; each seed's run must get reference.train_alone's bits
+    draw = data.draw
+    robust = draw(st.sampled_from(["", "_at", "_eat"]))
+    family = draw(st.sampled_from([("der", "derpp"), ("er", "der", "derpp")] * 2 + [
+        ("er",), ("der",), ("derpp",), ("er", "der"), ("er", "derpp")]))
+    others = draw(st.sets(st.sampled_from(STRATEGIES), max_size=2))
+    strategies = draw(st.permutations(sorted({r + robust for r in family} | others)))
+    tasks, classes, dim, rows = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                                 draw(st.integers(1, 5)), draw(st.integers(1, 12)))
+    seeds = draw(st.lists(st.integers(0, 99), min_size=1, max_size=3, unique=True))
+    # blob centers must fit the geometry, as build_streams requires: more
+    # than 2 in dim 1 or 4 in dim 2 rarely do, and trying is slow
+    assume(tasks * classes <= (2, 4, 9, 9, 9)[dim - 1])
+    try:
+        streams, tests = ([gen_blob_stream(tasks, classes, dim, rows, seed=seeds[0],
+                                           sample_seed=[s, k]) for s in seeds] for k in (1, 2))
+    except ValueError:
+        assume(False)
+    kind = draw(st.sampled_from(["pgd", "fgsm"]))
+    cfg = TrainConfig(
+        epochs_per_task=draw(st.integers(1, 2)), batch_size=draw(st.integers(1, 20)),
+        buffer_capacity=draw(st.integers(0, 25)),
+        attack=AttackConfig(kind, draw(st.sampled_from([0.0, 0.05, 1.0])),
+                            draw(st.sampled_from([0.02, 0.5])), draw(st.integers(1, 4))),
+        eat_external_epochs=draw(st.integers(1, 2)),
+        hidden=draw(st.sampled_from([(), (3,), (4, 3)])),
+        replay_batch_size=draw(st.none() | st.integers(1, 9)),
+        at_mix=draw(st.sampled_from(["replace", "union"])))
+    grid = train_streams(streams, tests, strategies, cfg, seeds)
+    for strategy, runs in zip(strategies, grid, strict=True):
+        for run, stream, test, seed in zip(runs, streams, tests, seeds, strict=True):
+            ref, *log = train_alone(stream, test, strategy, cfg, seed)
+            assert _run_bits(*run) == (_params(ref), *log), (strategy, seed)
 
 
 def test_lockstep_runs_equal_runs_alone():
@@ -530,18 +576,26 @@ def test_buffer_draws_one_integers_call_per_member_and_epoch(monkeypatch):
             assert len(member) == epochs and all(member), strategy
 
 
+def _sgd_steps(strategies, stream, cfg, seeds):
+    """The SGD steps one train_streams call of strategies takes."""
+    calls = {"sgd_step": 0}
+    with _counting(eatcl.strategies, "sgd_step", calls):
+        grid = train_streams([stream] * len(seeds), [stream] * len(seeds), strategies, cfg,
+                             seeds)
+    assert [len(runs) for runs in grid] == [len(seeds)] * len(strategies)
+    return calls["sgd_step"]
+
+
 def test_a_family_trains_its_first_task_once():
     # er, der and derpp replay nothing in the first task, so one call trains
     # it once for all three: one SGD step per step of the family's first
-    # task, and one per step of each strategy's later tasks
+    # task, and one per step of each group's later tasks, er's and the DER
+    # group's
     stream = _small_stream(10)
     cfg = _cfg()
-    calls = {"sgd_step": 0}
-    with _counting(eatcl.strategies, "sgd_step", calls):
-        grid = train_streams([stream] * 2, [stream] * 2, ["er", "der", "derpp"], cfg, (5, 6))
     steps = [cfg.epochs_per_task * -(-len(task) // cfg.batch_size) for task in stream.tasks]
-    assert calls["sgd_step"] == steps[0] + 3 * sum(steps[1:])
-    assert [len(runs) for runs in grid] == [2, 2, 2]
+    assert _sgd_steps(["er", "der", "derpp"], stream, cfg, (5, 6)) == \
+        steps[0] + 2 * sum(steps[1:])
 
 
 def test_an_eat_family_makes_each_copy_once():
@@ -561,15 +615,30 @@ def test_an_eat_family_makes_each_copy_once():
     assert counts == [external_steps + 2 * len(stream.tasks)] * 2
 
 
+def test_der_and_derpp_step_as_one_group():
+    # after the first task, der and derpp train as one lockstep group of
+    # both schemes' members, so der adds no SGD step to derpp's, whether er
+    # trains beside them or not
+    stream = _small_stream(11)
+    cfg = _cfg()
+    for strategies, without_der in ((["der", "derpp"], ["derpp"]),
+                                    (["er", "der", "derpp"], ["er", "derpp"])):
+        assert _sgd_steps(strategies, stream, cfg, (5, 6)) == \
+            _sgd_steps(without_der, stream, cfg, (5, 6)), strategies
+
+
 def test_a_step_schedule_off_the_plan_raises(monkeypatch):
-    # the epoch plan fixes how many buffer batches each step samples; a step
-    # handed more or fewer than its replay scheme samples fails at once
-    # instead of shifting draws
+    # the epoch plan fixes how many buffer batches each member samples at a
+    # step; a step handed more or fewer than its members' replay schemes
+    # sample fails at once instead of shifting draws: ER planned two, DER++
+    # one, and in a DER group the der members planned a second one
     stream = _small_stream(9)
     real_plan_epoch = ReplayBuffer.plan_epoch
-    for strategy, planned in (("er", 2), ("derpp", 1)):
+    for strategies, planned in ((["er"], {1: 2}), (["derpp"], {2: 1}),
+                                (["der", "derpp"], {1: 2})):
         monkeypatch.setattr(ReplayBuffer, "plan_epoch",
                             lambda self, counts, samples, *args, planned=planned:
-                            real_plan_epoch(self, counts, planned, *args))
+                            real_plan_epoch(self, counts, [planned.get(n, n) for n in samples],
+                                            *args))
         with pytest.raises(ValueError, match="planned"):
-            _train(stream, strategy, _cfg())
+            train_streams([stream], [stream], strategies, _cfg(), [5])

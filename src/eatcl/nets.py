@@ -12,6 +12,7 @@ axis (``stack_models``) and run through the same kernel in lockstep: their
 weights are (E, fan_in, fan_out) and their biases (E, 1, fan_out), and a
 batch of E*B rows is split into E blocks of B, block e for member e.
 Every member's arrays are bit-identical to what it would get alone.
+Callers sum loss terms' gradients in place (strategies.batch_step).
 """
 
 from __future__ import annotations
@@ -202,15 +203,6 @@ def softmax_ce(logits, targets) -> tuple[float, np.ndarray]:
     label = np.add.reduce(logits * targets, axis=-1) - row_max[..., 0]
     loss = np.add.reduce(np.log(total[..., 0]) - label, axis=-1) / logits.shape[-2]
     return loss, p
-
-
-def add_grads(a: GradBundle, b: GradBundle) -> GradBundle:
-    """Elementwise sum of two gradient bundles over the same model."""
-    return GradBundle(
-        [ga + gb for ga, gb in zip(a.weight_grads, b.weight_grads)],
-        [ga + gb for ga, gb in zip(a.bias_grads, b.bias_grads)],
-        a.input_grads,  # input grads refer to different batches; keep the first
-    )
 
 
 def sgd_step(model: MLPModel, grads: GradBundle) -> MLPModel:

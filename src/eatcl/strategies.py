@@ -46,13 +46,13 @@ member has its own block of rows. Its draws never depend on the model,
 so each epoch is planned when it starts (see replay), and the plan alone
 says which steps replay; each step samples every member with one take
 and inserts their rows with one write.
-Each member keeps its own stream, test stream, random generators, buffer
-block, attack counts and log, and gets exactly the bits it would get
-trained alone, as a group of one, whose model is a plain model. All
-randomness flows through per-purpose numpy Generators derived from the run
-seed, so runs are bit-reproducible; evaluation, PGD at the training
-attack's eps, alpha and iters, draws from generators seeded by (0, step,
-task) alone and never disturbs training.
+Each member keeps its run's stream and test stream, and its own random
+generators, buffer block, attack counts and log, and gets exactly the bits
+it would get trained alone, as a group of one, whose model is a plain
+model. All randomness flows through per-purpose numpy Generators derived
+from the run seed, so runs are bit-reproducible; evaluation, PGD at the
+training attack's eps, alpha and iters, draws from generators seeded by
+(0, step, task) alone and never disturbs training.
 
 A grid trains family by family. The strategies of one robustness scheme
 form a family (clean, +AT, +CAT and +EAT each one), and each joint
@@ -66,7 +66,9 @@ own members' rngs and logs, buffer arrays and counts, ER's without the
 stored logits; the streams and the +EAT copies are shared, never copied.
 ER goes on alone; der and derpp, whose steps take alike shaped passes, as
 one lockstep group, der's members then derpp's, which alone take DER++'s
-label term and its +AT attack. A family of one runs the same lines.
+label term and its +AT attack. Over E runs, member e of a group trains run
+e % E, whose task rows, targets and copy are stacked once, and one loop
+adds every replay term's gradients. A family of one runs the same lines.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ import numpy as np
 from .attacks import AttackConfig, attack
 from .datasets import TaskStream
 from .metrics import MetricsRecord, clean_accuracy, prev_task_rate, robustness
-from .nets import (MLPModel, add_grads, forward, init_model, loss_and_grads,
-                   one_hot, sgd_step, softmax_ce, stack_models, unstack_models)
+from .nets import (MLPModel, check_targets, forward, init_model, loss_and_grads, one_hot,
+                   sgd_step, softmax_ce, stack_models, unstack_models)
 from .replay import ReplayBuffer
 
 STRATEGIES = ("joint", "joint_at", "er", "er_at", "er_cat", "er_eat",
@@ -214,11 +216,7 @@ def der_terms(model, buf_x, stored_logits):
         raise ValueError("DER replay needs a buffer that stores logits with its rows")
 
     def mse(logits):
-        if (stored_logits.size != logits.size
-                or stored_logits.shape[-1] != logits.shape[-1]):
-            raise ValueError(
-                f"stored logits shape {stored_logits.shape} != model head {logits.shape}")
-        diff = logits - stored_logits.reshape(logits.shape)
+        diff = logits - check_targets(stored_logits, logits.shape)
         size = diff.shape[-2] * diff.shape[-1]  # one member's
         squares = (diff * diff).reshape(*diff.shape[:-2], size)
         return DER_ALPHA * np.mean(squares, axis=-1), (2.0 * DER_ALPHA / size) * diff
@@ -248,11 +246,12 @@ def batch_step(model, xb, tb, cb, robust: str, members, buffer: ReplayBuffer, st
     epoch plan, writes None with no buffer. With planned batches, one per
     member and a second per derpp member (else ValueError), the step replays:
     ER appends a memory batch, DER adds its distillation term on a clean
-    buffer batch, and the derpp members, into their slice of the gradients,
-    their label term on the second one, which +AT attacks in place. +AT
-    attacks every row of the cross-entropy batch, +CAT only the current
-    rows, which lead it; the adversarial rows replace them or, with at_mix
-    "union", follow them. Each member uses its own block and rngs.
+    buffer batch, and the derpp members their label term on the second one,
+    which +AT attacks in place; one loop adds each term's gradients into its
+    members' slice of the cross-entropy gradients. +AT attacks every row of
+    the cross-entropy batch, +CAT only the current rows, which lead it; the
+    adversarial rows replace them or, with at_mix "union", follow them.
+    Each member uses its own block and rngs.
     """
     batches, writes = step
     replay = members[0].replay
@@ -290,10 +289,10 @@ def batch_step(model, xb, tb, cb, robust: str, members, buffer: ReplayBuffer, st
         return softmax_ce(logits, _flat(t))
 
     _, grads = loss_and_grads(model, _flat(x), ce)
+    terms = []  # each replay term's gradients and the members they go to
     if batches and replay in ("der", "derpp"):
         bx, _, blogits = buffer.sample_arrays(batches[0])
-        _, der_grads = der_terms(model, bx, blogits)
-        grads = add_grads(grads, der_grads)
+        terms.append((der_terms(model, bx, blogits)[1], slice(None)))
     if batches and derpp:
         bx2, bt2, _ = buffer.sample_arrays(batches[1])
         labelled, labelled_rng = _tail(model, members, derpp)
@@ -301,11 +300,12 @@ def batch_step(model, xb, tb, cb, robust: str, members, buffer: ReplayBuffer, st
             bx2 = attack(labelled, bx2, bt2, cfg.attack, labelled_rng)
             for m in members[-derpp:]:
                 m.log.attack_counts["memory"] += size
-        _, label_grads = derpp_label_terms(labelled, bx2, bt2)
-        part = slice(None) if model.members is None else slice(-derpp, None)
-        for g, lg in zip(grads.weight_grads + grads.bias_grads,
-                         label_grads.weight_grads + label_grads.bias_grads):
-            g[part] += lg.reshape(g[part].shape)
+        terms.append((derpp_label_terms(labelled, bx2, bt2)[1],
+                      slice(None) if model.members is None else slice(-derpp, None)))
+    for term, part in terms:
+        for g, tg in zip(grads.weight_grads + grads.bias_grads,
+                         term.weight_grads + term.bias_grads):
+            g[part] += tg.reshape(g[part].shape)
     stepped = sgd_step(model, grads)
     current_adv = adv[:, :b] if n_atk else None
     if writes is None:
@@ -357,10 +357,10 @@ def eat_generate(tasks, layer_sizes, cfg: TrainConfig, seeds) -> list[tuple[np.n
 
 
 def _eat_copies(plan, layer_sizes, cfg: TrainConfig, members) -> dict:
-    """Every adversarial copy of a lockstep group, by task index: for each
-    task, member e's list of eat_generate's (copy, rows), one per
-    generation (one per task, or one per epoch with eat_refresh). Every
-    branch of a family reads these same arrays and never writes them.
+    """Every adversarial copy of a family, by task index: for each task,
+    run e's list of eat_generate's (copy, rows), one per generation (one
+    per task, or one per epoch with eat_refresh), members being one per
+    run. Every branch of a family reads these arrays, and never writes them.
 
     One eat_generate call makes them all, seeded (member seed, 4, task,
     *generation) in task-major, member, generation order, each from its
@@ -379,36 +379,40 @@ def _run_task(model, index: int, tasks, robust: str, cfg: TrainConfig, members,
               buffer: ReplayBuffer, copies) -> MLPModel:
     """Train one task of every member for epochs_per_task epochs, replaying
     from the second task on, each member as many buffer batches per step as
-    its replay scheme samples; tasks[e] is member e's Dataset, all of one size,
-    and index their position in the stream (0 for joint's merged task).
-    Each member's task labels become one-hot targets here, once, beside its
-    rows, and every batch gathers both with one index. From the second task
-    on, each epoch ends with each member's attack rate on the epoch's
-    adversarial current rows, if any. eat_generate trains +EAT's externals
-    here too, at index 0.
+    its replay scheme samples; tasks[r] is run r's Dataset, all of one size,
+    which member e trains for r = e % len(tasks) (see _branch), and index
+    their position in the stream (0 for joint's merged task). Each run's
+    labels become one-hot targets here, once, beside its rows, in run r's
+    block, and every batch gathers all members' rows and targets with one
+    index, each member's batch order offset into its run's block. From the
+    second task on, each epoch ends with each member's attack rate on the
+    epoch's adversarial current rows, if any. eat_generate trains +EAT's
+    externals here too, at index 0.
 
     +EAT takes the task's adversarial copies, already made (_eat_copies):
-    copies[e] lists member e's (copy, rows), one per generation. When epoch
-    g starts, generation g's copy is written over the last one in the rows
-    that follow the clean ones, and its rows are added to the member's
-    "external" count.
+    copies[r] lists run r's (copy, rows), one per generation. When epoch g
+    starts, generation g's copy is written over the last one in the block's
+    rows after the clean ones, its rows added to the "external" count of
+    each member of run r; the attack rate, with no attack on the fly, is on
+    that copy.
     """
-    n = len(tasks[0])
+    n, runs = len(tasks[0]), len(tasks)
     xs = np.stack([task.x for task in tasks])
     ts = np.stack([one_hot(task.y, model.num_classes) for task in tasks])
     if copies:  # the clean rows, then room for the epoch's adversarial copy
         xs = np.concatenate([xs, np.empty_like(xs)], axis=1)
         ts = np.concatenate([ts, ts], axis=1)
     for epoch in range(cfg.epochs_per_task):
-        for m, gens, slot in zip(members, copies, xs[:, n:]):
+        for r, (gens, slot) in enumerate(zip(copies, xs[:, n:])):
             if epoch < len(gens):
                 slot[...], attacked = gens[epoch]
-                m.log.attack_counts["external"] += attacked
-        aes = [xs[:, n:]] if copies and index > 0 else []  # for the attack rate
+                for m in members[r::runs]:
+                    m.log.attack_counts["external"] += attacked
+        aes = []  # each step's adversarial current rows, for the attack rate
         rows = xs.shape[1]
         perms = np.stack([m.rngs.batch.permutation(rows) for m in members])
         clean = perms < n  # every row, unless +EAT adds its copy
-        perms += np.arange(len(members))[:, None] * rows  # rows of the flat arrays
+        perms += (np.arange(len(members)) % runs)[:, None] * rows  # rows of the flat arrays
         fx, ft = _flat(xs), _flat(ts)
         starts = range(0, rows, cfg.batch_size)
         plan = [([], None)] * len(starts)  # no buffer: no batches, no writes
@@ -425,10 +429,11 @@ def _run_task(model, index: int, tasks, robust: str, cfg: TrainConfig, members,
                                     step, cfg)
             if adv is not None and index > 0:
                 aes.append(adv)
-        if aes:
+        if index > 0 and (aes or copies):
             for e, (m, single) in enumerate(zip(members, _split(model))):
+                ae = xs[e % runs, n:] if copies else np.concatenate([a[e] for a in aes])
                 m.log.attack_rates.append(AttackRatePoint(index, epoch, prev_task_rate(
-                    single, index, np.concatenate([a[e] for a in aes]), m.stream.class_sets)))
+                    single, index, ae, m.stream.class_sets)))
     return model
 
 
@@ -442,7 +447,7 @@ def _snapshot(model, step: int, test: TaskStream, atk: AttackConfig) -> MetricsR
 
 def _train_tasks(model, plan, robust: str, cfg: TrainConfig, members,
                  buffer: ReplayBuffer, copies: dict) -> MLPModel:
-    """Train every (step, task index, each member's task) of plan in turn,
+    """Train every (step, task index, each run's task) of plan in turn,
     each followed by a metrics snapshot of every member, on its test stream
     under PGD at cfg.attack's eps, alpha and iters, whatever its kind."""
     eval_attack = replace(cfg.attack, kind="pgd")
@@ -458,7 +463,9 @@ def _branch(group, members, buffer: ReplayBuffer):
     """A family's state after its first task, for group's replay schemes to
     go on from in lockstep: per scheme, copies of each member's rngs and log,
     and of the buffer's blocks and seen counts, without the stored DER logits
-    for ER. The streams, the +EAT copies and the models are shared."""
+    for ER. The members come scheme-major, so of E runs, member e is scheme
+    group[e // E]'s run e % E, and trains that run's task rows, targets and
+    +EAT copies, which every scheme shares, as it does the models."""
     branch = ReplayBuffer(buffer.capacity, len(group) * len(members))
     branch.seen_counts = buffer.seen_counts * len(group)
     branch.x, branch.targets, branch.logits = (
@@ -477,8 +484,9 @@ def _train_family(streams, tests, replays, robust: str, cfg: TrainConfig, seeds,
     scheme. The first task replays nothing, so it trains once, with DER
     logits stored if a scheme reads them, and each group of schemes trains
     the remaining tasks from a _branch of that state: der and derpp as one,
-    whose steps take alike shaped passes, every other scheme alone. Each
-    run's log records its group's seconds split equally over the group's
+    whose steps take alike shaped passes, every other scheme alone, each
+    from the same tasks and copies of each run (see _branch). Each run's
+    log records its group's seconds split equally over the group's
     schemes, plus an equal share of the first task's, per seed."""
     started = time.perf_counter()
     model = _lockstep([init_model(layer_sizes, _sub(seed, 0)) for seed in seeds])
@@ -487,7 +495,7 @@ def _train_family(streams, tests, replays, robust: str, cfg: TrainConfig, seeds,
                for s, test, seed in zip(streams, tests, seeds)]
     buffer = ReplayBuffer(0 if first == "joint" else cfg.buffer_capacity, len(members))
     last = len(streams[0].tasks) - 1
-    if first == "joint":  # (step, task index, each member's task)
+    if first == "joint":  # (step, task index, each run's task)
         plan = [(last, 0, [s.merged() for s in streams])]
     else:
         plan = [(i, i, [s.tasks[i] for s in streams]) for i in range(last + 1)]
@@ -500,12 +508,9 @@ def _train_family(streams, tests, replays, robust: str, cfg: TrainConfig, seeds,
     for group in [[r] for r in replays if r not in der] + ([der] if der else []):
         started = time.perf_counter()
         own, own_buffer = _branch(group, members, buffer)
-        g = len(group)  # the group's members are g copies of the family's
-        trained = _train_tasks(_lockstep(_split(model) * g),
-                               [(step, index, tasks * g) for step, index, tasks in plan[1:]],
-                               robust, cfg, own, own_buffer,
-                               {index: c * g for index, c in copies.items()})
-        seconds = (shared + (time.perf_counter() - started) / g) / len(seeds)
+        trained = _train_tasks(_lockstep(_split(model) * len(group)), plan[1:], robust, cfg,
+                               own, own_buffer, copies)
+        seconds = (shared + (time.perf_counter() - started) / len(group)) / len(seeds)
         for e, (single, m) in enumerate(zip(_split(trained), own)):
             m.log.train_seconds = seconds
             runs.setdefault(group[e // len(seeds)], []).append((single, m.log))

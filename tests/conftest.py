@@ -24,6 +24,10 @@ public functions and methods, of their parameters and of those with
 defaults, the number of config keys, the number of TrainConfig and
 AttackConfig fields, which counts library-only options too, and the
 number of monkeypatch.setattr calls on eatcl.strategies in tests/.
+
+shrunk() cuts a config's text to a few steps of every path it runs, for the
+tests that run shipped configs under a tracer (test_perfbench_contract.py,
+test_callers.py).
 """
 
 import contextlib
@@ -50,6 +54,15 @@ SRC_DIR = CONFIG_DIR.parent / "src" / "eatcl"
 # test_shipped_output_digests
 SHIPPED = tuple(sorted(p.stem for p in CONFIG_DIR.glob("*.conf")))
 RUNS = pytest.StashKey[dict]()
+# the keys shrunk() sets, and their values: a few steps of every path a config runs
+SHRUNK = {
+    "train.epochs_per_task": "2",
+    "crescents.per_class": "12",
+    "blobs.per_class": "12",
+    "blobs.test_per_class": "4",
+    "blobs.tasks": "2",
+    "train.eat_external_epochs": "1",
+}
 # config name -> strategy -> mean final robustness (shipped, FGSM, PGD-20)
 STRONGER = pytest.StashKey[dict]()
 
@@ -95,6 +108,13 @@ def _counting(module, name: str, calls: dict):
         yield
     finally:
         setattr(module, name, counted)
+
+
+def shrunk(text: str) -> str:
+    """Config text with SHRUNK's keys set to SHRUNK's values."""
+    keep = [line for line in text.splitlines()
+            if line.split("#", 1)[0].partition("=")[0].strip() not in SHRUNK]
+    return "\n".join(keep + [f"{k} = {v}" for k, v in SHRUNK.items()]) + "\n"
 
 
 def run_config(name: str, out_dir: Path) -> ConfigRun:

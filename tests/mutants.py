@@ -56,6 +56,11 @@ MUTANTS = [
      "slice(-derpp, None)",
      "slice(0, derpp)",
      [_ORACLE]),
+    # DER group: the DER term added into the derpp slice only
+    ("strategies.py",
+     "terms.append((der_terms(model, bx, blogits)[1], slice(None)))",
+     "terms.append((der_terms(model, bx, blogits)[1], slice(len(members) - derpp, None)))",
+     [_ORACLE]),
     # DER group: der members draw a second buffer batch
     ("strategies.py",
      '_BUFFER_BATCHES = {"er": 1, "der": 1, "derpp": 2}',
@@ -78,8 +83,13 @@ MUTANTS = [
      [_ORACLE]),
     # +EAT: external attack counts credited to member 0 only
     ("strategies.py",
-     'm.log.attack_counts["external"] += attacked',
-     'members[0].log.attack_counts["external"] += attacked',
+     "for m in members[r::runs]:",
+     "for m in members[:1]:",
+     [_ORACLE]),
+    # DER group: a member gathers another run's rows
+    ("strategies.py",
+     "(np.arange(len(members)) % runs)",
+     "(np.arange(len(members)) // (len(members) // runs))",
      [_ORACLE]),
     # +EAT: the rows attacked in training an external not counted
     ("strategies.py",

@@ -1,8 +1,10 @@
 """Every public function and method in src/eatcl has a caller in src/eatcl,
-every module but eatcl/__init__.py, and every test module, uses each name
-it imports, one training loop steps every model, every config key but
-three takes two values across the shipped configs, smoke.conf runs every
-strategy, and every mutant in mutants.py still applies to the source.
+every line of src/eatcl but error paths and a short allowlist runs when the
+shipped configs go through the CLI, every module but eatcl/__init__.py, and
+every test module, uses each name it imports, one training loop steps every
+model, every config key but three takes two values across the shipped
+configs, smoke.conf runs every strategy, and every mutant in mutants.py
+still applies to the source.
 
 A name counts as used when it occurs anywhere in the package as a name, an
 attribute or an import alias; being re-exported by eatcl/__init__.py counts,
@@ -10,12 +12,16 @@ since that is the library API. Code that only the tests reach belongs in
 the tests (see reference.py)."""
 
 import ast
+import inspect
+import sys
+import types
 from pathlib import Path
 
+from eatcl.cli import main
 from eatcl.runner import _SCHEMA, parse_config
 from eatcl.strategies import STRATEGIES
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, shrunk
 from mutants import MUTANTS, ROOT
 
 TESTS = Path(__file__).resolve().parent
@@ -72,6 +78,100 @@ def test_every_public_function_has_a_caller_in_src():
     unused = [f"{module}.{qualified}" for module, tree in trees.items()
               for qualified, fn in _public_functions(tree) if fn.name not in used]
     assert unused == [], f"public functions with no caller in src/eatcl: {unused}"
+
+
+# statements no shipped config runs, by module and the text of their first
+# line, and why they stay
+UNRUN = {
+    ("runner.py", "return True"):
+        "_parse_bool's true branch: train.eat_refresh, its only key, is off in "
+        "every shipped config (ROADMAP item 1)",
+    ("metrics.py", "return 0.0"):
+        "prev_task_rate at the first task: training records rates from the "
+        "second task on; the tests call it at index 0",
+    ("datasets.py", "return int(seed)"):
+        "_seed_int of an int seed: the runner passes list seeds, the README's "
+        "library example ints",
+    ("strategies.py", "return (MLPModel(model.layer_sizes, [w[-k:] for w in model.weights],"):
+        "_tail of more than one derpp member: no shipped config runs derpp with "
+        "two seeds; the oracle tests do",
+}
+
+
+def _function_lines(code: types.CodeType):
+    """The lines of every function, lambda and comprehension in code that
+    hold bytecode, their def lines not counted; module and class bodies,
+    which run at import, are left out."""
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            if const.co_flags & inspect.CO_OPTIMIZED:
+                yield from (line for *_, line in const.co_lines()
+                            if line not in (None, const.co_firstlineno))
+            yield from _function_lines(const)
+
+
+def _cli_run_lines(tmp_path, monkeypatch) -> dict[str, set[int]]:
+    """The lines of each src/eatcl module that ran while every shipped
+    config, shrunk, went through the CLI: validate, a run of its first seed
+    into the default output directory (one into --out, one quiet), then
+    one report of every run."""
+    ran: dict[str, set[int]] = {str(path): set() for path in SRC.glob("*.py")}
+
+    def line(frame, event, arg):
+        if event == "line":
+            ran[frame.f_code.co_filename].add(frame.f_lineno)
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename in ran else None
+
+    assert main.__code__.co_filename == str(SRC / "cli.py"), "eatcl not imported from src/"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EATCL_OUT", raising=False)
+    configs = sorted(CONFIG_DIR.glob("*.conf"))
+    for path in configs:
+        (tmp_path / path.name).write_text(shrunk(path.read_text()))
+    options = {0: ["--out", "out"], 1: ["--quiet"]}  # the rest: default directory
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        for k, path in enumerate(configs):
+            assert main(["validate", path.name]) == 0
+            assert main(["run", path.name, "--seed", "0", *options.get(k, [])]) == 0
+        assert main(["report", "out", *map(str, sorted((tmp_path / "runs").iterdir()))]) == 0
+    finally:
+        sys.settrace(previous)
+    return ran
+
+
+def test_every_line_runs_in_a_shipped_config(tmp_path, monkeypatch, capsys):
+    # a line that no shipped config reaches through the CLI is dead or
+    # untested in production; error paths (raise statements and except
+    # bodies) are exempt, and UNRUN names the rest, each of which must
+    # still be unrun
+    ran = _cli_run_lines(tmp_path, monkeypatch)
+    assert "artifacts written to" in capsys.readouterr().out
+    unrun, allowed = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, str(path))
+        exempt = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.stmt, ast.ExceptHandler)):
+                continue
+            span = set(range(node.lineno, node.end_lineno + 1))
+            entry = (path.name, lines[node.lineno - 1].strip())
+            if isinstance(node, (ast.Raise, ast.ExceptHandler)):
+                exempt |= span
+            elif entry in UNRUN:
+                assert not ran[str(path)] & span, f"{path.name}:{node.lineno} runs"
+                allowed.add(entry)
+                exempt |= span
+        missed = set(_function_lines(compile(source, str(path), "exec"))) - ran[str(path)]
+        unrun += [f"{path.name}:{n}: {lines[n - 1].strip()}" for n in sorted(missed - exempt)]
+    assert unrun == [], f"lines no shipped config runs: {unrun}"
+    assert allowed == set(UNRUN)
 
 
 def _unused_imports(tree: ast.Module, lines: list[str]) -> list[str]:

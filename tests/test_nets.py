@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eatcl.nets import (LR, MLPModel, add_grads, ce_input_grad, check_input, forward,
-                        init_model, loss_and_grads, one_hot, sgd_step, softmax_ce,
-                        stack_models, unstack_models)
+from eatcl.nets import (LR, MLPModel, ce_input_grad, check_input, forward, init_model,
+                        loss_and_grads, one_hot, sgd_step, softmax_ce, stack_models,
+                        unstack_models)
 from eatcl.strategies import TrainConfig
 from reference import backward, label_softmax_ce
 
@@ -202,17 +202,6 @@ def test_sgd_step_rejects_mismatched_grads():
     _, g = loss_and_grads(other, x, lambda z: softmax_ce(z, y))
     with pytest.raises(ValueError):
         sgd_step(model, g)
-
-
-def test_add_grads_sums_terms():
-    model = init_model((2, 3, 2), seed=4)
-    x = np.array([[0.5, -0.5]])
-    y = one_hot(np.array([1]), 2)
-    _, g1 = loss_and_grads(model, x, lambda z: softmax_ce(z, y))
-    _, g2 = loss_and_grads(model, x * 2, lambda z: softmax_ce(z, y))
-    s = add_grads(g1, g2)
-    for a, b, c in zip(s.weight_grads, g1.weight_grads, g2.weight_grads):
-        np.testing.assert_allclose(a, b + c, atol=0)
 
 
 def test_sgd_config_validation():

@@ -2,12 +2,12 @@
 
 perfbench/ runs the shipped configs through runner.run_experiment, and its
 tracer and correctness gate read program internals: the tracer counts rows
-from GradBundle.input_grads on every sgd_step and add_grads call and from
-prev_task_rate's third argument, and workloads.expected_attack_counts reads
-config keys. A program change that breaks one of them passes every other
-tier-1 test and fails only the benchmark. This runs each workload's config,
-shrunk, under perfbench's own Tracer and gate, loading both files by path
-without changing them.
+from GradBundle.input_grads on every sgd_step call and from prev_task_rate's
+third argument, and workloads.expected_attack_counts reads config keys. A
+program change that breaks one of them passes every other tier-1 test and
+fails only the benchmark. This runs each workload's config, shrunk to a few
+steps of every path it runs (conftest.shrunk), under perfbench's own Tracer
+and gate, loading both files by path without changing them.
 """
 
 import importlib.util
@@ -19,19 +19,12 @@ import pytest
 import eatcl
 from eatcl.runner import parse_config, run_experiment
 
+from conftest import shrunk
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 # the layers the benchmark's worker traces
 LAYERS = ("datasets", "nets", "attacks", "replay", "strategies", "metrics", "runner")
-# each workload's config, shrunk to a few steps of every path it runs
-SHRUNK = {
-    "train.epochs_per_task": "2",
-    "crescents.per_class": "12",
-    "blobs.per_class": "12",
-    "blobs.test_per_class": "4",
-    "blobs.tasks": "2",
-    "train.eat_external_epochs": "1",
-}
 
 
 def _load(name: str):
@@ -42,19 +35,13 @@ def _load(name: str):
     return module
 
 
-def _shrunk(text: str) -> str:
-    keep = [line for line in text.splitlines()
-            if line.split("#", 1)[0].partition("=")[0].strip() not in SHRUNK]
-    return "\n".join(keep + [f"{k} = {v}" for k, v in SHRUNK.items()]) + "\n"
-
-
 workloads = _load("workloads")
 tracer = _load("tracer")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_runs_cleanly_under_the_benchmark_tracer(name, tmp_path):
-    cfg = parse_config(_shrunk(workloads.WORKLOADS[name].config_text(ROOT, 0)))
+    cfg = parse_config(shrunk(workloads.WORKLOADS[name].config_text(ROOT, 0)))
     expected = {s: workloads.expected_attack_counts(cfg, s) for s in cfg["strategies"]}
     modules = [getattr(eatcl, layer) for layer in LAYERS]
     traced = tracer.Tracer()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import eatcl.strategies
 from eatcl.attacks import AttackConfig
 from eatcl.datasets import Dataset, TaskStream, gen_blob_stream, gen_crescent
-from eatcl.nets import MLPModel, forward, init_model, one_hot, softmax_ce
+from eatcl.nets import MLPModel, forward, init_model, one_hot, softmax_ce, stack_models
 from eatcl.replay import ReplayBuffer
 from eatcl.runner import ConfigError, parse_config
 from eatcl.strategies import (DER_ALPHA, DERPP_BETA, STRATEGIES, TrainConfig, der_terms,
@@ -138,6 +138,21 @@ def test_der_terms_requires_logits():
     model = init_model((3, 5, 4), seed=1)
     with pytest.raises(ValueError):
         der_terms(model, np.zeros((2, 3)), None)
+
+
+def test_der_terms_rejects_stored_logits_of_another_shape():
+    # stored logits pair with the model's logits row for row and class for
+    # class: one row per buffer row, as (rows, classes) or, for a stacked
+    # model, also member-major; another head width or row count raises
+    model = init_model((3, 5, 4), seed=1)
+    stacked = stack_models([model, init_model((3, 5, 4), seed=2)])
+    x = np.zeros((6, 3))
+    for m, good in ((model, [(6, 4)]), (stacked, [(6, 4), (2, 3, 4)])):
+        for shape in good:
+            der_terms(m, x, np.zeros(shape))
+        for shape in [(6, 3), (6, 5), (5, 4), (7, 4), (12, 2)]:
+            with pytest.raises(ValueError, match="does not match logits"):
+                der_terms(m, x, np.zeros(shape))
 
 
 def test_derpp_terms_adds_weighted_ce():
@@ -410,6 +425,19 @@ def _run_bits(model, log):
             [(p.task, p.epoch, p.rate) for p in log.attack_rates], log.attack_counts)
 
 
+def reference_disagreements(streams, tests, strategies, cfg, seeds) -> list:
+    """(strategy, seed) of every run of one train_streams call whose bits
+    differ from what reference.train_alone gives that seed alone."""
+    disagreements = []
+    grid = train_streams(streams, tests, strategies, cfg, seeds)
+    for strategy, runs in zip(strategies, grid, strict=True):
+        for run, stream, test, seed in zip(runs, streams, tests, seeds, strict=True):
+            ref, *log = train_alone(stream, test, strategy, cfg, seed)
+            if _run_bits(*run) != (_params(ref), *log):
+                disagreements.append((strategy, seed))
+    return disagreements
+
+
 def test_train_streams_equals_reference_trainer():
     # replay x robustness end to end: every strategy, trained in one call
     # whose families share their first task, and each strategy's two seeds
@@ -426,23 +454,18 @@ def test_train_streams_equals_reference_trainer():
     for at_mix, atk in cases:
         cfg = _cfg(epochs_per_task=2, batch_size=13, replay_batch_size=7, buffer_capacity=20,
                    eat_external_epochs=2, at_mix=at_mix, attack=atk)
-        grid = train_streams(streams, tests, STRATEGIES, cfg, seeds)
-        for strategy, runs in zip(STRATEGIES, grid, strict=True):
-            for run, stream, test, seed in zip(runs, streams, tests, seeds, strict=True):
-                ref, *log = train_alone(stream, test, strategy, cfg, seed)
-                assert _run_bits(*run) == (_params(ref), *log), (strategy, at_mix, atk, seed)
+        assert reference_disagreements(streams, tests, STRATEGIES, cfg, seeds) == [], \
+            (at_mix, atk)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-@given(st.data())
-def test_train_streams_equals_reference_trainer_on_drawn_configs(data):
-    # the oracle over drawn configurations (differential testing): a family
-    # of er, der and derpp under one robustness scheme, so that DER groups
-    # of 1-3 seeds train with and without er, beside up to two other
-    # strategies, in drawn order, over drawn stream shapes, training and
-    # attack settings; each seed's run must get reference.train_alone's bits
-    draw = data.draw
+def drawn_grid(draw):
+    """A grid for the oracle, drawn with draw (hypothesis' data.draw): a
+    family of er, der and derpp under one robustness scheme, so that DER
+    groups of 1-3 seeds train with and without er, beside up to two other
+    strategies, in drawn order, over drawn stream shapes, training and
+    attack settings. Returns train_streams' arguments (streams, tests,
+    strategies, cfg, seeds); a draw whose blob centers do not fit the
+    geometry, which build_streams rejects, is rejected by assume."""
     robust = draw(st.sampled_from(["", "_at", "_eat"]))
     family = draw(st.sampled_from([("der", "derpp"), ("er", "der", "derpp")] * 2 + [
         ("er",), ("der",), ("derpp",), ("er", "der"), ("er", "derpp")]))
@@ -451,8 +474,7 @@ def test_train_streams_equals_reference_trainer_on_drawn_configs(data):
     tasks, classes, dim, rows = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
                                  draw(st.integers(1, 5)), draw(st.integers(1, 12)))
     seeds = draw(st.lists(st.integers(0, 99), min_size=1, max_size=3, unique=True))
-    # blob centers must fit the geometry, as build_streams requires: more
-    # than 2 in dim 1 or 4 in dim 2 rarely do, and trying is slow
+    # more than 2 centers in dim 1 or 4 in dim 2 rarely fit, and trying is slow
     assume(tasks * classes <= (2, 4, 9, 9, 9)[dim - 1])
     try:
         streams, tests = ([gen_blob_stream(tasks, classes, dim, rows, seed=seeds[0],
@@ -469,11 +491,16 @@ def test_train_streams_equals_reference_trainer_on_drawn_configs(data):
         hidden=draw(st.sampled_from([(), (3,), (4, 3)])),
         replay_batch_size=draw(st.none() | st.integers(1, 9)),
         at_mix=draw(st.sampled_from(["replace", "union"])))
-    grid = train_streams(streams, tests, strategies, cfg, seeds)
-    for strategy, runs in zip(strategies, grid, strict=True):
-        for run, stream, test, seed in zip(runs, streams, tests, seeds, strict=True):
-            ref, *log = train_alone(stream, test, strategy, cfg, seed)
-            assert _run_bits(*run) == (_params(ref), *log), (strategy, seed)
+    return streams, tests, strategies, cfg, seeds
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(st.data())
+def test_train_streams_equals_reference_trainer_on_drawn_configs(data):
+    # the oracle over drawn configurations (differential testing); tests/fuzz.py
+    # draws many more of them the same way
+    assert reference_disagreements(*drawn_grid(data.draw)) == []
 
 
 def test_lockstep_runs_equal_runs_alone():

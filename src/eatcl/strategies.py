@@ -66,9 +66,10 @@ own members' rngs and logs, buffer arrays and counts, ER's without the
 stored logits; the streams and the +EAT copies are shared, never copied.
 ER goes on alone; der and derpp, whose steps take alike shaped passes, as
 one lockstep group, der's members then derpp's, which alone take DER++'s
-label term and its +AT attack. Over E runs, member e of a group trains run
-e % E, whose task rows, targets and copy are stacked once, and one loop
-adds every replay term's gradients. A family of one runs the same lines.
+label term and its +AT attack. One gradient pass (der_terms) gives both
+replay terms, over the group's members and then its derpp members again.
+Over E runs, member e of a group trains run e % E, whose task rows,
+targets and copy are stacked once. A family of one runs the same lines.
 """
 
 from __future__ import annotations
@@ -204,33 +205,43 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, *a.shape[2:])
 
 
-def der_terms(model, buf_x, stored_logits):
-    """Distillation term: DER_ALPHA * MSE(model logits on buffer x, stored logits).
+def der_terms(model, buf_x, stored_logits, targets, grads):
+    """Add the gradients of DER's distillation term into grads, the
+    gradients of model (E stacked members, or a plain one), then those of
+    DER++'s label term into its last k members'.
 
-    stored_logits holds one row per row of buf_x, in order: (rows, classes),
-    or member-major (E, rows / E, classes) for a stacked model, whose mean,
-    and so whose gradient's 2 * DER_ALPHA / size, is taken over each
-    member's own logits.
+    buf_x holds B rows per member, block e for member e, then B label rows
+    for each of the last k; stored_logits holds the first E blocks' stored
+    logits (E*B rows, or (E, B, classes)), targets the label rows' one-hot
+    targets. The terms, DER_ALPHA * MSE(logits, stored logits) over each
+    member's own logits and DERPP_BETA * cross-entropy, take one pass over
+    the E members, then the last k again: each member slice runs its own
+    gemm calls, so the bits are those of two passes apart.
     """
     if stored_logits is None:
         raise ValueError("DER replay needs a buffer that stores logits with its rows")
+    e = model.members or 1
+    k = len(targets) * e // (len(buf_x) - len(targets))
+    # the members, then the last k again; a plain model's parameters as one member's
+    order = np.array([*range(e), *range(e - k, e)])
+    both = MLPModel(model.layer_sizes,
+                    [w.reshape(-1, *w.shape[-2:]).take(order, axis=0) for w in model.weights],
+                    [b.reshape(-1, 1, b.shape[-1]).take(order, axis=0) for b in model.biases])
 
-    def mse(logits):
-        diff = logits - check_targets(stored_logits, logits.shape)
-        size = diff.shape[-2] * diff.shape[-1]  # one member's
-        squares = (diff * diff).reshape(*diff.shape[:-2], size)
-        return DER_ALPHA * np.mean(squares, axis=-1), (2.0 * DER_ALPHA / size) * diff
+    def loss(logits):  # written over in place as its gradient
+        diff, label = logits[:e], logits[e:]
+        dce = softmax_ce(label, targets)[1]
+        diff -= check_targets(stored_logits, diff.shape)
+        diff *= 2.0 * DER_ALPHA / (diff.shape[-2] * diff.shape[-1])  # one member's size
+        np.multiply(dce, DERPP_BETA, out=label)
+        return None, logits  # no caller reads the losses
 
-    return loss_and_grads(model, buf_x, mse)
-
-
-def derpp_label_terms(model, buf_x, buf_targets):
-    """DER++ label term: DERPP_BETA * cross-entropy on a second buffer batch."""
-    def weighted_ce(logits):
-        ce, dlogits = softmax_ce(logits, buf_targets)
-        return DERPP_BETA * ce, DERPP_BETA * dlogits
-
-    return loss_and_grads(model, buf_x, weighted_ce)
+    _, terms = loss_and_grads(both, buf_x, loss)
+    for g, tg in zip(grads.weight_grads + grads.bias_grads,
+                     terms.weight_grads + terms.bias_grads):
+        g = g.reshape(-1, *tg.shape[1:])  # a view, one member's for a plain model
+        g += tg[:e]
+        g[e - k:] += tg[e:]
 
 
 def batch_step(model, xb, tb, cb, robust: str, members, buffer: ReplayBuffer, step,
@@ -247,8 +258,9 @@ def batch_step(model, xb, tb, cb, robust: str, members, buffer: ReplayBuffer, st
     member and a second per derpp member (else ValueError), the step replays:
     ER appends a memory batch, DER adds its distillation term on a clean
     buffer batch, and the derpp members their label term on the second one,
-    which +AT attacks in place; one loop adds each term's gradients into its
-    members' slice of the cross-entropy gradients. +AT attacks every row of
+    which +AT attacks first. Both batches come with one take of the buffer's
+    rows, and one der_terms pass adds both terms' gradients into the
+    cross-entropy ones, DER's then DER++'s. +AT attacks every row of
     the cross-entropy batch, +CAT only the current rows, which lead it; the
     adversarial rows replace them or, with at_mix "union", follow them.
     Each member uses its own block and rngs.
@@ -289,23 +301,17 @@ def batch_step(model, xb, tb, cb, robust: str, members, buffer: ReplayBuffer, st
         return softmax_ce(logits, _flat(t))
 
     _, grads = loss_and_grads(model, _flat(x), ce)
-    terms = []  # each replay term's gradients and the members they go to
     if batches and replay in ("der", "derpp"):
-        bx, _, blogits = buffer.sample_arrays(batches[0])
-        terms.append((der_terms(model, bx, blogits)[1], slice(None)))
-    if batches and derpp:
-        bx2, bt2, _ = buffer.sample_arrays(batches[1])
-        labelled, labelled_rng = _tail(model, members, derpp)
-        if robust == "at":
-            bx2 = attack(labelled, bx2, bt2, cfg.attack, labelled_rng)
+        rows = np.concatenate(batches)  # batch 0, then the derpp members' batch 1
+        labelled = len(batches[0])  # the first label row
+        bx = buffer.x.take(rows, axis=0)
+        bt = buffer.targets.take(rows[labelled:], axis=0)
+        if robust == "at" and derpp:
+            tail, tail_rng = _tail(model, members, derpp)
+            bx[labelled:] = attack(tail, bx[labelled:], bt, cfg.attack, tail_rng)
             for m in members[-derpp:]:
                 m.log.attack_counts["memory"] += size
-        terms.append((derpp_label_terms(labelled, bx2, bt2)[1],
-                      slice(None) if model.members is None else slice(-derpp, None)))
-    for term, part in terms:
-        for g, tg in zip(grads.weight_grads + grads.bias_grads,
-                         term.weight_grads + term.bias_grads):
-            g[part] += tg.reshape(g[part].shape)
+        der_terms(model, bx, buffer.logits.take(batches[0], axis=0), bt, grads)
     stepped = sgd_step(model, grads)
     current_adv = adv[:, :b] if n_atk else None
     if writes is None:
@@ -382,9 +388,10 @@ def _run_task(model, index: int, tasks, robust: str, cfg: TrainConfig, members,
     its replay scheme samples; tasks[r] is run r's Dataset, all of one size,
     which member e trains for r = e % len(tasks) (see _branch), and index
     their position in the stream (0 for joint's merged task). Each run's
-    labels become one-hot targets here, once, beside its rows, in run r's
-    block, and every batch gathers all members' rows and targets with one
-    index, each member's batch order offset into its run's block. From the
+    labels become one-hot targets here, once, in run r's block, and every
+    batch gathers all members' rows with one index and their targets with
+    another, each member's batch order offset into its run's block; a copy
+    row takes its clean row's target. From the
     second task on, each epoch ends with each member's attack rate on the
     epoch's adversarial current rows, if any. eat_generate trains +EAT's
     externals here too, at index 0.
@@ -398,10 +405,11 @@ def _run_task(model, index: int, tasks, robust: str, cfg: TrainConfig, members,
     """
     n, runs = len(tasks[0]), len(tasks)
     xs = np.stack([task.x for task in tasks])
-    ts = np.stack([one_hot(task.y, model.num_classes) for task in tasks])
+    ft = _flat(np.stack([one_hot(task.y, model.num_classes) for task in tasks]))
     if copies:  # the clean rows, then room for the epoch's adversarial copy
         xs = np.concatenate([xs, np.empty_like(xs)], axis=1)
-        ts = np.concatenate([ts, ts], axis=1)
+    fx = _flat(xs)
+    blocks = (np.arange(len(members)) % runs)[:, None]  # each member's run
     for epoch in range(cfg.epochs_per_task):
         for r, (gens, slot) in enumerate(zip(copies, xs[:, n:])):
             if epoch < len(gens):
@@ -412,8 +420,9 @@ def _run_task(model, index: int, tasks, robust: str, cfg: TrainConfig, members,
         rows = xs.shape[1]
         perms = np.stack([m.rngs.batch.permutation(rows) for m in members])
         clean = perms < n  # every row, unless +EAT adds its copy
-        perms += (np.arange(len(members)) % runs)[:, None] * rows  # rows of the flat arrays
-        fx, ft = _flat(xs), _flat(ts)
+        # rows of the flat arrays: a copy row's target is its clean row's
+        tperms = perms % n + blocks * n
+        perms += blocks * rows
         starts = range(0, rows, cfg.batch_size)
         plan = [([], None)] * len(starts)  # no buffer: no batches, no writes
         if buffer.capacity:  # each member offers the buffer its clean rows
@@ -425,8 +434,8 @@ def _run_task(model, index: int, tasks, robust: str, cfg: TrainConfig, members,
         for s, step in zip(starts, plan, strict=True):
             idx = perms[:, s:s + cfg.batch_size]
             cb = clean[:, s:s + cfg.batch_size] if copies else None
-            model, adv = batch_step(model, fx[idx], ft[idx], cb, robust, members, buffer,
-                                    step, cfg)
+            model, adv = batch_step(model, fx[idx], ft[tperms[:, s:s + cfg.batch_size]], cb,
+                                    robust, members, buffer, step, cfg)
             if adv is not None and index > 0:
                 aes.append(adv)
         if index > 0 and (aes or copies):

@@ -53,14 +53,19 @@ MUTANTS = [
      [_ORACLE]),
     # DER group: the label term's gradients added into the der members' slice
     ("strategies.py",
-     "slice(-derpp, None)",
-     "slice(0, derpp)",
+     "g[e - k:] += tg[e:]",
+     "g[:k] += tg[e:]",
      [_ORACLE]),
     # DER group: the DER term added into the derpp slice only
     ("strategies.py",
-     "terms.append((der_terms(model, bx, blogits)[1], slice(None)))",
-     "terms.append((der_terms(model, bx, blogits)[1], slice(len(members) - derpp, None)))",
+     "g += tg[:e]",
+     "g[e - k:] += tg[e - k:e]",
      [_ORACLE]),
+    # DER group: the label rows paired with the leading members' weights
+    ("strategies.py",
+     "order = np.array([*range(e), *range(e - k, e)])",
+     "order = np.array([*range(e), *range(k)])",
+     [_STRAT + "test_der_terms_equal_both_terms_backward_apart_bitwise", _ORACLE]),
     # DER group: der members draw a second buffer batch
     ("strategies.py",
      '_BUFFER_BATCHES = {"er": 1, "der": 1, "derpp": 2}',

@@ -12,16 +12,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import eatcl.strategies
-from eatcl.attacks import AttackConfig
+from eatcl.attacks import AttackConfig, attack
 from eatcl.datasets import Dataset, TaskStream, gen_blob_stream, gen_crescent
-from eatcl.nets import MLPModel, forward, init_model, one_hot, softmax_ce, stack_models
+from eatcl.nets import GradBundle, MLPModel, forward, init_model, one_hot, stack_models
 from eatcl.replay import ReplayBuffer
 from eatcl.runner import ConfigError, parse_config
 from eatcl.strategies import (DER_ALPHA, DERPP_BETA, STRATEGIES, TrainConfig, der_terms,
-                              derpp_label_terms, eat_generate, parse_strategy,
-                              train_streams)
+                              eat_generate, parse_strategy, train_streams)
 from conftest import _counting
-from reference import backward, train_alone, train_external
+from reference import backward, label_softmax_ce, train_alone, train_external
 
 
 def _models_equal(a, b):
@@ -90,14 +89,19 @@ def test_seed_changes_results():
     assert not _models_equal(m1, m2)
 
 
+def _zero_grads(model):
+    """Gradients of model, all zero, for der_terms to add its terms into."""
+    return GradBundle([np.zeros_like(w) for w in model.weights],
+                      [np.zeros_like(b) for b in model.biases], None)
+
+
 def test_der_terms_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     model = init_model((3, 5, 4), seed=1)
     x = rng.normal(size=(6, 3))
     stored = rng.normal(size=(6, 4))
-    loss, grads = der_terms(model, x, stored)
-    ref = DER_ALPHA * np.mean((forward(model, x) - stored) ** 2)
-    assert loss == pytest.approx(ref, rel=1e-12)
+    grads = _zero_grads(model)
+    der_terms(model, x, stored, np.empty((0, 4)), grads)
     h = 1e-5
     for li in range(len(model.weights)):
         w = model.weights[li]
@@ -117,27 +121,66 @@ def test_der_terms_gradient_matches_finite_differences():
                                                             abs=1e-7)
 
 
-def test_der_terms_single_pass_equals_forward_mse_backward_bitwise():
-    # the DER term runs one forward pass; it must give the exact bits of
-    # forward, then the MSE gradient, then backward
-    rng = np.random.default_rng(4)
-    for sizes in [(2, 3, 2), (16, 32, 10), (5, 4, 6, 3)]:
-        model = init_model(sizes, seed=int(rng.integers(100)))
-        x = rng.normal(size=(9, sizes[0]))
-        stored = rng.normal(size=(9, sizes[-1]))
-        diff = forward(model, x) - stored
-        ref = backward(model, x, (2.0 * DER_ALPHA / diff.size) * diff)
-        loss, got = der_terms(model, x, stored)
-        assert loss == DER_ALPHA * float(np.mean(diff * diff))
-        for a, b in zip(got.weight_grads + got.bias_grads + [got.input_grads],
-                        ref.weight_grads + ref.bias_grads + [ref.input_grads]):
-            assert np.array_equal(a, b)
+def _der_terms_bits_hold(hidden, der, derpp, attacked) -> bool:
+    """Whether der_terms, over a group of der members then derpp members
+    (one plain model if one member), adds into random gradients the bits
+    that reference.backward gives each term of each member apart, added in
+    order; with attacked, the label rows are adversarial rows of their
+    member, as under +AT."""
+    rng = np.random.default_rng([4, der, derpp, len(hidden)])
+    e, k, b = der + derpp, derpp, 5
+    singles = [init_model((4, *hidden, 3), seed=int(s)) for s in rng.integers(100, size=e)]
+    model = singles[0] if e == 1 else stack_models(singles)
+    x0, stored = rng.normal(size=(e * b, 4)), rng.normal(size=(e * b, 3))
+    x1, labels = rng.normal(size=(k * b, 4)), rng.integers(0, 3, size=k * b)
+    targets = one_hot(labels, 3)
+    if attacked:
+        atk = AttackConfig(eps=0.3, alpha=0.1, iters=2)
+        for j, m in enumerate(singles[e - k:]):
+            rows = slice(j * b, (j + 1) * b)
+            x1[rows] = attack(m, x1[rows], targets[rows], atk, np.random.default_rng(j))
+    got = [rng.normal(size=p.shape) for p in model.weights + model.biases]
+    want = [g.copy() for g in got]
+    der_terms(model, np.concatenate([x0, x1]), stored, targets,
+              GradBundle(got[:len(model.weights)], got[len(model.weights):], None))
+    for i, m in enumerate(singles):
+        # member i's slices, in its plain shapes; a plain model's are its own
+        member = [g[i].reshape(p.shape) if e > 1 else g
+                  for g, p in zip(want, m.weights + m.biases)]
+        rows = slice(i * b, (i + 1) * b)
+        diff = forward(m, x0[rows]) - stored[rows]
+        terms = [(x0[rows], (2.0 * DER_ALPHA / diff.size) * diff)]
+        j = i - (e - k)
+        if j >= 0:  # a derpp member: its label rows, after the distillation term
+            rows = slice(j * b, (j + 1) * b)
+            dlogits = label_softmax_ce(forward(m, x1[rows]), labels[rows])[1]
+            terms.append((x1[rows], DERPP_BETA * dlogits))
+        for x, dlogits in terms:
+            term = backward(m, x, dlogits)
+            member = [g + t for g, t in zip(member, term.weight_grads + term.bias_grads)]
+        for g, w in zip(got, member, strict=True):
+            if not np.array_equal(g[i].reshape(w.shape) if e > 1 else g, w):
+                return False
+    return True
+
+
+def test_der_terms_equal_both_terms_backward_apart_bitwise():
+    # one pass over the group's members, then its derpp members again, must
+    # give the bits of each term's forward pass, loss gradient and backward
+    # pass taken apart, added into the gradients in order: the distillation
+    # term into every member's, then the label term into the last derpp
+    # members'. Groups: one plain model (derpp alone), a stacked der + derpp
+    # group, a derpp-only and a der-only group, clean and under +AT
+    for case in itertools.product([(), (6, 5)], [(0, 1), (1, 2), (0, 2), (2, 0)],
+                                  [False, True]):
+        hidden, (der, derpp), attacked = case
+        assert _der_terms_bits_hold(hidden, der, derpp, attacked), case
 
 
 def test_der_terms_requires_logits():
     model = init_model((3, 5, 4), seed=1)
     with pytest.raises(ValueError):
-        der_terms(model, np.zeros((2, 3)), None)
+        der_terms(model, np.zeros((2, 3)), None, np.empty((0, 4)), _zero_grads(model))
 
 
 def test_der_terms_rejects_stored_logits_of_another_shape():
@@ -146,29 +189,13 @@ def test_der_terms_rejects_stored_logits_of_another_shape():
     # model, also member-major; another head width or row count raises
     model = init_model((3, 5, 4), seed=1)
     stacked = stack_models([model, init_model((3, 5, 4), seed=2)])
-    x = np.zeros((6, 3))
+    x, none = np.zeros((6, 3)), np.empty((0, 4))
     for m, good in ((model, [(6, 4)]), (stacked, [(6, 4), (2, 3, 4)])):
         for shape in good:
-            der_terms(m, x, np.zeros(shape))
+            der_terms(m, x, np.zeros(shape), none, _zero_grads(m))
         for shape in [(6, 3), (6, 5), (5, 4), (7, 4), (12, 2)]:
             with pytest.raises(ValueError, match="does not match logits"):
-                der_terms(m, x, np.zeros(shape))
-
-
-def test_derpp_terms_adds_weighted_ce():
-    # the DER++ label term is DERPP_BETA times the cross-entropy, with the
-    # weight applied to the logit gradient before the backward pass
-    rng = np.random.default_rng(2)
-    model = init_model((3, 4, 3), seed=3)
-    x2 = rng.normal(size=(5, 3))
-    y2 = one_hot(rng.integers(0, 3, size=5), 3)
-    loss, grads = derpp_label_terms(model, x2, y2)
-    ce, dlogits = softmax_ce(forward(model, x2), y2)
-    assert loss == DERPP_BETA * ce
-    ref = backward(model, x2, DERPP_BETA * dlogits)
-    for a, b in zip(grads.weight_grads + grads.bias_grads,
-                    ref.weight_grads + ref.bias_grads):
-        assert np.array_equal(a, b)
+                der_terms(m, x, np.zeros(shape), none, _zero_grads(m))
 
 
 def _externals_alone(tasks, layer_sizes, cfg, seeds, copies):
@@ -336,7 +363,7 @@ def test_der_without_stored_logits_fails_cleanly():
     buf.insert(writes, np.zeros((1, 4)), np.zeros((1, 2)), None)
     x, _, logits = buf.sample_arrays(idx)
     with pytest.raises(ValueError):
-        der_terms(model, x, logits)
+        der_terms(model, x, logits, np.empty((0, 2)), _zero_grads(model))
 
 
 def test_only_der_buffers_store_logits(monkeypatch):

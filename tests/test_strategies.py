@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import eatcl.strategies
 from eatcl.attacks import AttackConfig, attack
 from eatcl.datasets import Dataset, TaskStream, gen_blob_stream, gen_crescent
-from eatcl.nets import GradBundle, MLPModel, forward, init_model, one_hot, stack_models
+from eatcl.nets import (GradBundle, MLPModel, forward, init_model, one_hot, softmax_ce,
+                        stack_models)
 from eatcl.replay import ReplayBuffer
 from eatcl.runner import ConfigError, parse_config
 from eatcl.strategies import (DER_ALPHA, DERPP_BETA, STRATEGIES, TrainConfig, der_terms,
@@ -121,6 +122,24 @@ def test_der_terms_gradient_matches_finite_differences():
                                                             abs=1e-7)
 
 
+def test_der_terms_single_pass_equals_forward_mse_backward_bitwise():
+    # with no label rows, der_terms runs one forward pass for the DER term;
+    # added into zero gradients it must give the exact bits of forward,
+    # then the MSE gradient, then backward
+    rng = np.random.default_rng(4)
+    for sizes in [(2, 3, 2), (16, 32, 10), (5, 4, 6, 3)]:
+        model = init_model(sizes, seed=int(rng.integers(100)))
+        x = rng.normal(size=(9, sizes[0]))
+        stored = rng.normal(size=(9, sizes[-1]))
+        diff = forward(model, x) - stored
+        ref = backward(model, x, (2.0 * DER_ALPHA / diff.size) * diff)
+        got = _zero_grads(model)
+        der_terms(model, x, stored, np.empty((0, sizes[-1])), got)
+        for a, b in zip(got.weight_grads + got.bias_grads,
+                        ref.weight_grads + ref.bias_grads, strict=True):
+            assert np.array_equal(a, b)
+
+
 def _der_terms_bits_hold(hidden, der, derpp, attacked) -> bool:
     """Whether der_terms, over a group of der members then derpp members
     (one plain model if one member), adds into random gradients the bits
@@ -196,6 +215,24 @@ def test_der_terms_rejects_stored_logits_of_another_shape():
         for shape in [(6, 3), (6, 5), (5, 4), (7, 4), (12, 2)]:
             with pytest.raises(ValueError, match="does not match logits"):
                 der_terms(m, x, np.zeros(shape), none, _zero_grads(m))
+
+
+def test_derpp_terms_adds_weighted_ce():
+    # the DER++ label term is DERPP_BETA times the cross-entropy, with the
+    # weight applied to the logit gradient before the backward pass; stored
+    # logits equal to the model's own make the DER term's gradient zero
+    rng = np.random.default_rng(2)
+    model = init_model((3, 4, 3), seed=3)
+    x0 = rng.normal(size=(5, 3))
+    x2 = rng.normal(size=(5, 3))
+    y2 = one_hot(rng.integers(0, 3, size=5), 3)
+    grads = _zero_grads(model)
+    der_terms(model, np.concatenate([x0, x2]), forward(model, x0), y2, grads)
+    dlogits = softmax_ce(forward(model, x2), y2)[1]
+    ref = backward(model, x2, DERPP_BETA * dlogits)
+    for a, b in zip(grads.weight_grads + grads.bias_grads,
+                    ref.weight_grads + ref.bias_grads, strict=True):
+        assert np.array_equal(a, b)
 
 
 def _externals_alone(tasks, layer_sizes, cfg, seeds, copies):

@@ -12,7 +12,8 @@ axis (``stack_models``) and run through the same kernel in lockstep: their
 weights are (E, fan_in, fan_out) and their biases (E, 1, fan_out), and a
 batch of E*B rows is split into E blocks of B, block e for member e.
 Every member's arrays are bit-identical to what it would get alone.
-Callers sum loss terms' gradients in place (strategies.batch_step).
+Training passes compute the gradients of loss terms, never a loss value;
+callers sum the terms' gradients in place (strategies.der_terms).
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def _row_max(logits: np.ndarray) -> np.ndarray:
     copy: a reduction along a short last axis pays per row, this one per
     class. Same values as logits.max(axis=-1); only a zero maximum may come
     out with the other sign, and logits - max is then unchanged but for the
-    sign of zeros, which exp and the loss do not see."""
+    sign of zeros, which exp does not see."""
     return np.maximum.reduce(np.ascontiguousarray(logits.mT), axis=-2)[..., None]
 
 
@@ -172,37 +173,28 @@ def check_targets(targets, shape) -> np.ndarray:
     return targets.reshape(shape)
 
 
-def _ce_grad(p: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """exp(shifted logits) p, in place, into d(mean cross-entropy)/d(logits)
-    = (softmax - targets) / rows; returns the softmax denominators."""
-    total = np.add.reduce(p, axis=-1, keepdims=True)
-    p /= total
+def _ce_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """d(mean cross-entropy)/d(logits) = (softmax - targets) / rows, as a new
+    array, for targets of the logits' shape."""
+    p = logits - _row_max(logits)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     p -= targets
     p /= p.shape[-2]
-    return total
+    return p
 
 
-def softmax_ce(logits, targets) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over the batch against one-hot targets.
-
-    Returns (loss, dlogits) where dlogits = (softmax - targets) / batch_size,
-    i.e. the exact gradient of the mean loss w.r.t. the logits. Stacked
-    logits (E, B, classes) take E*B target rows, block e for member e (see
-    check_targets), and give one mean loss per member. The label term is
-    taken from the unshifted logits, so a row whose logits differ by more
-    than the largest float64 gets an infinite loss, not a NaN.
+def softmax_ce(logits, targets) -> np.ndarray:
+    """Gradient of the mean softmax cross-entropy over the batch against
+    one-hot targets, w.r.t. the logits: (softmax - targets) / batch_size,
+    shaped like the logits. No loss value is computed. Stacked logits
+    (E, B, classes) take E*B target rows, block e for member e (see
+    check_targets), and each member's gradient is that of its own mean.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim not in (2, 3):
         raise ValueError(f"expected 2-D or stacked 3-D logits, got shape {logits.shape}")
-    targets = check_targets(targets, logits.shape)
-    row_max = _row_max(logits)
-    p = logits - row_max
-    np.exp(p, out=p)
-    total = _ce_grad(p, targets)
-    label = np.add.reduce(logits * targets, axis=-1) - row_max[..., 0]
-    loss = np.add.reduce(np.log(total[..., 0]) - label, axis=-1) / logits.shape[-2]
-    return loss, p
+    return _ce_grad(logits, check_targets(targets, logits.shape))
 
 
 def sgd_step(model: MLPModel, grads: GradBundle) -> MLPModel:
@@ -242,17 +234,17 @@ def _backprop(model: MLPModel, acts: list[np.ndarray], dlogits: np.ndarray,
     return GradBundle(weight_grads, bias_grads, delta)
 
 
-def loss_and_grads(model: MLPModel, x, loss) -> tuple[float, GradBundle]:
-    """A loss of the logits and all its gradients from one forward pass.
+def gradients(model: MLPModel, x, loss) -> GradBundle:
+    """All gradients of a loss of the logits, from one forward pass.
 
-    loss(logits) returns (value, d value / d logits). Bit-identical to
-    forward, then loss, then a backward pass that recomputes the forward
-    activations (the reference in tests/reference.py). A stacked model's
-    gradients stack like its parameters; the input gradient has E*B rows.
+    loss(logits) returns d loss / d logits, and may write it over the
+    logits. Bit-identical to forward, then loss, then a backward pass that
+    recomputes the forward activations (the reference in tests/reference.py).
+    A stacked model's gradients stack like its parameters; the input
+    gradient has E*B rows.
     """
     acts = _activations(model, check_input(model, x))
-    value, dlogits = loss(acts[-1])
-    return value, _backprop(model, acts, dlogits, params=True)
+    return _backprop(model, acts, loss(acts[-1]), params=True)
 
 
 def ce_input_grad(model: MLPModel, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -261,11 +253,7 @@ def ce_input_grad(model: MLPModel, x: np.ndarray, targets: np.ndarray) -> np.nda
     For inner loops that check once and call many times: x must already be
     a batch from check_input and targets already of its logits' shape (see
     check_targets); only non-finite logits are still caught. Bit-identical
-    to the input gradient of loss_and_grads with the softmax_ce loss.
+    to the input gradient of gradients with the softmax_ce gradient.
     """
     acts = _activations(model, x)
-    logits = acts[-1]
-    p = logits - _row_max(logits)
-    np.exp(p, out=p)
-    _ce_grad(p, targets)
-    return _backprop(model, acts, p, params=False)
+    return _backprop(model, acts, _ce_grad(acts[-1], targets), params=False)

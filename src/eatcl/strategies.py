@@ -29,7 +29,7 @@ examples replace their clean sources; `at_mix="union"` trains both), while
 distillation batch always stays clean, since stored logits pair with clean
 inputs, and only clean current-task rows ever enter the buffer. Labels become
 one-hot targets (nets.one_hot) once per task for the target, and once for
-each +EAT external, and every attack, loss and buffer row takes those.
+each +EAT external, and every attack, gradient and buffer row takes those.
 
 Runs of one strategy under one TrainConfig differ only in their seed, so
 ``train_streams`` trains them together, in lockstep: their target models
@@ -83,8 +83,8 @@ import numpy as np
 from .attacks import AttackConfig, attack
 from .datasets import TaskStream
 from .metrics import MetricsRecord, clean_accuracy, prev_task_rate, robustness
-from .nets import (MLPModel, check_targets, forward, init_model, loss_and_grads, one_hot,
-                   sgd_step, softmax_ce, stack_models, unstack_models)
+from .nets import (MLPModel, check_targets, forward, gradients, init_model, one_hot, sgd_step,
+                   softmax_ce, stack_models, unstack_models)
 from .replay import ReplayBuffer
 
 STRATEGIES = ("joint", "joint_at", "er", "er_at", "er_cat", "er_eat",
@@ -228,15 +228,15 @@ def der_terms(model, buf_x, stored_logits, targets, grads):
                     [w.reshape(-1, *w.shape[-2:]).take(order, axis=0) for w in model.weights],
                     [b.reshape(-1, 1, b.shape[-1]).take(order, axis=0) for b in model.biases])
 
-    def loss(logits):  # written over in place as its gradient
+    def loss(logits):  # written over in place as its gradient; no loss value
         diff, label = logits[:e], logits[e:]
-        dce = softmax_ce(label, targets)[1]
+        dce = softmax_ce(label, targets)
         diff -= check_targets(stored_logits, diff.shape)
         diff *= 2.0 * DER_ALPHA / (diff.shape[-2] * diff.shape[-1])  # one member's size
         np.multiply(dce, DERPP_BETA, out=label)
-        return None, logits  # no caller reads the losses
+        return logits
 
-    _, terms = loss_and_grads(both, buf_x, loss)
+    terms = gradients(both, buf_x, loss)
     for g, tg in zip(grads.weight_grads + grads.bias_grads,
                      terms.weight_grads + terms.bias_grads):
         g = g.reshape(-1, *tg.shape[1:])  # a view, one member's for a plain model
@@ -300,7 +300,7 @@ def batch_step(model, xb, tb, cb, robust: str, members, buffer: ReplayBuffer, st
         ce_logits.append(logits)
         return softmax_ce(logits, _flat(t))
 
-    _, grads = loss_and_grads(model, _flat(x), ce)
+    grads = gradients(model, _flat(x), ce)
     if batches and replay in ("der", "derpp"):
         rows = np.concatenate(batches)  # batch 0, then the derpp members' batch 1
         labelled = len(batches[0])  # the first label row

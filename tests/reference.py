@@ -2,10 +2,12 @@
 
 Plain versions, written for clarity rather than speed: ``softmax``
 normalises logits row by row, ``label_softmax_ce`` is the softmax
-cross-entropy indexed by integer labels that ``nets.softmax_ce`` over
-one-hot targets must equal bit for bit, and ``backward`` recomputes the forward
+cross-entropy and its logit gradient, indexed by integer labels: its
+gradient is what ``nets.softmax_ce`` over one-hot targets must equal bit for
+bit, and its loss, which production never computes, is what the tests
+differentiate and read. ``backward`` recomputes the forward
 activations of a batch and backpropagates a logit gradient to every weight,
-bias and to the input; both take single models. ``pgd_every_step`` takes
+bias and to the input, for single models. ``pgd_every_step`` takes
 every PGD step with no early exit, for single and stacked models.
 ``PerCallReservoir`` inserts one row and samples one member at a time, with
 one generator call per draw or batch.
@@ -21,7 +23,7 @@ metrics. From ``eatcl`` they take only model init, the forward pass,
 inside ``pgd_every_step``, ``_row_max`` inside ``label_softmax_ce``, and the
 data and record types. Nothing in ``eatcl`` calls this module;
 production training, attacks and replay run ``nets.softmax_ce``,
-``nets.loss_and_grads``, ``nets.ce_input_grad``, ``attacks.attack`` and the
+``nets.gradients``, ``nets.ce_input_grad``, ``attacks.attack`` and the
 epoch plan of ``replay.ReplayBuffer``.
 """
 

@@ -21,11 +21,12 @@ import pytest
 
 from eatcl.attacks import AttackConfig, _steps, attack
 from eatcl.metrics import prev_task_rate, robustness
-from eatcl.nets import MLPModel, forward, init_model, loss_and_grads, one_hot, softmax_ce
+from eatcl.nets import MLPModel, forward, gradients, init_model, one_hot, softmax_ce
 from eatcl.replay import ReplayBuffer
 from eatcl.runner import build_streams
 
 from conftest import STRONGER, build_facts, output_digests, run_config
+from reference import label_softmax_ce
 
 DIGESTS = Path(__file__).resolve().parent / "digests.json"
 
@@ -66,8 +67,8 @@ def test_toy_training_mode_bands(shipped_runs):
           f"ordering {ordered}/5 and {im_ordered}/5 in {elapsed:.0f}s")
 
 
-def _loss(model, x, targets) -> float:
-    return softmax_ce(forward(model, x), targets)[0]
+def _loss(model, x, labels) -> float:
+    return label_softmax_ce(forward(model, x), labels)[0]
 
 
 def test_gradients_match_central_differences():
@@ -89,8 +90,9 @@ def test_gradients_match_central_differences():
             b += rng.normal(0.0, 0.3, size=b.shape)
         n = int(rng.integers(1, 4))
         x = rng.normal(0.0, 1.0, size=(n, sizes[0]))
-        y = one_hot(rng.integers(0, sizes[-1], size=n), sizes[-1])
-        _, grads = loss_and_grads(model, x, lambda z: softmax_ce(z, y))
+        labels = rng.integers(0, sizes[-1], size=n)
+        y = one_hot(labels, sizes[-1])
+        grads = gradients(model, x, lambda z: softmax_ce(z, y))
         for arrs, anal in ((model.weights, grads.weight_grads),
                            (model.biases, grads.bias_grads)):
             for a, g in zip(arrs, anal):
@@ -100,9 +102,9 @@ def test_gradients_match_central_differences():
                     idx = it.multi_index
                     orig = a[idx]
                     a[idx] = orig + h
-                    up = _loss(model, x, y)
+                    up = _loss(model, x, labels)
                     a[idx] = orig - h
-                    down = _loss(model, x, y)
+                    down = _loss(model, x, labels)
                     a[idx] = orig
                     fd[idx] = (up - down) / (2 * h)
                 np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-8)
@@ -111,9 +113,9 @@ def test_gradients_match_central_differences():
             for c in range(x.shape[1]):
                 orig = x[r, c]
                 x[r, c] = orig + h
-                up = _loss(model, x, y)
+                up = _loss(model, x, labels)
                 x[r, c] = orig - h
-                down = _loss(model, x, y)
+                down = _loss(model, x, labels)
                 x[r, c] = orig
                 fd_x[r, c] = (up - down) / (2 * h)
         np.testing.assert_allclose(grads.input_grads, fd_x, rtol=1e-4, atol=1e-8)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eatcl.nets import (LR, MLPModel, ce_input_grad, check_input, forward, init_model,
-                        loss_and_grads, one_hot, sgd_step, softmax_ce, stack_models,
+from eatcl.nets import (LR, MLPModel, ce_input_grad, check_input, forward, gradients,
+                        init_model, one_hot, sgd_step, softmax_ce, stack_models,
                         unstack_models)
 from eatcl.strategies import TrainConfig
 from reference import backward, label_softmax_ce
@@ -46,22 +46,32 @@ def test_forward_rejects_nonfinite():
 
 
 def test_softmax_ce_against_direct_formula():
+    # production computes the gradient alone; the reference's loss is the
+    # one the finite-difference oracle differentiates
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(16, 4))
     labels = rng.integers(0, 4, size=16)
-    loss, dlogits = softmax_ce(logits, one_hot(labels, 4))
+    loss = label_softmax_ce(logits, labels)[0]
     ref = np.mean([np.log(np.sum(np.exp(logits[i] - logits[i].max())))
                    - (logits[i, labels[i]] - logits[i].max())
                    for i in range(16)])
     assert loss == pytest.approx(ref, rel=1e-12)
+    dlogits = softmax_ce(logits, one_hot(labels, 4))
+    soft = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(dlogits, (soft - one_hot(labels, 4)) / 16, atol=1e-15)
     # gradient rows sum to zero (softmax minus one-hot)
     np.testing.assert_allclose(dlogits.sum(axis=1), np.zeros(16), atol=1e-12)
     # logits further apart than the largest float64: the label at the
-    # maximum costs nothing and the other one costs inf, never NaN
+    # maximum costs nothing and the other one costs inf, never NaN, and
+    # the gradient stays exact
     extreme = np.array([[1e308, -1e308]])
     with np.errstate(over="ignore"):
-        assert softmax_ce(extreme, one_hot(np.array([0]), 2))[0] == 0.0
-        assert softmax_ce(extreme, one_hot(np.array([1]), 2))[0] == np.inf
+        assert label_softmax_ce(extreme, np.array([0]))[0] == 0.0
+        assert label_softmax_ce(extreme, np.array([1]))[0] == np.inf
+        np.testing.assert_array_equal(softmax_ce(extreme, one_hot(np.array([0]), 2)),
+                                      [[0.0, 0.0]])
+        np.testing.assert_array_equal(softmax_ce(extreme, one_hot(np.array([1]), 2)),
+                                      [[1.0, -1.0]])
 
 
 def test_softmax_ce_rejects_bad_labels():
@@ -96,10 +106,10 @@ def test_one_hot_builds_and_checks_targets():
        st.integers(0, 3))
 def test_softmax_ce_equals_label_indexed_reference_bitwise(seed, members, rows, classes,
                                                            scale, ties):
-    # the one kernel over one-hot targets must give the loss and gradient
-    # bits of indexing each row's label entry, for 2-D and stacked logits;
-    # ties rows repeat their maximum (at class 0, and with ties > 1 on
-    # rounded logits, anywhere)
+    # the one kernel over one-hot targets must give the gradient bits of
+    # indexing each row's label entry, as one array shaped like the logits,
+    # for 2-D and stacked logits; ties rows repeat their maximum (at class
+    # 0, and with ties > 1 on rounded logits, anywhere)
     rng = np.random.default_rng(seed)
     lead = (rows,) if members is None else (members, rows)
     logits = rng.normal(size=(*lead, classes)) * scale
@@ -109,13 +119,13 @@ def test_softmax_ce_equals_label_indexed_reference_bitwise(seed, members, rows, 
     if ties > 1:
         logits = np.round(logits)
     labels = rng.integers(0, classes, size=lead)
-    loss, grad = softmax_ce(logits, one_hot(labels, classes))
-    ref_loss, ref_grad = label_softmax_ce(logits, labels)
-    assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+    grad = softmax_ce(logits, one_hot(labels, classes))
+    ref_grad = label_softmax_ce(logits, labels)[1]
+    assert isinstance(grad, np.ndarray) and grad.shape == logits.shape
     assert grad.tobytes() == ref_grad.tobytes()
     # stacked logits also take their E*B targets flat, block by block
-    flat_loss, flat_grad = softmax_ce(logits, one_hot(labels.ravel(), classes))
-    assert np.asarray(flat_loss).tobytes() == np.asarray(loss).tobytes()
+    flat_grad = softmax_ce(logits, one_hot(labels.ravel(), classes))
+    assert flat_grad.shape == logits.shape
     assert flat_grad.tobytes() == grad.tobytes()
 
 
@@ -131,11 +141,10 @@ def test_single_pass_equals_forward_softmax_ce_backward_bitwise():
         model = _rand_model(rng, sizes)
         n = int(rng.integers(1, 70))
         x = rng.normal(size=(n, sizes[0])) * rng.uniform(0.1, 5.0)
-        y = one_hot(rng.integers(0, sizes[-1], size=n), sizes[-1])
-        ref_loss, dlogits = softmax_ce(forward(model, x), y)
-        ref = backward(model, x, dlogits)
-        loss, got = loss_and_grads(model, x, lambda z: softmax_ce(z, y))
-        assert loss == ref_loss
+        labels = rng.integers(0, sizes[-1], size=n)
+        y = one_hot(labels, sizes[-1])
+        ref = backward(model, x, label_softmax_ce(forward(model, x), labels)[1])
+        got = gradients(model, x, lambda z: softmax_ce(z, y))
         for a, b in zip(got.weight_grads + got.bias_grads,
                         ref.weight_grads + ref.bias_grads):
             assert np.array_equal(a, b)
@@ -152,12 +161,12 @@ def test_single_pass_rejects_bad_labels_and_nonfinite_logits():
             one_hot(bad, 2)
     # one label for a batch of two: its targets are a row short
     with pytest.raises(ValueError):
-        loss_and_grads(model, x, lambda z: softmax_ce(z, one_hot(np.array([0]), 2)))
+        gradients(model, x, lambda z: softmax_ce(z, one_hot(np.array([0]), 2)))
     targets = one_hot(np.array([1, 0]), 2)
     np.testing.assert_array_equal(targets, [[0.0, 1.0], [1.0, 0.0]])
     nan_x = np.array([[np.nan, 0.0], [0.0, 0.0]])
     with pytest.raises(FloatingPointError):
-        loss_and_grads(model, nan_x, lambda z: softmax_ce(z, targets))
+        gradients(model, nan_x, lambda z: softmax_ce(z, targets))
     with pytest.raises(FloatingPointError):
         ce_input_grad(model, nan_x, targets)
 
@@ -185,7 +194,7 @@ def test_sgd_step_is_pure_and_exact():
     model = init_model((2, 3, 2), seed=3)
     x = np.array([[0.3, -0.2], [1.0, 0.4]])
     y = one_hot(np.array([0, 1]), 2)
-    _, g = loss_and_grads(model, x, lambda z: softmax_ce(z, y))
+    g = gradients(model, x, lambda z: softmax_ce(z, y))
     before = [w.copy() for w in model.weights]
     stepped = sgd_step(model, g)
     for w, w0 in zip(model.weights, before):
@@ -199,7 +208,7 @@ def test_sgd_step_rejects_mismatched_grads():
     other = init_model((2, 4, 2), seed=3)
     x = np.array([[0.1, 0.2]])
     y = one_hot(np.array([0]), 2)
-    _, g = loss_and_grads(other, x, lambda z: softmax_ce(z, y))
+    g = gradients(other, x, lambda z: softmax_ce(z, y))
     with pytest.raises(ValueError):
         sgd_step(model, g)
 
@@ -242,25 +251,28 @@ def test_stack_and_unstack_round_trip():
 
 def test_stacked_loss_and_sgd_step_equal_members_alone_bitwise():
     # E models in lockstep must give every member the exact bits it gets
-    # alone: the loss, every gradient, and the stepped parameters
+    # alone: its logit gradient, which is that of its own mean loss, every
+    # gradient, and the stepped parameters
     rng = np.random.default_rng(31)
     for sizes in [(2, 3, 2), (16, 32, 10), (5, 4, 6, 3), (3, 1)]:
         for e in (1, 3):
             members = [_rand_model(rng, sizes) for _ in range(e)]
             b = int(rng.integers(1, 40))
             xs = [rng.normal(size=(b, sizes[0])) for _ in range(e)]
-            ys = [one_hot(rng.integers(0, sizes[-1], size=b), sizes[-1]) for _ in range(e)]
+            labels = [rng.integers(0, sizes[-1], size=b) for _ in range(e)]
+            ys = [one_hot(lab, sizes[-1]) for lab in labels]
             stacked = stack_models(members)
             x, y = np.vstack(xs), np.vstack(ys)
-            loss, grads = loss_and_grads(stacked, x, lambda z: softmax_ce(z, y))
+            grads = gradients(stacked, x, lambda z: softmax_ce(z, y))
             stepped = unstack_models(sgd_step(stacked, grads))
             x3 = check_input(stacked, x)
             only_x = ce_input_grad(stacked, x3, y.reshape(*x3.shape[:-1], sizes[-1]))
-            assert loss.shape == (e,)
+            dlogits = softmax_ce(forward(stacked, x), y)
+            assert dlogits.shape == (e, b, sizes[-1])
             assert grads.input_grads.shape == (e * b, sizes[0])
-            for i, (m, x, y) in enumerate(zip(members, xs, ys)):
-                ref_loss, ref = loss_and_grads(m, x, lambda z: softmax_ce(z, y))
-                assert loss[i] == ref_loss
+            for i, (m, x, y, lab) in enumerate(zip(members, xs, ys, labels)):
+                ref = gradients(m, x, lambda z: softmax_ce(z, y))
+                assert np.array_equal(dlogits[i], label_softmax_ce(forward(m, x), lab)[1])
                 for got, want in zip(grads.weight_grads, ref.weight_grads):
                     assert np.array_equal(got[i], want)
                 for got, want in zip(grads.bias_grads, ref.bias_grads):
@@ -278,14 +290,14 @@ def test_stacked_pass_rejects_bad_rows_labels_and_nonfinite_logits():
     members = [init_model((2, 3, 2), seed=s) for s in range(3)]
     stacked = stack_models(members)
     with pytest.raises(ValueError, match="do not split"):
-        loss_and_grads(stacked, np.zeros((4, 2)),
-                       lambda z: softmax_ce(z, one_hot(np.zeros(4, dtype=int), 2)))
+        gradients(stacked, np.zeros((4, 2)),
+                  lambda z: softmax_ce(z, one_hot(np.zeros(4, dtype=int), 2)))
     with pytest.raises(ValueError):
         one_hot(np.array([0, 1, 2, 0, 1, 0]), 2)
     # three labels for three members of two rows each
     with pytest.raises(ValueError):
-        loss_and_grads(stacked, np.zeros((6, 2)),
-                       lambda z: softmax_ce(z, one_hot(np.zeros(3, dtype=int), 2)))
+        gradients(stacked, np.zeros((6, 2)),
+                  lambda z: softmax_ce(z, one_hot(np.zeros(3, dtype=int), 2)))
     # one diverged member is enough
     weights = [w.copy() for w in stacked.weights]
     weights[0][1] = 1.0
@@ -293,5 +305,5 @@ def test_stacked_pass_rejects_bad_rows_labels_and_nonfinite_logits():
     huge = MLPModel(stacked.layer_sizes, weights, stacked.biases)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
-            loss_and_grads(huge, np.full((6, 2), 10.0),
-                           lambda z: softmax_ce(z, one_hot(np.zeros(6, dtype=int), 2)))
+            gradients(huge, np.full((6, 2), 10.0),
+                      lambda z: softmax_ce(z, one_hot(np.zeros(6, dtype=int), 2)))

@@ -58,9 +58,8 @@ def prev_task_rate(model: MLPModel, index: int, ae: np.ndarray,
     if len(ae) == 0:
         raise ValueError("empty adversarial set")
     prev = [c for s in seen_class_sets[:index] for c in s]
-    if not prev:
-        return 0.0
-    # is_prev[c]: class c is previous; one_hot rejects ids outside the head
-    is_prev = one_hot(np.array(prev), model.num_classes).any(axis=0)
+    # is_prev[c]: class c is previous, none at the first task; one_hot
+    # rejects ids outside the head
+    is_prev = one_hot(np.array(prev, dtype=np.int64), model.num_classes).any(axis=0)
     return float(np.mean(is_prev[predict(model, ae)]) * 100.0)
 

@@ -179,12 +179,8 @@ def _under(cfg: dict, prefix: str) -> dict:
     return {k[len(prefix) + 1:]: v for k, v in cfg.items() if k.startswith(prefix + ".")}
 
 
-def build_attack(cfg: dict) -> AttackConfig:
-    return AttackConfig(**_under(cfg, "attack"))
-
-
 def build_train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(attack=build_attack(cfg), **_under(cfg, "train"))
+    return TrainConfig(attack=AttackConfig(**_under(cfg, "attack")), **_under(cfg, "train"))
 
 
 def build_streams(cfg: dict, seed: int) -> tuple[TaskStream, TaskStream]:

@@ -190,13 +190,12 @@ def _split(model: MLPModel) -> list[MLPModel]:
     return [model] if model.members is None else unstack_models(model)
 
 
-def _tail(model: MLPModel, members, k: int):
-    """The last k members of a lockstep group: their _lockstep model, as
-    views of model's parameters, and their attack rngs as attack takes them."""
-    if k == 1:
-        return _split(model)[-1], members[-1].rngs.attack
-    return (MLPModel(model.layer_sizes, [w[-k:] for w in model.weights],
-                     [b[-k:] for b in model.biases]), [m.rngs.attack for m in members[-k:]])
+def _members(model: MLPModel, order) -> MLPModel:
+    """The stacked model of model's members in order, copies of their
+    parameters; a plain model's parameters count as one member's."""
+    return MLPModel(model.layer_sizes,
+                    [w.reshape(-1, *w.shape[-2:]).take(order, axis=0) for w in model.weights],
+                    [b.reshape(-1, 1, b.shape[-1]).take(order, axis=0) for b in model.biases])
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -222,11 +221,7 @@ def der_terms(model, buf_x, stored_logits, targets, grads):
         raise ValueError("DER replay needs a buffer that stores logits with its rows")
     e = model.members or 1
     k = len(targets) * e // (len(buf_x) - len(targets))
-    # the members, then the last k again; a plain model's parameters as one member's
-    order = np.array([*range(e), *range(e - k, e)])
-    both = MLPModel(model.layer_sizes,
-                    [w.reshape(-1, *w.shape[-2:]).take(order, axis=0) for w in model.weights],
-                    [b.reshape(-1, 1, b.shape[-1]).take(order, axis=0) for b in model.biases])
+    both = _members(model, [*range(e), *range(e - k, e)])  # then the last k again
 
     def loss(logits):  # written over in place as its gradient; no loss value
         diff, label = logits[:e], logits[e:]
@@ -307,8 +302,9 @@ def batch_step(model, xb, tb, cb, robust: str, members, buffer: ReplayBuffer, st
         bx = buffer.x.take(rows, axis=0)
         bt = buffer.targets.take(rows[labelled:], axis=0)
         if robust == "at" and derpp:
-            tail, tail_rng = _tail(model, members, derpp)
-            bx[labelled:] = attack(tail, bx[labelled:], bt, cfg.attack, tail_rng)
+            tail = range(len(members) - derpp, len(members))
+            bx[labelled:] = attack(_members(model, tail), bx[labelled:], bt, cfg.attack,
+                                   [members[i].rngs.attack for i in tail])
             for m in members[-derpp:]:
                 m.log.attack_counts["memory"] += size
         der_terms(model, bx, buffer.logits.take(batches[0], axis=0), bt, grads)
@@ -561,7 +557,9 @@ def train_streams(streams, tests, strategies, cfg: TrainConfig,
     if len(shapes) != 1:
         raise ValueError(f"runs trained in lockstep need one model shape and one "
                          f"size per task, got (layer sizes, task sizes) {sorted(shapes)}")
-    ((layer_sizes, _),) = shapes
+    ((layer_sizes, sizes),) = shapes
+    if any(robust == "eat" for _, robust in names) and len(set(sizes)) > 1:
+        raise ValueError(f"+EAT's external tasks need one size, got sizes {sorted(set(sizes))}")
     for s in [*streams, *tests]:  # every label is one of its stream's classes
         if s.input_dim != layer_sizes[0]:
             raise ValueError(f"input dim {s.input_dim} != model input {layer_sizes[0]}")

@@ -63,8 +63,8 @@ MUTANTS = [
      [_ORACLE]),
     # DER group: the label rows paired with the leading members' weights
     ("strategies.py",
-     "order = np.array([*range(e), *range(e - k, e)])",
-     "order = np.array([*range(e), *range(k)])",
+     "both = _members(model, [*range(e), *range(e - k, e)])",
+     "both = _members(model, [*range(e), *range(k)])",
      [_STRAT + "test_der_terms_equal_both_terms_backward_apart_bitwise", _ORACLE]),
     # DER group: der members draw a second buffer batch
     ("strategies.py",

@@ -85,16 +85,11 @@ def test_every_public_function_has_a_caller_in_src():
 UNRUN = {
     ("runner.py", "return True"):
         "_parse_bool's true branch: train.eat_refresh, its only key, is off in "
-        "every shipped config (ROADMAP item 1)",
-    ("metrics.py", "return 0.0"):
-        "prev_task_rate at the first task: training records rates from the "
-        "second task on; the tests call it at index 0",
+        "every shipped config; it goes with that key (ROADMAP item 23), which "
+        "perfbench/workloads.py:85 still reads",
     ("datasets.py", "return int(seed)"):
         "_seed_int of an int seed: the runner passes list seeds, the README's "
         "library example ints",
-    ("strategies.py", "return (MLPModel(model.layer_sizes, [w[-k:] for w in model.weights],"):
-        "_tail of more than one derpp member: no shipped config runs derpp with "
-        "two seeds; the oracle tests do",
 }
 
 

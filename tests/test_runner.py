@@ -13,8 +13,8 @@ from eatcl.cli import main
 from eatcl.attacks import AttackConfig
 from eatcl.metrics import robustness
 from eatcl.runner import (ConfigError, RunResult, _write_metrics_csv,
-                          _write_rates_csv, build_attack, build_streams,
-                          build_train_config, default_config, emit_config,
+                          _write_rates_csv, build_streams, build_train_config,
+                          default_config, emit_config,
                           format_summary_table, parse_config, run_experiment,
                           summarize_results)
 from eatcl.strategies import TrainConfig, parse_strategy, train_streams
@@ -152,7 +152,7 @@ def test_eval_attack_is_pgd_of_the_training_attack():
 def test_cli_and_library_defaults_agree():
     # the config's train.* / attack.* defaults are read off the dataclasses
     assert build_train_config(default_config()) == TrainConfig()
-    assert build_attack(default_config()) == AttackConfig()
+    assert build_train_config(default_config()).attack == AttackConfig()
 
 
 OFF_DEFAULT = """
@@ -180,7 +180,7 @@ def test_build_train_config_wires_fields():
         prefix, name = key.split(".")
         assert cfg[key] != default[key], key
         assert getattr(t if prefix == "train" else t.attack, name) == cfg[key], key
-    assert t.attack == build_attack(cfg)
+    assert t.attack == AttackConfig(kind="fgsm", eps=0.1, alpha=0.05, iters=6)
 
 
 def test_shipped_eat_configs_make_one_external_per_task():

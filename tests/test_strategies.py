@@ -507,19 +507,22 @@ def test_train_streams_equals_reference_trainer():
     # whose families share their first task, and each strategy's two seeds
     # in lockstep, get the bits that reference.train_alone gives each seed,
     # from one plain model trained batch by batch by reference kernels; FGSM
-    # at eps 0 leaves every row as it is
+    # at eps 0 leaves every row as it is. derpp_at at one seed alone has a
+    # plain model for its DER group, whose label rows +AT attacks as a
+    # stacked model of one
     seeds = (5, 6)
     streams = [_small_stream(s) for s in seeds]
     tests = [gen_blob_stream(3, 2, 8, 30, seed=s, sample_seed=[s, 2]) for s in seeds]
-    cases = [*itertools.product(
-        ("replace", "union"),
-        (AttackConfig(eps=0.05, alpha=0.02, iters=3), AttackConfig(kind="fgsm", eps=0.05))),
-        ("replace", AttackConfig(kind="fgsm", eps=0.0))]
-    for at_mix, atk in cases:
+    pgd = AttackConfig(eps=0.05, alpha=0.02, iters=3)
+    cases = [*((at_mix, atk, STRATEGIES, 2) for at_mix, atk in itertools.product(
+        ("replace", "union"), (pgd, AttackConfig(kind="fgsm", eps=0.05)))),
+        ("replace", AttackConfig(kind="fgsm", eps=0.0), STRATEGIES, 2),
+        ("replace", pgd, ["derpp_at"], 1)]
+    for at_mix, atk, strategies, runs in cases:
         cfg = _cfg(epochs_per_task=2, batch_size=13, replay_batch_size=7, buffer_capacity=20,
                    eat_external_epochs=2, at_mix=at_mix, attack=atk)
-        assert reference_disagreements(streams, tests, STRATEGIES, cfg, seeds) == [], \
-            (at_mix, atk)
+        assert reference_disagreements(streams[:runs], tests[:runs], strategies, cfg,
+                                       seeds[:runs]) == [], (at_mix, atk, strategies)
 
 
 def drawn_grid(draw):
@@ -591,12 +594,14 @@ def _no_step(*args, **kwargs):
 def test_lockstep_rejects_mismatched_runs_before_any_step(monkeypatch):
     monkeypatch.setattr(eatcl.strategies, "batch_step", _no_step)
     base, seeds = _small_stream(1), (1, 2)
-    # +EAT trains every external of the group in one eat_generate call,
-    # which rejects tasks of two sizes; plain ER trains on them (below)
+    # +EAT trains every external of the group in one eat_generate call, so
+    # it takes no tasks of two sizes, not even after another family trains;
+    # plain ER trains on them (below)
     two_sizes = [_sized_stream(s, (20, 12, 20)) for s in (50, 51)]
     for streams, run_seeds in ((two_sizes, seeds), (two_sizes[:1], seeds[:1])):
-        with pytest.raises(ValueError, match=r"sizes \[12, 20\]"):
-            _train_group(streams, "er_eat", _cfg(), run_seeds)
+        for strategies in (["er_eat"], ["er", "er_eat"]):
+            with pytest.raises(ValueError, match=r"sizes \[12, 20\]"):
+                train_streams(streams, streams, strategies, _cfg(), run_seeds)
     monkeypatch.setattr(eatcl.strategies, "eat_generate", _no_step)
     cases = [
         # task sizes, input dim, task count

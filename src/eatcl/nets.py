@@ -4,7 +4,8 @@ Everything is float64 numpy. Hidden layers use ReLU, the output layer is
 linear (logits). One softmax cross-entropy kernel serves training and
 attacks, against one-hot targets that ``one_hot`` builds, the one place
 labels are checked. Gradients are computed for all parameters and for the
-input batch itself; input gradients are what the attack code consumes.
+input batch itself; input gradients are what the attack code consumes, and
+a training pass defers its own until GradBundle.input_grads is read.
 Functions are pure: models go in, new models come out.
 
 E independent models of one topology can be stacked on a leading model
@@ -56,11 +57,21 @@ class MLPModel:
 
 @dataclass
 class GradBundle:
-    """Gradients of the batch loss: one array per parameter plus d(loss)/d(input)."""
+    """Gradients of the batch loss: one array per parameter, plus
+    d(loss)/d(input) as input_grads, which a training pass defers. It is
+    computed when read, from the pass's layer-0 delta (d loss / d first
+    layer output) and layer-0 weights, so it is the pass's own even after
+    its model is stepped: no step writes weights in place."""
 
     weight_grads: list[np.ndarray]
     bias_grads: list[np.ndarray]
-    input_grads: np.ndarray
+    delta0: np.ndarray
+    weights0: np.ndarray
+
+    def _input_grads(self) -> np.ndarray:
+        return (self.delta0 @ self.weights0.mT).reshape(-1, self.weights0.shape[-2])
+
+    input_grads = property(_input_grads)  # (batch, input_dim); E*B rows if stacked
 
 
 def init_model(layer_sizes, seed) -> MLPModel:
@@ -209,10 +220,10 @@ def sgd_step(model: MLPModel, grads: GradBundle) -> MLPModel:
 
 def _backprop(model: MLPModel, acts: list[np.ndarray], dlogits: np.ndarray,
               params: bool):
-    """Reverse pass over cached activations. With params, a GradBundle with
-    every gradient; without, only the input gradient array, shaped like
-    the activations. Batch axes are the last two, so a stacked model runs
-    the same lines."""
+    """Reverse pass over cached activations. With params, a GradBundle of
+    the parameter gradients, the input gradient deferred; without, only the
+    input gradient array, shaped like the activations. Batch axes are the
+    last two, so a stacked model runs the same lines."""
     last = len(model.weights) - 1
     weight_grads = [None] * len(model.weights)
     bias_grads = [None] * len(model.biases)
@@ -223,15 +234,13 @@ def _backprop(model: MLPModel, acts: list[np.ndarray], dlogits: np.ndarray,
         if params:
             weight_grads[i] = acts[i].mT @ delta
             bias_grads[i] = np.add.reduce(delta, axis=-2, keepdims=stacked)
+            if i == 0:  # no input matmul: GradBundle.input_grads does it if read
+                return GradBundle(weight_grads, bias_grads, delta, model.weights[0])
         delta = delta @ model.weights[i].mT
         if i > 0:
             # acts[i] = relu(pre-activation), positive exactly where it is
             delta *= acts[i] > 0
-    if not params:
-        return delta
-    if stacked:  # the bundle's input gradient has the caller's E*B rows
-        delta = delta.reshape(-1, delta.shape[-1])
-    return GradBundle(weight_grads, bias_grads, delta)
+    return delta
 
 
 def gradients(model: MLPModel, x, loss) -> GradBundle:
@@ -241,7 +250,7 @@ def gradients(model: MLPModel, x, loss) -> GradBundle:
     logits. Bit-identical to forward, then loss, then a backward pass that
     recomputes the forward activations (the reference in tests/reference.py).
     A stacked model's gradients stack like its parameters; the input
-    gradient has E*B rows.
+    gradient, computed when input_grads is read, has E*B rows.
     """
     acts = _activations(model, check_input(model, x))
     return _backprop(model, acts, loss(acts[-1]), params=True)

@@ -29,6 +29,7 @@ _STRAT = "tests/test_strategies.py::"
 _REPLAY = "tests/test_replay.py::"
 _ORACLE = _STRAT + "test_train_streams_equals_reference_trainer"
 _RUNNER = "tests/test_runner.py::"
+_DEFERRED = _STRAT + "test_input_grads_read_after_der_terms_and_sgd_step_are_the_pass_own_bitwise"
 
 MUTANTS = [
     # +EAT: external seeds in generation-major order
@@ -167,6 +168,16 @@ MUTANTS = [
      'replace(cfg.attack, kind="pgd")',
      'replace(cfg.attack, kind="fgsm")',
      [_RUNNER + "test_eval_attack_is_pgd_of_the_training_attack"]),
+    # training pass: a stacked bundle's deferred input gradient left (E, B, d)
+    ("nets.py",
+     "(self.delta0 @ self.weights0.mT).reshape(-1, self.weights0.shape[-2])",
+     "self.delta0 @ self.weights0.mT",
+     [_DEFERRED]),
+    # training pass: the deferred input gradient against layer 1's weights
+    ("nets.py",
+     "GradBundle(weight_grads, bias_grads, delta, model.weights[0])",
+     "GradBundle(weight_grads, bias_grads, delta, model.weights[1])",
+     [_DEFERRED]),
 ]
 
 

@@ -27,14 +27,14 @@ production training, attacks and replay run ``nets.softmax_ce``,
 epoch plan of ``replay.ReplayBuffer``.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from eatcl.attacks import AttackConfig
 from eatcl.metrics import MetricsRecord
-from eatcl.nets import (GradBundle, MLPModel, _row_max, ce_input_grad, check_input,
-                        check_targets, forward, init_model, one_hot)
+from eatcl.nets import (MLPModel, _row_max, ce_input_grad, check_input, check_targets,
+                        forward, init_model, one_hot)
 
 
 def _as_batch(x) -> np.ndarray:
@@ -74,7 +74,17 @@ def label_softmax_ce(logits, labels):
     return loss, p
 
 
-def backward(model: MLPModel, x, dlogits) -> GradBundle:
+@dataclass
+class Grads:
+    """backward's gradients, the input's computed with the rest, where
+    production's nets.GradBundle computes it only when read."""
+
+    weight_grads: list[np.ndarray]
+    bias_grads: list[np.ndarray]
+    input_grads: np.ndarray
+
+
+def backward(model: MLPModel, x, dlogits) -> Grads:
     """Exact reverse-mode gradients of the loss whose logit-gradient is dlogits.
 
     Recomputes the forward activations internally, then backpropagates to
@@ -105,7 +115,7 @@ def backward(model: MLPModel, x, dlogits) -> GradBundle:
         delta = delta @ model.weights[i].T
         if i > 0:
             delta = delta * (pre[i - 1] > 0)
-    return GradBundle(weight_grads, bias_grads, delta)
+    return Grads(weight_grads, bias_grads, delta)
 
 
 def pgd_every_step(model: MLPModel, x, targets, cfg: AttackConfig, rng=None) -> np.ndarray:

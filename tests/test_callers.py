@@ -90,6 +90,11 @@ UNRUN = {
     ("datasets.py", "return int(seed)"):
         "_seed_int of an int seed: the runner passes list seeds, the README's "
         "library example ints",
+    ("nets.py", "return (self.delta0 @ self.weights0.mT).reshape(-1, self.weights0.shape[-2])"):
+        "GradBundle.input_grads, a training pass's deferred input gradient: no "
+        "production step reads it, only tests and perfbench/tracer.py:31, which "
+        "counts sgd_step rows from it; it goes when the benchmark counts them "
+        "from the batch (ROADMAP item 1)",
 }
 
 

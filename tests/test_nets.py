@@ -153,6 +153,42 @@ def test_single_pass_equals_forward_softmax_ce_backward_bitwise():
         assert np.array_equal(only_x, ref.input_grads)
 
 
+class _CountedMatmuls(np.ndarray):
+    """An array that counts the matmuls it enters, as either operand."""
+
+    count = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedMatmuls.count += 1
+        inputs = [a.view(np.ndarray) if isinstance(a, _CountedMatmuls) else a
+                  for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_gradients_defer_the_input_matmul_until_read():
+    # a training pass multiplies by layer 0's weights once, in the forward
+    # pass; the input gradient's product with them runs when input_grads is
+    # read, and gives the attack kernel's bits
+    rng = np.random.default_rng(23)
+    for e in (1, 3):
+        members = [_rand_model(rng, (4, 5, 3)) for _ in range(e)]
+        model = members[0] if e == 1 else stack_models(members)
+        counted = MLPModel(model.layer_sizes,
+                           [model.weights[0].view(_CountedMatmuls), *model.weights[1:]],
+                           model.biases)
+        x = rng.normal(size=(e * 6, 4))
+        y = one_hot(rng.integers(0, 3, size=e * 6), 3)
+        _CountedMatmuls.count = 0
+        grads = gradients(counted, x, lambda z: softmax_ce(z, y))
+        assert _CountedMatmuls.count == 1
+        got = grads.input_grads
+        assert _CountedMatmuls.count == 2 and type(got) is np.ndarray
+        x3 = check_input(model, x)
+        want = ce_input_grad(model, x3, y.reshape(*x3.shape[:-1], 3))
+        assert got.tobytes() == want.tobytes() and got.shape == (e * 6, 4)
+
+
 def test_single_pass_rejects_bad_labels_and_nonfinite_logits():
     model = init_model((2, 3, 2), seed=0)
     x = np.zeros((2, 2))

@@ -2,8 +2,9 @@
 
 perfbench/ runs the shipped configs through runner.run_experiment, and its
 tracer and correctness gate read program internals: the tracer counts rows
-from GradBundle.input_grads on every sgd_step call and from prev_task_rate's
-third argument, and workloads.expected_attack_counts reads config keys. A
+from GradBundle.input_grads on every sgd_step call, a read that computes the
+input gradient the training pass deferred, and from prev_task_rate's third
+argument, and workloads.expected_attack_counts reads config keys. A
 program change that breaks one of them passes every other tier-1 test and
 fails only the benchmark. This runs each workload's config, shrunk to a few
 steps of every path it runs (conftest.shrunk), under perfbench's own Tracer

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import eatcl.strategies
 from eatcl.attacks import AttackConfig, attack
 from eatcl.datasets import Dataset, TaskStream, gen_blob_stream, gen_crescent
-from eatcl.nets import (GradBundle, MLPModel, forward, init_model, one_hot, softmax_ce,
-                        stack_models)
+from eatcl.nets import (GradBundle, MLPModel, forward, gradients, init_model, one_hot,
+                        sgd_step, softmax_ce, stack_models)
 from eatcl.replay import ReplayBuffer
 from eatcl.runner import ConfigError, parse_config
 from eatcl.strategies import (DER_ALPHA, DERPP_BETA, STRATEGIES, TrainConfig, der_terms,
@@ -93,7 +93,7 @@ def test_seed_changes_results():
 def _zero_grads(model):
     """Gradients of model, all zero, for der_terms to add its terms into."""
     return GradBundle([np.zeros_like(w) for w in model.weights],
-                      [np.zeros_like(b) for b in model.biases], None)
+                      [np.zeros_like(b) for b in model.biases], None, None)
 
 
 def test_der_terms_gradient_matches_finite_differences():
@@ -161,7 +161,7 @@ def _der_terms_bits_hold(hidden, der, derpp, attacked) -> bool:
     got = [rng.normal(size=p.shape) for p in model.weights + model.biases]
     want = [g.copy() for g in got]
     der_terms(model, np.concatenate([x0, x1]), stored, targets,
-              GradBundle(got[:len(model.weights)], got[len(model.weights):], None))
+              GradBundle(got[:len(model.weights)], got[len(model.weights):], None, None))
     for i, m in enumerate(singles):
         # member i's slices, in its plain shapes; a plain model's are its own
         member = [g[i].reshape(p.shape) if e > 1 else g
@@ -215,6 +215,32 @@ def test_der_terms_rejects_stored_logits_of_another_shape():
         for shape in [(6, 3), (6, 5), (5, 4), (7, 4), (12, 2)]:
             with pytest.raises(ValueError, match="does not match logits"):
                 der_terms(m, x, np.zeros(shape), none, _zero_grads(m))
+
+
+def test_input_grads_read_after_der_terms_and_sgd_step_are_the_pass_own_bitwise():
+    # a training pass defers its input gradient; read after der_terms has
+    # added both terms into the bundle in place and the model has stepped,
+    # as a traced step reads it, it must be the pass's own, bit for bit:
+    # member e's block of E*B rows is reference.backward's for member e
+    rng = np.random.default_rng(6)
+    b = 4
+    for e, k in ((1, 1), (3, 2)):
+        members = [init_model((5, 5, 5, 3), seed=s) for s in range(e)]
+        model = members[0] if e == 1 else stack_models(members)
+        x = rng.normal(size=(e * b, 5))
+        labels = rng.integers(0, 3, size=e * b)
+        blocks = [slice(i * b, (i + 1) * b) for i in range(e)]
+        want = np.vstack([backward(m, x[r], label_softmax_ce(forward(m, x[r]), labels[r])[1])
+                          .input_grads for m, r in zip(members, blocks)])
+        y = one_hot(labels, 3)
+        grads = gradients(model, x, lambda z: softmax_ce(z, y))
+        before = grads.weight_grads[0].copy()
+        der_terms(model, rng.normal(size=((e + k) * b, 5)), rng.normal(size=(e * b, 3)),
+                  one_hot(rng.integers(0, 3, size=k * b), 3), grads)
+        assert not np.array_equal(grads.weight_grads[0], before)
+        sgd_step(model, grads)
+        got = grads.input_grads
+        assert got.shape == (e * b, 5) and got.tobytes() == want.tobytes()
 
 
 def test_derpp_terms_adds_weighted_ce():
